@@ -30,6 +30,15 @@ class BoundSpec:
     def __post_init__(self):
         if not self.q > 0:
             raise InvalidIndex(f"entropic index q must be positive, got {self.q!r}")
+        try:
+            d = float(self.d)
+        except OverflowError:
+            d = math.inf
+        # the bounds evaluate d in floating point, so it must convert exactly
+        if not d.is_integer():
+            raise DomainError(
+                f"dimension must be an integer with an exact float value, got {self.d!r}"
+            )
         if self.d < 2:
             raise DomainError(f"dimension must be at least 2, got {self.d!r}")
         if not 0.0 <= self.eps <= 1.0:

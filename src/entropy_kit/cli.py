@@ -61,13 +61,21 @@ def _comma_floats(text: str) -> list[float]:
 
 
 def _comma_ints(text: str) -> list[int]:
+    """Positive integers; scientific notation is accepted when it names an
+    integer exactly (1e6), fractions and non-finite values are not."""
     out = []
     for x in text.split(","):
         if x.strip() == "":
             continue
-        val = int(float(x))
+        try:
+            val = int(x)
+        except ValueError:
+            num = float(x)
+            if not num.is_integer():
+                raise argparse.ArgumentTypeError(f"dimension {x!r} is not an integer")
+            val = int(num)
         if val < 1:
-            raise ValueError(f"dimension {x!r} is not positive")
+            raise argparse.ArgumentTypeError(f"dimension {x!r} is not positive")
         out.append(val)
     return out
 

@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, InvalidIndex
 from .linops import DensityOperator, ProbabilityDistribution, trace_power
 from .tolerances import TOL
@@ -25,14 +23,18 @@ from .tolerances import TOL
 
 @dataclass(frozen=True)
 class UnifiedParams:
-    """Index pair (q, s) with q > 0."""
+    """Finite index pair (q, s) with q > 0."""
 
     q: float
     s: float
 
     def __post_init__(self):
-        if not self.q > 0:
-            raise InvalidIndex(f"entropic index q must be positive, got {self.q!r}")
+        if not (self.q > 0 and math.isfinite(self.q)):
+            raise InvalidIndex(
+                f"entropic index q must be positive and finite, got {self.q!r}"
+            )
+        if not math.isfinite(self.s):
+            raise InvalidIndex(f"entropic index s must be finite, got {self.s!r}")
 
     @property
     def is_q_limit(self) -> bool:
@@ -43,25 +45,15 @@ class UnifiedParams:
         return not self.is_q_limit and abs(self.s) < TOL.s_limit
 
 
-def _as_probs(p) -> np.ndarray:
+def _as_dist(p) -> ProbabilityDistribution:
     if isinstance(p, ProbabilityDistribution):
-        return p.probs
-    return ProbabilityDistribution(p).probs
+        return p
+    return ProbabilityDistribution(p)
 
 
 def _check_q(q: float) -> None:
     if not q > 0:
         raise InvalidIndex(f"entropic index q must be positive, got {q!r}")
-
-
-def _power_sum(probs: np.ndarray, q: float) -> float:
-    # 0^q = 0 for every q > 0, which numpy honors
-    return float(np.sum(probs**q))
-
-
-def _shannon(probs: np.ndarray) -> float:
-    nz = probs[probs > 0]
-    return float(-np.sum(nz * np.log(nz))) + 0.0
 
 
 def q_log(x: float, q: float) -> float:
@@ -92,19 +84,19 @@ def unified_from_power_sum(t: float, q: float, s: float) -> float:
 def renyi(p, q: float) -> float:
     """Renyi entropy ln(sum p_i^q)/(1 - q); Shannon at q -> 1."""
     _check_q(q)
-    probs = _as_probs(p)
+    dist = _as_dist(p)
     if abs(q - 1.0) < TOL.q_limit:
-        return _shannon(probs)
-    return math.log(_power_sum(probs, q)) / (1.0 - q) + 0.0
+        return dist.shannon()
+    return math.log(dist.power_sum(q)) / (1.0 - q) + 0.0
 
 
 def tsallis(p, q: float) -> float:
     """Tsallis entropy (sum p_i^q - 1)/(1 - q); Shannon at q -> 1."""
     _check_q(q)
-    probs = _as_probs(p)
+    dist = _as_dist(p)
     if abs(q - 1.0) < TOL.q_limit:
-        return _shannon(probs)
-    return (_power_sum(probs, q) - 1.0) / (1.0 - q) + 0.0
+        return dist.shannon()
+    return (dist.power_sum(q) - 1.0) / (1.0 - q) + 0.0
 
 
 def type_q_entropy(p, q: float) -> float:
@@ -113,26 +105,26 @@ def type_q_entropy(p, q: float) -> float:
     Coincides with the unified entropy at indices (1/q, q).
     """
     _check_q(q)
-    probs = _as_probs(p)
+    dist = _as_dist(p)
     if abs(q - 1.0) < TOL.q_limit:
-        return _shannon(probs)
-    u = _power_sum(probs, 1.0 / q)
+        return dist.shannon()
+    u = dist.power_sum(1.0 / q)
     return math.expm1(q * math.log(u)) / (q - 1.0) + 0.0
 
 
 def unified_classical(p, params: UnifiedParams) -> float:
     """Unified (q, s)-entropy of a probability distribution."""
-    probs = _as_probs(p)
+    dist = _as_dist(p)
     if params.is_q_limit:
-        return _shannon(probs)
-    return unified_from_power_sum(_power_sum(probs, params.q), params.q, params.s)
+        return dist.shannon()
+    return unified_from_power_sum(dist.power_sum(params.q), params.q, params.s)
 
 
 def quantum_renyi(rho: DensityOperator, q: float) -> float:
     """Quantum Renyi entropy ln tr(rho^q)/(1 - q); von Neumann at q -> 1."""
     _check_q(q)
     if abs(q - 1.0) < TOL.q_limit:
-        return _shannon(rho.eigenvalues)
+        return rho.shannon()
     return math.log(trace_power(rho, q)) / (1.0 - q) + 0.0
 
 
@@ -140,14 +132,14 @@ def quantum_tsallis(rho: DensityOperator, q: float) -> float:
     """Quantum Tsallis entropy (tr rho^q - 1)/(1 - q); von Neumann at q -> 1."""
     _check_q(q)
     if abs(q - 1.0) < TOL.q_limit:
-        return _shannon(rho.eigenvalues)
+        return rho.shannon()
     return (trace_power(rho, q) - 1.0) / (1.0 - q) + 0.0
 
 
 def unified_quantum(rho: DensityOperator, params: UnifiedParams) -> float:
     """Unified (q, s)-entropy of a density operator."""
     if params.is_q_limit:
-        return _shannon(rho.eigenvalues)
+        return rho.shannon()
     return unified_from_power_sum(trace_power(rho, params.q), params.q, params.s)
 
 

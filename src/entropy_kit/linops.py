@@ -41,6 +41,44 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+#: most distinct q whose power sum one state keeps; later q are computed per call
+POWER_SUM_MEMO_CAP = 64
+
+
+class _SpectralMemo:
+    """Power sums and the Shannon value of a frozen spectrum, memoized.
+
+    Both are evaluated with the same expressions on a miss as on a fresh
+    instance, so a memoized value is bit-equal to a direct evaluation.
+    Each instance owns its memo; it holds at most ``POWER_SUM_MEMO_CAP``
+    power sums and simply stops storing new q once full.
+    """
+
+    def _start_memo(self, values: np.ndarray) -> None:
+        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_power_sums", {})
+        object.__setattr__(self, "_shannon", None)
+
+    def power_sum(self, q: float) -> float:
+        """sum_j x_j^q over the spectrum, q > 0; 0^q = 0, so zeros never count."""
+        sums = self._power_sums
+        t = sums.get(q)
+        if t is None:
+            if not q > 0:
+                raise InvalidIndex(f"power sum needs q > 0, got {q!r}")
+            t = float(np.sum(self._values**q))
+            if len(sums) < POWER_SUM_MEMO_CAP:
+                sums[q] = t
+        return t
+
+    def shannon(self) -> float:
+        """-sum_j x_j ln x_j over the spectrum, with 0 ln 0 = 0."""
+        if self._shannon is None:
+            nz = self._values[self._values > 0]
+            object.__setattr__(self, "_shannon", float(-np.sum(nz * np.log(nz))) + 0.0)
+        return self._shannon
+
+
 def _rng(seed) -> np.random.Generator:
     """Accept an int seed, a seed sequence, or an existing Generator."""
     if isinstance(seed, np.random.Generator):
@@ -61,6 +99,8 @@ class HermitianOperator:
     def __post_init__(self):
         mat = _as_square_matrix(self.entries)
         scale = np.abs(mat).max()
+        if not np.isfinite(scale):
+            raise DomainError("matrix entries must be finite")
         if np.abs(mat - mat.conj().T).max() > TOL.herm * scale:
             raise NonHermitian(
                 f"matrix deviates from Hermiticity by more than {TOL.herm:g} relative"
@@ -91,7 +131,7 @@ class Spectrum:
 
 
 @dataclass(frozen=True, eq=False)
-class DensityOperator:
+class DensityOperator(_SpectralMemo):
     """Unit-trace positive semidefinite operator.
 
     Eigenvalues in [-TOL.psd, 0) are clipped to 0 (anything lower raises
@@ -99,6 +139,12 @@ class DensityOperator:
     so fractional powers cannot amplify the O(1e-16) spectral noise of
     rank-deficient states.  The cleaned spectrum is capped at 1, cached
     in descending order with its eigenvectors, and never renormalized.
+
+    Power sums tr(rho^q) (``power_sum``) and the von Neumann value
+    (``shannon``) are memoized per q on the instance.  The spectrum is
+    immutable, so a memoized value never goes stale, and the memo is
+    bounded: past ``POWER_SUM_MEMO_CAP`` distinct q, new values are
+    computed on every call instead of stored.
     """
 
     op: HermitianOperator
@@ -119,8 +165,8 @@ class DensityOperator:
         vals = np.clip(vals[::-1], 0.0, 1.0).copy()
         vals[vals <= TOL.rank] = 0.0
         vecs = vecs[:, ::-1].copy()
-        object.__setattr__(self, "_eigenvalues", _frozen(vals))
         object.__setattr__(self, "_eigenvectors", _frozen(vecs))
+        self._start_memo(_frozen(vals))
 
     @property
     def dim(self) -> int:
@@ -133,7 +179,7 @@ class DensityOperator:
     @property
     def eigenvalues(self) -> np.ndarray:
         """Clipped eigenvalues, descending."""
-        return self._eigenvalues
+        return self._values
 
     @property
     def eigenvectors(self) -> np.ndarray:
@@ -145,10 +191,12 @@ class DensityOperator:
 
 
 @dataclass(frozen=True, eq=False)
-class ProbabilityDistribution:
+class ProbabilityDistribution(_SpectralMemo):
     """Nonnegative reals summing to 1 within ``TOL.trace``.
 
-    Slightly-off inputs are rejected rather than renormalized.
+    Slightly-off or non-finite inputs are rejected rather than
+    renormalized.  Power sums and the Shannon value are memoized as on
+    ``DensityOperator``.
     """
 
     probs: np.ndarray
@@ -160,11 +208,13 @@ class ProbabilityDistribution:
         if np.any(p < 0):
             raise DomainError("probabilities must be nonnegative")
         total = float(p.sum())
-        if abs(total - 1.0) > TOL.trace:
+        # written so that a NaN or infinite entry (total nan or inf) fails too
+        if not abs(total - 1.0) <= TOL.trace:
             raise DomainError(
                 f"probabilities sum to {total!r}, expected 1 within {TOL.trace:g}"
             )
         object.__setattr__(self, "probs", _frozen(p))
+        self._start_memo(self.probs)
 
     @property
     def size(self) -> int:
@@ -375,10 +425,11 @@ def trace_power(rho: DensityOperator, q: float) -> float:
     """tr(rho^q) = sum_j lambda_j^q over the clipped spectrum, q > 0.
 
     The convention 0^q = 0 applies, so zero eigenvalues never contribute.
+    Values are memoized per q on ``rho`` (see ``DensityOperator``).
     """
-    if q <= 0:
+    if not q > 0:
         raise InvalidIndex(f"trace power needs q > 0, got {q!r}")
-    return float(np.sum(rho.eigenvalues**q))
+    return rho.power_sum(q)
 
 
 def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
@@ -386,17 +437,25 @@ def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
     return DensityOperator.from_matrix(np.kron(a.mat, b.mat))
 
 
+def partial_trace_matrix(mat: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
+    """Reduced matrix of factor "A" or "B" of a (dim_a*dim_b)-square matrix.
+
+    Unvalidated: for matrices that need no ``DensityOperator`` of their
+    own, such as a rank-1 purification whose spectrum is never read.
+    """
+    blocks = mat.reshape(dim_a, dim_b, dim_a, dim_b)
+    if keep == "A":
+        return np.einsum("abcb->ac", blocks)
+    if keep == "B":
+        return np.einsum("abac->bc", blocks)
+    raise DomainError(f'keep must be "A" or "B", got {keep!r}')
+
+
 def partial_trace(state: BipartiteState, keep: str) -> DensityOperator:
     """Reduced state of factor "A" or "B"."""
-    da, db = state.dim_a, state.dim_b
-    blocks = state.rho_ab.mat.reshape(da, db, da, db)
-    if keep == "A":
-        reduced = np.einsum("abcb->ac", blocks)
-    elif keep == "B":
-        reduced = np.einsum("abac->bc", blocks)
-    else:
-        raise DomainError(f'keep must be "A" or "B", got {keep!r}')
-    return DensityOperator.from_matrix(reduced)
+    return DensityOperator.from_matrix(
+        partial_trace_matrix(state.rho_ab.mat, state.dim_a, state.dim_b, keep)
+    )
 
 
 def purify(rho: DensityOperator) -> np.ndarray:

@@ -32,6 +32,7 @@ from .linops import (
     ensemble_from_state,
     maximally_mixed,
     partial_trace,
+    partial_trace_matrix,
     pinch,
     purify,
     random_density,
@@ -168,6 +169,12 @@ def _as_grid(params_grid, default) -> list:
     return [(float(q), float(s)) for q, s in grid]
 
 
+def _points(grid, claimed=lambda q, s: True) -> list:
+    """(q, s, params) per grid point, with params None where the claim
+    is not made, so each suite builds its UnifiedParams once per point."""
+    return [(q, s, UnifiedParams(q, s) if claimed(q, s) else None) for q, s in grid]
+
+
 def _pick(rng: np.random.Generator, items):
     return items[int(rng.integers(len(items)))]
 
@@ -187,6 +194,7 @@ def check_ensemble_bound(
     realizing the state; the Renyi line s = 0 is only claimed for q < 1."""
     grid = _as_grid(params_grid, ENSEMBLE_GRID)
     rec = _Recorder("ensemble", seed, grid)
+    points = _points(grid, lambda q, s: not (s == 0.0 and not q < 1.0))
     for i in range(trials):
         rng = _trial_rng(seed, "ensemble", i)
         d = int(_pick(rng, dims))
@@ -197,11 +205,10 @@ def check_ensemble_bound(
         m = int(rng.integers(lo, hi + 1))
         ens = ensemble_from_state(rho, m, rng)
         rec.trials += 1
-        for q, s in grid:
-            if s == 0.0 and not q < 1.0:
+        for q, s, params in points:
+            if params is None:
                 rec.skip()
                 continue
-            params = UnifiedParams(q, s)
             rec.compare(
                 unified_quantum(rho, params),
                 unified_classical(ens.weights, params),
@@ -220,6 +227,7 @@ def check_mixing_bound(
     for 0 < q < 1 and s <= 1."""
     grid = _as_grid(params_grid, MIXING_GRID)
     rec = _Recorder("mixing", seed, grid)
+    points = _points(grid, lambda q, s: q < 1.0 and s <= 1.0)
     for i in range(trials):
         rng = _trial_rng(seed, "mixing", i)
         d = int(_pick(rng, dims))
@@ -230,11 +238,10 @@ def check_mixing_bound(
             sum(w * om.mat for w, om in zip(weights, omegas))
         )
         rec.trials += 1
-        for q, s in grid:
-            if not (q < 1.0 and s <= 1.0):
+        for q, s, params in points:
+            if params is None:
                 rec.skip()
                 continue
-            params = UnifiedParams(q, s)
             lhs = sum(w * unified_quantum(om, params) for w, om in zip(weights, omegas))
             rec.compare(
                 lhs,
@@ -282,6 +289,7 @@ def check_fannes(
     monotonicity threshold are skipped."""
     grid = _as_grid(params_grid, FANNES_GRID)
     rec = _Recorder("fannes", seed, grid)
+    points = _points(grid, lambda q, s: fannes_range(q, s) is not None)
     for i in range(trials):
         rng = _trial_rng(seed, "fannes", i)
         d = int(_pick(rng, dims))
@@ -298,8 +306,8 @@ def check_fannes(
             )
         eps = min(trace_distance(rho, omega), 1.0)
         rec.trials += 1
-        for q, s in grid:
-            if fannes_range(q, s) is None:
+        for q, s, params in points:
+            if params is None:
                 rec.skip()
                 continue
             try:
@@ -307,7 +315,6 @@ def check_fannes(
             except OutOfValidity:
                 rec.skip()
                 continue
-            params = UnifiedParams(q, s)
             diff = abs(unified_quantum(rho, params) - unified_quantum(omega, params))
             rec.compare(
                 diff, bound, {"trial": i, "d": d, "q": q, "s": s, "eps": eps}
@@ -345,6 +352,10 @@ def check_audenaert(
     return rec.report()
 
 
+def _subadditive(q: float, s: float) -> bool:
+    return q > 1.0 and s >= 1.0 / q
+
+
 def check_subadditivity(
     trials: int = 1000,
     dims=DEFAULT_PAIR_DIMS,
@@ -354,6 +365,7 @@ def check_subadditivity(
     """Subadditivity E(rho_AB) <= E(rho_A) + E(rho_B) for q > 1, s >= 1/q."""
     grid = _as_grid(params_grid, SUBADD_GRID)
     rec = _Recorder("subadd", seed, grid)
+    points = _points(grid, _subadditive)
     for i in range(trials):
         rng = _trial_rng(seed, "subadd", i)
         da, db = _pick(rng, dims)
@@ -361,11 +373,10 @@ def check_subadditivity(
         ra = partial_trace(state, "A")
         rb = partial_trace(state, "B")
         rec.trials += 1
-        for q, s in grid:
-            if not (q > 1.0 and s >= 1.0 / q):
+        for q, s, params in points:
+            if params is None:
                 rec.skip()
                 continue
-            params = UnifiedParams(q, s)
             rec.compare(
                 unified_quantum(state.rho_ab, params),
                 unified_quantum(ra, params) + unified_quantum(rb, params),
@@ -400,6 +411,7 @@ def search_subadditivity_violation(
         raise DomainError(f'region must be "high-q", "low-q" or "both", got {region!r}')
     grid = _as_grid(params_grid, default)
     rec = _Recorder("subadd-violation", seed, grid)
+    points = _points(grid)
 
     mm = maximally_mixed(2)
     product = tensor(mm, mm)
@@ -422,8 +434,7 @@ def search_subadditivity_violation(
         ca = partial_trace(corr, "A")
         cb = partial_trace(corr, "B")
         rec.trials += 1
-        for q, s in grid:
-            params = UnifiedParams(q, s)
+        for q, s, params in points:
             rec.compare(
                 unified_quantum(prod, params),
                 unified_quantum(fa, params) + unified_quantum(fb, params),
@@ -448,6 +459,7 @@ def check_triangle(
     purified state carry the entropies they should."""
     grid = _as_grid(params_grid, SUBADD_GRID)
     rec = _Recorder("triangle", seed, grid)
+    points = _points(grid, _subadditive)
     for i in range(trials):
         rng = _trial_rng(seed, "triangle", i)
         da, db = _pick(rng, dims)
@@ -456,15 +468,16 @@ def check_triangle(
         ra = partial_trace(state, "A")
         rb = partial_trace(state, "B")
         psi = purify(state.rho_ab)
-        pure = DensityOperator.from_matrix(np.outer(psi, psi.conj()))
-        rho_c = partial_trace(BipartiteState(pure, n, n), "B")
-        rho_bc = partial_trace(BipartiteState(pure, da, db * n), "B")
+        # the rank-1 purified state needs no DensityOperator (and no
+        # eigensolve) of its own: only its two reductions are evaluated
+        pure = np.outer(psi, psi.conj())
+        rho_c = DensityOperator.from_matrix(partial_trace_matrix(pure, n, n, "B"))
+        rho_bc = DensityOperator.from_matrix(partial_trace_matrix(pure, da, db * n, "B"))
         rec.trials += 1
-        for q, s in grid:
-            if not (q > 1.0 and s >= 1.0 / q):
+        for q, s, params in points:
+            if params is None:
                 rec.skip()
                 continue
-            params = UnifiedParams(q, s)
             e_ab = unified_quantum(state.rho_ab, params)
             e_a = unified_quantum(ra, params)
             base = {"trial": i, "d_a": da, "d_b": db, "q": q, "s": s}
@@ -524,6 +537,7 @@ def check_projective_nondecrease(
     """Pinching never lowers the unified entropy: E(rho) <= E(pinched)."""
     grid = _as_grid(params_grid, PROJECTIVE_GRID)
     rec = _Recorder("projective", seed, grid)
+    points = _points(grid)
     for i in range(trials):
         rng = _trial_rng(seed, "projective", i)
         d = int(_pick(rng, dims))
@@ -532,8 +546,7 @@ def check_projective_nondecrease(
         resolution = random_resolution(d, rng, ranks=ranks)
         pinched = pinch(rho, resolution)
         rec.trials += 1
-        for q, s in grid:
-            params = UnifiedParams(q, s)
+        for q, s, params in points:
             rec.compare(
                 unified_quantum(rho, params),
                 unified_quantum(pinched, params),

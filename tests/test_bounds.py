@@ -43,6 +43,11 @@ class TestBoundSpec:
         with pytest.raises(DomainError):
             BoundSpec(2.0, 1.0, 4, 1.5)
 
+    @pytest.mark.parametrize("d", [4.7, 10**400, float("nan"), float("inf")])
+    def test_dimension_must_be_an_exact_integer(self, d):
+        with pytest.raises(DomainError):
+            BoundSpec(2.0, 1.0, d, 0.1)
+
 
 class TestEta:
     def test_frozen(self):

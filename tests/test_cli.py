@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from entropy_kit.linops import diagonal_density, write_matrix
 from entropy_kit.verify import ALL_CHECKS
 
 FLAT4 = "0.25,0.25,0.25,0.25"
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, argv):
@@ -85,6 +87,13 @@ class TestEntropyCommand:
     def test_invalid_distribution_exits_one(self, capsys):
         code, _, err = run_cli(capsys, ["entropy", "--dist", "0.7,0.7", "--q", "2", "--s", "1"])
         assert code == 1
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("q,s", [("2", "nan"), ("2", "inf"), ("nan", "1")])
+    def test_non_finite_index_exits_one(self, capsys, q, s):
+        code, out, err = run_cli(capsys, ["entropy", "--dist", "0.5,0.5", "--q", q, "--s", s])
+        assert code == 1
+        assert out == ""
         assert err.startswith("error:")
 
     def test_source_required(self, capsys):
@@ -174,6 +183,23 @@ class TestCheckCommand:
         with pytest.raises(SystemExit):
             main(["check", "nonsense"])
         capsys.readouterr()
+
+    @pytest.mark.parametrize("dims", ["2.5", "1e400", "nan", "3,0"])
+    def test_bad_dimension_is_a_parser_error(self, capsys, dims):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "fannes", "--trials", "1", "--dims", dims])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "argument --dims: dimension" in err
+        assert "Traceback" not in err
+
+    def test_report_matches_fixture(self, capsys):
+        """Seeded reports are pinned byte for byte.  The fixture was written
+        with numpy 2.4 and OpenBLAS 0.3 on x86-64; another LAPACK build may
+        round eigenvalues differently."""
+        code, out, _ = run_cli(capsys, ["check", "all", "--trials", "20", "--seed", "42", "--json"])
+        assert code == 0
+        assert out == (DATA / "check-all-trials20-seed42.jsonl").read_text()
 
 
 class TestStabilityCommand:

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from entropy_kit.entropies import (
     UnifiedParams,
@@ -71,6 +71,14 @@ class TestUnifiedParams:
             UnifiedParams(0.0, 1.0)
         with pytest.raises(InvalidIndex):
             UnifiedParams(-2.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "q,s",
+        [(math.nan, 1.0), (math.inf, 1.0), (2.0, math.nan), (2.0, math.inf), (2.0, -math.inf)],
+    )
+    def test_rejects_non_finite_indices(self, q, s):
+        with pytest.raises(InvalidIndex):
+            UnifiedParams(q, s)
 
     def test_limit_flags(self):
         assert UnifiedParams(1.0 + 1e-8, 2.0).is_q_limit
@@ -278,3 +286,37 @@ class TestIndexValidation:
     def test_rejects_bad_distribution(self):
         with pytest.raises(DomainError):
             renyi([0.7, 0.7], 2.0)
+
+
+class TestMemoizedEvaluation:
+    """unified_quantum / unified_classical read power sums through a memo;
+    every value must be bit-equal to evaluating the power sum directly."""
+
+    @staticmethod
+    def direct(lam: np.ndarray, params: UnifiedParams) -> float:
+        if params.is_q_limit:
+            nz = lam[lam > 0]
+            return float(-np.sum(nz * np.log(nz))) + 0.0
+        return unified_from_power_sum(float(np.sum(lam**params.q)), params.q, params.s)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.lists(
+            st.tuples(
+                st.one_of(st.floats(0.05, 6.0), st.sampled_from([0.5, 1.0, 2.0, 1.0 + 5e-8])),
+                st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, 1.0, 1e-10])),
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+    )
+    def test_bit_equal_on_first_and_repeated_calls(self, seed, points):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 7))
+        rho = random_density(d, int(rng.integers(1, d + 1)), rng)
+        dist = ProbabilityDistribution(rng.dirichlet(np.ones(d)))
+        for q, s in points + points:
+            params = UnifiedParams(q, s)
+            assert unified_quantum(rho, params).hex() == self.direct(rho.eigenvalues, params).hex()
+            assert unified_classical(dist, params).hex() == self.direct(dist.probs, params).hex()

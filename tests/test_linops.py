@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entropy_kit.errors import (
     DimMismatch,
@@ -14,6 +15,7 @@ from entropy_kit.errors import (
     NotPositive,
 )
 from entropy_kit.linops import (
+    POWER_SUM_MEMO_CAP,
     BipartiteState,
     DensityOperator,
     GeneralizedMeasurement,
@@ -71,6 +73,13 @@ class TestHermitianOperator:
         with pytest.raises(ValueError):
             op.entries[0, 0] = 5.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(DomainError):
+            HermitianOperator([[bad, 0.0], [0.0, 1.0]])
+        with pytest.raises(DomainError):
+            DensityOperator.from_matrix([[1.0, bad], [bad, 0.0]])
+
 
 class TestDensityOperator:
     def test_trace_must_be_one(self):
@@ -111,6 +120,13 @@ class TestProbabilityDistribution:
     def test_decimal_rounding_tolerated(self):
         p = ProbabilityDistribution([0.1, 0.2, 0.3, 0.4])
         assert p.size == 4
+
+    @pytest.mark.parametrize(
+        "probs", [[np.nan, 1.0], [np.nan, 0.5, 0.5], [np.inf, 1.0], [np.inf, 0.0]]
+    )
+    def test_non_finite_rejected(self, probs):
+        with pytest.raises(DomainError):
+            ProbabilityDistribution(probs)
 
 
 class TestSpectralDecompose:
@@ -204,6 +220,59 @@ class TestTracePower:
     def test_rejects_nonpositive_q(self):
         with pytest.raises(InvalidIndex):
             trace_power(maximally_mixed(2), 0.0)
+
+    def test_rejects_nan_q_without_memoizing_it(self):
+        rho = maximally_mixed(2)
+        for q in (np.nan, float("nan")):
+            with pytest.raises(InvalidIndex):
+                trace_power(rho, q)
+        with pytest.raises(InvalidIndex):
+            rho.power_sum(np.nan)
+        assert rho._power_sums == {}
+
+
+def bits(x: float) -> str:
+    return float(x).hex()
+
+
+class TestPowerSumMemo:
+    """Memoized power sums must be bit-equal to the direct expression."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.integers(1, 6),
+        st.lists(st.floats(0.01, 8.0), min_size=1, max_size=12),
+    )
+    def test_bit_equal_to_direct_sum(self, seed, d, qs):
+        rho = random_density(d, int(np.random.default_rng(seed).integers(1, d + 1)), seed)
+        dist = ProbabilityDistribution(np.random.default_rng(seed).dirichlet(np.ones(d)))
+        for q in qs + qs:  # first and repeated calls
+            assert bits(trace_power(rho, q)) == bits(np.sum(rho.eigenvalues**q))
+            assert bits(dist.power_sum(q)) == bits(np.sum(dist.probs**q))
+
+    def test_not_shared_between_instances(self):
+        a = random_density(3, 3, seed=1)
+        b = DensityOperator.from_matrix(a.mat)
+        p = ProbabilityDistribution([0.5, 0.5])
+        r = ProbabilityDistribution([0.5, 0.5])
+        trace_power(a, 2.0)
+        p.power_sum(2.0)
+        a.shannon()
+        assert a._power_sums == {2.0: trace_power(a, 2.0)}
+        assert b._power_sums == {} and b._shannon is None
+        assert r._power_sums == {}
+        assert len({id(x._power_sums) for x in (a, b, p, r)}) == 4
+
+    def test_bounded_under_many_distinct_q(self):
+        rho = random_density(4, 3, seed=5)
+        qs = np.linspace(0.05, 6.0, 10_000)
+        for q in qs:
+            assert bits(trace_power(rho, q)) == bits(np.sum(rho.eigenvalues**q))
+        assert len(rho._power_sums) <= POWER_SUM_MEMO_CAP
+        for q in (qs[0], qs[-1], 2.0):  # memoized and unmemoized q alike
+            assert bits(trace_power(rho, q)) == bits(np.sum(rho.eigenvalues**q))
+        assert len(rho._power_sums) <= POWER_SUM_MEMO_CAP
 
 
 class TestComposite:
