@@ -18,6 +18,21 @@ from .errors import DomainError, InvalidIndex, OutOfValidity
 from .tolerances import TOL
 
 
+def _check_dimension(d, least: int) -> None:
+    """Raise DomainError unless d is an integer with an exact float value
+    (the bounds evaluate d in floating point) and d >= least."""
+    try:
+        exact = float(d).is_integer()
+    except OverflowError:
+        exact = False
+    if not exact:
+        raise DomainError(
+            f"dimension must be an integer with an exact float value, got {d!r}"
+        )
+    if d < least:
+        raise DomainError(f"dimension must be at least {least}, got {d!r}")
+
+
 @dataclass(frozen=True)
 class BoundSpec:
     """Inputs of a bound evaluation: indices, dimension, trace distance."""
@@ -30,17 +45,7 @@ class BoundSpec:
     def __post_init__(self):
         if not self.q > 0:
             raise InvalidIndex(f"entropic index q must be positive, got {self.q!r}")
-        try:
-            d = float(self.d)
-        except OverflowError:
-            d = math.inf
-        # the bounds evaluate d in floating point, so it must convert exactly
-        if not d.is_integer():
-            raise DomainError(
-                f"dimension must be an integer with an exact float value, got {self.d!r}"
-            )
-        if self.d < 2:
-            raise DomainError(f"dimension must be at least 2, got {self.d!r}")
+        _check_dimension(self.d, 2)
         if not 0.0 <= self.eps <= 1.0:
             raise DomainError(f"trace distance must lie in [0, 1], got {self.eps!r}")
 
@@ -159,8 +164,7 @@ def max_unified(q: float, s: float, d: int) -> float:
     """
     if not q > 0:
         raise InvalidIndex(f"entropic index q must be positive, got {q!r}")
-    if d < 1:
-        raise DomainError(f"dimension must be positive, got {d!r}")
+    _check_dimension(d, 1)
     if d == 1:
         return 0.0
     if abs(q - 1.0) < TOL.q_limit or abs(s) < TOL.s_limit:

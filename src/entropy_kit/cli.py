@@ -80,6 +80,16 @@ def _comma_ints(text: str) -> list[int]:
     return out
 
 
+def _trial_count(text: str) -> int:
+    try:
+        val = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"trial count {text!r} is not an integer") from None
+    if val < 0:
+        raise argparse.ArgumentTypeError(f"trial count {text!r} is negative")
+    return val
+
+
 def _emit(args, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
@@ -166,7 +176,10 @@ def cmd_check(args) -> int:
     else:
         lines = []
         for r in reports:
-            marker = "pass" if report_ok(r) else "FAIL"
+            if r.comparisons == 0:
+                marker = "no comparisons"
+            else:
+                marker = "pass" if report_ok(r) else "FAIL"
             lines.append(
                 f"{r.check}: trials={r.trials} skipped={r.skipped} "
                 f"failures={r.failures} max_violation={_fmt(r.max_violation)} [{marker}]"
@@ -270,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_chk = subs.add_parser("check", help="run verification suites")
     p_chk.add_argument("suite", choices=ALL_CHECKS + ("all",))
-    p_chk.add_argument("--trials", type=int, default=200)
+    p_chk.add_argument("--trials", type=_trial_count, default=200)
     p_chk.add_argument("--seed", type=int, default=None, help=f"defaults to ${SEED_ENV} or 0")
     p_chk.add_argument("--dims", type=_comma_ints, default=None, help="system dimensions, comma-separated")
     p_chk.add_argument("--q-grid", type=_comma_floats, default=None)

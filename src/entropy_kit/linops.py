@@ -12,6 +12,7 @@ Composite indices are row-major throughout: a bipartite basis label
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,11 +30,54 @@ from .errors import (
 from .tolerances import TOL
 
 
-def _as_square_matrix(entries) -> np.ndarray:
-    mat = np.array(entries, dtype=np.complex128)
+def _check_square(mat: np.ndarray) -> np.ndarray:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
         raise DomainError(f"expected a nonempty square matrix, got shape {mat.shape}")
     return mat
+
+
+def _as_square_matrix(entries) -> np.ndarray:
+    return _check_square(np.array(entries, dtype=np.complex128))
+
+
+def _check_hermitian(mats: np.ndarray) -> None:
+    """Raise unless every matrix of the (n, d, d) stack is finite and
+    Hermitian to ``TOL.herm`` relative to its largest absolute entry.
+
+    Per-matrix verdicts are read as Python floats: at small d a numpy
+    comparison costs more than the reduction behind it.
+    """
+    scale = np.abs(mats).max(axis=(1, 2)).tolist()
+    if not all(map(math.isfinite, scale)):
+        raise DomainError("matrix entries must be finite")
+    defect = np.abs(mats - mats.conj().swapaxes(1, 2)).max(axis=(1, 2)).tolist()
+    for err, size in zip(defect, scale):
+        if err > TOL.herm * size:
+            raise NonHermitian(
+                f"matrix deviates from Hermiticity by more than {TOL.herm:g} relative"
+            )
+
+
+def _density_spectra(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Validate an (n, d, d) stack of density matrices with one ``eigh``.
+
+    Returns the cleaned eigenvalues (n, d) and eigenvectors (n, d, d),
+    both descending; see ``DensityOperator`` for the cleaning.  One call
+    on a stack gives bit for bit the values of n calls on its matrices.
+    """
+    _check_hermitian(mats)
+    for tr in mats.trace(axis1=1, axis2=2).real.tolist():
+        if abs(tr - 1.0) > TOL.trace:
+            raise DomainError(f"trace is {tr!r}, expected 1 within {TOL.trace:g}")
+    vals, vecs = np.linalg.eigh(mats)
+    low = min(vals[:, 0].tolist())
+    if low < -TOL.psd:
+        raise NotPositive(f"eigenvalue {low!r} below the -{TOL.psd:g} tolerance")
+    # clip to [0, 1]; np.clip costs more per call at these sizes
+    vals = np.maximum(vals[:, ::-1], 0.0)
+    np.minimum(vals, 1.0, out=vals)
+    vals[vals <= TOL.rank] = 0.0
+    return _frozen(vals), _frozen(vecs[:, :, ::-1].copy())
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -98,13 +142,7 @@ class HermitianOperator:
 
     def __post_init__(self):
         mat = _as_square_matrix(self.entries)
-        scale = np.abs(mat).max()
-        if not np.isfinite(scale):
-            raise DomainError("matrix entries must be finite")
-        if np.abs(mat - mat.conj().T).max() > TOL.herm * scale:
-            raise NonHermitian(
-                f"matrix deviates from Hermiticity by more than {TOL.herm:g} relative"
-            )
+        _check_hermitian(mat[None])
         object.__setattr__(self, "entries", _frozen(mat))
 
     @property
@@ -152,21 +190,14 @@ class DensityOperator(_SpectralMemo):
     def __post_init__(self):
         op = self.op
         if not isinstance(op, HermitianOperator):
-            op = HermitianOperator(op)
-            object.__setattr__(self, "op", op)
-        tr = float(op.entries.trace().real)
-        if abs(tr - 1.0) > TOL.trace:
-            raise DomainError(f"trace is {tr!r}, expected 1 within {TOL.trace:g}")
-        vals, vecs = np.linalg.eigh(op.entries)
-        if vals[0] < -TOL.psd:
-            raise NotPositive(
-                f"eigenvalue {vals[0]!r} below the -{TOL.psd:g} tolerance"
-            )
-        vals = np.clip(vals[::-1], 0.0, 1.0).copy()
-        vals[vals <= TOL.rank] = 0.0
-        vecs = vecs[:, ::-1].copy()
-        object.__setattr__(self, "_eigenvectors", _frozen(vecs))
-        self._start_memo(_frozen(vals))
+            op = _checked_hermitian(_frozen(_as_square_matrix(op)))
+        vals, vecs = _density_spectra(op.entries[None])
+        self._adopt(op, vals[0], vecs[0])
+
+    def _adopt(self, op: HermitianOperator, vals: np.ndarray, vecs: np.ndarray) -> None:
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "_eigenvectors", vecs)
+        self._start_memo(vals)
 
     @property
     def dim(self) -> int:
@@ -187,7 +218,38 @@ class DensityOperator(_SpectralMemo):
 
     @classmethod
     def from_matrix(cls, entries) -> "DensityOperator":
-        return cls(HermitianOperator(entries))
+        return cls(entries)
+
+
+def _checked_hermitian(mat: np.ndarray) -> HermitianOperator:
+    """Wrap a frozen square matrix whose checks are run by the caller."""
+    op = object.__new__(HermitianOperator)
+    object.__setattr__(op, "entries", mat)
+    return op
+
+
+def density_operators(mats) -> list[DensityOperator]:
+    """Validated states of square matrices, returned in input order.
+
+    Matrices of one shape are stacked and validated with one ``eigh``,
+    so each state is bit for bit ``DensityOperator.from_matrix`` of its
+    matrix, and a bad matrix raises what building it alone raises.  A
+    state holds read-only views into its stack's buffers, which live as
+    long as any state of that stack does.
+    """
+    mats = [_check_square(np.asarray(m, dtype=np.complex128)) for m in mats]
+    groups: dict[tuple, list[int]] = {}
+    for i, mat in enumerate(mats):
+        groups.setdefault(mat.shape, []).append(i)
+    out = [None] * len(mats)
+    for idx in groups.values():
+        stack = _frozen(np.stack([mats[i] for i in idx]))
+        vals, vecs = _density_spectra(stack)
+        for j, i in enumerate(idx):
+            state = object.__new__(DensityOperator)
+            state._adopt(_checked_hermitian(stack[j]), vals[j], vecs[j])
+            out[i] = state
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,7 +332,8 @@ class Isometry:
         if mat.ndim != 2 or mat.shape[0] < mat.shape[1] or mat.shape[1] == 0:
             raise DomainError(f"isometry needs shape (m, r) with m >= r >= 1, got {mat.shape}")
         gram = mat.conj().T @ mat
-        if np.abs(gram - np.eye(mat.shape[1])).max() > TOL.orthonormal:
+        # written so that a NaN entry (defect nan) fails too
+        if not np.abs(gram - np.eye(mat.shape[1])).max() <= TOL.orthonormal:
             raise DomainError("isometry columns are not orthonormal within tolerance")
         object.__setattr__(self, "entries", _frozen(mat))
 
@@ -335,7 +398,8 @@ class GeneralizedMeasurement:
             if m.shape[0] != d:
                 raise DimMismatch("measurement operators must share one dimension")
         total = sum(m.conj().T @ m for m in ops)
-        if np.abs(total - np.eye(d)).max() > TOL.orthonormal:
+        # written so that a NaN entry (defect nan) fails too
+        if not np.abs(total - np.eye(d)).max() <= TOL.orthonormal:
             raise IncompleteMeasurement(
                 "operators do not satisfy the completeness relation within tolerance"
             )
@@ -467,9 +531,8 @@ def purify(rho: DensityOperator) -> np.ndarray:
     return (rho.eigenvectors * roots).reshape(-1)
 
 
-def pinch(a, resolution: OrthogonalResolution):
-    """Pinching sum_j N_j a N_j; a DensityOperator input yields one back."""
-    mat = _matrix_of(a)
+def pinch_matrix(mat: np.ndarray, resolution: OrthogonalResolution) -> np.ndarray:
+    """Pinched matrix sum_j N_j mat N_j, unvalidated."""
     if mat.shape[0] != resolution.dim:
         raise DimMismatch(
             f"operator dimension {mat.shape[0]} does not match resolution {resolution.dim}"
@@ -477,6 +540,12 @@ def pinch(a, resolution: OrthogonalResolution):
     out = np.zeros_like(mat)
     for proj in resolution.projectors:
         out += proj.entries @ mat @ proj.entries
+    return out
+
+
+def pinch(a, resolution: OrthogonalResolution):
+    """Pinching sum_j N_j a N_j; a DensityOperator input yields one back."""
+    out = pinch_matrix(_matrix_of(a), resolution)
     if isinstance(a, DensityOperator):
         return DensityOperator.from_matrix(out)
     return HermitianOperator(out)
@@ -506,8 +575,8 @@ def maximally_mixed(d: int) -> DensityOperator:
     return DensityOperator.from_matrix(np.eye(d) / d)
 
 
-def random_density(d: int, rank: int, seed) -> DensityOperator:
-    """Ginibre state G G^dagger / tr(G G^dagger) with G of shape (d, rank)."""
+def random_density_matrix(d: int, rank: int, seed) -> np.ndarray:
+    """Ginibre matrix G G^dagger / tr(G G^dagger) with G of shape (d, rank)."""
     if d < 1:
         raise DomainError(f"dimension must be positive, got {d!r}")
     if not 1 <= rank <= d:
@@ -515,7 +584,12 @@ def random_density(d: int, rank: int, seed) -> DensityOperator:
     rng = _rng(seed)
     g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
     a = g @ g.conj().T
-    return DensityOperator.from_matrix(a / a.trace().real)
+    return a / a.trace().real
+
+
+def random_density(d: int, rank: int, seed) -> DensityOperator:
+    """Ginibre state G G^dagger / tr(G G^dagger) with G of shape (d, rank)."""
+    return DensityOperator.from_matrix(random_density_matrix(d, rank, seed))
 
 
 def random_unitary(d: int, seed) -> Isometry:

@@ -2,10 +2,14 @@
 
 Every check draws its per-trial randomness from a SeedSequence built on
 (seed, check id, trial index), so reports are reproducible byte for byte
-regardless of execution order.  A comparison "lhs <= rhs" fails when the
-signed violation lhs - rhs exceeds TOL.check_rel * (1 + magnitude);
-``failures`` counts failed comparisons, ``skipped`` counts grid points
-outside a claim's proven region or validity window.
+regardless of execution order.  The random suites draw the matrices of
+``STATE_CHUNK`` trials first and build all of their states with one
+stacked ``density_operators`` call, which is bit-identical to building
+them one by one.  A comparison "lhs <= rhs" fails when the signed
+violation lhs - rhs exceeds TOL.check_rel * (1 + magnitude); ``failures``
+counts failed comparisons, ``skipped`` counts grid points outside a
+claim's proven region or validity window.  A suite that made no
+comparison at all does not pass.
 
 The subadditivity violation search inverts the reading: there the
 inequality is expected to break, ``failures`` counts the violations
@@ -20,24 +24,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import BoundSpec, fannes_range, max_unified, unified_fannes_bound
+from .bounds import BoundSpec, _check_dimension, fannes_range, max_unified, unified_fannes_bound
 from .entropies import UnifiedParams, unified_classical, unified_from_power_sum, unified_quantum
 from .errors import DimMismatch, DomainError, InvalidIndex, NotDiagonal, OutOfValidity, PureState
 from .linops import (
-    BipartiteState,
     DensityOperator,
     GeneralizedMeasurement,
-    ProbabilityDistribution,
+    apply_generalized,
+    density_operators,
     diagonal_density,
     ensemble_from_state,
     maximally_mixed,
-    partial_trace,
     partial_trace_matrix,
-    pinch,
+    pinch_matrix,
     purify,
-    random_density,
+    random_density_matrix,
     random_resolution,
-    apply_generalized,
     schatten_norm,
     tensor,
     trace_distance,
@@ -60,6 +62,11 @@ ALL_CHECKS = (
 )
 
 _CHECK_IDS = {name: idx for idx, name in enumerate(ALL_CHECKS)}
+
+#: trials whose states one ``density_operators`` call builds; larger
+#: chunks gain little speed and raise the peak memory of the triangle
+#: suite, whose 81 x 81 purified states are held for a whole chunk
+STATE_CHUNK = 16
 
 DEFAULT_DIMS = (2, 3, 4, 5, 6)
 DEFAULT_PAIR_DIMS = ((2, 2), (2, 3), (3, 2), (3, 3))
@@ -102,6 +109,8 @@ class CheckReport:
     worst_case: dict | None
     seed: int
     params_grid: list = field(default_factory=list)
+    #: comparisons made; not emitted, so JSON and CSV reports keep their bytes
+    comparisons: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -127,11 +136,13 @@ class _Recorder:
         self.params_grid = [tuple(p) for p in params_grid] if params_grid else []
         self.trials = 0
         self.skipped = 0
+        self.comparisons = 0
         self.failures = 0
         self.max_violation = None
         self.worst_case = None
 
     def compare(self, lhs: float, rhs: float, info: dict, strict: bool = False) -> bool:
+        self.comparisons += 1
         violation = float(lhs) - float(rhs)
         if strict:
             failed = violation >= 0.0
@@ -157,6 +168,7 @@ class _Recorder:
             worst_case=self.worst_case,
             seed=self.seed,
             params_grid=self.params_grid,
+            comparisons=self.comparisons,
         )
 
 
@@ -179,8 +191,53 @@ def _pick(rng: np.random.Generator, items):
     return items[int(rng.integers(len(items)))]
 
 
-def _random_state(rng: np.random.Generator, d: int) -> DensityOperator:
-    return random_density(d, int(rng.integers(1, d + 1)), rng)
+def _random_matrix(rng: np.random.Generator, d: int) -> np.ndarray:
+    """Ginibre density matrix of dimension d and a uniformly drawn rank."""
+    return random_density_matrix(d, int(rng.integers(1, d + 1)), rng)
+
+
+def _bipartite_matrices(rng: np.random.Generator, da: int, db: int) -> list:
+    """A random rho_AB on C^da (x) C^db and its reductions rho_A, rho_B."""
+    rho_ab = _random_matrix(rng, da * db)
+    return [
+        rho_ab,
+        partial_trace_matrix(rho_ab, da, db, "A"),
+        partial_trace_matrix(rho_ab, da, db, "B"),
+    ]
+
+
+def _stacked(per_trial: list) -> list:
+    """States of every trial's matrices from one ``density_operators``
+    call, split back into one list per trial."""
+    states = density_operators([m for mats in per_trial for m in mats])
+    out, start = [], 0
+    for mats in per_trial:
+        out.append(states[start : start + len(mats)])
+        start += len(mats)
+    return out
+
+
+def _chunked_trials(check: str, seed: int, trials: int, draw, derive=None):
+    """Yield (trial, info, states) in trial order.
+
+    ``draw(i, rng)`` returns (info, matrices) for trial i from that
+    trial's own generator.  Each chunk of ``STATE_CHUNK`` trials'
+    matrices becomes states through one stacked call.  ``derive(info,
+    states)``, if given, returns matrices that need the first states;
+    they are built the same way and appended to the trial's states.
+    """
+    for start in range(0, trials, STATE_CHUNK):
+        chunk = range(start, min(start + STATE_CHUNK, trials))
+        infos, mats = zip(*[draw(i, _trial_rng(seed, check, i)) for i in chunk])
+        states = _stacked(mats)
+        del mats
+        if derive is not None:
+            more = _stacked([derive(info, st) for info, st in zip(infos, states)])
+            states = [first + second for first, second in zip(states, more)]
+            del more
+        yield from zip(chunk, infos, states)
+        # hold at most one chunk of states while the next is drawn
+        del infos, states
 
 
 def check_ensemble_bound(
@@ -195,10 +252,12 @@ def check_ensemble_bound(
     grid = _as_grid(params_grid, ENSEMBLE_GRID)
     rec = _Recorder("ensemble", seed, grid)
     points = _points(grid, lambda q, s: not (s == 0.0 and not q < 1.0))
-    for i in range(trials):
-        rng = _trial_rng(seed, "ensemble", i)
+
+    def draw(i, rng):
         d = int(_pick(rng, dims))
-        rho = _random_state(rng, d)
+        return (rng, d), [_random_matrix(rng, d)]
+
+    for i, (rng, d), (rho,) in _chunked_trials("ensemble", seed, trials, draw):
         rank = int(np.sum(rho.eigenvalues > TOL.rank))
         lo = max(rank, int(m_range[0]))
         hi = max(lo, int(m_range[1]))
@@ -228,15 +287,17 @@ def check_mixing_bound(
     grid = _as_grid(params_grid, MIXING_GRID)
     rec = _Recorder("mixing", seed, grid)
     points = _points(grid, lambda q, s: q < 1.0 and s <= 1.0)
-    for i in range(trials):
-        rng = _trial_rng(seed, "mixing", i)
+
+    def draw(i, rng):
         d = int(_pick(rng, dims))
         k = int(rng.integers(2, 5))
         weights = rng.dirichlet(np.ones(k))
-        omegas = [_random_state(rng, d) for _ in range(k)]
-        mixed = DensityOperator.from_matrix(
-            sum(w * om.mat for w, om in zip(weights, omegas))
-        )
+        omegas = [_random_matrix(rng, d) for _ in range(k)]
+        mixed = sum(w * om for w, om in zip(weights, omegas))
+        return (d, k, weights), omegas + [mixed]
+
+    for i, (d, k, weights), states in _chunked_trials("mixing", seed, trials, draw):
+        *omegas, mixed = states
         rec.trials += 1
         for q, s, params in points:
             if params is None:
@@ -290,20 +351,20 @@ def check_fannes(
     grid = _as_grid(params_grid, FANNES_GRID)
     rec = _Recorder("fannes", seed, grid)
     points = _points(grid, lambda q, s: fannes_range(q, s) is not None)
-    for i in range(trials):
-        rng = _trial_rng(seed, "fannes", i)
+
+    def draw(i, rng):
         d = int(_pick(rng, dims))
-        rho = _random_state(rng, d)
+        rho = _random_matrix(rng, d)
         if rng.uniform() < 0.5:
-            omega = _random_state(rng, d)
-        else:
-            # interpolate toward a second state so small trace distances
-            # (the low-region validity window) are exercised
-            lam = float(rng.uniform(0.0, 0.3))
-            other = random_density(d, d, rng)
-            omega = DensityOperator.from_matrix(
-                (1.0 - lam) * rho.mat + lam * other.mat
-            )
+            return d, [rho, _random_matrix(rng, d)]
+        # interpolate toward a second state so small trace distances
+        # (the low-region validity window) are exercised; the second
+        # state is built only to be validated
+        lam = float(rng.uniform(0.0, 0.3))
+        other = random_density_matrix(d, d, rng)
+        return d, [rho, (1.0 - lam) * rho + lam * other, other]
+
+    for i, d, (rho, omega, *_) in _chunked_trials("fannes", seed, trials, draw):
         eps = min(trace_distance(rho, omega), 1.0)
         rec.trials += 1
         for q, s, params in points:
@@ -322,11 +383,6 @@ def check_fannes(
     return rec.report()
 
 
-def _random_bipartite(rng: np.random.Generator, da: int, db: int) -> BipartiteState:
-    n = da * db
-    return BipartiteState(_random_state(rng, n), da, db)
-
-
 def check_audenaert(
     trials: int = 1000,
     dims=DEFAULT_PAIR_DIMS,
@@ -336,17 +392,17 @@ def check_audenaert(
     """Schatten-norm inequality ||rho_A||_q + ||rho_B||_q <= 1 + ||rho_AB||_q
     for q > 1."""
     rec = _Recorder("audenaert", seed, [(q, 0.0) for q in q_grid])
-    for i in range(trials):
-        rng = _trial_rng(seed, "audenaert", i)
+
+    def draw(i, rng):
         da, db = _pick(rng, dims)
-        state = _random_bipartite(rng, da, db)
-        ra = partial_trace(state, "A")
-        rb = partial_trace(state, "B")
+        return (da, db), _bipartite_matrices(rng, da, db)
+
+    for i, (da, db), (rho_ab, ra, rb) in _chunked_trials("audenaert", seed, trials, draw):
         rec.trials += 1
         for q in q_grid:
             rec.compare(
                 schatten_norm(ra, q) + schatten_norm(rb, q),
-                1.0 + schatten_norm(state.rho_ab, q),
+                1.0 + schatten_norm(rho_ab, q),
                 {"trial": i, "d_a": da, "d_b": db, "q": float(q)},
             )
     return rec.report()
@@ -366,19 +422,19 @@ def check_subadditivity(
     grid = _as_grid(params_grid, SUBADD_GRID)
     rec = _Recorder("subadd", seed, grid)
     points = _points(grid, _subadditive)
-    for i in range(trials):
-        rng = _trial_rng(seed, "subadd", i)
+
+    def draw(i, rng):
         da, db = _pick(rng, dims)
-        state = _random_bipartite(rng, da, db)
-        ra = partial_trace(state, "A")
-        rb = partial_trace(state, "B")
+        return (da, db), _bipartite_matrices(rng, da, db)
+
+    for i, (da, db), (rho_ab, ra, rb) in _chunked_trials("subadd", seed, trials, draw):
         rec.trials += 1
         for q, s, params in points:
             if params is None:
                 rec.skip()
                 continue
             rec.compare(
-                unified_quantum(state.rho_ab, params),
+                unified_quantum(rho_ab, params),
                 unified_quantum(ra, params) + unified_quantum(rb, params),
                 {"trial": i, "d_a": da, "d_b": db, "q": q, "s": s},
             )
@@ -424,15 +480,14 @@ def search_subadditivity_violation(
             {"trial": -1, "kind": "seeded", "d_a": 2, "d_b": 2, "q": q, "s": s},
         )
 
-    for i in range(trials):
-        rng = _trial_rng(seed, "subadd-violation", i)
+    def draw(i, rng):
         da, db = _pick(rng, dims)
-        fa = _random_state(rng, da)
-        fb = _random_state(rng, db)
-        prod = tensor(fa, fb)
-        corr = _random_bipartite(rng, da, db)
-        ca = partial_trace(corr, "A")
-        cb = partial_trace(corr, "B")
+        fa = _random_matrix(rng, da)
+        fb = _random_matrix(rng, db)
+        return (da, db), [fa, fb, np.kron(fa, fb)] + _bipartite_matrices(rng, da, db)
+
+    chunked = _chunked_trials("subadd-violation", seed, trials, draw)
+    for i, (da, db), (fa, fb, prod, corr, ca, cb) in chunked:
         rec.trials += 1
         for q, s, params in points:
             rec.compare(
@@ -441,7 +496,7 @@ def search_subadditivity_violation(
                 {"trial": i, "kind": "product", "d_a": da, "d_b": db, "q": q, "s": s},
             )
             rec.compare(
-                unified_quantum(corr.rho_ab, params),
+                unified_quantum(corr, params),
                 unified_quantum(ca, params) + unified_quantum(cb, params),
                 {"trial": i, "kind": "correlated", "d_a": da, "d_b": db, "q": q, "s": s},
             )
@@ -460,25 +515,31 @@ def check_triangle(
     grid = _as_grid(params_grid, SUBADD_GRID)
     rec = _Recorder("triangle", seed, grid)
     points = _points(grid, _subadditive)
-    for i in range(trials):
-        rng = _trial_rng(seed, "triangle", i)
+
+    def draw(i, rng):
         da, db = _pick(rng, dims)
-        n = da * db
-        state = _random_bipartite(rng, da, db)
-        ra = partial_trace(state, "A")
-        rb = partial_trace(state, "B")
-        psi = purify(state.rho_ab)
+        return (da, db), _bipartite_matrices(rng, da, db)
+
+    def derive(dims_ab, states):
         # the rank-1 purified state needs no DensityOperator (and no
         # eigensolve) of its own: only its two reductions are evaluated
+        da, db = dims_ab
+        n = da * db
+        psi = purify(states[0])
         pure = np.outer(psi, psi.conj())
-        rho_c = DensityOperator.from_matrix(partial_trace_matrix(pure, n, n, "B"))
-        rho_bc = DensityOperator.from_matrix(partial_trace_matrix(pure, da, db * n, "B"))
+        return [
+            partial_trace_matrix(pure, n, n, "B"),
+            partial_trace_matrix(pure, da, db * n, "B"),
+        ]
+
+    chunked = _chunked_trials("triangle", seed, trials, draw, derive)
+    for i, (da, db), (rho_ab, ra, rb, rho_c, rho_bc) in chunked:
         rec.trials += 1
         for q, s, params in points:
             if params is None:
                 rec.skip()
                 continue
-            e_ab = unified_quantum(state.rho_ab, params)
+            e_ab = unified_quantum(rho_ab, params)
             e_a = unified_quantum(ra, params)
             base = {"trial": i, "d_a": da, "d_b": db, "q": q, "s": s}
             rec.compare(
@@ -499,6 +560,20 @@ def check_triangle(
     return rec.report()
 
 
+def _pinching_draw(dims, every: int):
+    """draw() of the pinching suites: a random state and its pinching by a
+    random resolution, with rank-1 blocks on every ``every``-th trial."""
+
+    def draw(i, rng):
+        d = int(_pick(rng, dims))
+        rho = _random_matrix(rng, d)
+        ranks = (1,) * d if i % every == 0 else None
+        resolution = random_resolution(d, rng, ranks=ranks)
+        return (d, resolution), [rho, pinch_matrix(rho, resolution)]
+
+    return draw
+
+
 def check_pinching_traces(
     trials: int = 1000,
     dims=PINCHING_DIMS,
@@ -507,15 +582,11 @@ def check_pinching_traces(
 ) -> CheckReport:
     """Pinching pushes tr(rho^q) up for q < 1 and down for q > 1."""
     rec = _Recorder("pinching", seed, [(q, 0.0) for q in q_grid])
-    for i in range(trials):
-        rng = _trial_rng(seed, "pinching", i)
-        d = int(_pick(rng, dims))
-        rho = _random_state(rng, d)
-        # every seventh trial pins the resolution to rank-1 blocks so the
-        # fully projective case is always exercised
-        ranks = (1,) * d if i % 7 == 0 else None
-        resolution = random_resolution(d, rng, ranks=ranks)
-        pinched = pinch(rho, resolution)
+
+    # every seventh trial pins the resolution to rank-1 blocks so the
+    # fully projective case is always exercised
+    draw = _pinching_draw(dims, 7)
+    for i, (d, resolution), (rho, pinched) in _chunked_trials("pinching", seed, trials, draw):
         rec.trials += 1
         for q in q_grid:
             t_rho = trace_power(rho, q)
@@ -538,13 +609,8 @@ def check_projective_nondecrease(
     grid = _as_grid(params_grid, PROJECTIVE_GRID)
     rec = _Recorder("projective", seed, grid)
     points = _points(grid)
-    for i in range(trials):
-        rng = _trial_rng(seed, "projective", i)
-        d = int(_pick(rng, dims))
-        rho = _random_state(rng, d)
-        ranks = (1,) * d if i % 5 == 0 else None
-        resolution = random_resolution(d, rng, ranks=ranks)
-        pinched = pinch(rho, resolution)
+    draw = _pinching_draw(dims, 5)
+    for i, (d, resolution), (rho, pinched) in _chunked_trials("projective", seed, trials, draw):
         rec.trials += 1
         for q, s, params in points:
             rec.compare(
@@ -607,8 +673,7 @@ class StabilityExample:
             raise DomainError(f'variant must be "example0" or "example1", got {self.variant!r}')
         if not 0.0 <= self.eps < 1.0:
             raise DomainError(f"eps must lie in [0, 1), got {self.eps!r}")
-        if self.d < 2:
-            raise DomainError(f"dimension must be at least 2, got {self.d!r}")
+        _check_dimension(self.d, 2)
         if not self.q > 0:
             raise InvalidIndex(f"entropic index q must be positive, got {self.q!r}")
 
@@ -682,6 +747,8 @@ def run_check(
     for the bipartite checks, capped at composite dimension 16)."""
     if name not in ALL_CHECKS:
         raise DomainError(f"unknown check {name!r}; choose from {', '.join(ALL_CHECKS)}")
+    if trials < 0:
+        raise DomainError(f"trial count must be nonnegative, got {trials!r}")
     pair_dims = None
     if dims is not None:
         dims = tuple(int(d) for d in dims)
@@ -720,8 +787,10 @@ def run_check(
 
 
 def report_ok(report: CheckReport) -> bool:
-    """Pass criterion: no failures, except the violation search which
-    must find at least one."""
+    """Pass criterion: at least one comparison and no failures, except
+    the violation search which must find at least one."""
+    if report.comparisons == 0:
+        return False
     if report.check == "subadd-violation":
         return report.failures >= 1
     return report.failures == 0

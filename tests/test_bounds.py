@@ -233,6 +233,11 @@ class TestMaxUnified:
         with pytest.raises(DomainError):
             max_unified(2.0, 1.0, 0)
 
+    @pytest.mark.parametrize("d", [4.7, 10**400, float("nan"), float("inf")])
+    def test_dimension_must_be_an_exact_integer(self, d):
+        with pytest.raises(DomainError):
+            max_unified(2.0, 1.0, d)
+
 
 class TestStabilityFunctional:
     def test_vanishes_at_zero(self):

@@ -103,11 +103,36 @@ class TestEntropyCommand:
 
 
 class TestCheckCommand:
-    def test_zero_trials_pass(self, capsys):
+    def test_zero_trials_is_not_a_pass(self, capsys):
         code, out, _ = run_cli(capsys, ["check", "fannes", "--trials", "0"])
-        assert code == 0
-        assert "[pass]" in out
-        assert "all checks passed" in out
+        assert code == 1
+        assert "[no comparisons]" in out
+        assert "[pass]" not in out
+
+    def test_grid_outside_the_claim_is_not_a_pass(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            ["check", "fannes", "--trials", "5", "--q-grid", "1", "--s-grid", ".5"],
+        )
+        assert code == 1
+        assert "skipped=5" in out
+        assert "[no comparisons]" in out
+
+    def test_zero_trials_json_unchanged(self, capsys):
+        code, out, _ = run_cli(capsys, ["check", "fannes", "--trials", "0", "--json"])
+        assert code == 1
+        assert json.loads(out) == {
+            "check": "fannes", "trials": 0, "skipped": 0, "failures": 0,
+            "max_violation": 0.0, "worst_case": None, "seed": 0,
+        }
+
+    @pytest.mark.parametrize("trials", ["-1", "2.5"])
+    def test_bad_trial_count_is_a_parser_error(self, capsys, trials):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "fannes", "--trials", trials])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "argument --trials: trial count" in err
 
     def test_violation_search_exit_zero_when_found(self, capsys):
         code, out, _ = run_cli(
@@ -200,6 +225,13 @@ class TestCheckCommand:
         code, out, _ = run_cli(capsys, ["check", "all", "--trials", "20", "--seed", "42", "--json"])
         assert code == 0
         assert out == (DATA / "check-all-trials20-seed42.jsonl").read_text()
+
+    def test_report_across_state_chunks_matches_fixture(self, capsys):
+        """70 trials span several chunks of stacked state construction;
+        the fixture was written by the one-state-at-a-time harness."""
+        code, out, _ = run_cli(capsys, ["check", "all", "--trials", "70", "--seed", "3", "--json"])
+        assert code == 0
+        assert out == (DATA / "check-all-trials70-seed3.jsonl").read_text()
 
 
 class TestStabilityCommand:

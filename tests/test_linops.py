@@ -25,6 +25,7 @@ from entropy_kit.linops import (
     ProbabilityDistribution,
     PureStateEnsemble,
     apply_generalized,
+    density_operators,
     diagonal_density,
     ensemble_from_state,
     kyfan_norm,
@@ -33,8 +34,10 @@ from entropy_kit.linops import (
     maximally_mixed,
     partial_trace,
     pinch,
+    pinch_matrix,
     purify,
     random_density,
+    random_density_matrix,
     random_resolution,
     random_unitary,
     read_density,
@@ -409,6 +412,116 @@ class TestGeneralizedMeasurement:
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
             apply_generalized(maximally_mixed(3), GeneralizedMeasurement((np.eye(2),)))
+
+    def test_nan_entry_rejected(self):
+        with pytest.raises(IncompleteMeasurement):
+            GeneralizedMeasurement(([[np.nan, 0], [0, 1]],))
+
+
+class TestIsometry:
+    def test_nan_entry_rejected(self):
+        with pytest.raises(DomainError):
+            Isometry([[np.nan], [0]])
+
+    def test_orthonormal_columns_accepted(self):
+        assert Isometry(np.eye(3)[:, :2]).cols == 2
+
+
+GOOD_MATRICES = (
+    random_density_matrix(2, 1, 1),
+    random_density_matrix(3, 2, 2),
+    random_density_matrix(2, 2, 3),
+    random_density_matrix(4, 3, 4),
+)
+
+BAD_MATRICES = {
+    "nan": np.array([[np.nan, 0.0], [0.0, 0.5]]),
+    "non-hermitian": np.array([[0.5, 0.1], [0.0, 0.5]]),
+    "trace-off": np.diag([0.5, 0.5 + 2e-10]),
+    "negative": np.diag([1.0 + 2e-10, -2e-10]),
+    "non-square": np.full((2, 3), 1.0 / 3.0),
+}
+
+
+def bit_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestStackedConstruction:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 2**32 - 1), st.integers(1, 9), st.floats(0.0, 1.0)
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_bit_equal_to_one_by_one(self, specs):
+        mats = [
+            random_density_matrix(d, 1 + int(frac * (d - 1)), seed)
+            for seed, d, frac in specs
+        ]
+        stacked = density_operators(mats)
+        assert len(stacked) == len(mats)
+        for mat, state in zip(mats, stacked):
+            alone = DensityOperator.from_matrix(mat)
+            assert bit_equal(state.mat, alone.mat)
+            assert bit_equal(state.eigenvalues, alone.eigenvalues)
+            assert bit_equal(state.eigenvectors, alone.eigenvectors)
+            for q in (0.3, 0.5, 2.0, 3.0):
+                assert state.power_sum(q) == alone.power_sum(q)
+            assert state.shannon() == alone.shannon()
+
+    def test_input_order_kept(self):
+        states = density_operators(GOOD_MATRICES)
+        assert [s.dim for s in states] == [2, 3, 2, 4]
+        for mat, state in zip(GOOD_MATRICES, states):
+            assert bit_equal(state.mat, mat)
+
+    def test_empty(self):
+        assert density_operators([]) == []
+
+    def test_states_are_read_only(self):
+        state = density_operators(GOOD_MATRICES)[2]
+        for arr in (state.mat, state.eigenvalues, state.eigenvectors):
+            assert not arr.flags.writeable
+
+    def test_caller_matrix_not_aliased(self):
+        mat = random_density_matrix(3, 3, 5)
+        state = density_operators([mat])[0]
+        mat[0, 0] = 7.0
+        assert state.mat[0, 0] != 7.0
+
+    @pytest.mark.parametrize("kind", sorted(BAD_MATRICES))
+    @pytest.mark.parametrize("pos", range(len(GOOD_MATRICES) + 1))
+    def test_bad_matrix_raises_as_alone(self, kind, pos):
+        bad = BAD_MATRICES[kind]
+        with pytest.raises(Exception) as alone:
+            DensityOperator.from_matrix(bad)
+        expected = type(alone.value)
+        assert issubclass(expected, (DomainError, NonHermitian, NotPositive))
+        mats = list(GOOD_MATRICES)
+        mats.insert(pos, bad)
+        with pytest.raises(expected) as stacked:
+            density_operators(mats)
+        assert type(stacked.value) is expected
+
+
+class TestMatrixLevelHelpers:
+    def test_random_density_reuses_matrix(self):
+        state = random_density(4, 2, seed=21)
+        assert bit_equal(state.mat, random_density_matrix(4, 2, 21))
+
+    def test_pinch_reuses_matrix(self):
+        rho = random_density(3, 3, seed=22)
+        res = random_resolution(3, seed=23)
+        assert bit_equal(pinch(rho, res).mat, pinch_matrix(rho.mat, res))
+
+    def test_pinch_matrix_dim_mismatch(self):
+        with pytest.raises(DimMismatch):
+            pinch_matrix(np.eye(2) / 2, basis_resolution(3))
 
 
 class TestRandomSampling:

@@ -20,6 +20,7 @@ from entropy_kit.linops import (
     tensor,
     trace_distance,
 )
+from entropy_kit import verify
 from entropy_kit.verify import (
     ALL_CHECKS,
     QUBIT_MEASUREMENT,
@@ -94,9 +95,34 @@ class TestReports:
     def test_zero_trials(self):
         rep = run_check("ensemble", trials=0, seed=0)
         assert rep.trials == 0
+        assert rep.comparisons == 0
         assert rep.max_violation == 0.0
         assert rep.worst_case is None
+        assert not report_ok(rep)
+
+    def test_grid_outside_the_claim_does_not_pass(self):
+        rep = run_check("fannes", trials=10, seed=0, params_grid=[(1.0, 0.5)])
+        assert rep.skipped == 10
+        assert rep.comparisons == 0
+        assert not report_ok(rep)
+
+    def test_comparisons_counted(self):
+        # the ensemble grid has 35 points; s = 0 is not claimed at q >= 1
+        rep = run_check("ensemble", trials=3, seed=0)
+        assert rep.skipped == 3 * 3
+        assert rep.comparisons == 3 * 32
         assert report_ok(rep)
+
+    def test_negative_trials_rejected(self):
+        with pytest.raises(DomainError):
+            run_check("fannes", trials=-1)
+
+    @pytest.mark.parametrize("name", ALL_CHECKS)
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_report_independent_of_chunk_size(self, monkeypatch, name, chunk):
+        default = run_check(name, trials=8, seed=5).to_json()
+        monkeypatch.setattr(verify, "STATE_CHUNK", chunk)
+        assert run_check(name, trials=8, seed=5).to_json() == default
 
     def test_report_ok_inverts_for_violation_search(self):
         empty = _Recorder("subadd-violation", 0).report()
@@ -204,6 +230,11 @@ class TestStabilityExamples:
         with pytest.raises(InvalidIndex):
             StabilityExample("example0", 0.1, 4, 0.0, 1.0)
 
+    @pytest.mark.parametrize("d", [4.7, 10**400, float("nan")])
+    def test_dimension_must_be_an_exact_integer(self, d):
+        with pytest.raises(DomainError):
+            StabilityExample("example0", 0.01, d, 0.5, -1.0)
+
     def test_example1_frozen_small_dimension(self):
         # d = 10, q = 2, s = -1: power sums 1/9 and 1/10, entropies 8 and 9
         # against max 9, hence exactly 1/9
@@ -272,3 +303,8 @@ class TestReportShape:
             max_violation=0.0, worst_case=None, seed=0, params_grid=[(2.0, 1.0)],
         )
         assert "params_grid" not in rep.to_dict()
+
+    def test_comparisons_not_serialized(self):
+        rep = run_check("fannes", trials=2, seed=0)
+        assert rep.comparisons > 0
+        assert set(rep.to_dict()) == REPORT_KEYS
