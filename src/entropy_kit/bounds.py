@@ -18,14 +18,21 @@ from .errors import DomainError, InvalidIndex, OutOfValidity
 from .tolerances import TOL
 
 
+#: every int up to 2**53 has an exact float value, so such a d (the
+#: common case) needs no float round trip
+_EXACT_INT = 2**53
+
+
 def _check_dimension(d, least: int) -> None:
     """Raise DomainError unless d is an integer with an exact float value
     (the bounds evaluate d in floating point) and d >= least."""
+    if type(d) is int and least <= d <= _EXACT_INT:
+        return
     try:
-        exact = float(d).is_integer()
+        f = float(d)
     except OverflowError:
-        exact = False
-    if not exact:
+        f = math.nan
+    if not (f == d and f.is_integer()):
         raise DomainError(
             f"dimension must be an integer with an exact float value, got {d!r}"
         )
@@ -96,7 +103,7 @@ def fannes_tsallis_high_q(spec: BoundSpec) -> float:
     """High-index Tsallis continuity bound eps^q ln_q(d-1) + H_q(eps, 1-eps)."""
     q, eps, d = spec.q, spec.eps, spec.d
     if not q > 1:
-        raise InvalidIndex(f"high-index bound needs q > 1, got {q!r}")
+        raise OutOfValidity(f"high-index bound needs q > 1, got {q!r}")
     return eps**q * q_log(d - 1, q) + binary_tsallis(eps, q)
 
 
@@ -108,8 +115,7 @@ def kappa_s(q: float, s: float, d: int) -> float:
     """
     if not q > 1:
         raise InvalidIndex(f"dimension factor needs q > 1, got {q!r}")
-    if d < 2:
-        raise DomainError(f"dimension must be at least 2, got {d!r}")
+    _check_dimension(d, 2)
     if -1.0 <= s <= 0.0:
         return float(d) ** (2.0 * (q - 1.0))
     if s >= 1.0:

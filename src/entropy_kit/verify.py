@@ -2,14 +2,15 @@
 
 Every check draws its per-trial randomness from a SeedSequence built on
 (seed, check id, trial index), so reports are reproducible byte for byte
-regardless of execution order.  The random suites draw the matrices of
-``STATE_CHUNK`` trials first and build all of their states with one
-stacked ``density_operators`` call, which is bit-identical to building
-them one by one.  A comparison "lhs <= rhs" fails when the signed
-violation lhs - rhs exceeds TOL.check_rel * (1 + magnitude); ``failures``
-counts failed comparisons, ``skipped`` counts grid points outside a
-claim's proven region or validity window.  A suite that made no
-comparison at all does not pass.
+regardless of execution order.  The random-state suites are rows of
+``SUITES`` run by one loop, which draws the matrices of ``STATE_CHUNK``
+trials first and builds all of their states with one stacked
+``density_operators`` call, bit-identical to building them one by one.
+``run_check`` is the entry point for every suite.  A comparison
+"lhs <= rhs" fails when the signed violation lhs - rhs exceeds
+TOL.check_rel * (1 + magnitude); ``failures`` counts failed comparisons,
+``skipped`` counts grid points outside a claim's proven region or
+validity window.  A suite that made no comparison at all does not pass.
 
 The subadditivity violation search inverts the reading: there the
 inequality is expected to break, ``failures`` counts the violations
@@ -18,9 +19,11 @@ found, and an empty result is the anomaly.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,6 +73,7 @@ STATE_CHUNK = 16
 
 DEFAULT_DIMS = (2, 3, 4, 5, 6)
 DEFAULT_PAIR_DIMS = ((2, 2), (2, 3), (3, 2), (3, 3))
+SQUARE_PAIR_DIMS = ((2, 2), (2, 3), (3, 3))
 
 ENSEMBLE_GRID = tuple(
     (q, s)
@@ -86,8 +90,13 @@ FANNES_GRID = tuple(
 )
 AUDENAERT_Q = (1.5, 2.0, 3.0)
 SUBADD_GRID = tuple((q, s) for q in (1.5, 2.0, 3.0) for s in (1.0 / q, 1.0, 2.0))
-VIOLATION_GRID_HIGH = ((2.0, -1.0), (3.0, -0.5), (2.0, -0.001))
-VIOLATION_GRID_LOW = ((0.3, 0.5), (0.5, 1.0), (0.7, 0.5))
+_VIOLATION_HIGH = ((2.0, -1.0), (3.0, -0.5), (2.0, -0.001))
+_VIOLATION_LOW = ((0.3, 0.5), (0.5, 1.0), (0.7, 0.5))
+VIOLATION_GRIDS = {
+    "high-q": _VIOLATION_HIGH,
+    "low-q": _VIOLATION_LOW,
+    "both": _VIOLATION_HIGH + _VIOLATION_LOW,
+}
 PINCHING_DIMS = (3, 4, 5, 6)
 PINCHING_Q = (0.3, 0.5, 1.5, 2.0, 2.5, 4.0)
 PROJECTIVE_GRID = tuple(
@@ -108,7 +117,6 @@ class CheckReport:
     max_violation: float
     worst_case: dict | None
     seed: int
-    params_grid: list = field(default_factory=list)
     #: comparisons made; not emitted, so JSON and CSV reports keep their bytes
     comparisons: int = 0
 
@@ -130,10 +138,9 @@ class CheckReport:
 class _Recorder:
     """Accumulates lhs <= rhs comparisons and the worst signed violation."""
 
-    def __init__(self, check: str, seed: int, params_grid=None):
+    def __init__(self, check: str, seed: int):
         self.check = check
         self.seed = seed
-        self.params_grid = [tuple(p) for p in params_grid] if params_grid else []
         self.trials = 0
         self.skipped = 0
         self.comparisons = 0
@@ -155,9 +162,6 @@ class _Recorder:
             self.worst_case = dict(info, lhs=float(lhs), rhs=float(rhs))
         return failed
 
-    def skip(self) -> None:
-        self.skipped += 1
-
     def report(self) -> CheckReport:
         return CheckReport(
             check=self.check,
@@ -167,7 +171,6 @@ class _Recorder:
             max_violation=0.0 if self.max_violation is None else self.max_violation,
             worst_case=self.worst_case,
             seed=self.seed,
-            params_grid=self.params_grid,
             comparisons=self.comparisons,
         )
 
@@ -179,12 +182,6 @@ def _trial_rng(seed: int, check: str, index: int) -> np.random.Generator:
 def _as_grid(params_grid, default) -> list:
     grid = default if params_grid is None else params_grid
     return [(float(q), float(s)) for q, s in grid]
-
-
-def _points(grid, claimed=lambda q, s: True) -> list:
-    """(q, s, params) per grid point, with params None where the claim
-    is not made, so each suite builds its UnifiedParams once per point."""
-    return [(q, s, UnifiedParams(q, s) if claimed(q, s) else None) for q, s in grid]
 
 
 def _pick(rng: np.random.Generator, items):
@@ -204,6 +201,11 @@ def _bipartite_matrices(rng: np.random.Generator, da: int, db: int) -> list:
         partial_trace_matrix(rho_ab, da, db, "A"),
         partial_trace_matrix(rho_ab, da, db, "B"),
     ]
+
+
+def _bipartite_draw(dims, i, rng):
+    da, db = _pick(rng, dims)
+    return (da, db), _bipartite_matrices(rng, da, db)
 
 
 def _stacked(per_trial: list) -> list:
@@ -240,78 +242,6 @@ def _chunked_trials(check: str, seed: int, trials: int, draw, derive=None):
         del infos, states
 
 
-def check_ensemble_bound(
-    trials: int = 1000,
-    dims=(2, 3, 4, 5),
-    m_range=(1, 8),
-    params_grid=None,
-    seed: int = 0,
-) -> CheckReport:
-    """Quantum entropy never exceeds the classical entropy of any ensemble
-    realizing the state; the Renyi line s = 0 is only claimed for q < 1."""
-    grid = _as_grid(params_grid, ENSEMBLE_GRID)
-    rec = _Recorder("ensemble", seed, grid)
-    points = _points(grid, lambda q, s: not (s == 0.0 and not q < 1.0))
-
-    def draw(i, rng):
-        d = int(_pick(rng, dims))
-        return (rng, d), [_random_matrix(rng, d)]
-
-    for i, (rng, d), (rho,) in _chunked_trials("ensemble", seed, trials, draw):
-        rank = int(np.sum(rho.eigenvalues > TOL.rank))
-        lo = max(rank, int(m_range[0]))
-        hi = max(lo, int(m_range[1]))
-        m = int(rng.integers(lo, hi + 1))
-        ens = ensemble_from_state(rho, m, rng)
-        rec.trials += 1
-        for q, s, params in points:
-            if params is None:
-                rec.skip()
-                continue
-            rec.compare(
-                unified_quantum(rho, params),
-                unified_classical(ens.weights, params),
-                {"trial": i, "d": d, "m": m, "q": q, "s": s},
-            )
-    return rec.report()
-
-
-def check_mixing_bound(
-    trials: int = 1000,
-    dims=DEFAULT_DIMS,
-    params_grid=None,
-    seed: int = 0,
-) -> CheckReport:
-    """Mixing concavity: sum_i p_i E(omega_i) <= E(sum_i p_i omega_i)
-    for 0 < q < 1 and s <= 1."""
-    grid = _as_grid(params_grid, MIXING_GRID)
-    rec = _Recorder("mixing", seed, grid)
-    points = _points(grid, lambda q, s: q < 1.0 and s <= 1.0)
-
-    def draw(i, rng):
-        d = int(_pick(rng, dims))
-        k = int(rng.integers(2, 5))
-        weights = rng.dirichlet(np.ones(k))
-        omegas = [_random_matrix(rng, d) for _ in range(k)]
-        mixed = sum(w * om for w, om in zip(weights, omegas))
-        return (d, k, weights), omegas + [mixed]
-
-    for i, (d, k, weights), states in _chunked_trials("mixing", seed, trials, draw):
-        *omegas, mixed = states
-        rec.trials += 1
-        for q, s, params in points:
-            if params is None:
-                rec.skip()
-                continue
-            lhs = sum(w * unified_quantum(om, params) for w, om in zip(weights, omegas))
-            rec.compare(
-                lhs,
-                unified_quantum(mixed, params),
-                {"trial": i, "d": d, "k": k, "q": q, "s": s},
-            )
-    return rec.report()
-
-
 def check_scalar_lemma(trials: int = 1000, seed: int = 0) -> CheckReport:
     """Scalar comparisons behind the continuity proofs.
 
@@ -339,112 +269,304 @@ def check_scalar_lemma(trials: int = 1000, seed: int = 0) -> CheckReport:
     return rec.report()
 
 
-def check_fannes(
-    trials: int = 1000,
-    dims=DEFAULT_DIMS,
-    params_grid=None,
-    seed: int = 0,
-) -> CheckReport:
+def _ensemble_draw(dims, i, rng):
+    d = int(_pick(rng, dims))
+    return (rng, d), [_random_matrix(rng, d)]
+
+
+def _ensemble(i, info, states):
+    """Quantum entropy never exceeds the classical entropy of any ensemble
+    realizing the state; the Renyi line s = 0 is only claimed for q < 1."""
+    rng, d = info
+    (rho,) = states
+    # an ensemble of m pure states needs m >= rank >= 1
+    rank = int(np.sum(rho.eigenvalues > TOL.rank))
+    m = int(rng.integers(rank, max(rank, 8) + 1))
+    weights = ensemble_from_state(rho, m, rng).weights
+    return lambda q, s, params: [(
+        unified_quantum(rho, params),
+        unified_classical(weights, params),
+        {"trial": i, "d": d, "m": m, "q": q, "s": s},
+    )]
+
+
+def _mixing_draw(dims, i, rng):
+    d = int(_pick(rng, dims))
+    k = int(rng.integers(2, 5))
+    weights = rng.dirichlet(np.ones(k))
+    omegas = [_random_matrix(rng, d) for _ in range(k)]
+    mixed = sum(w * om for w, om in zip(weights, omegas))
+    return (d, k, weights), omegas + [mixed]
+
+
+def _mixing(i, info, states):
+    """Mixing concavity: sum_i p_i E(omega_i) <= E(sum_i p_i omega_i)
+    for 0 < q < 1 and s <= 1."""
+    d, k, weights = info
+    *omegas, mixed = states
+
+    def at(q, s, params):
+        lhs = sum(w * unified_quantum(om, params) for w, om in zip(weights, omegas))
+        rhs = unified_quantum(mixed, params)
+        return [(lhs, rhs, {"trial": i, "d": d, "k": k, "q": q, "s": s})]
+
+    return at
+
+
+def _fannes_draw(dims, i, rng):
+    d = int(_pick(rng, dims))
+    rho = _random_matrix(rng, d)
+    if rng.uniform() < 0.5:
+        return d, [rho, _random_matrix(rng, d)]
+    # interpolate toward a second state so small trace distances (the
+    # low-region validity window) are exercised; the second state is
+    # built only to be validated
+    lam = float(rng.uniform(0.0, 0.3))
+    other = random_density_matrix(d, d, rng)
+    return d, [rho, (1.0 - lam) * rho + lam * other, other]
+
+
+def _fannes(i, d, states):
     """Entropy differences of random state pairs stay below the unified
     continuity bound; low-region points whose 2*eps exceeds the
     monotonicity threshold are skipped."""
-    grid = _as_grid(params_grid, FANNES_GRID)
-    rec = _Recorder("fannes", seed, grid)
-    points = _points(grid, lambda q, s: fannes_range(q, s) is not None)
+    rho, omega, *_ = states
+    eps = min(trace_distance(rho, omega), 1.0)
 
-    def draw(i, rng):
-        d = int(_pick(rng, dims))
-        rho = _random_matrix(rng, d)
-        if rng.uniform() < 0.5:
-            return d, [rho, _random_matrix(rng, d)]
-        # interpolate toward a second state so small trace distances
-        # (the low-region validity window) are exercised; the second
-        # state is built only to be validated
-        lam = float(rng.uniform(0.0, 0.3))
-        other = random_density_matrix(d, d, rng)
-        return d, [rho, (1.0 - lam) * rho + lam * other, other]
+    def at(q, s, params):
+        try:
+            bound = unified_fannes_bound(BoundSpec(q, s, d, eps))
+        except OutOfValidity:
+            return None
+        diff = abs(unified_quantum(rho, params) - unified_quantum(omega, params))
+        return [(diff, bound, {"trial": i, "d": d, "q": q, "s": s, "eps": eps})]
 
-    for i, d, (rho, omega, *_) in _chunked_trials("fannes", seed, trials, draw):
-        eps = min(trace_distance(rho, omega), 1.0)
-        rec.trials += 1
-        for q, s, params in points:
-            if params is None:
-                rec.skip()
-                continue
-            try:
-                bound = unified_fannes_bound(BoundSpec(q, s, d, eps))
-            except OutOfValidity:
-                rec.skip()
-                continue
-            diff = abs(unified_quantum(rho, params) - unified_quantum(omega, params))
-            rec.compare(
-                diff, bound, {"trial": i, "d": d, "q": q, "s": s, "eps": eps}
-            )
-    return rec.report()
+    return at
 
 
-def check_audenaert(
-    trials: int = 1000,
-    dims=DEFAULT_PAIR_DIMS,
-    q_grid=AUDENAERT_Q,
-    seed: int = 0,
-) -> CheckReport:
+def _audenaert(i, info, states):
     """Schatten-norm inequality ||rho_A||_q + ||rho_B||_q <= 1 + ||rho_AB||_q
     for q > 1."""
-    rec = _Recorder("audenaert", seed, [(q, 0.0) for q in q_grid])
-
-    def draw(i, rng):
-        da, db = _pick(rng, dims)
-        return (da, db), _bipartite_matrices(rng, da, db)
-
-    for i, (da, db), (rho_ab, ra, rb) in _chunked_trials("audenaert", seed, trials, draw):
-        rec.trials += 1
-        for q in q_grid:
-            rec.compare(
-                schatten_norm(ra, q) + schatten_norm(rb, q),
-                1.0 + schatten_norm(rho_ab, q),
-                {"trial": i, "d_a": da, "d_b": db, "q": float(q)},
-            )
-    return rec.report()
+    da, db = info
+    rho_ab, ra, rb = states
+    return lambda q, s, params: [(
+        schatten_norm(ra, q) + schatten_norm(rb, q),
+        1.0 + schatten_norm(rho_ab, q),
+        {"trial": i, "d_a": da, "d_b": db, "q": q},
+    )]
 
 
 def _subadditive(q: float, s: float) -> bool:
     return q > 1.0 and s >= 1.0 / q
 
 
-def check_subadditivity(
-    trials: int = 1000,
-    dims=DEFAULT_PAIR_DIMS,
-    params_grid=None,
-    seed: int = 0,
-) -> CheckReport:
+def _subadd(i, info, states):
     """Subadditivity E(rho_AB) <= E(rho_A) + E(rho_B) for q > 1, s >= 1/q."""
-    grid = _as_grid(params_grid, SUBADD_GRID)
-    rec = _Recorder("subadd", seed, grid)
-    points = _points(grid, _subadditive)
+    da, db = info
+    rho_ab, ra, rb = states
+    return lambda q, s, params: [(
+        unified_quantum(rho_ab, params),
+        unified_quantum(ra, params) + unified_quantum(rb, params),
+        {"trial": i, "d_a": da, "d_b": db, "q": q, "s": s},
+    )]
 
-    def draw(i, rng):
-        da, db = _pick(rng, dims)
-        return (da, db), _bipartite_matrices(rng, da, db)
 
-    for i, (da, db), (rho_ab, ra, rb) in _chunked_trials("subadd", seed, trials, draw):
+def _violation_draw(dims, i, rng):
+    da, db = _pick(rng, dims)
+    fa = _random_matrix(rng, da)
+    fb = _random_matrix(rng, db)
+    return (da, db), [fa, fb, np.kron(fa, fb)] + _bipartite_matrices(rng, da, db)
+
+
+def _violation(i, info, states):
+    """E(rho_AB) against E(rho_A) + E(rho_B) on a product state and on a
+    correlated one, where subadditivity is expected to fail."""
+    da, db = info
+    fa, fb, prod, corr, ca, cb = states
+    cases = (("product", prod, fa, fb), ("correlated", corr, ca, cb))
+    return lambda q, s, params: [
+        (
+            unified_quantum(joint, params),
+            unified_quantum(a, params) + unified_quantum(b, params),
+            {"trial": i, "kind": kind, "d_a": da, "d_b": db, "q": q, "s": s},
+        )
+        for kind, joint, a, b in cases
+    ]
+
+
+def _purified_reductions(info, states):
+    # the rank-1 purified state needs no DensityOperator (and no
+    # eigensolve) of its own: only its two reductions are evaluated
+    da, db = info
+    n = da * db
+    psi = purify(states[0])
+    pure = np.outer(psi, psi.conj())
+    return [
+        partial_trace_matrix(pure, n, n, "B"),
+        partial_trace_matrix(pure, da, db * n, "B"),
+    ]
+
+
+def _triangle(i, info, states):
+    """Triangle inequality |E(rho_A) - E(rho_B)| <= E(rho_AB) for q > 1,
+    s >= 1/q, via purification; also verifies that both reductions of the
+    purified state carry the entropies they should."""
+    da, db = info
+    rho_ab, ra, rb, rho_c, rho_bc = states
+
+    def at(q, s, params):
+        e_ab = unified_quantum(rho_ab, params)
+        e_a = unified_quantum(ra, params)
+        base = {"trial": i, "d_a": da, "d_b": db, "q": q, "s": s}
+        return [
+            (
+                abs(e_ab - unified_quantum(rho_c, params)),
+                0.0,
+                dict(base, kind="purified-complement"),
+            ),
+            (
+                abs(e_a - unified_quantum(rho_bc, params)),
+                0.0,
+                dict(base, kind="purified-rest"),
+            ),
+            (abs(e_a - unified_quantum(rb, params)), e_ab, dict(base, kind="triangle")),
+        ]
+
+    return at
+
+
+def _pinching_draw(every, dims, i, rng):
+    """A random state and its pinching by a random resolution, with
+    rank-1 blocks on every ``every``-th trial so the fully projective
+    case is always exercised."""
+    d = int(_pick(rng, dims))
+    rho = _random_matrix(rng, d)
+    ranks = (1,) * d if i % every == 0 else None
+    resolution = random_resolution(d, rng, ranks=ranks)
+    return (d, resolution), [rho, pinch_matrix(rho, resolution)]
+
+
+def _pinching(i, info, states):
+    """Pinching pushes tr(rho^q) up for q < 1 and down for q > 1."""
+    d, resolution = info
+    rho, pinched = states
+
+    def at(q, s, params):
+        t_rho = trace_power(rho, q)
+        t_pin = trace_power(pinched, q)
+        case = {"trial": i, "d": d, "q": q, "blocks": resolution.size}
+        if q < 1.0:
+            return [(t_rho, t_pin, dict(case, direction="raise"))]
+        return [(t_pin, t_rho, dict(case, direction="lower"))]
+
+    return at
+
+
+def _projective(i, info, states):
+    """Pinching never lowers the unified entropy: E(rho) <= E(pinched)."""
+    d, resolution = info
+    rho, pinched = states
+    return lambda q, s, params: [(
+        unified_quantum(rho, params),
+        unified_quantum(pinched, params),
+        {"trial": i, "d": d, "q": q, "s": s, "blocks": resolution.size},
+    )]
+
+
+@dataclass(frozen=True)
+class Suite:
+    """One claim checked on random states: a row of ``SUITES``.
+
+    ``draw(dims, i, rng)`` gives (info, matrices) for trial i and
+    ``derive`` an optional second stage (see ``_chunked_trials``).
+    ``trial(i, info, states)`` returns ``at(q, s, params)``, the
+    (lhs, rhs, case) comparisons "lhs <= rhs" at one grid point, or None
+    to skip it.  Points outside ``claimed`` are skipped without a call.
+    ``pairs`` suites draw (d_A, d_B) pairs.  ``unified`` is False for
+    claims on tr(rho^q) or Schatten norms: they take q alone, so s is
+    ignored and no ``UnifiedParams`` is built.
+    """
+
+    draw: Callable
+    trial: Callable
+    dims: tuple
+    grid: tuple
+    claimed: Callable = lambda q, s: True
+    derive: Callable | None = None
+    pairs: bool = False
+    unified: bool = True
+
+
+SUITES = {
+    "ensemble": Suite(
+        _ensemble_draw, _ensemble, (2, 3, 4, 5), ENSEMBLE_GRID,
+        claimed=lambda q, s: not (s == 0.0 and not q < 1.0),
+    ),
+    "mixing": Suite(
+        _mixing_draw, _mixing, DEFAULT_DIMS, MIXING_GRID,
+        claimed=lambda q, s: q < 1.0 and s <= 1.0,
+    ),
+    "fannes": Suite(
+        _fannes_draw, _fannes, DEFAULT_DIMS, FANNES_GRID,
+        claimed=lambda q, s: fannes_range(q, s) is not None,
+    ),
+    "audenaert": Suite(
+        _bipartite_draw, _audenaert, DEFAULT_PAIR_DIMS, tuple((q, 0.0) for q in AUDENAERT_Q),
+        pairs=True, unified=False,
+    ),
+    "subadd": Suite(
+        _bipartite_draw, _subadd, DEFAULT_PAIR_DIMS, SUBADD_GRID,
+        claimed=_subadditive, pairs=True,
+    ),
+    "subadd-violation": Suite(
+        _violation_draw, _violation, SQUARE_PAIR_DIMS, VIOLATION_GRIDS["both"], pairs=True
+    ),
+    "triangle": Suite(
+        _bipartite_draw, _triangle, SQUARE_PAIR_DIMS, SUBADD_GRID,
+        claimed=_subadditive, derive=_purified_reductions, pairs=True,
+    ),
+    "pinching": Suite(
+        functools.partial(_pinching_draw, 7), _pinching, PINCHING_DIMS,
+        tuple((q, 0.0) for q in PINCHING_Q), unified=False,
+    ),
+    "projective": Suite(
+        functools.partial(_pinching_draw, 5), _projective, DEFAULT_DIMS, PROJECTIVE_GRID
+    ),
+}
+
+
+def _run_suite(name, trials, seed, dims=None, params_grid=None, rec=None) -> CheckReport:
+    """Run the ``SUITES`` row ``name`` over its (q, s) grid; ``rec``
+    carries comparisons made before the random trials."""
+    suite = SUITES[name]
+    grid = _as_grid(params_grid, suite.grid)
+    points = [
+        (q, s, UnifiedParams(q, s) if suite.unified else None)
+        for q, s in grid
+        if suite.claimed(q, s)
+    ]
+    unclaimed = len(grid) - len(points)
+    if rec is None:
+        rec = _Recorder(name, seed)
+    draw = functools.partial(suite.draw, dims or suite.dims)
+    for i, info, states in _chunked_trials(name, seed, trials, draw, suite.derive):
         rec.trials += 1
+        rec.skipped += unclaimed
+        at = suite.trial(i, info, states)
         for q, s, params in points:
-            if params is None:
-                rec.skip()
+            cases = at(q, s, params)
+            if cases is None:
+                rec.skipped += 1
                 continue
-            rec.compare(
-                unified_quantum(rho_ab, params),
-                unified_quantum(ra, params) + unified_quantum(rb, params),
-                {"trial": i, "d_a": da, "d_b": db, "q": q, "s": s},
-            )
+            for lhs, rhs, case in cases:
+                rec.compare(lhs, rhs, case)
     return rec.report()
 
 
 def search_subadditivity_violation(
     region: str = "both",
     trials: int = 200,
-    dims=((2, 2), (2, 3), (3, 3)),
+    dims=None,
     params_grid=None,
     seed: int = 0,
 ) -> CheckReport:
@@ -457,18 +579,10 @@ def search_subadditivity_violation(
     Here ``failures`` counts violations found, and finding none is the
     failure mode.
     """
-    if region == "high-q":
-        default = VIOLATION_GRID_HIGH
-    elif region == "low-q":
-        default = VIOLATION_GRID_LOW
-    elif region == "both":
-        default = VIOLATION_GRID_HIGH + VIOLATION_GRID_LOW
-    else:
+    if region not in VIOLATION_GRIDS:
         raise DomainError(f'region must be "high-q", "low-q" or "both", got {region!r}')
-    grid = _as_grid(params_grid, default)
-    rec = _Recorder("subadd-violation", seed, grid)
-    points = _points(grid)
-
+    grid = _as_grid(params_grid, VIOLATION_GRIDS[region])
+    rec = _Recorder("subadd-violation", seed)
     mm = maximally_mixed(2)
     product = tensor(mm, mm)
     rec.trials += 1
@@ -479,146 +593,7 @@ def search_subadditivity_violation(
             2.0 * unified_quantum(mm, params),
             {"trial": -1, "kind": "seeded", "d_a": 2, "d_b": 2, "q": q, "s": s},
         )
-
-    def draw(i, rng):
-        da, db = _pick(rng, dims)
-        fa = _random_matrix(rng, da)
-        fb = _random_matrix(rng, db)
-        return (da, db), [fa, fb, np.kron(fa, fb)] + _bipartite_matrices(rng, da, db)
-
-    chunked = _chunked_trials("subadd-violation", seed, trials, draw)
-    for i, (da, db), (fa, fb, prod, corr, ca, cb) in chunked:
-        rec.trials += 1
-        for q, s, params in points:
-            rec.compare(
-                unified_quantum(prod, params),
-                unified_quantum(fa, params) + unified_quantum(fb, params),
-                {"trial": i, "kind": "product", "d_a": da, "d_b": db, "q": q, "s": s},
-            )
-            rec.compare(
-                unified_quantum(corr, params),
-                unified_quantum(ca, params) + unified_quantum(cb, params),
-                {"trial": i, "kind": "correlated", "d_a": da, "d_b": db, "q": q, "s": s},
-            )
-    return rec.report()
-
-
-def check_triangle(
-    trials: int = 1000,
-    dims=((2, 2), (2, 3), (3, 3)),
-    params_grid=None,
-    seed: int = 0,
-) -> CheckReport:
-    """Triangle inequality |E(rho_A) - E(rho_B)| <= E(rho_AB) for q > 1,
-    s >= 1/q, via purification; also verifies that both reductions of the
-    purified state carry the entropies they should."""
-    grid = _as_grid(params_grid, SUBADD_GRID)
-    rec = _Recorder("triangle", seed, grid)
-    points = _points(grid, _subadditive)
-
-    def draw(i, rng):
-        da, db = _pick(rng, dims)
-        return (da, db), _bipartite_matrices(rng, da, db)
-
-    def derive(dims_ab, states):
-        # the rank-1 purified state needs no DensityOperator (and no
-        # eigensolve) of its own: only its two reductions are evaluated
-        da, db = dims_ab
-        n = da * db
-        psi = purify(states[0])
-        pure = np.outer(psi, psi.conj())
-        return [
-            partial_trace_matrix(pure, n, n, "B"),
-            partial_trace_matrix(pure, da, db * n, "B"),
-        ]
-
-    chunked = _chunked_trials("triangle", seed, trials, draw, derive)
-    for i, (da, db), (rho_ab, ra, rb, rho_c, rho_bc) in chunked:
-        rec.trials += 1
-        for q, s, params in points:
-            if params is None:
-                rec.skip()
-                continue
-            e_ab = unified_quantum(rho_ab, params)
-            e_a = unified_quantum(ra, params)
-            base = {"trial": i, "d_a": da, "d_b": db, "q": q, "s": s}
-            rec.compare(
-                abs(e_ab - unified_quantum(rho_c, params)),
-                0.0,
-                dict(base, kind="purified-complement"),
-            )
-            rec.compare(
-                abs(e_a - unified_quantum(rho_bc, params)),
-                0.0,
-                dict(base, kind="purified-rest"),
-            )
-            rec.compare(
-                abs(e_a - unified_quantum(rb, params)),
-                e_ab,
-                dict(base, kind="triangle"),
-            )
-    return rec.report()
-
-
-def _pinching_draw(dims, every: int):
-    """draw() of the pinching suites: a random state and its pinching by a
-    random resolution, with rank-1 blocks on every ``every``-th trial."""
-
-    def draw(i, rng):
-        d = int(_pick(rng, dims))
-        rho = _random_matrix(rng, d)
-        ranks = (1,) * d if i % every == 0 else None
-        resolution = random_resolution(d, rng, ranks=ranks)
-        return (d, resolution), [rho, pinch_matrix(rho, resolution)]
-
-    return draw
-
-
-def check_pinching_traces(
-    trials: int = 1000,
-    dims=PINCHING_DIMS,
-    q_grid=PINCHING_Q,
-    seed: int = 0,
-) -> CheckReport:
-    """Pinching pushes tr(rho^q) up for q < 1 and down for q > 1."""
-    rec = _Recorder("pinching", seed, [(q, 0.0) for q in q_grid])
-
-    # every seventh trial pins the resolution to rank-1 blocks so the
-    # fully projective case is always exercised
-    draw = _pinching_draw(dims, 7)
-    for i, (d, resolution), (rho, pinched) in _chunked_trials("pinching", seed, trials, draw):
-        rec.trials += 1
-        for q in q_grid:
-            t_rho = trace_power(rho, q)
-            t_pin = trace_power(pinched, q)
-            info = {"trial": i, "d": d, "q": float(q), "blocks": resolution.size}
-            if q < 1.0:
-                rec.compare(t_rho, t_pin, dict(info, direction="raise"))
-            else:
-                rec.compare(t_pin, t_rho, dict(info, direction="lower"))
-    return rec.report()
-
-
-def check_projective_nondecrease(
-    trials: int = 1000,
-    dims=DEFAULT_DIMS,
-    params_grid=None,
-    seed: int = 0,
-) -> CheckReport:
-    """Pinching never lowers the unified entropy: E(rho) <= E(pinched)."""
-    grid = _as_grid(params_grid, PROJECTIVE_GRID)
-    rec = _Recorder("projective", seed, grid)
-    points = _points(grid)
-    draw = _pinching_draw(dims, 5)
-    for i, (d, resolution), (rho, pinched) in _chunked_trials("projective", seed, trials, draw):
-        rec.trials += 1
-        for q, s, params in points:
-            rec.compare(
-                unified_quantum(rho, params),
-                unified_quantum(pinched, params),
-                {"trial": i, "d": d, "q": q, "s": s, "blocks": resolution.size},
-            )
-    return rec.report()
+    return _run_suite("subadd-violation", trials, seed, dims, grid, rec)
 
 
 QUBIT_MEASUREMENT = (((1, 0), (0, 0)), ((0, 1), (0, 0)))
@@ -639,7 +614,7 @@ def qubit_measurement_decrease(rho_diag: DensityOperator, params_grid=None) -> C
     if float(rho_diag.eigenvalues.min()) <= TOL.rank:
         raise PureState("strict decrease needs an impure state")
     grid = _as_grid(params_grid, PROJECTIVE_GRID)
-    rec = _Recorder("qubit-measure", 0, grid)
+    rec = _Recorder("qubit-measure", 0)
     after = apply_generalized(rho_diag, GeneralizedMeasurement(QUBIT_MEASUREMENT))
     rec.trials += 1
     for q, s in grid:
@@ -749,41 +724,17 @@ def run_check(
         raise DomainError(f"unknown check {name!r}; choose from {', '.join(ALL_CHECKS)}")
     if trials < 0:
         raise DomainError(f"trial count must be nonnegative, got {trials!r}")
-    pair_dims = None
     if dims is not None:
         dims = tuple(int(d) for d in dims)
-        pair_dims = tuple(
-            (a, b) for a in dims for b in dims if a * b <= 16
-        ) or DEFAULT_PAIR_DIMS
-    if name == "ensemble":
-        return check_ensemble_bound(
-            trials, dims or (2, 3, 4, 5), params_grid=params_grid, seed=seed
-        )
-    if name == "mixing":
-        return check_mixing_bound(trials, dims or DEFAULT_DIMS, params_grid, seed)
     if name == "scalar-lemma":
         return check_scalar_lemma(trials, seed)
-    if name == "fannes":
-        return check_fannes(trials, dims or DEFAULT_DIMS, params_grid, seed)
-    if name == "audenaert":
-        q_grid = AUDENAERT_Q if params_grid is None else [q for q, _ in params_grid]
-        return check_audenaert(trials, pair_dims or DEFAULT_PAIR_DIMS, q_grid, seed)
-    if name == "subadd":
-        return check_subadditivity(trials, pair_dims or DEFAULT_PAIR_DIMS, params_grid, seed)
+    if name == "qubit-measure":
+        return qubit_measurement_decrease(diagonal_density((0.8, 0.2)), params_grid)
+    if dims is not None and SUITES[name].pairs:
+        dims = tuple((a, b) for a in dims for b in dims if a * b <= 16) or DEFAULT_PAIR_DIMS
     if name == "subadd-violation":
-        return search_subadditivity_violation(
-            "both", trials, pair_dims or ((2, 2), (2, 3), (3, 3)), params_grid, seed
-        )
-    if name == "triangle":
-        return check_triangle(
-            trials, pair_dims or ((2, 2), (2, 3), (3, 3)), params_grid, seed
-        )
-    if name == "pinching":
-        q_grid = PINCHING_Q if params_grid is None else [q for q, _ in params_grid]
-        return check_pinching_traces(trials, dims or PINCHING_DIMS, q_grid, seed)
-    if name == "projective":
-        return check_projective_nondecrease(trials, dims or DEFAULT_DIMS, params_grid, seed)
-    return qubit_measurement_decrease(diagonal_density((0.8, 0.2)), params_grid)
+        return search_subadditivity_violation("both", trials, dims, params_grid, seed)
+    return _run_suite(name, trials, seed, dims, params_grid)
 
 
 def report_ok(report: CheckReport) -> bool:

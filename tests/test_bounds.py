@@ -43,10 +43,14 @@ class TestBoundSpec:
         with pytest.raises(DomainError):
             BoundSpec(2.0, 1.0, 4, 1.5)
 
-    @pytest.mark.parametrize("d", [4.7, 10**400, float("nan"), float("inf")])
+    @pytest.mark.parametrize("d", [4.7, 10**400, float("nan"), float("inf"), 2**53 + 1])
     def test_dimension_must_be_an_exact_integer(self, d):
         with pytest.raises(DomainError):
             BoundSpec(2.0, 1.0, d, 0.1)
+
+    @pytest.mark.parametrize("d", [2**53, 2.0**60, 10**17, np.int64(4), 4.0])
+    def test_exact_dimensions_accepted(self, d):
+        assert BoundSpec(2.0, 1.0, d, 0.1).d == d
 
 
 class TestEta:
@@ -113,8 +117,10 @@ class TestHighIndexBound:
         assert diff == pytest.approx(fannes_tsallis_high_q(BoundSpec(q, 1.0, d, eps)), abs=1e-12)
 
     def test_needs_q_above_one(self):
-        with pytest.raises(InvalidIndex):
-            fannes_tsallis_high_q(BoundSpec(0.9, 1.0, 4, 0.1))
+        # outside its proven region, like every bound in the module
+        for q in (0.9, 1.0):
+            with pytest.raises(OutOfValidity):
+                fannes_tsallis_high_q(BoundSpec(q, 1.0, 4, 0.1))
 
 
 class TestKappa:
@@ -132,6 +138,11 @@ class TestKappa:
     def test_needs_q_above_one(self):
         with pytest.raises(InvalidIndex):
             kappa_s(1.0, -1.0, 4)
+
+    @pytest.mark.parametrize("d", [1, 4.7, 10**400, float("nan"), 2**53 + 1])
+    def test_dimension_must_be_an_exact_integer(self, d):
+        with pytest.raises(DomainError):
+            kappa_s(2.0, -1.0, d)
 
 
 class TestRangeClassifier:
@@ -233,7 +244,7 @@ class TestMaxUnified:
         with pytest.raises(DomainError):
             max_unified(2.0, 1.0, 0)
 
-    @pytest.mark.parametrize("d", [4.7, 10**400, float("nan"), float("inf")])
+    @pytest.mark.parametrize("d", [4.7, 10**400, float("nan"), float("inf"), 2**53 + 1])
     def test_dimension_must_be_an_exact_integer(self, d):
         with pytest.raises(DomainError):
             max_unified(2.0, 1.0, d)

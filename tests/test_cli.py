@@ -233,6 +233,32 @@ class TestCheckCommand:
         assert code == 0
         assert out == (DATA / "check-all-trials70-seed3.jsonl").read_text()
 
+    @pytest.mark.parametrize(
+        "flags,fixture,exit_code",
+        [
+            # pairs formed from the sizes, 7 only where a * b <= 16
+            (["--dims", "2,3,7"], "check-all-trials40-seed5-dims2-3-7.jsonl", 0),
+            # no pair fits, so the bipartite suites fall back to the default pairs
+            (["--dims", "5"], "check-all-trials40-seed5-dims5.jsonl", 0),
+            # audenaert and pinching read q alone from the grid; mixing claims
+            # none of its points, so the run is not a pass
+            (["--q-grid", "1.5,2", "--s-grid=1,2"], "check-all-trials40-seed5-q1.5-2-s1-2.jsonl", 1),
+        ],
+    )
+    def test_non_default_flags_match_fixture(self, capsys, flags, fixture, exit_code):
+        """The fixtures were written by the harness with one hand-written
+        loop per suite, before the suites became rows of ``SUITES``."""
+        argv = ["check", "all", "--trials", "40", "--seed", "5", "--json"] + flags
+        code, out, _ = run_cli(capsys, argv)
+        assert code == exit_code
+        assert out == (DATA / fixture).read_text()
+
+    def test_grid_below_the_schatten_range_is_an_error(self, capsys):
+        code, out, err = run_cli(capsys, ["check", "audenaert", "--q-grid", "0.5", "--s-grid=1"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
 
 class TestStabilityCommand:
     BASE = ["stability", "--example", "0", "--q", "0.5", "--s", "-1", "--eps", "0.01"]
