@@ -29,8 +29,6 @@ from .bounds import (
 )
 from .entropies import (
     UnifiedParams,
-    quantum_renyi,
-    quantum_tsallis,
     renyi,
     tsallis,
     type_q_entropy,
@@ -115,23 +113,17 @@ def _add_format_flags(sub) -> None:
 def cmd_entropy(args) -> int:
     params = UnifiedParams(args.q, args.s)
     if args.dist is not None:
-        p = ProbabilityDistribution(_comma_floats(args.dist))
-        values = {"unified": unified_classical(p, params)}
-        if args.all:
-            values["renyi"] = renyi(p, args.q)
-            values["tsallis"] = tsallis(p, args.q)
-            values["type_q"] = type_q_entropy(p, args.q)
-            values["shannon"] = renyi(p, 1.0)
-        source = "dist"
+        spectrum = ProbabilityDistribution(_comma_floats(args.dist))
+        source, limit, unified = "dist", "shannon", unified_classical
     else:
-        rho = read_density(args.rho)
-        values = {"unified": unified_quantum(rho, params)}
-        if args.all:
-            values["renyi"] = quantum_renyi(rho, args.q)
-            values["tsallis"] = quantum_tsallis(rho, args.q)
-            values["type_q"] = unified_quantum(rho, UnifiedParams(1.0 / args.q, args.q))
-            values["von_neumann"] = quantum_renyi(rho, 1.0)
-        source = "rho"
+        spectrum = read_density(args.rho)
+        source, limit, unified = "rho", "von_neumann", unified_quantum
+    values = {"unified": unified(spectrum, params)}
+    if args.all:
+        values["renyi"] = renyi(spectrum, args.q)
+        values["tsallis"] = tsallis(spectrum, args.q)
+        values["type_q"] = type_q_entropy(spectrum, args.q)
+        values[limit] = renyi(spectrum, 1.0)
     if args.json:
         doc = {"q": args.q, "s": args.s, "source": source}
         doc.update(values)

@@ -5,10 +5,13 @@ The two-parameter functional is
     E_q^(s)(P) = [ (sum_i p_i^q)^s - 1 ] / [ (1 - q) s ],   q > 0,
 
 with the Renyi entropy at s -> 0, the Tsallis entropy at s = 1 and the
-Shannon (von Neumann) entropy at q -> 1.  Logarithms are natural
-throughout and 0 * ln 0 = 0.  Limits are dispatched through the
-thresholds in ``TOL`` and evaluated with expm1/log so values stay stable
-arbitrarily close to the special points.
+Shannon (von Neumann) entropy at q -> 1.  Every entropy depends on a
+spectrum alone, so each one takes a ``ProbabilityDistribution``, a
+``DensityOperator`` or a sequence of probabilities, and all of them
+evaluate through one path.  Logarithms are natural throughout and
+0 * ln 0 = 0.  Limits are dispatched through the thresholds in ``TOL``
+and evaluated with expm1/log so values stay stable arbitrarily close to
+the special points.
 """
 
 from __future__ import annotations
@@ -17,8 +20,14 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, InvalidIndex
-from .linops import DensityOperator, ProbabilityDistribution, trace_power
+from .linops import DensityOperator, ProbabilityDistribution, _SpectralMemo
 from .tolerances import TOL
+
+
+def _check_q(q: float) -> None:
+    # written so that NaN fails too
+    if not 0.0 < q < math.inf:
+        raise InvalidIndex(f"entropic index q must be positive and finite, got {q!r}")
 
 
 @dataclass(frozen=True)
@@ -29,10 +38,7 @@ class UnifiedParams:
     s: float
 
     def __post_init__(self):
-        if not (self.q > 0 and math.isfinite(self.q)):
-            raise InvalidIndex(
-                f"entropic index q must be positive and finite, got {self.q!r}"
-            )
+        _check_q(self.q)
         if not math.isfinite(self.s):
             raise InvalidIndex(f"entropic index s must be finite, got {self.s!r}")
 
@@ -43,17 +49,6 @@ class UnifiedParams:
     @property
     def is_s_limit(self) -> bool:
         return not self.is_q_limit and abs(self.s) < TOL.s_limit
-
-
-def _as_dist(p) -> ProbabilityDistribution:
-    if isinstance(p, ProbabilityDistribution):
-        return p
-    return ProbabilityDistribution(p)
-
-
-def _check_q(q: float) -> None:
-    if not q > 0:
-        raise InvalidIndex(f"entropic index q must be positive, got {q!r}")
 
 
 def q_log(x: float, q: float) -> float:
@@ -81,66 +76,41 @@ def unified_from_power_sum(t: float, q: float, s: float) -> float:
     return math.expm1(s * math.log(t)) / ((1.0 - q) * s) + 0.0
 
 
+def _unified(spectrum, params: UnifiedParams) -> float:
+    """The one evaluation path: every entropy below is this function of
+    a spectrum holder at some indices."""
+    if not isinstance(spectrum, _SpectralMemo):
+        spectrum = ProbabilityDistribution(spectrum)
+    if params.is_q_limit:
+        return spectrum.shannon()
+    return unified_from_power_sum(spectrum.power_sum(params.q), params.q, params.s)
+
+
 def renyi(p, q: float) -> float:
     """Renyi entropy ln(sum p_i^q)/(1 - q); Shannon at q -> 1."""
-    _check_q(q)
-    dist = _as_dist(p)
-    if abs(q - 1.0) < TOL.q_limit:
-        return dist.shannon()
-    return math.log(dist.power_sum(q)) / (1.0 - q) + 0.0
+    return _unified(p, UnifiedParams(q, 0.0))
 
 
 def tsallis(p, q: float) -> float:
     """Tsallis entropy (sum p_i^q - 1)/(1 - q); Shannon at q -> 1."""
-    _check_q(q)
-    dist = _as_dist(p)
-    if abs(q - 1.0) < TOL.q_limit:
-        return dist.shannon()
-    return (dist.power_sum(q) - 1.0) / (1.0 - q) + 0.0
+    return _unified(p, UnifiedParams(q, 1.0))
 
 
 def type_q_entropy(p, q: float) -> float:
-    """Type-q entropy [(sum p_i^(1/q))^q - 1]/(q - 1); Shannon at q -> 1.
-
-    Coincides with the unified entropy at indices (1/q, q).
-    """
+    """Type-q entropy [(sum p_i^(1/q))^q - 1]/(q - 1): the unified
+    entropy at indices (1/q, q); Shannon at q -> 1."""
     _check_q(q)
-    dist = _as_dist(p)
-    if abs(q - 1.0) < TOL.q_limit:
-        return dist.shannon()
-    u = dist.power_sum(1.0 / q)
-    return math.expm1(q * math.log(u)) / (q - 1.0) + 0.0
+    return _unified(p, UnifiedParams(1.0 / q, q))
 
 
 def unified_classical(p, params: UnifiedParams) -> float:
     """Unified (q, s)-entropy of a probability distribution."""
-    dist = _as_dist(p)
-    if params.is_q_limit:
-        return dist.shannon()
-    return unified_from_power_sum(dist.power_sum(params.q), params.q, params.s)
-
-
-def quantum_renyi(rho: DensityOperator, q: float) -> float:
-    """Quantum Renyi entropy ln tr(rho^q)/(1 - q); von Neumann at q -> 1."""
-    _check_q(q)
-    if abs(q - 1.0) < TOL.q_limit:
-        return rho.shannon()
-    return math.log(trace_power(rho, q)) / (1.0 - q) + 0.0
-
-
-def quantum_tsallis(rho: DensityOperator, q: float) -> float:
-    """Quantum Tsallis entropy (tr rho^q - 1)/(1 - q); von Neumann at q -> 1."""
-    _check_q(q)
-    if abs(q - 1.0) < TOL.q_limit:
-        return rho.shannon()
-    return (trace_power(rho, q) - 1.0) / (1.0 - q) + 0.0
+    return _unified(p, params)
 
 
 def unified_quantum(rho: DensityOperator, params: UnifiedParams) -> float:
-    """Unified (q, s)-entropy of a density operator."""
-    if params.is_q_limit:
-        return rho.shannon()
-    return unified_from_power_sum(trace_power(rho, params.q), params.q, params.s)
+    """Unified (q, s)-entropy of a density operator (of its spectrum)."""
+    return _unified(rho, params)
 
 
 def binary_tsallis(eps: float, q: float) -> float:

@@ -1,9 +1,9 @@
 """Dense Hermitian operator core.
 
-Validated state and operator types, spectral decompositions, Schatten and
-Ky Fan norms, composite-system operations (tensor, partial trace,
-purification), pinching and generalized measurements, seeded random
-sampling, and a small JSON matrix file format.
+Validated state and operator types with their spectra, Schatten norms,
+composite-system operations (tensor, partial trace, purification),
+pinching and generalized measurements, seeded random sampling, and a
+small JSON matrix file format.
 
 Composite indices are row-major throughout: a bipartite basis label
 (i_A, i_B) maps to i_A * d_B + i_B, matching ``numpy.kron``.
@@ -148,24 +148,6 @@ class HermitianOperator:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Eigenvalues in descending order with matching eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        vals = np.array(self.eigenvalues, dtype=np.float64)
-        vecs = np.array(self.eigenvectors, dtype=np.complex128)
-        if vals.ndim != 1 or vecs.shape != (vals.size, vals.size):
-            raise DomainError("spectrum shapes are inconsistent")
-        if np.any(np.diff(vals) > 0):
-            raise DomainError("eigenvalues must be sorted in descending order")
-        object.__setattr__(self, "eigenvalues", _frozen(vals))
-        object.__setattr__(self, "eigenvectors", _frozen(vecs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -435,22 +417,6 @@ def _matrix_of(a) -> np.ndarray:
     raise DomainError(f"expected a Hermitian or density operator, got {type(a).__name__}")
 
 
-def spectral_decompose(a) -> Spectrum:
-    """Eigendecomposition with descending eigenvalues.
-
-    The reconstruction V diag(lambda) V^dagger must match the input to
-    ``TOL.reconstruction`` relative to its largest entry.
-    """
-    mat = _matrix_of(a)
-    vals, vecs = np.linalg.eigh(mat)
-    spec = Spectrum(vals[::-1].copy(), vecs[:, ::-1].copy())
-    rebuilt = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.conj().T
-    scale = max(np.abs(mat).max(), 1.0)
-    if np.abs(rebuilt - mat).max() > TOL.reconstruction * scale:
-        raise EntropyKitError("spectral reconstruction failed its error bound")
-    return spec
-
-
 def _singular_values(a) -> np.ndarray:
     """Descending singular values; for Hermitian input these are |eigenvalues|."""
     if isinstance(a, DensityOperator):
@@ -465,16 +431,6 @@ def schatten_norm(a, q: float) -> float:
         raise InvalidIndex(f"Schatten norm needs q >= 1, got {q!r}")
     sv = _singular_values(a)
     return float(np.sum(sv**q) ** (1.0 / q))
-
-
-def kyfan_norm(a, k: int) -> float:
-    """Sum of the k largest singular values, 1 <= k <= dim."""
-    if not isinstance(k, (int, np.integer)):
-        raise InvalidIndex(f"Ky Fan order must be an integer, got {k!r}")
-    sv = _singular_values(a)
-    if not 1 <= k <= sv.size:
-        raise InvalidIndex(f"Ky Fan order {k} outside [1, {sv.size}]")
-    return float(np.sum(sv[:k]))
 
 
 def trace_distance(a: DensityOperator, b: DensityOperator) -> float:

@@ -20,8 +20,7 @@ class Tolerances:
     #: column orthonormality / completeness defect for isometries,
     #: resolutions and generalized measurements.
     orthonormal: float = 1e-10
-    #: round-trip error allowed for spectral, ensemble and purification
-    #: reconstructions.
+    #: round-trip error allowed when an ensemble reconstructs its state.
     reconstruction: float = 1e-10
     #: eigenvalues above this count toward the rank.
     rank: float = 1e-12

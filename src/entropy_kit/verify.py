@@ -180,8 +180,9 @@ def _trial_rng(seed: int, check: str, index: int) -> np.random.Generator:
 
 
 def _as_grid(params_grid, default) -> list:
+    """The grid (``default`` if None) as ``UnifiedParams``, validated once."""
     grid = default if params_grid is None else params_grid
-    return [(float(q), float(s)) for q, s in grid]
+    return [UnifiedParams(float(q), float(s)) for q, s in grid]
 
 
 def _pick(rng: np.random.Generator, items):
@@ -482,9 +483,9 @@ class Suite:
     ``trial(i, info, states)`` returns ``at(q, s, params)``, the
     (lhs, rhs, case) comparisons "lhs <= rhs" at one grid point, or None
     to skip it.  Points outside ``claimed`` are skipped without a call.
-    ``pairs`` suites draw (d_A, d_B) pairs.  ``unified`` is False for
-    claims on tr(rho^q) or Schatten norms: they take q alone, so s is
-    ignored and no ``UnifiedParams`` is built.
+    ``pairs`` suites draw (d_A, d_B) pairs.  ``q_only`` claims, on
+    tr(rho^q) or Schatten norms, ignore s: each distinct q of the grid is
+    compared once.
     """
 
     draw: Callable
@@ -494,7 +495,7 @@ class Suite:
     claimed: Callable = lambda q, s: True
     derive: Callable | None = None
     pairs: bool = False
-    unified: bool = True
+    q_only: bool = False
 
 
 SUITES = {
@@ -512,7 +513,7 @@ SUITES = {
     ),
     "audenaert": Suite(
         _bipartite_draw, _audenaert, DEFAULT_PAIR_DIMS, tuple((q, 0.0) for q in AUDENAERT_Q),
-        pairs=True, unified=False,
+        pairs=True, q_only=True,
     ),
     "subadd": Suite(
         _bipartite_draw, _subadd, DEFAULT_PAIR_DIMS, SUBADD_GRID,
@@ -527,7 +528,7 @@ SUITES = {
     ),
     "pinching": Suite(
         functools.partial(_pinching_draw, 7), _pinching, PINCHING_DIMS,
-        tuple((q, 0.0) for q in PINCHING_Q), unified=False,
+        tuple((q, 0.0) for q in PINCHING_Q), q_only=True,
     ),
     "projective": Suite(
         functools.partial(_pinching_draw, 5), _projective, DEFAULT_DIMS, PROJECTIVE_GRID
@@ -535,16 +536,14 @@ SUITES = {
 }
 
 
-def _run_suite(name, trials, seed, dims=None, params_grid=None, rec=None) -> CheckReport:
-    """Run the ``SUITES`` row ``name`` over its (q, s) grid; ``rec``
-    carries comparisons made before the random trials."""
+def _run_suite(name, trials, seed, dims, grid, rec=None) -> CheckReport:
+    """Run the ``SUITES`` row ``name`` over ``grid``, from ``_as_grid``;
+    ``rec`` carries comparisons made before the random trials."""
     suite = SUITES[name]
-    grid = _as_grid(params_grid, suite.grid)
-    points = [
-        (q, s, UnifiedParams(q, s) if suite.unified else None)
-        for q, s in grid
-        if suite.claimed(q, s)
-    ]
+    if suite.q_only:
+        # s is ignored, so a q repeated with another s would repeat its comparisons
+        grid = list({p.q: p for p in grid}.values())
+    points = [(p.q, p.s, p) for p in grid if suite.claimed(p.q, p.s)]
     unclaimed = len(grid) - len(points)
     if rec is None:
         rec = _Recorder(name, seed)
@@ -617,12 +616,11 @@ def qubit_measurement_decrease(rho_diag: DensityOperator, params_grid=None) -> C
     rec = _Recorder("qubit-measure", 0)
     after = apply_generalized(rho_diag, GeneralizedMeasurement(QUBIT_MEASUREMENT))
     rec.trials += 1
-    for q, s in grid:
-        params = UnifiedParams(q, s)
+    for params in grid:
         rec.compare(
             unified_quantum(after, params),
             unified_quantum(rho_diag, params),
-            {"q": q, "s": s},
+            {"q": params.q, "s": params.s},
             strict=True,
         )
     return rec.report()
@@ -727,6 +725,7 @@ def run_check(
     if dims is not None:
         dims = tuple(int(d) for d in dims)
     if name == "scalar-lemma":
+        _as_grid(params_grid, ())  # reads no grid, but a bad one is still an error
         return check_scalar_lemma(trials, seed)
     if name == "qubit-measure":
         return qubit_measurement_decrease(diagonal_density((0.8, 0.2)), params_grid)
@@ -734,7 +733,7 @@ def run_check(
         dims = tuple((a, b) for a in dims for b in dims if a * b <= 16) or DEFAULT_PAIR_DIMS
     if name == "subadd-violation":
         return search_subadditivity_violation("both", trials, dims, params_grid, seed)
-    return _run_suite(name, trials, seed, dims, params_grid)
+    return _run_suite(name, trials, seed, dims, _as_grid(params_grid, SUITES[name].grid))
 
 
 def report_ok(report: CheckReport) -> bool:

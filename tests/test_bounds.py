@@ -22,7 +22,7 @@ from entropy_kit.bounds import (
     thermodynamic_ratio_limit,
     unified_fannes_bound,
 )
-from entropy_kit.entropies import UnifiedParams, quantum_tsallis, unified_quantum
+from entropy_kit.entropies import UnifiedParams, tsallis, unified_quantum
 from entropy_kit.errors import DomainError, InvalidIndex, OutOfValidity
 from entropy_kit.linops import diagonal_density, random_density, trace_distance
 
@@ -113,7 +113,7 @@ class TestHighIndexBound:
         # the perturbed-pure-state pair meets the bound with equality
         eps, d = 0.1, 4
         rho, omega = example_pair(eps, d)
-        diff = abs(quantum_tsallis(rho, q) - quantum_tsallis(omega, q))
+        diff = abs(tsallis(rho, q) - tsallis(omega, q))
         assert diff == pytest.approx(fannes_tsallis_high_q(BoundSpec(q, 1.0, d, eps)), abs=1e-12)
 
     def test_needs_q_above_one(self):

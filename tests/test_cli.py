@@ -96,6 +96,31 @@ class TestEntropyCommand:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("q", ["0.4", "2"])
+    def test_dist_and_rho_agree(self, capsys, tmp_path, q):
+        # one evaluation path: the same spectrum gives the same values,
+        # only the name of the q -> 1 entropy depends on the source
+        path = tmp_path / "rho.json"
+        write_matrix(path, diagonal_density((0.5, 0.3, 0.2)))
+        outputs = {}
+        for fmt in ("--csv", "--json"):
+            for source in (["--dist", "0.5,0.3,0.2"], ["--rho", str(path)]):
+                code, out, _ = run_cli(
+                    capsys, ["entropy", *source, "--q", q, "--s", "-1", "--all", fmt]
+                )
+                assert code == 0
+                outputs[fmt, source[0]] = out
+        dist_csv = outputs["--csv", "--dist"].splitlines()
+        rho_csv = outputs["--csv", "--rho"].splitlines()
+        assert dist_csv[-1].startswith("shannon,") and rho_csv[-1].startswith("von_neumann,")
+        assert dist_csv[:-1] == rho_csv[:-1]
+        assert dist_csv[-1].split(",")[1] == rho_csv[-1].split(",")[1]
+        dist_doc = json.loads(outputs["--json", "--dist"])
+        rho_doc = json.loads(outputs["--json", "--rho"])
+        assert dist_doc.pop("source") == "dist" and rho_doc.pop("source") == "rho"
+        assert dist_doc.pop("shannon") == rho_doc.pop("von_neumann")
+        assert dist_doc == rho_doc
+
     def test_source_required(self, capsys):
         with pytest.raises(SystemExit):
             main(["entropy", "--q", "2", "--s", "1"])
@@ -252,6 +277,22 @@ class TestCheckCommand:
         code, out, _ = run_cli(capsys, argv)
         assert code == exit_code
         assert out == (DATA / fixture).read_text()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["audenaert", "--q-grid", "2", "--s-grid", "nan", "--trials", "10"],
+            ["pinching", "--q-grid", "2", "--s-grid", "inf"],
+            ["mixing", "--q-grid", "0.5", "--s-grid", "nan"],
+            ["scalar-lemma", "--q-grid", "2", "--s-grid", "nan"],
+        ],
+    )
+    def test_non_finite_grid_is_an_error_for_every_suite(self, capsys, argv):
+        code, out, err = run_cli(capsys, ["check", *argv])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert "must be finite" in err
 
     def test_grid_below_the_schatten_range_is_an_error(self, capsys):
         code, out, err = run_cli(capsys, ["check", "audenaert", "--q-grid", "0.5", "--s-grid=1"])

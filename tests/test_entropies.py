@@ -12,8 +12,6 @@ from entropy_kit.entropies import (
     UnifiedParams,
     binary_tsallis,
     q_log,
-    quantum_renyi,
-    quantum_tsallis,
     renyi,
     tsallis,
     type_q_entropy,
@@ -167,8 +165,18 @@ class TestQuantum:
 
     def test_von_neumann_of_mixed_qubit(self):
         rho = diagonal_density([0.5, 0.5])
-        assert quantum_renyi(rho, 1.0) == pytest.approx(math.log(2.0))
-        assert quantum_tsallis(rho, 1.0) == pytest.approx(math.log(2.0))
+        assert renyi(rho, 1.0) == pytest.approx(math.log(2.0))
+        assert tsallis(rho, 1.0) == pytest.approx(math.log(2.0))
+
+    @pytest.mark.parametrize("func", [renyi, tsallis, type_q_entropy])
+    @pytest.mark.parametrize("q", [0.4, 1.0, 2.0, 3.0])
+    def test_named_entropies_of_a_state_are_those_of_its_spectrum(self, func, q):
+        # one evaluation path: a state and the distribution of its
+        # eigenvalues give the same bits
+        rho = random_density(4, 3, seed=52)
+        spectrum = ProbabilityDistribution(rho.eigenvalues)
+        assert func(rho, q).hex() == func(spectrum, q).hex()
+        assert func(rho, q).hex() == func(list(rho.eigenvalues), q).hex()
 
     def test_pure_state_zero(self):
         rho = diagonal_density([1.0, 0.0])
@@ -280,8 +288,11 @@ class TestBinaryTsallis:
 class TestIndexValidation:
     @pytest.mark.parametrize("func", [renyi, tsallis, type_q_entropy])
     def test_rejects_nonpositive_q(self, func):
-        with pytest.raises(InvalidIndex):
-            func([0.5, 0.5], -1.0)
+        # neither a bare math error, a silent value nor a message about 1/q
+        for spectrum in ([0.5, 0.5], FLAT4, maximally_mixed(2)):
+            for q in (0.0, -1.0, math.nan, math.inf):
+                with pytest.raises(InvalidIndex, match=f"q must be positive and finite, got {q!r}"):
+                    func(spectrum, q)
 
     def test_rejects_bad_distribution(self):
         with pytest.raises(DomainError):

@@ -28,7 +28,6 @@ from entropy_kit.linops import (
     density_operators,
     diagonal_density,
     ensemble_from_state,
-    kyfan_norm,
     matrix_from_dict,
     matrix_to_dict,
     maximally_mixed,
@@ -43,7 +42,6 @@ from entropy_kit.linops import (
     read_density,
     read_matrix,
     schatten_norm,
-    spectral_decompose,
     tensor,
     trace_distance,
     trace_power,
@@ -132,19 +130,6 @@ class TestProbabilityDistribution:
             ProbabilityDistribution(probs)
 
 
-class TestSpectralDecompose:
-    def test_diagonal_matrix(self):
-        spec = spectral_decompose(HermitianOperator(np.diag([1.0, 3.0, 2.0])))
-        assert spec.eigenvalues == pytest.approx([3.0, 2.0, 1.0])
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_reconstruction(self, seed):
-        rho = random_density(5, 5, seed=seed)
-        spec = spectral_decompose(rho)
-        rebuilt = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.conj().T
-        assert np.abs(rebuilt - rho.mat).max() < 1e-10
-
-
 class TestNorms:
     def test_schatten_identity(self):
         op = HermitianOperator(np.eye(3))
@@ -162,24 +147,6 @@ class TestNorms:
     def test_schatten_matches_trace_power(self, q):
         rho = random_density(5, 4, seed=8)
         assert schatten_norm(rho, q) == pytest.approx(trace_power(rho, q) ** (1 / q))
-
-    def test_kyfan_values(self):
-        rho = diagonal_density([0.7, 0.3])
-        assert kyfan_norm(rho, 1) == pytest.approx(0.7)
-        assert kyfan_norm(rho, 2) == pytest.approx(1.0)
-
-    def test_kyfan_full_order_equals_trace_norm(self):
-        op = HermitianOperator(np.diag([1.0, -2.0, 0.5]))
-        assert kyfan_norm(op, 3) == pytest.approx(schatten_norm(op, 1))
-
-    def test_kyfan_order_validation(self):
-        rho = maximally_mixed(3)
-        with pytest.raises(InvalidIndex):
-            kyfan_norm(rho, 0)
-        with pytest.raises(InvalidIndex):
-            kyfan_norm(rho, 4)
-        with pytest.raises(InvalidIndex):
-            kyfan_norm(rho, 1.5)
 
 
 class TestTraceDistance:

@@ -131,6 +131,35 @@ class TestReports:
         assert not report_ok(regular.report())
 
 
+class TestGrid:
+    @pytest.mark.parametrize("name", ALL_CHECKS)
+    @pytest.mark.parametrize(
+        "grid",
+        [[(2.0, math.nan)], [(2.0, math.inf)], [(math.nan, 1.0)], [(0.0, 1.0)], [(2.0, 1.0), (2.0, math.nan)]],
+    )
+    def test_every_suite_rejects_a_bad_point(self, name, grid):
+        # including the suites that read q alone and the ones that read no grid
+        with pytest.raises(InvalidIndex):
+            run_check(name, trials=10, seed=0, params_grid=grid)
+
+    def test_bad_point_is_named_not_skipped(self):
+        # mixing claims no point with s = nan, which used to be skipped
+        with pytest.raises(InvalidIndex, match="s must be finite, got nan"):
+            run_check("mixing", trials=10, seed=0, params_grid=[(0.5, math.nan)])
+
+    @pytest.mark.parametrize("name", ["audenaert", "pinching"])
+    def test_q_only_suites_compare_each_q_once(self, name):
+        single = run_check(name, trials=10, seed=0, params_grid=[(2.0, 1.0)])
+        repeated = run_check(name, trials=10, seed=0, params_grid=[(2.0, 1.0), (2.0, 2.0)])
+        assert single.comparisons == 10
+        assert repeated.comparisons == 10
+        assert repeated.skipped == 0
+        assert repeated.to_json() == single.to_json()
+        two = run_check(name, trials=10, seed=0, params_grid=[(1.5, 1.0), (2.0, 1.0), (1.5, 2.0)])
+        assert two.comparisons == 20
+        assert two.skipped == 0
+
+
 class TestSuitesPass:
     @pytest.mark.parametrize("name", [c for c in ALL_CHECKS if c != "subadd-violation"])
     def test_green_at_moderate_trials(self, name):
