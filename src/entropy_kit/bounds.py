@@ -116,6 +116,11 @@ def kappa_s(q: float, s: float, d: int) -> float:
     if not q > 1:
         raise InvalidIndex(f"dimension factor needs q > 1, got {q!r}")
     _check_dimension(d, 2)
+    return _kappa_s(q, s, d)
+
+
+def _kappa_s(q: float, s: float, d: int) -> float:
+    """``kappa_s`` for a q > 1 and d that the caller has checked."""
     if -1.0 <= s <= 0.0:
         return float(d) ** (2.0 * (q - 1.0))
     if s >= 1.0:
@@ -147,7 +152,7 @@ def unified_fannes_bound(spec: BoundSpec) -> float:
     if region == "low":
         return fannes_tsallis_low_q(spec)
     if region == "high":
-        return kappa_s(spec.q, spec.s, spec.d) * fannes_tsallis_high_q(spec)
+        return _kappa_s(spec.q, spec.s, spec.d) * fannes_tsallis_high_q(spec)
     raise OutOfValidity(
         f"no unified continuity bound proven at (q, s) = ({spec.q!r}, {spec.s!r})"
     )

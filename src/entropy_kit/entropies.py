@@ -8,10 +8,10 @@ with the Renyi entropy at s -> 0, the Tsallis entropy at s = 1 and the
 Shannon (von Neumann) entropy at q -> 1.  Every entropy depends on a
 spectrum alone, so each one takes a ``ProbabilityDistribution``, a
 ``DensityOperator`` or a sequence of probabilities, and all of them
-evaluate through one path.  Logarithms are natural throughout and
-0 * ln 0 = 0.  Limits are dispatched through the thresholds in ``TOL``
-and evaluated with expm1/log so values stay stable arbitrarily close to
-the special points.
+evaluate through one path, alone or as a table of many spectra at many
+points.  Logarithms are natural throughout and 0 * ln 0 = 0.  Limits are
+dispatched through the thresholds in ``TOL`` and evaluated with the
+scalar expm1/log, so values stay stable close to the special points.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, InvalidIndex
-from .linops import DensityOperator, ProbabilityDistribution, _SpectralMemo
+from .linops import DensityOperator, ProbabilityDistribution, _SpectralMemo, _power_sums
 from .tolerances import TOL
 
 
@@ -60,6 +60,15 @@ def q_log(x: float, q: float) -> float:
     return math.expm1((1.0 - q) * math.log(x)) / (1.0 - q) + 0.0
 
 
+def _from_power_sum(t: float, q: float, s: float) -> float:
+    """The (q, s) formula on a power sum t > 0, q outside its limit
+    window; unchecked, and the only copy of the formula."""
+    if abs(s) < TOL.s_limit:
+        return math.log(t) / (1.0 - q) + 0.0
+    # + 0.0 turns the -0.0 arising at t = 1 into a plain zero
+    return math.expm1(s * math.log(t)) / ((1.0 - q) * s) + 0.0
+
+
 def unified_from_power_sum(t: float, q: float, s: float) -> float:
     """Unified entropy from a precomputed power sum t = sum p_i^q.
 
@@ -70,10 +79,7 @@ def unified_from_power_sum(t: float, q: float, s: float) -> float:
     _check_q(q)
     if abs(q - 1.0) < TOL.q_limit:
         raise InvalidIndex("power-sum form is undefined in the q -> 1 limit window")
-    if abs(s) < TOL.s_limit:
-        return math.log(t) / (1.0 - q) + 0.0
-    # + 0.0 turns the -0.0 arising at t = 1 into a plain zero
-    return math.expm1(s * math.log(t)) / ((1.0 - q) * s) + 0.0
+    return _from_power_sum(t, q, s)
 
 
 def _unified(spectrum, params: UnifiedParams) -> float:
@@ -83,7 +89,22 @@ def _unified(spectrum, params: UnifiedParams) -> float:
         spectrum = ProbabilityDistribution(spectrum)
     if params.is_q_limit:
         return spectrum.shannon()
-    return unified_from_power_sum(spectrum.power_sum(params.q), params.q, params.s)
+    return _from_power_sum(spectrum.power_sum(params.q), params.q, params.s)
+
+
+def _entropy_rows(holders, grid) -> list:
+    """Entropies of spectrum holders at the ``UnifiedParams`` of ``grid``,
+    one row per holder: row[k] is bit for bit ``_unified(holder,
+    grid[k])``, with the power sums of each q taken once for all holders
+    (see ``_power_sums``) and q -> 1 points sent through ``_unified``."""
+    sums = _power_sums(holders, [p.q for p in grid]).T.tolist()
+    cols = [
+        [_unified(h, p) for h in holders]
+        if p.is_q_limit
+        else [_from_power_sum(t, p.q, p.s) for t in col]
+        for p, col in zip(grid, sums)
+    ]
+    return list(zip(*cols)) if cols else [()] * len(holders)
 
 
 def renyi(p, q: float) -> float:

@@ -123,6 +123,26 @@ class _SpectralMemo:
         return self._shannon
 
 
+def _power_sums(holders, qs) -> np.ndarray:
+    """(len(holders), len(qs)) power sums at positive float q, bit for bit
+    each holder's ``power_sum``: spectra of one length are stacked into a
+    C-contiguous (n, d) array and raised to each distinct q as a Python
+    float.  Zero padding, an array of exponents or a strided sum would
+    change bits (numpy's pairwise blocking, the ``**`` fast paths).
+    """
+    distinct = list(dict.fromkeys(qs))
+    table = np.empty((len(holders), len(distinct)))
+    groups: dict[int, list[int]] = {}
+    for i, holder in enumerate(holders):
+        groups.setdefault(holder._values.size, []).append(i)
+    for idx in groups.values():
+        stack = np.stack([holders[i]._values for i in idx])
+        for j, q in enumerate(distinct):
+            table[idx, j] = (stack**q).sum(axis=1)
+    col = {q: j for j, q in enumerate(distinct)}
+    return table[:, [col[q] for q in qs]]
+
+
 def _rng(seed) -> np.random.Generator:
     """Accept an int seed, a seed sequence, or an existing Generator."""
     if isinstance(seed, np.random.Generator):
@@ -439,17 +459,6 @@ def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
         raise DimMismatch(f"dimensions {a.dim} and {b.dim} differ")
     diff = np.linalg.eigvalsh(a.mat - b.mat)
     return float(0.5 * np.abs(diff).sum())
-
-
-def trace_power(rho: DensityOperator, q: float) -> float:
-    """tr(rho^q) = sum_j lambda_j^q over the clipped spectrum, q > 0.
-
-    The convention 0^q = 0 applies, so zero eigenvalues never contribute.
-    Values are memoized per q on ``rho`` (see ``DensityOperator``).
-    """
-    if not q > 0:
-        raise InvalidIndex(f"trace power needs q > 0, got {q!r}")
-    return rho.power_sum(q)
 
 
 def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:

@@ -4,8 +4,9 @@ Every check draws its per-trial randomness from a SeedSequence built on
 (seed, check id, trial index), so reports are reproducible byte for byte
 regardless of execution order.  The random-state suites are rows of
 ``SUITES`` run by one loop, which draws the matrices of ``STATE_CHUNK``
-trials first and builds all of their states with one stacked
-``density_operators`` call, bit-identical to building them one by one.
+trials first, builds all of their states with one stacked
+``density_operators`` call and evaluates them at every grid point as
+one table, each bit-identical to working one state and point at a time.
 ``run_check`` is the entry point for every suite.  A comparison
 "lhs <= rhs" fails when the signed violation lhs - rhs exceeds
 TOL.check_rel * (1 + magnitude); ``failures`` counts failed comparisons,
@@ -28,11 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundSpec, _check_dimension, fannes_range, max_unified, unified_fannes_bound
-from .entropies import UnifiedParams, unified_classical, unified_from_power_sum, unified_quantum
+from .entropies import UnifiedParams, _entropy_rows, unified_from_power_sum, unified_quantum
 from .errors import DimMismatch, DomainError, InvalidIndex, NotDiagonal, OutOfValidity, PureState
 from .linops import (
     DensityOperator,
     GeneralizedMeasurement,
+    _power_sums,
     apply_generalized,
     density_operators,
     diagonal_density,
@@ -46,7 +48,6 @@ from .linops import (
     schatten_norm,
     tensor,
     trace_distance,
-    trace_power,
 )
 from .tolerances import TOL
 
@@ -221,7 +222,7 @@ def _stacked(per_trial: list) -> list:
 
 
 def _chunked_trials(check: str, seed: int, trials: int, draw, derive=None):
-    """Yield (trial, info, states) in trial order.
+    """Yield each chunk's (trial, info, states) as a list, in trial order.
 
     ``draw(i, rng)`` returns (info, matrices) for trial i from that
     trial's own generator.  Each chunk of ``STATE_CHUNK`` trials'
@@ -238,7 +239,7 @@ def _chunked_trials(check: str, seed: int, trials: int, draw, derive=None):
             more = _stacked([derive(info, st) for info, st in zip(infos, states)])
             states = [first + second for first, second in zip(states, more)]
             del more
-        yield from zip(chunk, infos, states)
+        yield list(zip(chunk, infos, states))
         # hold at most one chunk of states while the next is drawn
         del infos, states
 
@@ -284,10 +285,8 @@ def _ensemble(i, info, states):
     rank = int(np.sum(rho.eigenvalues > TOL.rank))
     m = int(rng.integers(rank, max(rank, 8) + 1))
     weights = ensemble_from_state(rho, m, rng).weights
-    return lambda q, s, params: [(
-        unified_quantum(rho, params),
-        unified_classical(weights, params),
-        {"trial": i, "d": d, "m": m, "q": q, "s": s},
+    return (rho, weights), lambda e, k, q, s: [(
+        e[0][k], e[1][k], {"trial": i, "d": d, "m": m, "q": q, "s": s}
     )]
 
 
@@ -303,15 +302,14 @@ def _mixing_draw(dims, i, rng):
 def _mixing(i, info, states):
     """Mixing concavity: sum_i p_i E(omega_i) <= E(sum_i p_i omega_i)
     for 0 < q < 1 and s <= 1."""
-    d, k, weights = info
-    *omegas, mixed = states
+    d, n, weights = info
 
-    def at(q, s, params):
-        lhs = sum(w * unified_quantum(om, params) for w, om in zip(weights, omegas))
-        rhs = unified_quantum(mixed, params)
-        return [(lhs, rhs, {"trial": i, "d": d, "k": k, "q": q, "s": s})]
+    def at(e, k, q, s):
+        # zip stops at the omegas' rows; the mixture's row is last
+        lhs = sum(w * row[k] for w, row in zip(weights, e))
+        return [(lhs, e[-1][k], {"trial": i, "d": d, "k": n, "q": q, "s": s})]
 
-    return at
+    return states, at
 
 
 def _fannes_draw(dims, i, rng):
@@ -334,15 +332,15 @@ def _fannes(i, d, states):
     rho, omega, *_ = states
     eps = min(trace_distance(rho, omega), 1.0)
 
-    def at(q, s, params):
+    def at(e, k, q, s):
         try:
             bound = unified_fannes_bound(BoundSpec(q, s, d, eps))
         except OutOfValidity:
             return None
-        diff = abs(unified_quantum(rho, params) - unified_quantum(omega, params))
+        diff = abs(e[0][k] - e[1][k])
         return [(diff, bound, {"trial": i, "d": d, "q": q, "s": s, "eps": eps})]
 
-    return at
+    return (rho, omega), at
 
 
 def _audenaert(i, info, states):
@@ -350,7 +348,8 @@ def _audenaert(i, info, states):
     for q > 1."""
     da, db = info
     rho_ab, ra, rb = states
-    return lambda q, s, params: [(
+    # reads no table: schatten_norm also refuses q < 1
+    return (), lambda e, k, q, s: [(
         schatten_norm(ra, q) + schatten_norm(rb, q),
         1.0 + schatten_norm(rho_ab, q),
         {"trial": i, "d_a": da, "d_b": db, "q": q},
@@ -364,11 +363,8 @@ def _subadditive(q: float, s: float) -> bool:
 def _subadd(i, info, states):
     """Subadditivity E(rho_AB) <= E(rho_A) + E(rho_B) for q > 1, s >= 1/q."""
     da, db = info
-    rho_ab, ra, rb = states
-    return lambda q, s, params: [(
-        unified_quantum(rho_ab, params),
-        unified_quantum(ra, params) + unified_quantum(rb, params),
-        {"trial": i, "d_a": da, "d_b": db, "q": q, "s": s},
+    return states, lambda e, k, q, s: [(
+        e[0][k], e[1][k] + e[2][k], {"trial": i, "d_a": da, "d_b": db, "q": q, "s": s}
     )]
 
 
@@ -383,12 +379,12 @@ def _violation(i, info, states):
     """E(rho_AB) against E(rho_A) + E(rho_B) on a product state and on a
     correlated one, where subadditivity is expected to fail."""
     da, db = info
-    fa, fb, prod, corr, ca, cb = states
-    cases = (("product", prod, fa, fb), ("correlated", corr, ca, cb))
-    return lambda q, s, params: [
+    # rows of states fa, fb, prod, corr, ca, cb
+    cases = (("product", 2, 0, 1), ("correlated", 3, 4, 5))
+    return states, lambda e, k, q, s: [
         (
-            unified_quantum(joint, params),
-            unified_quantum(a, params) + unified_quantum(b, params),
+            e[joint][k],
+            e[a][k] + e[b][k],
             {"trial": i, "kind": kind, "d_a": da, "d_b": db, "q": q, "s": s},
         )
         for kind, joint, a, b in cases
@@ -413,27 +409,17 @@ def _triangle(i, info, states):
     s >= 1/q, via purification; also verifies that both reductions of the
     purified state carry the entropies they should."""
     da, db = info
-    rho_ab, ra, rb, rho_c, rho_bc = states
 
-    def at(q, s, params):
-        e_ab = unified_quantum(rho_ab, params)
-        e_a = unified_quantum(ra, params)
+    def at(e, k, q, s):
+        e_ab, e_a, e_b, e_c, e_bc = (row[k] for row in e)
         base = {"trial": i, "d_a": da, "d_b": db, "q": q, "s": s}
         return [
-            (
-                abs(e_ab - unified_quantum(rho_c, params)),
-                0.0,
-                dict(base, kind="purified-complement"),
-            ),
-            (
-                abs(e_a - unified_quantum(rho_bc, params)),
-                0.0,
-                dict(base, kind="purified-rest"),
-            ),
-            (abs(e_a - unified_quantum(rb, params)), e_ab, dict(base, kind="triangle")),
+            (abs(e_ab - e_c), 0.0, dict(base, kind="purified-complement")),
+            (abs(e_a - e_bc), 0.0, dict(base, kind="purified-rest")),
+            (abs(e_a - e_b), e_ab, dict(base, kind="triangle")),
         ]
 
-    return at
+    return states, at
 
 
 def _pinching_draw(every, dims, i, rng):
@@ -450,27 +436,22 @@ def _pinching_draw(every, dims, i, rng):
 def _pinching(i, info, states):
     """Pinching pushes tr(rho^q) up for q < 1 and down for q > 1."""
     d, resolution = info
-    rho, pinched = states
 
-    def at(q, s, params):
-        t_rho = trace_power(rho, q)
-        t_pin = trace_power(pinched, q)
+    def at(t, k, q, s):
+        t_rho, t_pin = t[0][k], t[1][k]
         case = {"trial": i, "d": d, "q": q, "blocks": resolution.size}
         if q < 1.0:
             return [(t_rho, t_pin, dict(case, direction="raise"))]
         return [(t_pin, t_rho, dict(case, direction="lower"))]
 
-    return at
+    return states, at
 
 
 def _projective(i, info, states):
     """Pinching never lowers the unified entropy: E(rho) <= E(pinched)."""
     d, resolution = info
-    rho, pinched = states
-    return lambda q, s, params: [(
-        unified_quantum(rho, params),
-        unified_quantum(pinched, params),
-        {"trial": i, "d": d, "q": q, "s": s, "blocks": resolution.size},
+    return states, lambda e, k, q, s: [(
+        e[0][k], e[1][k], {"trial": i, "d": d, "q": q, "s": s, "blocks": resolution.size}
     )]
 
 
@@ -480,12 +461,14 @@ class Suite:
 
     ``draw(dims, i, rng)`` gives (info, matrices) for trial i and
     ``derive`` an optional second stage (see ``_chunked_trials``).
-    ``trial(i, info, states)`` returns ``at(q, s, params)``, the
-    (lhs, rhs, case) comparisons "lhs <= rhs" at one grid point, or None
-    to skip it.  Points outside ``claimed`` are skipped without a call.
-    ``pairs`` suites draw (d_A, d_B) pairs.  ``q_only`` claims, on
-    tr(rho^q) or Schatten norms, ignore s: each distinct q of the grid is
-    compared once.
+    ``trial(i, info, states)`` returns (holders, ``at``): the spectrum
+    holders whose table rows the trial reads, and ``at(rows, k, q, s)``,
+    the (lhs, rhs, case) comparisons "lhs <= rhs" at the k-th claimed
+    point, or None to skip it.  ``rows`` holds one row per holder, in
+    order, of entropies at the claimed points, or of power sums tr(rho^q)
+    for ``q_only`` claims; those ignore s, so each distinct q of the grid
+    is compared once.  Points outside ``claimed`` are skipped without a
+    call.  ``pairs`` suites draw (d_A, d_B) pairs.
     """
 
     draw: Callable
@@ -543,22 +526,33 @@ def _run_suite(name, trials, seed, dims, grid, rec=None) -> CheckReport:
     if suite.q_only:
         # s is ignored, so a q repeated with another s would repeat its comparisons
         grid = list({p.q: p for p in grid}.values())
-    points = [(p.q, p.s, p) for p in grid if suite.claimed(p.q, p.s)]
+    claimed = [p for p in grid if suite.claimed(p.q, p.s)]
+    points = [(k, p.q, p.s) for k, p in enumerate(claimed)]
     unclaimed = len(grid) - len(points)
     if rec is None:
         rec = _Recorder(name, seed)
     draw = functools.partial(suite.draw, dims or suite.dims)
-    for i, info, states in _chunked_trials(name, seed, trials, draw, suite.derive):
-        rec.trials += 1
-        rec.skipped += unclaimed
-        at = suite.trial(i, info, states)
-        for q, s, params in points:
-            cases = at(q, s, params)
-            if cases is None:
-                rec.skipped += 1
-                continue
-            for lhs, rhs, case in cases:
-                rec.compare(lhs, rhs, case)
+    for chunk in _chunked_trials(name, seed, trials, draw, suite.derive):
+        setups = [suite.trial(i, info, states) for i, info, states in chunk]
+        # one table of the whole chunk, bit for bit the per-point values
+        holders = [h for hs, _ in setups for h in hs]
+        if suite.q_only:
+            table = _power_sums(holders, [p.q for p in claimed]).tolist()
+        else:
+            table = _entropy_rows(holders, claimed)
+        start = 0
+        for hs, at in setups:
+            rows = table[start : start + len(hs)]
+            start += len(hs)
+            rec.trials += 1
+            rec.skipped += unclaimed
+            for k, q, s in points:
+                cases = at(rows, k, q, s)
+                if cases is None:
+                    rec.skipped += 1
+                    continue
+                for lhs, rhs, case in cases:
+                    rec.compare(lhs, rhs, case)
     return rec.report()
 
 

@@ -25,6 +25,7 @@ from entropy_kit.bounds import (
 from entropy_kit.entropies import UnifiedParams, tsallis, unified_quantum
 from entropy_kit.errors import DomainError, InvalidIndex, OutOfValidity
 from entropy_kit.linops import diagonal_density, random_density, trace_distance
+from entropy_kit.verify import FANNES_GRID
 
 
 def example_pair(eps: float, d: int):
@@ -138,6 +139,8 @@ class TestKappa:
     def test_needs_q_above_one(self):
         with pytest.raises(InvalidIndex):
             kappa_s(1.0, -1.0, 4)
+        with pytest.raises(InvalidIndex):
+            kappa_s(math.nan, -1.0, 4)
 
     @pytest.mark.parametrize("d", [1, 4.7, 10**400, float("nan"), 2**53 + 1])
     def test_dimension_must_be_an_exact_integer(self, d):
@@ -180,6 +183,24 @@ class TestUnifiedBound:
     def test_high_region_without_dimension_factor(self):
         spec = BoundSpec(2.0, 1.5, 4, 0.1)
         assert unified_fannes_bound(spec) == fannes_tsallis_high_q(spec)
+
+    @pytest.mark.parametrize("q,s", FANNES_GRID)
+    def test_bit_identical_to_checked_composition(self, q, s):
+        # the bound skips kappa_s's re-checks of q and d, which BoundSpec
+        # and the region have made; its values must not change
+        for d in range(2, 7):
+            for eps in (0.0, 0.01, 0.3, 1.0):
+                spec = BoundSpec(q, s, d, eps)
+                try:
+                    if fannes_range(q, s) == "high":
+                        expect = kappa_s(q, s, d) * fannes_tsallis_high_q(spec)
+                    else:
+                        expect = fannes_tsallis_low_q(spec)
+                except OutOfValidity:
+                    with pytest.raises(OutOfValidity):
+                        unified_fannes_bound(spec)
+                    continue
+                assert unified_fannes_bound(spec).hex() == expect.hex()
 
     @pytest.mark.parametrize("q,s", [(2.0, 0.5), (0.5, -0.5), (0.5, 2.0), (1.0, 1.0)])
     def test_gap_raises(self, q, s):

@@ -278,6 +278,20 @@ class TestCheckCommand:
         assert code == exit_code
         assert out == (DATA / fixture).read_text()
 
+    def test_limit_window_grid_matches_fixture(self, capsys):
+        """q = 1 and q = 1 + 5e-8 lie in the q -> 1 window, s = 0 and
+        s = 1e-10 in the s -> 0 window; pinching compares power sums even
+        at q = 1.  No default grid reaches these points.  The fixture was
+        written by the one-point-at-a-time harness; mixing claims none of
+        its points, so the run is not a pass."""
+        argv = [
+            "check", "all", "--trials", "30", "--seed", "9", "--json",
+            "--q-grid", "1,1.00000005,1.5", "--s-grid=-1,0,1e-10,1",
+        ]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 1
+        assert out == (DATA / "check-all-trials30-seed9-qlimit.jsonl").read_text()
+
     @pytest.mark.parametrize(
         "argv",
         [

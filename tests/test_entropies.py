@@ -6,10 +6,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from entropy_kit.entropies import (
     UnifiedParams,
+    _entropy_rows,
+    _from_power_sum,
     binary_tsallis,
     q_log,
     renyi,
@@ -21,10 +23,14 @@ from entropy_kit.entropies import (
 )
 from entropy_kit.errors import DomainError, InvalidIndex
 from entropy_kit.linops import (
+    DensityOperator,
     ProbabilityDistribution,
+    _power_sums,
+    density_operators,
     diagonal_density,
     maximally_mixed,
     random_density,
+    random_density_matrix,
     random_unitary,
 )
 
@@ -263,6 +269,42 @@ class TestFamilyStructure:
         with pytest.raises(DomainError):
             unified_from_power_sum(0.0, 2.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "t,q,error",
+        [
+            (0.0, 2.0, DomainError),
+            (-0.5, 2.0, DomainError),
+            (math.nan, 2.0, DomainError),
+            (0.5, 0.0, InvalidIndex),
+            (0.5, -1.0, InvalidIndex),
+            (0.5, math.nan, InvalidIndex),
+            (0.5, math.inf, InvalidIndex),
+            (0.5, 1.0, InvalidIndex),
+            (0.5, 1.0 - 5e-8, InvalidIndex),
+            (0.5, 1.0 + 5e-8, InvalidIndex),
+        ],
+    )
+    def test_power_sum_backbone_checks_its_inputs(self, t, q, error):
+        # the unchecked kernel behind it serves only callers that checked
+        with pytest.raises(error):
+            unified_from_power_sum(t, q, 1.0)
+
+    @given(
+        st.floats(1e-300, 1e6),
+        st.one_of(st.floats(0.01, 8.0), st.sampled_from([0.5, 2.0, 1.0 + 2e-7])),
+        st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, 1e-10, -1e-10, 1.0])),
+    )
+    def test_kernel_bit_equal_to_checked_form(self, t, q, s):
+        assume(not UnifiedParams(q, s).is_q_limit)  # refused by both callers of the kernel
+
+        def value(f):
+            try:
+                return f(t, q, s).hex()
+            except OverflowError:  # t^s beyond the float range, in both forms alike
+                return "overflow"
+
+        assert value(_from_power_sum) == value(unified_from_power_sum)
+
 
 class TestBinaryTsallis:
     @pytest.mark.parametrize("eps,q", [(0.1, 2.0), (0.3, 0.5), (0.0, 1.5), (1.0, 2.0)])
@@ -331,3 +373,60 @@ class TestMemoizedEvaluation:
             params = UnifiedParams(q, s)
             assert unified_quantum(rho, params).hex() == self.direct(rho.eigenvalues, params).hex()
             assert unified_classical(dist, params).hex() == self.direct(dist.probs, params).hex()
+
+
+class TestEntropyTable:
+    """A chunk of the harness reads every entropy from one table of its
+    spectrum holders at the grid points; each cell must be bit-equal to the
+    per-point ``unified_quantum`` / ``unified_classical`` / ``power_sum``."""
+
+    @staticmethod
+    def holders(rng, lengths):
+        out = []
+        for d in lengths:
+            if rng.uniform() < 0.5:
+                # states built in one stack, as in the harness; a rank below
+                # d leaves eigenvalues snapped to exact zeros
+                out.append(random_density_matrix(d, int(rng.integers(1, d + 1)), rng))
+                continue
+            p = rng.dirichlet(np.ones(d))
+            p[rng.uniform(size=d) < 0.3] = 0.0
+            p[0] += 1.0 - p.sum()
+            out.append(ProbabilityDistribution(p))
+        mats = [h for h in out if isinstance(h, np.ndarray)]
+        states = iter(density_operators(mats))
+        return [next(states) if isinstance(h, np.ndarray) else h for h in out]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.lists(st.integers(1, 20), min_size=1, max_size=12),
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.sampled_from([0.5, 2.0, 1.0, 1.0 + 5e-8, 1.0 - 5e-8]),
+                    st.floats(0.05, 6.0),
+                ),
+                st.one_of(st.sampled_from([0.0, 1e-10, -1e-10, 1.0]), st.floats(-3.0, 3.0)),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_bit_equal_to_per_point_path(self, seed, lengths, points):
+        holders = self.holders(np.random.default_rng(seed), lengths)
+        grid = [UnifiedParams(q, s) for q, s in points]
+        rows = _entropy_rows(holders, grid)
+        sums = _power_sums(holders, [p.q for p in grid]).tolist()
+        assert len(rows) == len(sums) == len(holders)
+        for h, row, sum_row in zip(holders, rows, sums):
+            quantum = isinstance(h, DensityOperator)
+            for k, params in enumerate(grid):
+                alone = (unified_quantum if quantum else unified_classical)(h, params)
+                assert row[k].hex() == alone.hex()
+                assert sum_row[k].hex() == h.power_sum(params.q).hex()
+
+    def test_empty_chunk_and_empty_grid(self):
+        assert _entropy_rows([], [UnifiedParams(2.0, 1.0)]) == []
+        assert _entropy_rows([FLAT4, SKEW], []) == [(), ()]
+        assert _power_sums([FLAT4], []).shape == (1, 0)

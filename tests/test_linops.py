@@ -44,7 +44,6 @@ from entropy_kit.linops import (
     schatten_norm,
     tensor,
     trace_distance,
-    trace_power,
     write_matrix,
 )
 
@@ -100,7 +99,7 @@ class TestDensityOperator:
         # would amplify; the cache must report exact zeros instead
         rho = random_density(5, 1, seed=3)
         assert np.sum(rho.eigenvalues > 0) == 1
-        assert trace_power(rho, 0.3) == pytest.approx(1.0, abs=1e-12)
+        assert rho.power_sum(0.3) == pytest.approx(1.0, abs=1e-12)
 
     def test_eigenvalues_descending_and_consistent(self):
         rho = random_density(4, 4, seed=11)
@@ -146,7 +145,7 @@ class TestNorms:
     @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0])
     def test_schatten_matches_trace_power(self, q):
         rho = random_density(5, 4, seed=8)
-        assert schatten_norm(rho, q) == pytest.approx(trace_power(rho, q) ** (1 / q))
+        assert schatten_norm(rho, q) == pytest.approx(rho.power_sum(q) ** (1 / q))
 
 
 class TestTraceDistance:
@@ -170,34 +169,34 @@ class TestTraceDistance:
 
 
 class TestTracePower:
+    """tr(rho^q), the power sum ``DensityOperator.power_sum`` of the spectrum."""
+
     @pytest.mark.parametrize("q", [0.4, 1.0, 2.0, 3.7])
     def test_pure_state(self, q):
         rho = diagonal_density([1.0, 0.0])
-        assert trace_power(rho, q) == pytest.approx(1.0)
+        assert rho.power_sum(q) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("d,q", [(2, 0.5), (4, 2.0), (5, 3.0)])
     def test_maximally_mixed(self, d, q):
-        assert trace_power(maximally_mixed(d), q) == pytest.approx(float(d) ** (1 - q))
+        assert maximally_mixed(d).power_sum(q) == pytest.approx(float(d) ** (1 - q))
 
     def test_perturbed_pure_value(self):
         omega = diagonal_density([0.9] + [0.1 / 3] * 3)
-        assert trace_power(omega, 2.0) == pytest.approx(0.81 + 0.01 / 3, abs=1e-12)
+        assert omega.power_sum(2.0) == pytest.approx(0.81 + 0.01 / 3, abs=1e-12)
 
     def test_unit_power_is_trace(self):
         rho = random_density(6, 4, seed=9)
-        assert trace_power(rho, 1.0) == pytest.approx(1.0, abs=1e-10)
+        assert rho.power_sum(1.0) == pytest.approx(1.0, abs=1e-10)
 
     def test_rejects_nonpositive_q(self):
         with pytest.raises(InvalidIndex):
-            trace_power(maximally_mixed(2), 0.0)
+            maximally_mixed(2).power_sum(0.0)
 
     def test_rejects_nan_q_without_memoizing_it(self):
         rho = maximally_mixed(2)
         for q in (np.nan, float("nan")):
             with pytest.raises(InvalidIndex):
-                trace_power(rho, q)
-        with pytest.raises(InvalidIndex):
-            rho.power_sum(np.nan)
+                rho.power_sum(q)
         assert rho._power_sums == {}
 
 
@@ -218,7 +217,7 @@ class TestPowerSumMemo:
         rho = random_density(d, int(np.random.default_rng(seed).integers(1, d + 1)), seed)
         dist = ProbabilityDistribution(np.random.default_rng(seed).dirichlet(np.ones(d)))
         for q in qs + qs:  # first and repeated calls
-            assert bits(trace_power(rho, q)) == bits(np.sum(rho.eigenvalues**q))
+            assert bits(rho.power_sum(q)) == bits(np.sum(rho.eigenvalues**q))
             assert bits(dist.power_sum(q)) == bits(np.sum(dist.probs**q))
 
     def test_not_shared_between_instances(self):
@@ -226,10 +225,10 @@ class TestPowerSumMemo:
         b = DensityOperator.from_matrix(a.mat)
         p = ProbabilityDistribution([0.5, 0.5])
         r = ProbabilityDistribution([0.5, 0.5])
-        trace_power(a, 2.0)
+        a.power_sum(2.0)
         p.power_sum(2.0)
         a.shannon()
-        assert a._power_sums == {2.0: trace_power(a, 2.0)}
+        assert a._power_sums == {2.0: a.power_sum(2.0)}
         assert b._power_sums == {} and b._shannon is None
         assert r._power_sums == {}
         assert len({id(x._power_sums) for x in (a, b, p, r)}) == 4
@@ -238,10 +237,10 @@ class TestPowerSumMemo:
         rho = random_density(4, 3, seed=5)
         qs = np.linspace(0.05, 6.0, 10_000)
         for q in qs:
-            assert bits(trace_power(rho, q)) == bits(np.sum(rho.eigenvalues**q))
+            assert bits(rho.power_sum(q)) == bits(np.sum(rho.eigenvalues**q))
         assert len(rho._power_sums) <= POWER_SUM_MEMO_CAP
         for q in (qs[0], qs[-1], 2.0):  # memoized and unmemoized q alike
-            assert bits(trace_power(rho, q)) == bits(np.sum(rho.eigenvalues**q))
+            assert bits(rho.power_sum(q)) == bits(np.sum(rho.eigenvalues**q))
         assert len(rho._power_sums) <= POWER_SUM_MEMO_CAP
 
 
