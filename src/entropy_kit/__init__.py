@@ -14,11 +14,9 @@ from .errors import (
 )
 from .tolerances import TOL, Tolerances
 from .linops import (
-    BipartiteState,
     DensityOperator,
     GeneralizedMeasurement,
     HermitianOperator,
-    Isometry,
     OrthogonalResolution,
     ProbabilityDistribution,
     PureStateEnsemble,
@@ -26,8 +24,6 @@ from .linops import (
     density_operators,
     diagonal_density,
     ensemble_from_state,
-    matrix_from_dict,
-    matrix_to_dict,
     maximally_mixed,
     partial_trace,
     pinch,
@@ -76,7 +72,6 @@ from .verify import (
     report_ok,
     run_check,
     search_subadditivity_violation,
-    stability_example_states,
     stability_ratio,
 )
 

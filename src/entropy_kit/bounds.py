@@ -5,7 +5,8 @@ form valid for q in (0, 2] while 2*eps stays below q^(1/(1-q)), and a
 high-index form for q > 1.  The unified bound composes these over the two
 proven (q, s) regions, with a dimension factor d^(2(q-1)) on the high-q
 side for s in [-1, 0].  Evaluating a bound outside its region raises
-OutOfValidity instead of returning a number.
+OutOfValidity instead of returning a number.  Indices follow the rule of
+``UnifiedParams`` (q positive and finite, s finite), else InvalidIndex.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .entropies import binary_tsallis, q_log
+from .entropies import UnifiedParams, binary_tsallis, q_log
 from .errors import DomainError, InvalidIndex, OutOfValidity
 from .tolerances import TOL
 
@@ -50,8 +51,11 @@ class BoundSpec:
     eps: float
 
     def __post_init__(self):
-        if not self.q > 0:
-            raise InvalidIndex(f"entropic index q must be positive, got {self.q!r}")
+        # UnifiedParams' rule, inline: every bound evaluation builds a spec
+        if not 0.0 < self.q < math.inf:
+            raise InvalidIndex(f"entropic index q must be positive and finite, got {self.q!r}")
+        if not -math.inf < self.s < math.inf:
+            raise InvalidIndex(f"entropic index s must be finite, got {self.s!r}")
         _check_dimension(self.d, 2)
         if not 0.0 <= self.eps <= 1.0:
             raise DomainError(f"trace distance must lie in [0, 1], got {self.eps!r}")
@@ -61,8 +65,8 @@ def eta_q(x: float, q: float) -> float:
     """Generalized eta function (x^q - x)/(1 - q); -x ln x at q -> 1."""
     if x < 0:
         raise DomainError(f"eta needs x >= 0, got {x!r}")
-    if not q > 0:
-        raise InvalidIndex(f"eta needs q > 0, got {q!r}")
+    if not 0.0 < q < math.inf:  # inline, as in BoundSpec: on every low-index bound
+        raise InvalidIndex(f"entropic index q must be positive and finite, got {q!r}")
     if abs(q - 1.0) < TOL.q_limit:
         return -x * math.log(x) if x > 0 else 0.0
     return (x**q - x) / (1.0 - q)
@@ -73,8 +77,8 @@ def low_q_threshold(q: float) -> float:
 
     Continuous through q = 1 where it equals 1/e.
     """
-    if not q > 0:
-        raise InvalidIndex(f"threshold needs q > 0, got {q!r}")
+    if not 0.0 < q < math.inf:  # inline, as in BoundSpec: on every low-index bound
+        raise InvalidIndex(f"entropic index q must be positive and finite, got {q!r}")
     if q == 1.0:
         return math.exp(-1.0)
     return math.exp(math.log1p(q - 1.0) / (1.0 - q))
@@ -113,6 +117,7 @@ def kappa_s(q: float, s: float, d: int) -> float:
     Equals d^(2(q-1)) for s in [-1, 0] and 1 for s >= 1; the strip
     0 < s < 1 (and s < -1) is outside the proven region.
     """
+    UnifiedParams(q, s)
     if not q > 1:
         raise InvalidIndex(f"dimension factor needs q > 1, got {q!r}")
     _check_dimension(d, 2)
@@ -158,10 +163,13 @@ def unified_fannes_bound(spec: BoundSpec) -> float:
     )
 
 
-def lipschitz_bound(eps: float, q: float) -> float:
-    """Lipschitz-type bound 2 q (q - 1)^(-1) eps, for q >= 1 and s >= 1."""
+def lipschitz_bound(eps: float, q: float, s: float) -> float:
+    """Lipschitz-type bound 2 q (q - 1)^(-1) eps, for q > 1 and s >= 1."""
+    UnifiedParams(q, s)
     if not q > 1:
         raise InvalidIndex(f"Lipschitz bound needs q > 1, got {q!r}")
+    if s < 1.0:
+        raise OutOfValidity(f"Lipschitz bound proven for s >= 1, got {s!r}")
     if not 0.0 <= eps <= 1.0:
         raise DomainError(f"trace distance must lie in [0, 1], got {eps!r}")
     return 2.0 * q / (q - 1.0) * eps
@@ -173,15 +181,19 @@ def max_unified(q: float, s: float, d: int) -> float:
     Attained at the maximally mixed state: (d^((1-q)s) - 1)/((1-q)s),
     which degenerates to ln d at s = 0 or q -> 1, and to 0 at d = 1.
     """
-    if not q > 0:
-        raise InvalidIndex(f"entropic index q must be positive, got {q!r}")
+    UnifiedParams(q, s)
     _check_dimension(d, 1)
     if d == 1:
         return 0.0
     if abs(q - 1.0) < TOL.q_limit or abs(s) < TOL.s_limit:
         return math.log(d)
     x = (1.0 - q) * s
-    return math.expm1(x * math.log(d)) / x
+    try:
+        return math.expm1(x * math.log(d)) / x
+    except OverflowError:
+        raise DomainError(
+            f"maximum at q = {q!r}, s = {s!r}, d = {d!r} exceeds the float range"
+        ) from None
 
 
 def stability_ratio_bound(spec: BoundSpec) -> float:
@@ -200,6 +212,7 @@ def thermodynamic_ratio_limit(q: float, s: float, eps: float) -> float:
     Equals s (1 - (1 - eps)^q) = s [eps^q + (q - 1) H_q(eps, 1-eps)],
     which stays below s * q * eps.
     """
+    UnifiedParams(q, s)
     if not q > 1:
         raise InvalidIndex(f"thermodynamic limit needs q > 1, got {q!r}")
     if s < 1.0:

@@ -35,7 +35,7 @@ from .entropies import (
     unified_classical,
     unified_quantum,
 )
-from .errors import EntropyKitError, OutOfValidity
+from .errors import EntropyKitError
 from .linops import ProbabilityDistribution, read_density
 from .verify import ALL_CHECKS, StabilityExample, report_ok, run_check, stability_ratio
 
@@ -213,13 +213,12 @@ def _bound_value(name: str, q: float, s: float, d: int, eps: float):
     if name == "unified_fannes":
         return unified_fannes_bound(BoundSpec(q, s, d, eps))
     if name == "lipschitz":
-        if not s >= 1.0:
-            raise OutOfValidity("Lipschitz bound applies for s >= 1")
-        return lipschitz_bound(eps, q)
+        return lipschitz_bound(eps, q, s)
     return max_unified(q, s, d)
 
 
 def cmd_bounds(args) -> int:
+    UnifiedParams(args.q, args.s)  # a bad index is an error, not a table of nan
     rows = []
     for eps in args.eps:
         for name in BOUND_NAMES:

@@ -79,7 +79,12 @@ def unified_from_power_sum(t: float, q: float, s: float) -> float:
     _check_q(q)
     if abs(q - 1.0) < TOL.q_limit:
         raise InvalidIndex("power-sum form is undefined in the q -> 1 limit window")
-    return _from_power_sum(t, q, s)
+    try:
+        return _from_power_sum(t, q, s)
+    except OverflowError:
+        raise DomainError(
+            f"entropy at t = {t!r}, q = {q!r}, s = {s!r} exceeds the float range"
+        ) from None
 
 
 def _unified(spectrum, params: UnifiedParams) -> float:

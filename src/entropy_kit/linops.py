@@ -1,9 +1,9 @@
 """Dense Hermitian operator core.
 
 Validated state and operator types with their spectra, Schatten norms,
-composite-system operations (tensor, partial trace, purification),
-pinching and generalized measurements, seeded random sampling, and a
-small JSON matrix file format.
+composite-system operations (tensor, purification, and the partial
+trace and pinching of plain matrices), generalized measurements, seeded
+random sampling, and a small JSON matrix file format.
 
 Composite indices are row-major throughout: a bipartite basis label
 (i_A, i_B) maps to i_A * d_B + i_B, matching ``numpy.kron``.
@@ -324,31 +324,6 @@ class PureStateEnsemble:
 
 
 @dataclass(frozen=True, eq=False)
-class Isometry:
-    """Matrix with orthonormal columns: U^dagger U = I within tolerance."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        mat = np.array(self.entries, dtype=np.complex128)
-        if mat.ndim != 2 or mat.shape[0] < mat.shape[1] or mat.shape[1] == 0:
-            raise DomainError(f"isometry needs shape (m, r) with m >= r >= 1, got {mat.shape}")
-        gram = mat.conj().T @ mat
-        # written so that a NaN entry (defect nan) fails too
-        if not np.abs(gram - np.eye(mat.shape[1])).max() <= TOL.orthonormal:
-            raise DomainError("isometry columns are not orthonormal within tolerance")
-        object.__setattr__(self, "entries", _frozen(mat))
-
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
 class OrthogonalResolution:
     """Hermitian projectors N_j with N_j N_k = 0 for j != k and sum N_j = I."""
 
@@ -412,23 +387,6 @@ class GeneralizedMeasurement:
         return self.operators[0].shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class BipartiteState:
-    """Density operator on a tensor product, with the factor dimensions."""
-
-    rho_ab: DensityOperator
-    dim_a: int
-    dim_b: int
-
-    def __post_init__(self):
-        if self.dim_a < 1 or self.dim_b < 1:
-            raise DomainError("factor dimensions must be positive")
-        if self.dim_a * self.dim_b != self.rho_ab.dim:
-            raise DimMismatch(
-                f"{self.dim_a} x {self.dim_b} does not match dimension {self.rho_ab.dim}"
-            )
-
-
 def _matrix_of(a) -> np.ndarray:
     if isinstance(a, DensityOperator):
         return a.mat
@@ -466,25 +424,24 @@ def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
     return DensityOperator.from_matrix(np.kron(a.mat, b.mat))
 
 
-def partial_trace_matrix(mat: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
-    """Reduced matrix of factor "A" or "B" of a (dim_a*dim_b)-square matrix.
+def partial_trace(mat: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
+    """Reduced matrix of factor "A" (``keep="A"``) or "B" of a
+    (dim_a*dim_b)-square matrix; the other factor is traced out.
 
-    Unvalidated: for matrices that need no ``DensityOperator`` of their
-    own, such as a rank-1 purification whose spectrum is never read.
+    Unvalidated beyond shapes: build a ``DensityOperator`` of the result
+    where its spectrum is needed.
     """
+    n = dim_a * dim_b
+    if dim_a < 1 or dim_b < 1 or mat.shape != (n, n):
+        raise DimMismatch(
+            f"matrix of shape {mat.shape} does not match the bipartition {dim_a} x {dim_b}"
+        )
     blocks = mat.reshape(dim_a, dim_b, dim_a, dim_b)
     if keep == "A":
         return np.einsum("abcb->ac", blocks)
     if keep == "B":
         return np.einsum("abac->bc", blocks)
     raise DomainError(f'keep must be "A" or "B", got {keep!r}')
-
-
-def partial_trace(state: BipartiteState, keep: str) -> DensityOperator:
-    """Reduced state of factor "A" or "B"."""
-    return DensityOperator.from_matrix(
-        partial_trace_matrix(state.rho_ab.mat, state.dim_a, state.dim_b, keep)
-    )
 
 
 def purify(rho: DensityOperator) -> np.ndarray:
@@ -496,24 +453,15 @@ def purify(rho: DensityOperator) -> np.ndarray:
     return (rho.eigenvectors * roots).reshape(-1)
 
 
-def pinch_matrix(mat: np.ndarray, resolution: OrthogonalResolution) -> np.ndarray:
-    """Pinched matrix sum_j N_j mat N_j, unvalidated."""
-    if mat.shape[0] != resolution.dim:
-        raise DimMismatch(
-            f"operator dimension {mat.shape[0]} does not match resolution {resolution.dim}"
-        )
+def pinch(mat: np.ndarray, resolution: OrthogonalResolution) -> np.ndarray:
+    """Pinched matrix sum_j N_j mat N_j, unvalidated beyond shapes."""
+    d = resolution.dim
+    if mat.shape != (d, d):
+        raise DimMismatch(f"matrix of shape {mat.shape} does not match resolution dimension {d}")
     out = np.zeros_like(mat)
     for proj in resolution.projectors:
         out += proj.entries @ mat @ proj.entries
     return out
-
-
-def pinch(a, resolution: OrthogonalResolution):
-    """Pinching sum_j N_j a N_j; a DensityOperator input yields one back."""
-    out = pinch_matrix(_matrix_of(a), resolution)
-    if isinstance(a, DensityOperator):
-        return DensityOperator.from_matrix(out)
-    return HermitianOperator(out)
 
 
 def apply_generalized(rho: DensityOperator, meas: GeneralizedMeasurement) -> DensityOperator:
@@ -557,7 +505,7 @@ def random_density(d: int, rank: int, seed) -> DensityOperator:
     return DensityOperator.from_matrix(random_density_matrix(d, rank, seed))
 
 
-def random_unitary(d: int, seed) -> Isometry:
+def random_unitary(d: int, seed) -> np.ndarray:
     """Haar-distributed unitary via QR with phase-normalized R diagonal."""
     if d < 1:
         raise DomainError(f"dimension must be positive, got {d!r}")
@@ -565,29 +513,22 @@ def random_unitary(d: int, seed) -> Isometry:
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(g)
     dia = r.diagonal()
-    return Isometry(q * (dia / np.abs(dia)))
+    return q * (dia / np.abs(dia))
 
 
-def ensemble_from_state(
-    rho: DensityOperator, m: int, seed, isometry: Isometry | None = None
-) -> PureStateEnsemble:
+def ensemble_from_state(rho: DensityOperator, m: int, seed) -> PureStateEnsemble:
     """Random pure-state ensemble of size m averaging to rho.
 
     Unnormalized members sqrt(p_i)|psi_i> = sum_j u_ij sqrt(lambda_j)|phi_j>
-    are built from an m x r isometry u (Haar by default, r = rank of rho),
-    so p_i = sum_j |u_ij|^2 lambda_j.  Members with weight below
-    ``TOL.ensemble_weight`` are discarded.
+    are built from the first r = rank(rho) columns u of the Haar unitary
+    ``random_unitary(m, seed)``, so p_i = sum_j |u_ij|^2 lambda_j.
+    Members with weight below ``TOL.ensemble_weight`` are discarded.
     """
     lam = rho.eigenvalues
     r = int(np.sum(lam > TOL.rank))
     if m < r:
         raise InvalidIndex(f"ensemble size {m} below the state rank {r}")
-    if isometry is None:
-        u = random_unitary(m, seed).entries[:, :r]
-    else:
-        u = isometry.entries
-        if u.shape != (m, r):
-            raise DimMismatch(f"isometry shape {u.shape} does not match ({m}, {r})")
+    u = random_unitary(m, seed)[:, :r]
     roots = np.sqrt(lam[:r])
     raw = (u * roots) @ rho.eigenvectors[:, :r].T
     weights = np.einsum("ij,ij->i", raw, raw.conj()).real
@@ -624,7 +565,7 @@ def random_resolution(d: int, seed, ranks=None) -> OrthogonalResolution:
     ranks = [int(r) for r in ranks]
     if sum(ranks) != d or any(r < 1 for r in ranks):
         raise DomainError(f"block ranks {ranks} do not partition dimension {d}")
-    u = random_unitary(d, rng).entries
+    u = random_unitary(d, rng)
     projs = []
     start = 0
     for r in ranks:
@@ -634,39 +575,28 @@ def random_resolution(d: int, seed, ranks=None) -> OrthogonalResolution:
     return OrthogonalResolution(tuple(projs))
 
 
-def matrix_to_dict(a) -> dict:
+def write_matrix(path, a) -> None:
+    """Write a Hermitian or density operator as JSON {"d", "re", "im"}."""
     mat = _matrix_of(a)
-    return {
-        "d": mat.shape[0],
-        "re": mat.real.tolist(),
-        "im": mat.imag.tolist(),
-    }
+    record = {"d": mat.shape[0], "re": mat.real.tolist(), "im": mat.imag.tolist()}
+    Path(path).write_text(json.dumps(record))
 
 
-def matrix_from_dict(data: dict) -> HermitianOperator:
+def read_matrix(path) -> HermitianOperator:
+    """Read a JSON matrix file; shape and Hermiticity are validated on load."""
+    text = Path(path).read_text()
     try:
+        data = json.loads(text)
         d = int(data["d"])
         re = np.array(data["re"], dtype=np.float64)
         im = np.array(data["im"], dtype=np.float64)
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"matrix file is not valid JSON: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed matrix record: {exc}") from exc
     if re.shape != (d, d) or im.shape != (d, d):
         raise DimMismatch(f"matrix entries do not have shape ({d}, {d})")
     return HermitianOperator(re + 1j * im)
-
-
-def write_matrix(path, a) -> None:
-    """Write a Hermitian or density operator as JSON {"d", "re", "im"}."""
-    Path(path).write_text(json.dumps(matrix_to_dict(a)))
-
-
-def read_matrix(path) -> HermitianOperator:
-    """Read a JSON matrix file; Hermiticity is validated on load."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"matrix file is not valid JSON: {exc}") from exc
-    return matrix_from_dict(data)
 
 
 def read_density(path) -> DensityOperator:

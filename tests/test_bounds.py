@@ -230,11 +230,18 @@ class TestUnifiedBound:
 
 class TestLipschitz:
     def test_frozen(self):
-        assert lipschitz_bound(0.1, 2.0) == pytest.approx(0.4)
+        assert lipschitz_bound(0.1, 2.0, 1.0) == pytest.approx(0.4)
+        assert lipschitz_bound(0.1, 2.0, 3.0) == lipschitz_bound(0.1, 2.0, 1.0)
 
     def test_needs_q_above_one(self):
         with pytest.raises(InvalidIndex):
-            lipschitz_bound(0.1, 1.0)
+            lipschitz_bound(0.1, 1.0, 1.0)
+
+    @pytest.mark.parametrize("s", [0.999, 0.5, 0.0, -1.0])
+    def test_needs_s_at_least_one(self, s):
+        # the library holds the validity rule that the CLI table relies on
+        with pytest.raises(OutOfValidity):
+            lipschitz_bound(0.1, 2.0, s)
 
     @given(st.integers(0, 2_000))
     @settings(max_examples=40, deadline=None)
@@ -249,7 +256,41 @@ class TestLipschitz:
                 unified_quantum(rho, UnifiedParams(q, s))
                 - unified_quantum(sigma, UnifiedParams(q, s))
             )
-            assert diff <= lipschitz_bound(eps, q) + 1e-10
+            assert diff <= lipschitz_bound(eps, q, s) + 1e-10
+
+
+BAD_Q = (0.0, -1.0, math.nan, math.inf)
+BAD_S = (math.nan, math.inf, -math.inf)
+
+
+class TestIndexRule:
+    """q positive and finite and s finite, in every function of bounds."""
+
+    @pytest.mark.parametrize("q", BAD_Q)
+    def test_rejects_bad_q(self, q):
+        for call in (
+            lambda: BoundSpec(q, 1.0, 4, 0.1),
+            lambda: max_unified(q, 1.0, 4),
+            lambda: lipschitz_bound(0.1, q, 1.0),
+            lambda: eta_q(0.2, q),
+            lambda: low_q_threshold(q),
+            lambda: kappa_s(q, 1.0, 4),
+            lambda: thermodynamic_ratio_limit(q, 1.0, 0.1),
+        ):
+            with pytest.raises(InvalidIndex, match="q must be positive and finite"):
+                call()
+
+    @pytest.mark.parametrize("s", BAD_S)
+    def test_rejects_non_finite_s(self, s):
+        for call in (
+            lambda: BoundSpec(2.0, s, 4, 0.1),
+            lambda: max_unified(2.0, s, 4),
+            lambda: lipschitz_bound(0.1, 2.0, s),
+            lambda: kappa_s(2.0, s, 4),
+            lambda: thermodynamic_ratio_limit(2.0, s, 0.1),
+        ):
+            with pytest.raises(InvalidIndex, match="s must be finite"):
+                call()
 
 
 class TestMaxUnified:
@@ -269,6 +310,11 @@ class TestMaxUnified:
     def test_dimension_must_be_an_exact_integer(self, d):
         with pytest.raises(DomainError):
             max_unified(2.0, 1.0, d)
+
+    @pytest.mark.parametrize("q,s,d", [(0.1, 2.0, int(1e300)), (3.0, -2.0, int(1e200))])
+    def test_overflow_is_a_domain_error(self, q, s, d):
+        with pytest.raises(DomainError, match="exceeds the float range"):
+            max_unified(q, s, d)
 
 
 class TestStabilityFunctional:

@@ -395,6 +395,46 @@ class TestBoundsCommand:
         assert doc["d"] == 4
         assert len(doc["rows"]) == 5 * 5  # default eps grid x bound names
 
+    def test_dimension_one_table(self, capsys):
+        # Lipschitz needs s >= 1 but no d; the others need d >= 2
+        code, out, _ = run_cli(capsys, ["bounds", "--q", "2", "--s", "1", "--d", "1", "--eps", "0.1"])
+        assert code == 0
+        assert out == (
+            "q=2  s=1  d=1\n"
+            "eps=0.1      fannes_tsallis_low_q   out-of-validity\n"
+            "eps=0.1      fannes_tsallis_high_q  out-of-validity\n"
+            "eps=0.1      unified_fannes         out-of-validity\n"
+            "eps=0.1      lipschitz              0.4\n"
+            "eps=0.1      max_unified            0\n"
+        )
+        code, out, _ = run_cli(
+            capsys, ["bounds", "--q", "2", "--s", "0.5", "--d", "1", "--eps", "0.1", "--csv"]
+        )
+        assert code == 0
+        assert out.splitlines()[4:] == ["0.1,lipschitz,,false", "0.1,max_unified,0,true"]
+
+
+class TestBadIndicesAndOverflow:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # a bad index or a value beyond the float range, never a nan,
+            # a 0 or a traceback
+            ["bounds", "--q", "inf", "--s", "1", "--d", "3"],
+            ["bounds", "--q", "2", "--s", "nan", "--d", "3"],
+            ["bounds", "--q", "0", "--s", "1", "--d", "3"],
+            ["stability", "--example", "0", "--q", "2", "--s", "nan", "--eps", "0.1", "--dims", "10"],
+            ["stability", "--example", "0", "--q", "inf", "--s", "1", "--eps", "0.1", "--dims", "10"],
+            ["stability", "--example", "0", "--q", "0.1", "--s", "2", "--eps", "0.1", "--dims", "1e300"],
+        ],
+    )
+    def test_is_an_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
 
 class TestModuleEntry:
     def test_subprocess_smoke(self):

@@ -162,7 +162,7 @@ class TestQuantum:
 
     def test_unitary_invariance(self):
         rho = diagonal_density([0.6, 0.3, 0.1])
-        u = random_unitary(3, seed=51).entries
+        u = random_unitary(3, seed=51)
         rotated = type(rho).from_matrix(u @ rho.mat @ u.conj().T)
         for q, s in [(0.5, 2.0), (2.0, -1.0), (1.0, 0.0)]:
             assert unified_quantum(rotated, UnifiedParams(q, s)) == pytest.approx(
@@ -296,14 +296,19 @@ class TestFamilyStructure:
     )
     def test_kernel_bit_equal_to_checked_form(self, t, q, s):
         assume(not UnifiedParams(q, s).is_q_limit)  # refused by both callers of the kernel
+        try:
+            expect = _from_power_sum(t, q, s).hex()
+        except OverflowError:
+            # t^s beyond the float range: the public form names the range
+            with pytest.raises(DomainError, match="float range"):
+                unified_from_power_sum(t, q, s)
+            return
+        assert unified_from_power_sum(t, q, s).hex() == expect
 
-        def value(f):
-            try:
-                return f(t, q, s).hex()
-            except OverflowError:  # t^s beyond the float range, in both forms alike
-                return "overflow"
-
-        assert value(_from_power_sum) == value(unified_from_power_sum)
+    @pytest.mark.parametrize("t,q,s", [(1e-200, 8.0, -2.0), (1e300, 0.1, 3.0)])
+    def test_overflow_is_a_domain_error(self, t, q, s):
+        with pytest.raises(DomainError, match="exceeds the float range"):
+            unified_from_power_sum(t, q, s)
 
 
 class TestBinaryTsallis:

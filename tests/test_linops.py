@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,11 +18,9 @@ from entropy_kit.errors import (
 )
 from entropy_kit.linops import (
     POWER_SUM_MEMO_CAP,
-    BipartiteState,
     DensityOperator,
     GeneralizedMeasurement,
     HermitianOperator,
-    Isometry,
     OrthogonalResolution,
     ProbabilityDistribution,
     PureStateEnsemble,
@@ -28,12 +28,9 @@ from entropy_kit.linops import (
     density_operators,
     diagonal_density,
     ensemble_from_state,
-    matrix_from_dict,
-    matrix_to_dict,
     maximally_mixed,
     partial_trace,
     pinch,
-    pinch_matrix,
     purify,
     random_density,
     random_density_matrix,
@@ -259,31 +256,46 @@ class TestComposite:
     def test_partial_trace_recovers_factors(self):
         a = random_density(3, 2, seed=4)
         b = random_density(2, 2, seed=5)
-        state = BipartiteState(tensor(a, b), 3, 2)
-        assert np.abs(partial_trace(state, "A").mat - a.mat).max() < 1e-12
-        assert np.abs(partial_trace(state, "B").mat - b.mat).max() < 1e-12
+        prod = tensor(a, b).mat
+        assert np.abs(partial_trace(prod, 3, 2, "A") - a.mat).max() < 1e-12
+        assert np.abs(partial_trace(prod, 3, 2, "B") - b.mat).max() < 1e-12
 
     def test_partial_trace_of_maximally_entangled(self):
         psi = np.zeros(4)
         psi[0] = psi[3] = 1 / np.sqrt(2)
-        state = BipartiteState(DensityOperator.from_matrix(np.outer(psi, psi)), 2, 2)
-        assert np.allclose(partial_trace(state, "A").mat, np.eye(2) / 2)
+        assert np.allclose(partial_trace(np.outer(psi, psi), 2, 2, "A"), np.eye(2) / 2)
 
     def test_partial_trace_keep_validation(self):
-        state = BipartiteState(maximally_mixed(4), 2, 2)
         with pytest.raises(DomainError):
-            partial_trace(state, "C")
+            partial_trace(maximally_mixed(4).mat, 2, 2, "C")
 
     def test_bipartite_dims_must_factor(self):
         with pytest.raises(DimMismatch):
-            BipartiteState(maximally_mixed(6), 2, 2)
+            partial_trace(maximally_mixed(6).mat, 2, 2, "A")
+
+    @pytest.mark.parametrize(
+        "mat,dim_a,dim_b",
+        [
+            (np.full((2, 3), 1.0 / 6.0), 2, 3),  # not square
+            (np.full((3, 2), 1.0 / 6.0), 3, 2),
+            (np.eye(6) / 6, 2, 2),  # 2 x 2 does not make 6
+            (np.eye(6) / 6, 3, 3),
+            (np.eye(4) / 4, 0, 4),  # non-positive factor
+            (np.eye(4) / 4, -2, -2),
+            (np.ones(4) / 4, 2, 2),  # not a matrix
+        ],
+    )
+    def test_partial_trace_shape_errors(self, mat, dim_a, dim_b):
+        for keep in ("A", "B"):
+            with pytest.raises(DimMismatch):
+                partial_trace(mat, dim_a, dim_b, keep)
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_purify_round_trip(self, seed):
         rho = random_density(3, 2, seed=seed)
-        psi = DensityOperator.from_matrix(np.outer(purify(rho), purify(rho).conj()))
-        reduced = partial_trace(BipartiteState(psi, 3, 3), "A")
-        assert np.abs(reduced.mat - rho.mat).max() < 1e-10
+        psi = purify(rho)
+        reduced = partial_trace(np.outer(psi, psi.conj()), 3, 3, "A")
+        assert np.abs(reduced - rho.mat).max() < 1e-10
 
     def test_purify_of_pure_state_is_product(self):
         rho = diagonal_density([1.0, 0.0])
@@ -295,43 +307,51 @@ class TestComposite:
 class TestPinch:
     def test_basis_resolution_keeps_diagonal(self):
         rho = random_density(4, 4, seed=6)
-        pinched = pinch(rho, basis_resolution(4))
-        assert np.allclose(pinched.mat, np.diag(rho.mat.diagonal()))
+        pinched = pinch(rho.mat, basis_resolution(4))
+        assert np.allclose(pinched, np.diag(rho.mat.diagonal()))
 
     def test_identity_resolution_is_noop(self):
         rho = random_density(3, 3, seed=6)
         res = OrthogonalResolution((np.eye(3),))
-        assert np.abs(pinch(rho, res).mat - rho.mat).max() < 1e-14
+        assert np.abs(pinch(rho.mat, res) - rho.mat).max() < 1e-14
 
     def test_preserves_trace_and_type(self):
         rho = random_density(5, 5, seed=10)
-        pinched = pinch(rho, random_resolution(5, seed=10))
-        assert isinstance(pinched, DensityOperator)
-        assert pinched.mat.trace().real == pytest.approx(1.0, abs=1e-12)
+        pinched = pinch(rho.mat, random_resolution(5, seed=10))
+        assert isinstance(pinched, np.ndarray) and pinched.shape == (5, 5)
+        assert pinched.trace().real == pytest.approx(1.0, abs=1e-12)
+        assert DensityOperator.from_matrix(pinched).dim == 5
 
     def test_idempotent(self):
         rho = random_density(4, 4, seed=12)
         res = random_resolution(4, seed=12)
-        once = pinch(rho, res)
+        once = pinch(rho.mat, res)
         twice = pinch(once, res)
-        assert np.abs(twice.mat - once.mat).max() < 1e-12
+        assert np.abs(twice - once).max() < 1e-12
 
     @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 4.0])
     def test_pinching_never_raises_schatten_norm(self, q):
         for seed in range(10):
             rho = random_density(4, 4, seed=seed)
-            pinched = pinch(rho, random_resolution(4, seed=seed))
+            pinched = DensityOperator.from_matrix(pinch(rho.mat, random_resolution(4, seed=seed)))
             assert schatten_norm(pinched, q) <= schatten_norm(rho, q) + 1e-10
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
-            pinch(maximally_mixed(3), basis_resolution(2))
+            pinch(maximally_mixed(3).mat, basis_resolution(2))
 
-    def test_hermitian_input_gives_hermitian_output(self):
-        op = HermitianOperator(np.diag([1.0, -1.0]))
-        out = pinch(op, basis_resolution(2))
-        assert isinstance(out, HermitianOperator)
-        assert not isinstance(out, DensityOperator)
+    @pytest.mark.parametrize(
+        "mat",
+        [
+            np.eye(3) / 3,  # resolution is on C^2
+            np.full((2, 3), 1.0 / 3.0),  # not square
+            np.full((3, 2), 1.0 / 3.0),
+            np.ones(2) / 2,  # not a matrix
+        ],
+    )
+    def test_shape_errors(self, mat):
+        with pytest.raises(DimMismatch):
+            pinch(mat, basis_resolution(2))
 
 
 class TestResolutionValidation:
@@ -373,7 +393,7 @@ class TestGeneralizedMeasurement:
         projs = tuple(np.outer(eye[:, j], eye[:, j]) for j in range(3))
         meas = GeneralizedMeasurement(projs)
         res = OrthogonalResolution(projs)
-        assert np.abs(apply_generalized(rho, meas).mat - pinch(rho, res).mat).max() < 1e-12
+        assert np.abs(apply_generalized(rho, meas).mat - pinch(rho.mat, res)).max() < 1e-12
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
@@ -382,15 +402,6 @@ class TestGeneralizedMeasurement:
     def test_nan_entry_rejected(self):
         with pytest.raises(IncompleteMeasurement):
             GeneralizedMeasurement(([[np.nan, 0], [0, 1]],))
-
-
-class TestIsometry:
-    def test_nan_entry_rejected(self):
-        with pytest.raises(DomainError):
-            Isometry([[np.nan], [0]])
-
-    def test_orthonormal_columns_accepted(self):
-        assert Isometry(np.eye(3)[:, :2]).cols == 2
 
 
 GOOD_MATRICES = (
@@ -480,14 +491,9 @@ class TestMatrixLevelHelpers:
         state = random_density(4, 2, seed=21)
         assert bit_equal(state.mat, random_density_matrix(4, 2, 21))
 
-    def test_pinch_reuses_matrix(self):
-        rho = random_density(3, 3, seed=22)
-        res = random_resolution(3, seed=23)
-        assert bit_equal(pinch(rho, res).mat, pinch_matrix(rho.mat, res))
-
     def test_pinch_matrix_dim_mismatch(self):
         with pytest.raises(DimMismatch):
-            pinch_matrix(np.eye(2) / 2, basis_resolution(3))
+            pinch(np.eye(2) / 2, basis_resolution(3))
 
 
 class TestRandomSampling:
@@ -507,12 +513,12 @@ class TestRandomSampling:
             random_density(3, 0, seed=0)
 
     def test_random_unitary_is_unitary(self):
-        u = random_unitary(6, seed=23).entries
+        u = random_unitary(6, seed=23)
         assert np.abs(u.conj().T @ u - np.eye(6)).max() < 1e-12
 
     def test_random_unitary_deterministic(self):
         assert np.array_equal(
-            random_unitary(3, seed=24).entries, random_unitary(3, seed=24).entries
+            random_unitary(3, seed=24), random_unitary(3, seed=24)
         )
 
     def test_random_resolution_completeness(self):
@@ -531,23 +537,15 @@ class TestRandomSampling:
 
 
 class TestEnsembleFromState:
-    def test_identity_isometry_gives_eigen_ensemble(self):
-        rho = random_density(3, 3, seed=30)
-        r = int(np.sum(rho.eigenvalues > 1e-12))
-        ens = ensemble_from_state(rho, r, seed=0, isometry=Isometry(np.eye(r)))
-        assert ens.weights.probs == pytest.approx(rho.eigenvalues[:r], abs=1e-12)
-        for j, psi in enumerate(ens.states):
-            overlap = abs(np.vdot(rho.eigenvectors[:, j], psi))
-            assert overlap == pytest.approx(1.0, abs=1e-10)
-
     def test_weights_match_unistochastic_mixture(self):
         # independent oracle: p_i = sum_j |u_ij|^2 lambda_j
         rho = random_density(4, 3, seed=31)
         r = int(np.sum(rho.eigenvalues > 1e-12))
         m = 6
-        u = Isometry(random_unitary(m, seed=32).entries[:, :r])
-        ens = ensemble_from_state(rho, m, seed=0, isometry=u)
-        expect = (np.abs(u.entries) ** 2) @ rho.eigenvalues[:r]
+        # the ensemble is built from the first r columns of this unitary
+        u = random_unitary(m, seed=32)[:, :r]
+        ens = ensemble_from_state(rho, m, seed=32)
+        expect = (np.abs(u) ** 2) @ rho.eigenvalues[:r]
         assert ens.weights.probs == pytest.approx(expect, abs=1e-12)
 
     def test_power_sum_ordering_against_spectrum(self):
@@ -595,19 +593,40 @@ class TestMatrixIO:
         again = read_density(path)
         assert again.dim == 3
 
-    def test_schema_fields(self):
-        data = matrix_to_dict(maximally_mixed(2))
+    def test_schema_fields(self, tmp_path):
+        path = tmp_path / "state.json"
+        write_matrix(path, maximally_mixed(2))
+        data = json.loads(path.read_text())
         assert set(data) == {"d", "re", "im"}
         assert data["d"] == 2
 
-    def test_hermiticity_validated_on_load(self):
+    def test_hermiticity_validated_on_load(self, tmp_path):
         bad = {"d": 2, "re": [[0.0, 1.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
         with pytest.raises(NonHermitian):
-            matrix_from_dict(bad)
+            read_matrix(path)
 
-    def test_shape_validated(self):
+    def test_shape_validated(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"d": 3, "re": [[1.0]], "im": [[0.0]]}))
         with pytest.raises(DimMismatch):
-            matrix_from_dict({"d": 3, "re": [[1.0]], "im": [[0.0]]})
+            read_matrix(path)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"re": [[1.0]], "im": [[0.0]]},  # no "d"
+            {"d": "x", "re": [[1.0]], "im": [[0.0]]},
+            {"d": 1, "re": [["x"]], "im": [[0.0]]},
+            [1, 2],  # not a record
+        ],
+    )
+    def test_malformed_record(self, tmp_path, record):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(record))
+        with pytest.raises(DomainError, match="malformed matrix record"):
+            read_matrix(path)
 
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.json"

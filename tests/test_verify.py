@@ -24,38 +24,54 @@ from entropy_kit import verify
 from entropy_kit.verify import (
     ALL_CHECKS,
     QUBIT_MEASUREMENT,
+    CheckReport,
     StabilityExample,
-    _Recorder,
     qubit_measurement_decrease,
     report_ok,
     run_check,
     search_subadditivity_violation,
-    stability_example_states,
     stability_ratio,
 )
 
 REPORT_KEYS = {"check", "trials", "skipped", "failures", "max_violation", "worst_case", "seed"}
 
 
+def stability_example_states(
+    ex: StabilityExample, max_dim: int = 4096
+) -> tuple[DensityOperator, DensityOperator]:
+    """The example pair as diagonal density operators, to cross-check the
+    closed form; large dimensions are refused rather than allocated."""
+    if ex.d > max_dim:
+        raise DomainError(f"refusing to materialize dimension {ex.d} > {max_dim}")
+    d, eps = ex.d, ex.eps
+    if ex.variant == "example0":
+        first = [1.0] + [0.0] * (d - 1)
+        second = [1.0 - eps] + [eps / (d - 1)] * (d - 1)
+    else:
+        first = [0.0] + [1.0 / (d - 1)] * (d - 1)
+        second = [eps] + [(1.0 - eps) / (d - 1)] * (d - 1)
+    return diagonal_density(first), diagonal_density(second)
+
+
 class TestRecorder:
     def test_flags_blatant_violation(self):
-        rec = _Recorder("demo", 0)
+        rec = CheckReport("demo")
         assert rec.compare(2.0, 1.0, {"tag": "x"})
         assert rec.failures == 1
         assert rec.max_violation == pytest.approx(1.0)
         assert rec.worst_case["lhs"] == 2.0 and rec.worst_case["rhs"] == 1.0
 
     def test_tolerates_roundoff(self):
-        rec = _Recorder("demo", 0)
+        rec = CheckReport("demo")
         assert not rec.compare(1.0 + 1e-9, 1.0, {})
         assert rec.failures == 0
 
     def test_strict_mode_rejects_equality(self):
-        rec = _Recorder("demo", 0)
+        rec = CheckReport("demo")
         assert rec.compare(1.0, 1.0, {}, strict=True)
 
     def test_tracks_worst_case(self):
-        rec = _Recorder("demo", 0)
+        rec = CheckReport("demo")
         rec.compare(1.5, 1.0, {"tag": "small"})
         rec.compare(3.0, 1.0, {"tag": "big"})
         rec.compare(1.1, 1.0, {"tag": "tiny"})
@@ -63,15 +79,26 @@ class TestRecorder:
         assert rec.max_violation == pytest.approx(2.0)
 
     def test_empty_report(self):
-        rep = _Recorder("demo", 7).report()
+        rep = CheckReport("demo", seed=7)
         assert rep.max_violation == 0.0
         assert rep.worst_case is None
-        assert rep.failures == 0 and rep.trials == 0
+        assert rep.failures == 0 and rep.trials == 0 and rep.comparisons == 0
+        assert rep.to_dict()["seed"] == 7
+
+    def test_first_comparison_is_the_worst_case_even_below_zero(self):
+        # "no comparison yet" is worst_case None, not max_violation 0.0, so
+        # a suite whose every comparison holds reports its closest one
+        rep = CheckReport("demo")
+        rep.compare(1.0, 3.0, {"tag": "first"})
+        rep.compare(1.0, 4.0, {"tag": "looser"})
+        assert rep.max_violation == -2.0
+        assert rep.worst_case == {"tag": "first", "lhs": 1.0, "rhs": 3.0}
+        assert rep.comparisons == 2 and rep.failures == 0
 
     def test_wrong_regime_scalar_instance_is_caught(self):
         # |x^s - y^s| <= s|x - y| holds on [0, 1] for s >= 1 but breaks on
         # the tail: x = 1, y = 3, s = 2 gives 8 > 4
-        rec = _Recorder("demo", 0)
+        rec = CheckReport("demo")
         assert rec.compare(abs(1.0**2 - 3.0**2), 2.0 * abs(1.0 - 3.0), {})
 
 
@@ -124,11 +151,11 @@ class TestReports:
         assert run_check(name, trials=8, seed=5).to_json() == default
 
     def test_report_ok_inverts_for_violation_search(self):
-        empty = _Recorder("subadd-violation", 0).report()
+        empty = CheckReport("subadd-violation")
         assert not report_ok(empty)
-        regular = _Recorder("fannes", 0)
+        regular = CheckReport("fannes")
         regular.compare(2.0, 1.0, {})
-        assert not report_ok(regular.report())
+        assert not report_ok(regular)
 
 
 class TestGrid:
@@ -190,14 +217,6 @@ class TestSeededViolations:
         assert rep.worst_case["kind"] == "seeded"
         assert rep.max_violation == pytest.approx(1.0, abs=1e-12)
 
-    def test_seeded_instances_present_in_every_region(self):
-        # both analytic instances run regardless of the sampled region, so
-        # the report can never come back empty
-        for region in ("low-q", "high-q"):
-            rep = search_subadditivity_violation(region=region, trials=0, seed=0)
-            assert rep.failures == 2
-            assert rep.max_violation == pytest.approx(1.0, abs=1e-12)
-
     def test_analytic_violation_magnitudes(self):
         # on I/2 (x) I/2 the gap E(AB) - 2 E(A) is exactly 1 at (2, -1)
         # and 6 - 4 sqrt 2 at (1/2, 1)
@@ -207,10 +226,6 @@ class TestSeededViolations:
             params = UnifiedParams(q, s)
             gap = unified_quantum(prod, params) - 2.0 * unified_quantum(mm, params)
             assert gap == pytest.approx(expect, abs=1e-12)
-
-    def test_region_argument(self):
-        with pytest.raises(DomainError):
-            search_subadditivity_violation(region="middle")
 
 
 class TestQubitMeasurement:
@@ -262,6 +277,16 @@ class TestStabilityExamples:
     def test_dimension_must_be_an_exact_integer(self, d):
         with pytest.raises(DomainError):
             StabilityExample("example0", 0.01, d, 0.5, -1.0)
+
+    @pytest.mark.parametrize("q,s", [(math.inf, 1.0), (math.nan, 1.0), (2.0, math.nan), (2.0, math.inf)])
+    def test_indices_must_be_finite(self, q, s):
+        with pytest.raises(InvalidIndex):
+            StabilityExample("example0", 0.1, 10, q, s)
+
+    def test_overflow_is_a_domain_error(self):
+        ex = StabilityExample("example0", 0.1, int(1e300), 0.1, 2.0)
+        with pytest.raises(DomainError, match="float range"):
+            stability_ratio(ex)
 
     def test_example1_frozen_small_dimension(self):
         # d = 10, q = 2, s = -1: power sums 1/9 and 1/10, entropies 8 and 9
