@@ -81,7 +81,10 @@ def low_q_threshold(q: float) -> float:
         raise InvalidIndex(f"entropic index q must be positive and finite, got {q!r}")
     if q == 1.0:
         return math.exp(-1.0)
-    return math.exp(math.log1p(q - 1.0) / (1.0 - q))
+    # log1p keeps ln q accurate near 1; for q below about 1e-16, q - 1
+    # rounds to -1.0, which log1p refuses
+    log_q = math.log1p(q - 1.0) if q - 1.0 > -1.0 else math.log(q)
+    return math.exp(log_q / (1.0 - q))
 
 
 def fannes_tsallis_low_q(spec: BoundSpec) -> float:
@@ -127,7 +130,12 @@ def kappa_s(q: float, s: float, d: int) -> float:
 def _kappa_s(q: float, s: float, d: int) -> float:
     """``kappa_s`` for a q > 1 and d that the caller has checked."""
     if -1.0 <= s <= 0.0:
-        return float(d) ** (2.0 * (q - 1.0))
+        try:
+            return float(d) ** (2.0 * (q - 1.0))
+        except OverflowError:
+            raise DomainError(
+                f"dimension factor at q = {q!r}, d = {d!r} exceeds the float range"
+            ) from None
     if s >= 1.0:
         return 1.0
     raise OutOfValidity(f"no proven factor for s = {s!r} at q > 1")

@@ -35,7 +35,7 @@ from .entropies import (
     unified_classical,
     unified_quantum,
 )
-from .errors import EntropyKitError
+from .errors import DomainError, EntropyKitError
 from .linops import ProbabilityDistribution, read_density
 from .verify import ALL_CHECKS, StabilityExample, report_ok, run_check, stability_ratio
 
@@ -92,7 +92,10 @@ def _emit(args, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write {args.out!r}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -100,7 +103,11 @@ def _emit(args, text: str) -> None:
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
-    return int(os.environ.get(SEED_ENV, "0"))
+    text = os.environ.get(SEED_ENV, "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise DomainError(f"{SEED_ENV} must be an integer, got {text!r}") from None
 
 
 def _add_format_flags(sub) -> None:
@@ -113,7 +120,11 @@ def _add_format_flags(sub) -> None:
 def cmd_entropy(args) -> int:
     params = UnifiedParams(args.q, args.s)
     if args.dist is not None:
-        spectrum = ProbabilityDistribution(_comma_floats(args.dist))
+        try:
+            probs = _comma_floats(args.dist)
+        except ValueError:
+            raise DomainError(f"--dist takes comma-separated numbers, got {args.dist!r}") from None
+        spectrum = ProbabilityDistribution(probs)
         source, limit, unified = "dist", "shannon", unified_classical
     else:
         spectrum = read_density(args.rho)

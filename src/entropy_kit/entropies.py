@@ -87,6 +87,11 @@ def unified_from_power_sum(t: float, q: float, s: float) -> float:
         ) from None
 
 
+def _beyond_float_range(params: UnifiedParams) -> DomainError:
+    # t^s overflowed, or the power sum t underflowed to 0 (no logarithm)
+    return DomainError(f"entropy at q = {params.q!r}, s = {params.s!r} leaves the float range")
+
+
 def _unified(spectrum, params: UnifiedParams) -> float:
     """The one evaluation path: every entropy below is this function of
     a spectrum holder at some indices."""
@@ -94,7 +99,10 @@ def _unified(spectrum, params: UnifiedParams) -> float:
         spectrum = ProbabilityDistribution(spectrum)
     if params.is_q_limit:
         return spectrum.shannon()
-    return _from_power_sum(spectrum.power_sum(params.q), params.q, params.s)
+    try:
+        return _from_power_sum(spectrum.power_sum(params.q), params.q, params.s)
+    except (OverflowError, ValueError):
+        raise _beyond_float_range(params) from None
 
 
 def _entropy_rows(holders, grid) -> list:
@@ -103,12 +111,15 @@ def _entropy_rows(holders, grid) -> list:
     grid[k])``, with the power sums of each q taken once for all holders
     (see ``_power_sums``) and q -> 1 points sent through ``_unified``."""
     sums = _power_sums(holders, [p.q for p in grid]).T.tolist()
-    cols = [
-        [_unified(h, p) for h in holders]
-        if p.is_q_limit
-        else [_from_power_sum(t, p.q, p.s) for t in col]
-        for p, col in zip(grid, sums)
-    ]
+    cols = []
+    for p, col in zip(grid, sums):
+        if p.is_q_limit:
+            cols.append([_unified(h, p) for h in holders])
+            continue
+        try:
+            cols.append([_from_power_sum(t, p.q, p.s) for t in col])
+        except (OverflowError, ValueError):
+            raise _beyond_float_range(p) from None
     return list(zip(*cols)) if cols else [()] * len(holders)
 
 

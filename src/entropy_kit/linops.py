@@ -546,6 +546,13 @@ def random_resolution(d: int, seed, ranks=None) -> OrthogonalResolution:
 
     Block ranks default to a uniformly drawn composition of d with at
     least two parts, so rank-1 and higher-rank blocks both occur.
+
+    The unitary U is checked once instead of the constructor's O(k^2)
+    projector products: |U^H U - I|_max <= TOL.orthonormal / (2d) bounds
+    the idempotence, mutual orthogonality and completeness defects of the
+    block projectors U_j U_j^H by TOL.orthonormal (each is a product of
+    near-unit rows of U with a block of U^H U - I, summed over at most d
+    terms).  Their Hermiticity is checked on their stack.
     """
     rng = _rng(seed)
     if ranks is None:
@@ -566,13 +573,20 @@ def random_resolution(d: int, seed, ranks=None) -> OrthogonalResolution:
     if sum(ranks) != d or any(r < 1 for r in ranks):
         raise DomainError(f"block ranks {ranks} do not partition dimension {d}")
     u = random_unitary(d, rng)
+    # written so that a NaN entry (defect nan) fails too
+    if not np.abs(u.conj().T @ u - np.eye(d)).max() <= TOL.orthonormal / (2 * d):
+        raise DomainError("sampled unitary is not unitary within tolerance")
     projs = []
     start = 0
     for r in ranks:
         block = u[:, start : start + r]
         projs.append(block @ block.conj().T)
         start += r
-    return OrthogonalResolution(tuple(projs))
+    stack = _frozen(np.stack(projs))
+    _check_hermitian(stack)
+    resolution = object.__new__(OrthogonalResolution)
+    object.__setattr__(resolution, "projectors", tuple(map(_checked_hermitian, stack)))
+    return resolution
 
 
 def write_matrix(path, a) -> None:
@@ -584,7 +598,10 @@ def write_matrix(path, a) -> None:
 
 def read_matrix(path) -> HermitianOperator:
     """Read a JSON matrix file; shape and Hermiticity are validated on load."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"cannot read matrix file {str(path)!r}: {exc}") from None
     try:
         data = json.loads(text)
         d = int(data["d"])

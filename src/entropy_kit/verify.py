@@ -5,9 +5,10 @@ Every check draws its per-trial randomness from a SeedSequence built on
 regardless of execution order.  The random-state suites are rows of
 ``SUITES`` run by one loop, which draws the matrices of ``STATE_CHUNK``
 trials first, builds all of their states with one stacked
-``density_operators`` call and evaluates them at every grid point as
-one table, each bit-identical to working one state and point at a time.
-``run_check`` is the entry point for every suite.  A comparison
+``density_operators`` call, evaluates them at every grid point as one
+table and judges the chunk's claims as arrays over (trial, point, case),
+each step bit-identical to working one state, point and comparison at a
+time.  ``run_check`` is the entry point for every suite.  A comparison
 "lhs <= rhs" fails when the signed violation lhs - rhs exceeds
 TOL.check_rel * (1 + magnitude); ``failures`` counts failed comparisons,
 ``skipped`` counts grid points outside a claim's proven region or
@@ -30,7 +31,14 @@ import numpy as np
 
 from .bounds import BoundSpec, _check_dimension, fannes_range, max_unified, unified_fannes_bound
 from .entropies import UnifiedParams, _entropy_rows, unified_from_power_sum, unified_quantum
-from .errors import DimMismatch, DomainError, NotDiagonal, OutOfValidity, PureState
+from .errors import (
+    DimMismatch,
+    DomainError,
+    InvalidIndex,
+    NotDiagonal,
+    OutOfValidity,
+    PureState,
+)
 from .linops import (
     DensityOperator,
     GeneralizedMeasurement,
@@ -45,7 +53,6 @@ from .linops import (
     purify,
     random_density_matrix,
     random_resolution,
-    schatten_norm,
     tensor,
     trace_distance,
 )
@@ -74,6 +81,9 @@ _CHECK_IDS = {name: idx for idx, name in enumerate(ALL_CHECKS)}
 STATE_CHUNK = 16
 
 DEFAULT_DIMS = (2, 3, 4, 5, 6)
+#: largest system dimension ``run_check`` draws states of: a chunk holds
+#: its trials' d x d matrices and each state costs an O(d^3) eigensolve
+MAX_CHECK_DIM = 256
 DEFAULT_PAIR_DIMS = ((2, 2), (2, 3), (3, 2), (3, 3))
 SQUARE_PAIR_DIMS = ((2, 2), (2, 3), (3, 3))
 
@@ -105,7 +115,8 @@ PROJECTIVE_GRID = tuple(
 
 @dataclass
 class CheckReport:
-    """Outcome of one verification suite, accumulated by ``compare``."""
+    """Outcome of one verification suite, accumulated by ``compare`` and
+    ``compare_many``."""
 
     check: str
     trials: int = 0
@@ -133,6 +144,36 @@ class CheckReport:
             self.max_violation = violation
             self.worst_case = dict(info, lhs=float(lhs), rhs=float(rhs))
         return failed
+
+    def compare_many(self, lhs: np.ndarray, rhs: np.ndarray, case_at: Callable) -> None:
+        """Record "lhs <= rhs" for every element of two float arrays of one
+        shape, bit for bit as ``compare`` called on each in C order would.
+
+        Elementwise ``- abs maximum * +`` round as the scalar expressions
+        do; the worst case is the first index of the largest violation,
+        as the strict ``>`` in ``compare`` picks it, and a NaN violation is
+        the worst case only as the report's very first comparison.
+        ``case_at(index)`` gives the case of a flat index and is called for
+        the worst comparison alone.
+        """
+        lhs, rhs = lhs.ravel(), rhs.ravel()
+        if lhs.size == 0:
+            return
+        with np.errstate(invalid="ignore", over="ignore"):  # silent, as Python floats are
+            violation = lhs - rhs
+            slack = TOL.check_rel * (1.0 + np.maximum(np.abs(lhs), np.abs(rhs)))
+        self.comparisons += violation.size
+        self.failures += int(np.count_nonzero(violation > slack))
+        worst, best = None, self.max_violation
+        if self.worst_case is None:
+            worst, best = 0, violation[0]
+        # nothing exceeds a NaN best, and a later NaN never exceeds anything
+        j = int(np.argmax(np.where(np.isnan(violation), -np.inf, violation)))
+        if violation[j] > best:
+            worst = j
+        if worst is not None:
+            self.max_violation = float(violation[worst])
+            self.worst_case = dict(case_at(worst), lhs=float(lhs[worst]), rhs=float(rhs[worst]))
 
     def to_dict(self) -> dict:
         return {
@@ -244,23 +285,44 @@ def check_scalar_lemma(trials: int = 1000, seed: int = 0) -> CheckReport:
     return rec
 
 
+def _plain(i, info, states):
+    """Every state is a holder; the case reads the trial and its draw info."""
+    return states, (i, *info)
+
+
+def _pair_case(metas, points):
+    def case(t, k, c):
+        i, da, db = metas[t]
+        return {"trial": i, "d_a": da, "d_b": db, "q": points[k].q, "s": points[k].s}
+
+    return case
+
+
 def _ensemble_draw(dims, i, rng):
     d = int(_pick(rng, dims))
     return (rng, d), [_random_matrix(rng, d)]
 
 
 def _ensemble(i, info, states):
-    """Quantum entropy never exceeds the classical entropy of any ensemble
-    realizing the state; the Renyi line s = 0 is only claimed for q < 1."""
     rng, d = info
     (rho,) = states
     # an ensemble of m pure states needs m >= rank >= 1
     rank = int(np.sum(rho.eigenvalues > TOL.rank))
     m = int(rng.integers(rank, max(rank, 8) + 1))
     weights = ensemble_from_state(rho, m, rng).weights
-    return (rho, weights), lambda e, k, q, s: [(
-        e[0][k], e[1][k], {"trial": i, "d": d, "m": m, "q": q, "s": s}
-    )]
+    return (rho, weights), (i, d, m)
+
+
+def _ensemble_judge(metas, rows, points):
+    """Quantum entropy never exceeds the classical entropy of any ensemble
+    realizing the state; the Renyi line s = 0 is only claimed for q < 1."""
+    rho, weights = np.stack(rows, axis=1)
+
+    def case(t, k, c):
+        i, d, m = metas[t]
+        return {"trial": i, "d": d, "m": m, "q": points[k].q, "s": points[k].s}
+
+    return [(rho, weights)], None, case
 
 
 def _mixing_draw(dims, i, rng):
@@ -272,17 +334,17 @@ def _mixing_draw(dims, i, rng):
     return (d, k, weights), omegas + [mixed]
 
 
-def _mixing(i, info, states):
+def _mixing_judge(metas, rows, points):
     """Mixing concavity: sum_i p_i E(omega_i) <= E(sum_i p_i omega_i)
     for 0 < q < 1 and s <= 1."""
-    d, n, weights = info
+    # zip stops at the omegas' rows; the mixture's row is last
+    lhs = [sum(w * row for w, row in zip(meta[3], e)) for meta, e in zip(metas, rows)]
 
-    def at(e, k, q, s):
-        # zip stops at the omegas' rows; the mixture's row is last
-        lhs = sum(w * row[k] for w, row in zip(weights, e))
-        return [(lhs, e[-1][k], {"trial": i, "d": d, "k": n, "q": q, "s": s})]
+    def case(t, k, c):
+        i, d, n, _ = metas[t]
+        return {"trial": i, "d": d, "k": n, "q": points[k].q, "s": points[k].s}
 
-    return states, at
+    return [(np.stack(lhs), np.stack([e[-1] for e in rows]))], None, case
 
 
 def _fannes_draw(dims, i, rng):
@@ -299,46 +361,58 @@ def _fannes_draw(dims, i, rng):
 
 
 def _fannes(i, d, states):
+    rho, omega, *_ = states
+    return (rho, omega), (i, d, min(trace_distance(rho, omega), 1.0))
+
+
+def _fannes_judge(metas, rows, points):
     """Entropy differences of random state pairs stay below the unified
     continuity bound; low-region points whose 2*eps exceeds the
     monotonicity threshold are skipped."""
-    rho, omega, *_ = states
-    eps = min(trace_distance(rho, omega), 1.0)
+    rho, omega = np.stack(rows, axis=1)
+    bound = np.zeros((len(metas), len(points)))
+    keep = np.ones(bound.shape, dtype=bool)
+    for t, (_, d, eps) in enumerate(metas):
+        for k, p in enumerate(points):
+            try:
+                bound[t, k] = unified_fannes_bound(BoundSpec(p.q, p.s, d, eps))
+            except OutOfValidity:
+                keep[t, k] = False
 
-    def at(e, k, q, s):
-        try:
-            bound = unified_fannes_bound(BoundSpec(q, s, d, eps))
-        except OutOfValidity:
-            return None
-        diff = abs(e[0][k] - e[1][k])
-        return [(diff, bound, {"trial": i, "d": d, "q": q, "s": s, "eps": eps})]
+    def case(t, k, c):
+        i, d, eps = metas[t]
+        return {"trial": i, "d": d, "q": points[k].q, "s": points[k].s, "eps": eps}
 
-    return (rho, omega), at
+    return [(np.abs(rho - omega), bound)], keep, case
 
 
-def _audenaert(i, info, states):
+def _audenaert_judge(metas, rows, points):
     """Schatten-norm inequality ||rho_A||_q + ||rho_B||_q <= 1 + ||rho_AB||_q
-    for q > 1."""
-    da, db = info
-    rho_ab, ra, rb = states
-    # reads no table: schatten_norm also refuses q < 1
-    return (), lambda e, k, q, s: [(
-        schatten_norm(ra, q) + schatten_norm(rb, q),
-        1.0 + schatten_norm(rho_ab, q),
-        {"trial": i, "d_a": da, "d_b": db, "q": q},
-    )]
+    for q > 1, from the power sums tr(rho^q)."""
+    for p in points:
+        if p.q < 1.0:
+            raise InvalidIndex(f"Schatten norm needs q >= 1, got {p.q!r}")
+    # (tr rho^q)^(1/q) as schatten_norm takes it: scalar pow, not numpy's array **
+    norm_ab, norm_a, norm_b = np.stack([
+        [[t ** (1.0 / p.q) for t, p in zip(row, points)] for row in e.tolist()]
+        for e in rows
+    ], axis=1)
+
+    def case(t, k, c):
+        i, da, db = metas[t]
+        return {"trial": i, "d_a": da, "d_b": db, "q": points[k].q}
+
+    return [(norm_a + norm_b, 1.0 + norm_ab)], None, case
 
 
 def _subadditive(q: float, s: float) -> bool:
     return q > 1.0 and s >= 1.0 / q
 
 
-def _subadd(i, info, states):
+def _subadd_judge(metas, rows, points):
     """Subadditivity E(rho_AB) <= E(rho_A) + E(rho_B) for q > 1, s >= 1/q."""
-    da, db = info
-    return states, lambda e, k, q, s: [(
-        e[0][k], e[1][k] + e[2][k], {"trial": i, "d_a": da, "d_b": db, "q": q, "s": s}
-    )]
+    e_ab, e_a, e_b = np.stack(rows, axis=1)
+    return [(e_ab, e_a + e_b)], None, _pair_case(metas, points)
 
 
 def _violation_draw(dims, i, rng):
@@ -348,20 +422,18 @@ def _violation_draw(dims, i, rng):
     return (da, db), [fa, fb, np.kron(fa, fb)] + _bipartite_matrices(rng, da, db)
 
 
-def _violation(i, info, states):
+def _violation_judge(metas, rows, points):
     """E(rho_AB) against E(rho_A) + E(rho_B) on a product state and on a
     correlated one, where subadditivity is expected to fail."""
-    da, db = info
-    # rows of states fa, fb, prod, corr, ca, cb
-    cases = (("product", 2, 0, 1), ("correlated", 3, 4, 5))
-    return states, lambda e, k, q, s: [
-        (
-            e[joint][k],
-            e[a][k] + e[b][k],
-            {"trial": i, "kind": kind, "d_a": da, "d_b": db, "q": q, "s": s},
-        )
-        for kind, joint, a, b in cases
-    ]
+    fa, fb, prod, corr, ca, cb = np.stack(rows, axis=1)
+    kinds = ("product", "correlated")
+
+    def case(t, k, c):
+        i, da, db = metas[t]
+        p = points[k]
+        return {"trial": i, "kind": kinds[c], "d_a": da, "d_b": db, "q": p.q, "s": p.s}
+
+    return [(prod, fa + fb), (corr, ca + cb)], None, case
 
 
 def _purified_reductions(info, states):
@@ -377,22 +449,19 @@ def _purified_reductions(info, states):
     ]
 
 
-def _triangle(i, info, states):
+def _triangle_judge(metas, rows, points):
     """Triangle inequality |E(rho_A) - E(rho_B)| <= E(rho_AB) for q > 1,
     s >= 1/q, via purification; also verifies that both reductions of the
     purified state carry the entropies they should."""
-    da, db = info
-
-    def at(e, k, q, s):
-        e_ab, e_a, e_b, e_c, e_bc = (row[k] for row in e)
-        base = {"trial": i, "d_a": da, "d_b": db, "q": q, "s": s}
-        return [
-            (abs(e_ab - e_c), 0.0, dict(base, kind="purified-complement")),
-            (abs(e_a - e_bc), 0.0, dict(base, kind="purified-rest")),
-            (abs(e_a - e_b), e_ab, dict(base, kind="triangle")),
-        ]
-
-    return states, at
+    e_ab, e_a, e_b, e_c, e_bc = np.stack(rows, axis=1)
+    zero = np.zeros_like(e_ab)
+    kinds = ("purified-complement", "purified-rest", "triangle")
+    pair_case = _pair_case(metas, points)
+    return (
+        [(np.abs(e_ab - e_c), zero), (np.abs(e_a - e_bc), zero), (np.abs(e_a - e_b), e_ab)],
+        None,
+        lambda t, k, c: dict(pair_case(t, k, c), kind=kinds[c]),
+    )
 
 
 def _pinching_draw(every, dims, i, rng):
@@ -403,29 +472,32 @@ def _pinching_draw(every, dims, i, rng):
     rho = _random_matrix(rng, d)
     ranks = (1,) * d if i % every == 0 else None
     resolution = random_resolution(d, rng, ranks=ranks)
-    return (d, resolution), [rho, pinch(rho, resolution)]
+    return (d, resolution.size), [rho, pinch(rho, resolution)]
 
 
-def _pinching(i, info, states):
+def _pinching_judge(metas, rows, points):
     """Pinching pushes tr(rho^q) up for q < 1 and down for q > 1."""
-    d, resolution = info
+    t_rho, t_pin = np.stack(rows, axis=1)
+    low = np.array([p.q < 1.0 for p in points], dtype=bool)
 
-    def at(t, k, q, s):
-        t_rho, t_pin = t[0][k], t[1][k]
-        case = {"trial": i, "d": d, "q": q, "blocks": resolution.size}
-        if q < 1.0:
-            return [(t_rho, t_pin, dict(case, direction="raise"))]
-        return [(t_pin, t_rho, dict(case, direction="lower"))]
+    def case(t, k, c):
+        i, d, blocks = metas[t]
+        q = points[k].q
+        direction = "raise" if q < 1.0 else "lower"
+        return {"trial": i, "d": d, "q": q, "blocks": blocks, "direction": direction}
 
-    return states, at
+    return [(np.where(low, t_rho, t_pin), np.where(low, t_pin, t_rho))], None, case
 
 
-def _projective(i, info, states):
+def _projective_judge(metas, rows, points):
     """Pinching never lowers the unified entropy: E(rho) <= E(pinched)."""
-    d, resolution = info
-    return states, lambda e, k, q, s: [(
-        e[0][k], e[1][k], {"trial": i, "d": d, "q": q, "s": s, "blocks": resolution.size}
-    )]
+    rho, pinched = np.stack(rows, axis=1)
+
+    def case(t, k, c):
+        i, d, blocks = metas[t]
+        return {"trial": i, "d": d, "q": points[k].q, "s": points[k].s, "blocks": blocks}
+
+    return [(rho, pinched)], None, case
 
 
 @dataclass(frozen=True)
@@ -434,21 +506,26 @@ class Suite:
 
     ``draw(dims, i, rng)`` gives (info, matrices) for trial i and
     ``derive`` an optional second stage (see ``_chunked_trials``).
-    ``trial(i, info, states)`` returns (holders, ``at``): the spectrum
-    holders whose table rows the trial reads, and ``at(rows, k, q, s)``,
-    the (lhs, rhs, case) comparisons "lhs <= rhs" at the k-th claimed
-    point, or None to skip it.  ``rows`` holds one row per holder, in
-    order, of entropies at the claimed points, or of power sums tr(rho^q)
-    for ``q_only`` claims; those ignore s, so each distinct q of the grid
-    is compared once.  Points outside ``claimed`` are skipped without a
-    call.  ``pairs`` suites draw (d_A, d_B) pairs.
+    ``trial(i, info, states)`` returns (holders, meta): the spectrum
+    holders whose table rows the trial reads, and what its cases name.
+    ``judge(metas, rows, points)`` then judges a whole chunk at once:
+    ``rows`` holds each trial's (holders, points) array of entropies at
+    the claimed points, or of power sums tr(rho^q) for ``q_only`` claims,
+    which ignore s and compare each distinct q of the grid once.  It
+    returns (pairs, keep, case): one (lhs, rhs) pair of (trial, point)
+    arrays per case of "lhs <= rhs", a (trial, point) mask of the points
+    inside the claim's validity window (None for all), and ``case(t, k,
+    c)``, the case dict of trial t, point k and case c.  Points outside
+    ``claimed`` are skipped without a judge.  ``pairs`` suites draw
+    (d_A, d_B) pairs.
     """
 
     draw: Callable
-    trial: Callable
+    judge: Callable
     dims: tuple
     grid: tuple
     claimed: Callable = lambda q, s: True
+    trial: Callable = _plain
     derive: Callable | None = None
     pairs: bool = False
     q_only: bool = False
@@ -456,38 +533,38 @@ class Suite:
 
 SUITES = {
     "ensemble": Suite(
-        _ensemble_draw, _ensemble, (2, 3, 4, 5), ENSEMBLE_GRID,
-        claimed=lambda q, s: not (s == 0.0 and not q < 1.0),
+        _ensemble_draw, _ensemble_judge, (2, 3, 4, 5), ENSEMBLE_GRID,
+        claimed=lambda q, s: not (s == 0.0 and not q < 1.0), trial=_ensemble,
     ),
     "mixing": Suite(
-        _mixing_draw, _mixing, DEFAULT_DIMS, MIXING_GRID,
+        _mixing_draw, _mixing_judge, DEFAULT_DIMS, MIXING_GRID,
         claimed=lambda q, s: q < 1.0 and s <= 1.0,
     ),
     "fannes": Suite(
-        _fannes_draw, _fannes, DEFAULT_DIMS, FANNES_GRID,
-        claimed=lambda q, s: fannes_range(q, s) is not None,
+        _fannes_draw, _fannes_judge, DEFAULT_DIMS, FANNES_GRID,
+        claimed=lambda q, s: fannes_range(q, s) is not None, trial=_fannes,
     ),
     "audenaert": Suite(
-        _bipartite_draw, _audenaert, DEFAULT_PAIR_DIMS, tuple((q, 0.0) for q in AUDENAERT_Q),
-        pairs=True, q_only=True,
+        _bipartite_draw, _audenaert_judge, DEFAULT_PAIR_DIMS,
+        tuple((q, 0.0) for q in AUDENAERT_Q), pairs=True, q_only=True,
     ),
     "subadd": Suite(
-        _bipartite_draw, _subadd, DEFAULT_PAIR_DIMS, SUBADD_GRID,
+        _bipartite_draw, _subadd_judge, DEFAULT_PAIR_DIMS, SUBADD_GRID,
         claimed=_subadditive, pairs=True,
     ),
     "subadd-violation": Suite(
-        _violation_draw, _violation, SQUARE_PAIR_DIMS, VIOLATION_GRID, pairs=True
+        _violation_draw, _violation_judge, SQUARE_PAIR_DIMS, VIOLATION_GRID, pairs=True
     ),
     "triangle": Suite(
-        _bipartite_draw, _triangle, SQUARE_PAIR_DIMS, SUBADD_GRID,
+        _bipartite_draw, _triangle_judge, SQUARE_PAIR_DIMS, SUBADD_GRID,
         claimed=_subadditive, derive=_purified_reductions, pairs=True,
     ),
     "pinching": Suite(
-        functools.partial(_pinching_draw, 7), _pinching, PINCHING_DIMS,
+        functools.partial(_pinching_draw, 7), _pinching_judge, PINCHING_DIMS,
         tuple((q, 0.0) for q in PINCHING_Q), q_only=True,
     ),
     "projective": Suite(
-        functools.partial(_pinching_draw, 5), _projective, DEFAULT_DIMS, PROJECTIVE_GRID
+        functools.partial(_pinching_draw, 5), _projective_judge, DEFAULT_DIMS, PROJECTIVE_GRID
     ),
 }
 
@@ -500,32 +577,29 @@ def _run_suite(name, trials, seed, dims, grid, rec=None) -> CheckReport:
         # s is ignored, so a q repeated with another s would repeat its comparisons
         grid = list({p.q: p for p in grid}.values())
     claimed = [p for p in grid if suite.claimed(p.q, p.s)]
-    points = [(k, p.q, p.s) for k, p in enumerate(claimed)]
-    unclaimed = len(grid) - len(points)
+    unclaimed = len(grid) - len(claimed)
     if rec is None:
         rec = CheckReport(name, seed=seed)
     draw = functools.partial(suite.draw, dims or suite.dims)
     for chunk in _chunked_trials(name, seed, trials, draw, suite.derive):
-        setups = [suite.trial(i, info, states) for i, info, states in chunk]
+        holders, metas = zip(*[suite.trial(i, info, states) for i, info, states in chunk])
         # one table of the whole chunk, bit for bit the per-point values
-        holders = [h for hs, _ in setups for h in hs]
+        flat = [h for hs in holders for h in hs]
         if suite.q_only:
-            table = _power_sums(holders, [p.q for p in claimed]).tolist()
+            table = _power_sums(flat, [p.q for p in claimed])
         else:
-            table = _entropy_rows(holders, claimed)
-        start = 0
-        for hs, at in setups:
-            rows = table[start : start + len(hs)]
-            start += len(hs)
-            rec.trials += 1
-            rec.skipped += unclaimed
-            for k, q, s in points:
-                cases = at(rows, k, q, s)
-                if cases is None:
-                    rec.skipped += 1
-                    continue
-                for lhs, rhs, case in cases:
-                    rec.compare(lhs, rhs, case)
+            table = np.array(_entropy_rows(flat, claimed)).reshape(len(flat), len(claimed))
+        rows = np.split(table, np.cumsum([len(hs) for hs in holders[:-1]]))
+        pairs, keep, case = suite.judge(metas, rows, claimed)
+        lhs, rhs = (np.stack(side, axis=-1) for side in zip(*pairs))
+        if keep is None:
+            keep = np.ones(lhs.shape[:2], dtype=bool)
+        at = np.argwhere(keep)
+        rec.trials += len(chunk)
+        rec.skipped += unclaimed * len(chunk) + keep.size - len(at)
+        # comparisons in (trial, point, case) order, as the claims are read
+        n = len(pairs)
+        rec.compare_many(lhs[keep], rhs[keep], lambda j: case(*at[j // n].tolist(), j % n))
     return rec
 
 
@@ -656,14 +730,20 @@ def run_check(
     dims=None,
     params_grid=None,
 ) -> CheckReport:
-    """Run one named suite; ``dims`` takes system sizes (pairs are formed
-    for the bipartite checks, capped at composite dimension 16)."""
+    """Run one named suite; ``dims`` takes system sizes in [1,
+    ``MAX_CHECK_DIM``] (pairs are formed for the bipartite checks, capped
+    at composite dimension 16) and ``seed`` a nonnegative integer."""
     if name not in ALL_CHECKS:
         raise DomainError(f"unknown check {name!r}; choose from {', '.join(ALL_CHECKS)}")
     if trials < 0:
         raise DomainError(f"trial count must be nonnegative, got {trials!r}")
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed!r}")
     if dims is not None:
         dims = tuple(int(d) for d in dims)
+        for d in dims:
+            if not 1 <= d <= MAX_CHECK_DIM:
+                raise DomainError(f"dimension must lie in [1, {MAX_CHECK_DIM}], got {d!r}")
     if name == "scalar-lemma":
         _as_grid(params_grid, ())  # reads no grid, but a bad one is still an error
         return check_scalar_lemma(trials, seed)

@@ -79,6 +79,15 @@ class TestThreshold:
         for q in (1.0 - 1e-9, 1.0 + 1e-9):
             assert low_q_threshold(q) == pytest.approx(math.exp(-1.0), rel=1e-7)
 
+    @pytest.mark.parametrize("q", [1e-300, 1e-17, 5e-324])
+    def test_tiny_q(self, q):
+        # q - 1 rounds to -1.0 here, where log1p used to raise a bare ValueError
+        assert low_q_threshold(q) == pytest.approx(q, rel=1e-12)
+
+    def test_same_bits_where_q_minus_one_is_representable(self):
+        for q in (1e-15, 0.1, 0.3, 0.7, 1.5, 2.0):
+            assert low_q_threshold(q) == math.exp(math.log1p(q - 1.0) / (1.0 - q))
+
 
 class TestLowIndexBound:
     def test_frozen(self):
@@ -146,6 +155,13 @@ class TestKappa:
     def test_dimension_must_be_an_exact_integer(self, d):
         with pytest.raises(DomainError):
             kappa_s(2.0, -1.0, d)
+
+    def test_overflow_is_a_domain_error(self):
+        # d^(2(q-1)) passes the float range: an error, not a bare OverflowError
+        with pytest.raises(DomainError, match="exceeds the float range"):
+            kappa_s(2000.0, 0.0, 2)
+        with pytest.raises(DomainError, match="exceeds the float range"):
+            unified_fannes_bound(BoundSpec(2000.0, -1.0, 3, 0.1))
 
 
 class TestRangeClassifier:

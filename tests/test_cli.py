@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from entropy_kit import cli
 from entropy_kit.cli import SEED_ENV, main
@@ -426,6 +431,11 @@ class TestBadIndicesAndOverflow:
             ["stability", "--example", "0", "--q", "2", "--s", "nan", "--eps", "0.1", "--dims", "10"],
             ["stability", "--example", "0", "--q", "inf", "--s", "1", "--eps", "0.1", "--dims", "10"],
             ["stability", "--example", "0", "--q", "0.1", "--s", "2", "--eps", "0.1", "--dims", "1e300"],
+            ["entropy", "--dist", "0.5,0.5", "--q", "2", "--s=-2000"],
+            ["entropy", "--dist", "0.5,0.5", "--q", "2000", "--s", "1"],
+            ["check", "ensemble", "--trials", "2", "--q-grid", "2", "--s-grid=-3000"],
+            ["check", "qubit-measure", "--q-grid", "1e300", "--s-grid", "1"],
+            ["check", "ensemble", "--trials", "1", "--dims", "1e300"],
         ],
     )
     def test_is_an_error(self, capsys, argv):
@@ -434,6 +444,147 @@ class TestBadIndicesAndOverflow:
         assert out == ""
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+
+def assert_clean_error(code, out, err):
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("kind", ["missing", "directory", "bytes"])
+    def test_unreadable_density_file(self, capsys, tmp_path, kind):
+        path = {"missing": tmp_path / "none.json", "directory": tmp_path}.get(kind, tmp_path / "b.json")
+        if kind == "bytes":
+            path.write_bytes(b"\xff\xfe{")
+        code, out, err = run_cli(capsys, ["entropy", "--rho", str(path), "--q", "2", "--s", "1"])
+        assert_clean_error(code, out, err)
+        assert "cannot read matrix file" in err
+
+    def test_distribution_with_a_word(self, capsys):
+        code, out, err = run_cli(capsys, ["entropy", "--dist", "0.5,abc", "--q", "2", "--s", "1"])
+        assert_clean_error(code, out, err)
+        assert "comma-separated numbers" in err
+
+    @pytest.mark.parametrize("command", [
+        ["entropy", "--dist", FLAT4, "--q", "2", "--s", "1"],
+        ["check", "fannes", "--trials", "1"],
+    ])
+    def test_out_into_a_missing_directory(self, capsys, tmp_path, command):
+        target = tmp_path / "missing" / "out.txt"
+        code, out, err = run_cli(capsys, command + ["--out", str(target)])
+        assert_clean_error(code, out, err)
+        assert "cannot write" in err
+        assert not target.parent.exists()
+
+
+class TestSeeds:
+    def test_negative_seed_flag(self, capsys):
+        code, out, err = run_cli(capsys, ["check", "fannes", "--trials", "2", "--seed", "-1"])
+        assert_clean_error(code, out, err)
+        assert "seed must be nonnegative" in err
+
+    @pytest.mark.parametrize("value,message", [("-5", "seed must be nonnegative"), ("abc", "must be an integer")])
+    def test_bad_seed_from_environment(self, capsys, monkeypatch, value, message):
+        monkeypatch.setenv(SEED_ENV, value)
+        code, out, err = run_cli(capsys, ["check", "fannes", "--trials", "2"])
+        assert_clean_error(code, out, err)
+        assert message in err
+
+    def test_seed_flag_overrides_a_bad_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv(SEED_ENV, "abc")
+        code, _, _ = run_cli(capsys, ["check", "fannes", "--trials", "2", "--seed", "3"])
+        assert code == 0
+
+
+#: values for index, eps and probability flags: edges, range limits and junk
+_FUZZ_FLOATS = (
+    "0", "-0", "1", "-1", "0.5", "2", "3", "1e-9", "1e-300", "5e-324", "1.0000001",
+    "-2000", "2000", "1e300", "-1e300", "nan", "inf", "-inf", "abc", "",
+)
+
+
+def _flag(name, values):
+    """``--name value``, or ``--name=value`` where argparse would read the
+    value as an option."""
+    return st.sampled_from(values).map(
+        lambda v: [f"{name}={v}"] if v.startswith("-") or v == "" else [name, v]
+    )
+
+
+def _command(name, *parts):
+    return st.tuples(*parts).map(lambda t: [name] + [a for part in t for a in part])
+
+
+def _maybe(strategy):
+    return st.one_of(st.just([]), strategy)
+
+
+_OUTPUT = st.tuples(
+    st.sampled_from([[], ["--json"], ["--csv"], ["--json", "--csv"]]),
+    st.sampled_from([[], ["--out", "{tmp}/out.txt"], ["--out", "{tmp}/missing/out.txt"], ["--out", "{tmp}"]]),
+).map(lambda t: t[0] + t[1])
+
+_FUZZ_ARGV = st.one_of(
+    _command(
+        "entropy",
+        st.one_of(
+            _flag("--dist", ("0.25,0.75", "1,0", "0.5,abc", "", "nan", "0.5", "1e-320,1", "2,-1", "1e400")),
+            _flag("--rho", ("{tmp}/rho.json", "{tmp}/none.json", "{tmp}", "{tmp}/bytes.json", "{tmp}/bad.json")),
+        ),
+        _flag("--q", _FUZZ_FLOATS), _flag("--s", _FUZZ_FLOATS),
+        st.sampled_from([[], ["--all"]]), _OUTPUT,
+    ),
+    _command(
+        "bounds",
+        _flag("--q", _FUZZ_FLOATS), _flag("--s", _FUZZ_FLOATS),
+        _flag("--d", ("0", "1", "2", "3", "-3", "1e3", "abc", "99999999999999999999999")),
+        _maybe(_flag("--eps", ("0,0.1", "0.5", "1.5", "-0.1", "nan", "abc", ""))), _OUTPUT,
+    ),
+    _command(
+        "stability",
+        _flag("--example", ("0", "1", "2")), _flag("--q", _FUZZ_FLOATS),
+        _flag("--s", _FUZZ_FLOATS), _flag("--eps", _FUZZ_FLOATS),
+        _maybe(_flag("--dims", ("10", "1e6", "1e300", "1", "0", "2.5", "abc", "10,1000"))), _OUTPUT,
+    ),
+    _command(
+        "check",
+        st.sampled_from(ALL_CHECKS + ("all", "bogus")).map(lambda name: [name]),
+        _flag("--trials", ("0", "1", "2", "3", "-1", "x")),
+        _maybe(_flag("--seed", ("0", "7", "-1", "x", str(2**128)))),
+        # dimensions the suites can draw in a moment, and ones they must refuse
+        _maybe(_flag("--dims", ("2", "1", "3,2", "6", "0", "2.5", "1e300", "100000"))),
+        _maybe(st.tuples(_flag("--q-grid", _FUZZ_FLOATS + ("0.5,2",)), _flag("--s-grid", _FUZZ_FLOATS + ("1,2",)))
+               .map(lambda t: t[0] + t[1])),
+        _OUTPUT,
+    ),
+)
+
+
+class TestArgumentFuzz:
+    @settings(
+        max_examples=300, deadline=None, derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(_FUZZ_ARGV, st.sampled_from([None, "3", "-5", "abc"]))
+    def test_exits_0_1_or_2_without_a_traceback(self, tmp_path, argv, seed_env):
+        (tmp_path / "rho.json").write_text('{"d": 2, "re": [[0.5, 0], [0, 0.5]], "im": [[0, 0], [0, 0]]}')
+        (tmp_path / "bytes.json").write_bytes(b"\xff\xfe{")
+        (tmp_path / "bad.json").write_text("{")
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        env = {} if seed_env is None else {SEED_ENV: seed_env}
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse: usage errors exit 2
+                code = exc.code
+            except Exception as exc:  # noqa: BLE001 - the traceback the CLI would print
+                pytest.fail(f"{argv} ({SEED_ENV}={seed_env}) raised {type(exc).__name__}: {exc}")
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue()
 
 
 class TestModuleEntry:

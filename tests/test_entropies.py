@@ -345,6 +345,24 @@ class TestIndexValidation:
         with pytest.raises(DomainError):
             renyi([0.7, 0.7], 2.0)
 
+    @pytest.mark.parametrize(
+        "q,s",
+        [
+            (2.0, -2000.0),  # t^s overflows
+            (2000.0, 1.0),  # the power sum underflows to 0, which has no logarithm
+            (2000.0, 0.0),
+        ],
+    )
+    def test_beyond_the_float_range_is_a_domain_error(self, q, s):
+        params = UnifiedParams(q, s)
+        rho = diagonal_density([0.5, 0.5])
+        with pytest.raises(DomainError, match="leaves the float range"):
+            unified_classical([0.5, 0.5], params)
+        with pytest.raises(DomainError, match="leaves the float range"):
+            unified_quantum(rho, params)
+        with pytest.raises(DomainError, match="leaves the float range"):
+            _entropy_rows([rho], [UnifiedParams(2.0, 1.0), params])
+
 
 class TestMemoizedEvaluation:
     """unified_quantum / unified_classical read power sums through a memo;

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from entropy_kit import linops
 from entropy_kit.errors import (
     DimMismatch,
     DomainError,
@@ -43,6 +45,7 @@ from entropy_kit.linops import (
     trace_distance,
     write_matrix,
 )
+from entropy_kit.tolerances import TOL
 
 
 def basis_resolution(d):
@@ -534,6 +537,60 @@ class TestRandomSampling:
     def test_random_resolution_bad_ranks(self):
         with pytest.raises(DomainError):
             random_resolution(4, seed=0, ranks=(1, 2))
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_random_resolution_passes_the_public_checks(self, d):
+        for seed in range(5):
+            ranks = (1,) * d if seed == 0 or d == 1 else None
+            res = random_resolution(d, seed=seed, ranks=ranks)
+            again = OrthogonalResolution(tuple(np.array(p.entries) for p in res.projectors))
+            assert again.size == res.size
+            assert all(not p.entries.flags.writeable for p in res.projectors)
+
+    @pytest.mark.parametrize(
+        "broken",
+        [
+            lambda u: 2.0 * u,
+            lambda u: u + 1e-9,
+            lambda u: np.where(np.eye(len(u), dtype=bool), np.nan, u),
+        ],
+    )
+    def test_random_resolution_rejects_a_non_unitary_draw(self, monkeypatch, broken):
+        unitary = linops.random_unitary
+        monkeypatch.setattr(linops, "random_unitary", lambda d, seed: broken(unitary(d, seed)))
+        with pytest.raises(DomainError, match="not unitary"):
+            random_resolution(4, seed=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 10_000), st.floats(0.5, 1.0))
+    def test_unitary_check_bounds_the_projector_defects(self, d, seed, fraction):
+        # a draw just inside |U^H U - I|_max <= TOL.orthonormal / (2d) still
+        # yields projectors that the public constructor accepts
+        rng = np.random.default_rng(seed)
+        u = random_unitary(d, rng)
+        e = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+        def defect(scale):
+            v = u + scale * e
+            return np.abs(v.conj().T @ v - np.eye(d)).max()
+
+        # the largest perturbation on a 1.05 grid within the fraction of the bound
+        scale = 1.0
+        while defect(scale) > fraction * TOL.orthonormal / (2 * d):
+            scale /= 1.05
+        near = u + scale * e
+        with mock.patch.object(linops, "random_unitary", lambda dim, seed: near):
+            res = random_resolution(d, seed=rng, ranks=(d,) if d == 1 else None)
+        # the products random_resolution skips
+        OrthogonalResolution(res.projectors)
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "bytes"])
+    def test_unreadable_matrix_file_is_a_domain_error(self, tmp_path, kind):
+        path = {"missing": tmp_path / "none.json", "directory": tmp_path}.get(kind, tmp_path / "b.json")
+        if kind == "bytes":
+            path.write_bytes(b"\xff\xfe{")
+        with pytest.raises(DomainError, match="cannot read matrix file"):
+            read_matrix(path)
 
 
 class TestEnsembleFromState:

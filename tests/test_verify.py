@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entropy_kit.entropies import UnifiedParams, unified_quantum
 from entropy_kit.bounds import max_unified
@@ -100,6 +101,63 @@ class TestRecorder:
         # the tail: x = 1, y = 3, s = 2 gives 8 > 4
         rec = CheckReport("demo")
         assert rec.compare(abs(1.0**2 - 3.0**2), 2.0 * abs(1.0 - 3.0), {})
+
+
+#: violations the scalar path orders in its own way: ties, signed zeros, NaN
+_EDGE_VALUES = (0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 1e-9, 1e300, math.inf, -math.inf, math.nan)
+
+
+class TestCompareMany:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from(_EDGE_VALUES), st.floats()),
+                st.one_of(st.sampled_from(_EDGE_VALUES), st.floats()),
+            ),
+            max_size=40,
+        ),
+        st.sampled_from([0.0, 1e3]),
+        st.lists(st.integers(0, 40), max_size=4),
+        st.sampled_from([None, (1.0, 3.0), (math.nan, 0.0), (5.0, 1.0)]),
+    )
+    def test_bit_equal_to_scalar_compares(self, pairs, shift, cuts, before):
+        # shift 1e3 makes every finite violation negative; ``before`` is a
+        # scalar comparison made first, as the seeded violation pair is
+        lhs = np.array([a for a, _ in pairs], dtype=float)
+        rhs = np.array([b + shift for _, b in pairs], dtype=float)
+        loop, many = CheckReport("demo"), CheckReport("demo")
+        if before is not None:
+            for rep in (loop, many):
+                rep.compare(*before, {"index": -1})
+        for j, (a, b) in enumerate(zip(lhs.tolist(), rhs.tolist())):
+            loop.compare(a, b, {"index": j})
+        edges = sorted({0, len(pairs), *(c for c in cuts if c <= len(pairs))})
+        for lo, hi in zip(edges, edges[1:]):
+            many.compare_many(lhs[lo:hi], rhs[lo:hi], lambda j, lo=lo: {"index": lo + j})
+        assert many.comparisons == loop.comparisons
+        # JSON keeps the sign of a zero and spells NaN, so equal text is equal bits
+        assert json.dumps(many.to_dict()) == json.dumps(loop.to_dict())
+
+    def test_nan_first_is_the_worst_case_and_later_nan_never(self):
+        rep = CheckReport("demo")
+        rep.compare_many(np.array([math.nan, 5.0]), np.array([0.0, 1.0]), lambda j: {"j": j})
+        assert math.isnan(rep.max_violation) and rep.worst_case["j"] == 0
+        rep = CheckReport("demo")
+        rep.compare_many(np.array([1.0, math.nan, 3.0, 3.0]), np.zeros(4), lambda j: {"j": j})
+        assert rep.max_violation == 3.0 and rep.worst_case["j"] == 2
+
+    def test_empty_arrays_change_nothing(self):
+        rep = CheckReport("demo")
+        rep.compare_many(np.zeros((0, 3)), np.zeros((0, 3)), lambda j: {})
+        assert rep.worst_case is None and rep.comparisons == 0
+
+    def test_case_is_built_for_the_worst_comparison_alone(self):
+        asked = []
+        rep = CheckReport("demo")
+        rep.compare_many(np.arange(6.0).reshape(2, 3), np.ones((2, 3)), lambda j: asked.append(j) or {})
+        assert asked == [5]
+        assert rep.failures == 4 and rep.comparisons == 6
 
 
 class TestReports:
@@ -207,6 +265,31 @@ class TestSuitesPass:
     def test_oversized_dims_fall_back_for_pairs(self):
         rep = run_check("subadd", trials=10, seed=3, dims=(5, 7))
         assert report_ok(rep)
+
+    @pytest.mark.parametrize("seed", [-1, -(2**70)])
+    def test_negative_seed_is_a_domain_error(self, seed):
+        with pytest.raises(DomainError, match="seed must be nonnegative"):
+            run_check("fannes", trials=1, seed=seed)
+
+    @pytest.mark.parametrize("dims", [(0,), (2, verify.MAX_CHECK_DIM + 1), (10**300,)])
+    def test_dimension_outside_the_drawable_range(self, dims):
+        # 10**300 used to reach the random generator as a bare ValueError
+        for name in ("ensemble", "subadd"):
+            with pytest.raises(DomainError, match="dimension must lie in"):
+                run_check(name, trials=1, seed=0, dims=dims)
+
+    def test_schatten_norms_refuse_q_below_one(self):
+        with pytest.raises(InvalidIndex, match="Schatten norm needs q >= 1, got 0.5"):
+            run_check("audenaert", trials=1, seed=0, params_grid=[(2.0, 0.0), (0.5, 0.0)])
+        # as before, a suite with no trial evaluates no norm
+        assert run_check("audenaert", trials=0, seed=0, params_grid=[(0.5, 0.0)]).comparisons == 0
+
+    def test_entropy_beyond_the_float_range_is_a_domain_error(self):
+        # t^s overflows at s = -3000; the qubit's power sum underflows at q = 1e300
+        with pytest.raises(DomainError, match="float range"):
+            run_check("ensemble", trials=2, seed=0, params_grid=[(2.0, -3000.0)])
+        with pytest.raises(DomainError, match="float range"):
+            run_check("qubit-measure", params_grid=[(1e300, 1.0)])
 
 
 class TestSeededViolations:
