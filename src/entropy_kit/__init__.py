@@ -4,6 +4,7 @@ from .errors import (
     DimMismatch,
     DomainError,
     EntropyKitError,
+    FloatRange,
     IncompleteMeasurement,
     InvalidIndex,
     NonHermitian,

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .entropies import UnifiedParams, binary_tsallis, q_log
-from .errors import DomainError, InvalidIndex, OutOfValidity
+from .errors import DomainError, FloatRange, InvalidIndex, OutOfValidity
 from .tolerances import TOL
 
 
@@ -133,7 +133,7 @@ def _kappa_s(q: float, s: float, d: int) -> float:
         try:
             return float(d) ** (2.0 * (q - 1.0))
         except OverflowError:
-            raise DomainError(
+            raise FloatRange(
                 f"dimension factor at q = {q!r}, d = {d!r} exceeds the float range"
             ) from None
     if s >= 1.0:
@@ -199,7 +199,7 @@ def max_unified(q: float, s: float, d: int) -> float:
     try:
         return math.expm1(x * math.log(d)) / x
     except OverflowError:
-        raise DomainError(
+        raise FloatRange(
             f"maximum at q = {q!r}, s = {s!r}, d = {d!r} exceeds the float range"
         ) from None
 

@@ -5,7 +5,9 @@ density-matrix file), ``check`` (run verification suites), ``stability``
 (closed-form stability-ratio sweeps over dimension), ``bounds``
 (tabulate continuity bounds over a trace-distance grid).
 
-Numbers in text and CSV output carry 12 significant digits.  JSON mode
+Numbers in text and CSV output carry 12 significant digits.  A ``bounds``
+row or an ``entropy --all`` extra whose value leaves the float range is
+null in JSON, blank in CSV and ``out-of-float-range`` in text.  JSON mode
 emits one document per line for ``check`` and a single document
 otherwise.  The ``ENTROPY_KIT_SEED`` environment variable supplies the
 default seed when ``--seed`` is absent.
@@ -35,7 +37,7 @@ from .entropies import (
     unified_classical,
     unified_quantum,
 )
-from .errors import DomainError, EntropyKitError
+from .errors import DomainError, EntropyKitError, FloatRange
 from .linops import ProbabilityDistribution, read_density
 from .verify import ALL_CHECKS, StabilityExample, report_ok, run_check, stability_ratio
 
@@ -48,6 +50,10 @@ BOUND_NAMES = (
     "lipschitz",
     "max_unified",
 )
+
+
+#: how text output shows a value that leaves the float range
+BEYOND_RANGE = "out-of-float-range"
 
 
 def _fmt(x: float) -> str:
@@ -131,20 +137,28 @@ def cmd_entropy(args) -> int:
         source, limit, unified = "rho", "von_neumann", unified_quantum
     values = {"unified": unified(spectrum, params)}
     if args.all:
-        values["renyi"] = renyi(spectrum, args.q)
-        values["tsallis"] = tsallis(spectrum, args.q)
-        values["type_q"] = type_q_entropy(spectrum, args.q)
-        values[limit] = renyi(spectrum, 1.0)
+        extras = {
+            "renyi": (renyi, args.q),
+            "tsallis": (tsallis, args.q),
+            "type_q": (type_q_entropy, args.q),
+            limit: (renyi, 1.0),
+        }
+        for name, (entropy, q) in extras.items():
+            try:
+                values[name] = entropy(spectrum, q)
+            except FloatRange:  # shown as missing, as in the bounds table
+                values[name] = None
     if args.json:
         doc = {"q": args.q, "s": args.s, "source": source}
         doc.update(values)
         _emit(args, json.dumps(doc))
     elif args.csv:
-        lines = ["name,value"] + [f"{k},{_fmt(v)}" for k, v in values.items()]
+        lines = ["name,value"] + [f"{k},{'' if v is None else _fmt(v)}" for k, v in values.items()]
         _emit(args, "\n".join(lines))
     elif args.all:
         width = max(len(k) for k in values)
-        _emit(args, "\n".join(f"{k:<{width}}  {_fmt(v)}" for k, v in values.items()))
+        shown = {k: BEYOND_RANGE if v is None else _fmt(v) for k, v in values.items()}
+        _emit(args, "\n".join(f"{k:<{width}}  {v}" for k, v in shown.items()))
     else:
         _emit(args, _fmt(values["unified"]))
     return 0
@@ -236,6 +250,8 @@ def cmd_bounds(args) -> int:
             try:
                 value = _bound_value(name, args.q, args.s, args.d, eps)
                 valid = True
+            except FloatRange:  # inside the bound's region, beyond the float range
+                value, valid = None, True
             except EntropyKitError:
                 value, valid = None, False
             rows.append((eps, name, value, valid))
@@ -260,7 +276,7 @@ def cmd_bounds(args) -> int:
     else:
         lines = [f"q={_fmt(args.q)}  s={_fmt(args.s)}  d={args.d}"]
         for e, n, v, ok in rows:
-            shown = _fmt(v) if ok else "out-of-validity"
+            shown = "out-of-validity" if not ok else BEYOND_RANGE if v is None else _fmt(v)
             lines.append(f"eps={_fmt(e):<8} {n:<22} {shown}")
         _emit(args, "\n".join(lines))
     return 0

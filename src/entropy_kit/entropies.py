@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, InvalidIndex
+from .errors import DomainError, FloatRange, InvalidIndex
 from .linops import DensityOperator, ProbabilityDistribution, _SpectralMemo, _power_sums
 from .tolerances import TOL
 
@@ -82,14 +82,14 @@ def unified_from_power_sum(t: float, q: float, s: float) -> float:
     try:
         return _from_power_sum(t, q, s)
     except OverflowError:
-        raise DomainError(
+        raise FloatRange(
             f"entropy at t = {t!r}, q = {q!r}, s = {s!r} exceeds the float range"
         ) from None
 
 
-def _beyond_float_range(params: UnifiedParams) -> DomainError:
+def _beyond_float_range(params: UnifiedParams) -> FloatRange:
     # t^s overflowed, or the power sum t underflowed to 0 (no logarithm)
-    return DomainError(f"entropy at q = {params.q!r}, s = {params.s!r} leaves the float range")
+    return FloatRange(f"entropy at q = {params.q!r}, s = {params.s!r} leaves the float range")
 
 
 def _unified(spectrum, params: UnifiedParams) -> float:

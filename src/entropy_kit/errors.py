@@ -27,6 +27,10 @@ class DomainError(EntropyKitError):
     """Scalar or array argument outside the function's domain."""
 
 
+class FloatRange(DomainError):
+    """A value that is defined at the arguments leaves the float range."""
+
+
 class OutOfValidity(EntropyKitError):
     """Requested bound evaluated outside its proven validity region."""
 

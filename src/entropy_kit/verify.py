@@ -3,16 +3,17 @@
 Every check draws its per-trial randomness from a SeedSequence built on
 (seed, check id, trial index), so reports are reproducible byte for byte
 regardless of execution order.  The random-state suites are rows of
-``SUITES`` run by one loop, which draws the matrices of ``STATE_CHUNK``
-trials first, builds all of their states with one stacked
-``density_operators`` call, evaluates them at every grid point as one
-table and judges the chunk's claims as arrays over (trial, point, case),
-each step bit-identical to working one state, point and comparison at a
-time.  ``run_check`` is the entry point for every suite.  A comparison
-"lhs <= rhs" fails when the signed violation lhs - rhs exceeds
-TOL.check_rel * (1 + magnitude); ``failures`` counts failed comparisons,
-``skipped`` counts grid points outside a claim's proven region or
-validity window.  A suite that made no comparison at all does not pass.
+``SUITES`` run by one loop, which draws the matrices of a chunk of
+trials first (``STATE_CHUNK`` of them, fewer for large matrices), builds
+all of their states with one stacked ``density_operators`` call,
+evaluates them at every grid point as one table and judges the chunk's
+claims as arrays over (trial, point, case), each step bit-identical to
+working one state, point and comparison at a time.  One chunk's states
+are alive at a time.  ``run_check`` is the entry point for every suite.
+A comparison "lhs <= rhs" fails when the signed violation lhs - rhs
+exceeds TOL.check_rel * (1 + magnitude); ``failures`` counts failed
+comparisons, ``skipped`` counts grid points outside a claim's proven
+region or validity window.  A suite that made no comparison at all does not pass.
 
 The subadditivity violation search inverts the reading: there the
 inequality is expected to break, ``failures`` counts the violations
@@ -74,15 +75,18 @@ ALL_CHECKS = (
 
 _CHECK_IDS = {name: idx for idx, name in enumerate(ALL_CHECKS)}
 
-#: trials whose states one ``density_operators`` call builds.  Measured on
-#: the harness against one trial at a time: 8 gave +28 % trials/s and 16
-#: +34 %, 32 gained little more, and 64 added about 2.9 MB of peak RSS, as
-#: a whole chunk's states (not its trials' drawn matrices) stay alive
-STATE_CHUNK = 16
+#: trials whose states one ``density_operators`` call builds while the
+#: suite draws no matrix above ``_CHUNK_DIM``; larger matrices get fewer
+#: trials, so one matrix slot of a chunk holds at most
+#: STATE_CHUNK * _CHUNK_DIM**2 entries.  Only one chunk's states are alive
+#: at a time, and each chunk pays a fixed cost (one stacked ``eigh`` per
+#: shape, the table columns, one judge), which 64 trials spread thinly
+STATE_CHUNK = 64
+_CHUNK_DIM = 32
 
 DEFAULT_DIMS = (2, 3, 4, 5, 6)
-#: largest system dimension ``run_check`` draws states of: a chunk holds
-#: its trials' d x d matrices and each state costs an O(d^3) eigensolve
+#: largest system dimension ``run_check`` draws states of: each state
+#: costs an O(d^3) eigensolve, and a chunk then holds a single trial
 MAX_CHECK_DIM = 256
 DEFAULT_PAIR_DIMS = ((2, 2), (2, 3), (3, 2), (3, 3))
 SQUARE_PAIR_DIMS = ((2, 2), (2, 3), (3, 3))
@@ -233,29 +237,6 @@ def _stacked(per_trial: list) -> list:
         out.append(states[start : start + len(mats)])
         start += len(mats)
     return out
-
-
-def _chunked_trials(check: str, seed: int, trials: int, draw, derive=None):
-    """Yield each chunk's (trial, info, states) as a list, in trial order.
-
-    ``draw(i, rng)`` returns (info, matrices) for trial i from that
-    trial's own generator.  Each chunk of ``STATE_CHUNK`` trials'
-    matrices becomes states through one stacked call.  ``derive(info,
-    states)``, if given, returns matrices that need the first states;
-    they are built the same way and appended to the trial's states.
-    """
-    for start in range(0, trials, STATE_CHUNK):
-        chunk = range(start, min(start + STATE_CHUNK, trials))
-        infos, mats = zip(*[draw(i, _trial_rng(seed, check, i)) for i in chunk])
-        states = _stacked(mats)
-        del mats
-        if derive is not None:
-            more = _stacked([derive(info, st) for info, st in zip(infos, states)])
-            states = [first + second for first, second in zip(states, more)]
-            del more
-        yield list(zip(chunk, infos, states))
-        # hold at most one chunk of states while the next is drawn
-        del infos, states
 
 
 def check_scalar_lemma(trials: int = 1000, seed: int = 0) -> CheckReport:
@@ -505,7 +486,8 @@ class Suite:
     """One claim checked on random states: a row of ``SUITES``.
 
     ``draw(dims, i, rng)`` gives (info, matrices) for trial i and
-    ``derive`` an optional second stage (see ``_chunked_trials``).
+    ``derive(info, states)`` an optional second stage: matrices that need
+    the first states, built the same way and appended to the trial's states.
     ``trial(i, info, states)`` returns (holders, meta): the spectrum
     holders whose table rows the trial reads, and what its cases name.
     ``judge(metas, rows, points)`` then judges a whole chunk at once:
@@ -569,6 +551,39 @@ SUITES = {
 }
 
 
+def _run_chunk(rec, suite, claimed, chunk, draw) -> None:
+    """Draw, build and judge the trials of ``chunk`` into ``rec``.
+
+    ``draw(i)`` returns (info, matrices) for trial i from that trial's
+    own generator.  The chunk's matrices become states through one
+    stacked call, and ``suite.derive`` matrices through a second.  The
+    states die when this call returns, before the next chunk is drawn.
+    """
+    infos, mats = zip(*[draw(i) for i in chunk])
+    states = _stacked(mats)
+    del mats
+    if suite.derive is not None:
+        more = _stacked([suite.derive(info, st) for info, st in zip(infos, states)])
+        states = [first + second for first, second in zip(states, more)]
+    holders, metas = zip(*[suite.trial(i, info, st) for i, info, st in zip(chunk, infos, states)])
+    # one table of the whole chunk, bit for bit the per-point values
+    flat = [h for hs in holders for h in hs]
+    if suite.q_only:
+        table = _power_sums(flat, [p.q for p in claimed])
+    else:
+        table = np.array(_entropy_rows(flat, claimed)).reshape(len(flat), len(claimed))
+    rows = np.split(table, np.cumsum([len(hs) for hs in holders[:-1]]))
+    pairs, keep, case = suite.judge(metas, rows, claimed)
+    lhs, rhs = (np.stack(side, axis=-1) for side in zip(*pairs))
+    if keep is None:
+        keep = np.ones(lhs.shape[:2], dtype=bool)
+    at = np.argwhere(keep)
+    rec.skipped += keep.size - len(at)
+    # comparisons in (trial, point, case) order, as the claims are read
+    n = len(pairs)
+    rec.compare_many(lhs[keep], rhs[keep], lambda j: case(*at[j // n].tolist(), j % n))
+
+
 def _run_suite(name, trials, seed, dims, grid, rec=None) -> CheckReport:
     """Run the ``SUITES`` row ``name`` over ``grid``, from ``_as_grid``;
     ``rec`` carries comparisons made before the random trials."""
@@ -577,29 +592,19 @@ def _run_suite(name, trials, seed, dims, grid, rec=None) -> CheckReport:
         # s is ignored, so a q repeated with another s would repeat its comparisons
         grid = list({p.q: p for p in grid}.values())
     claimed = [p for p in grid if suite.claimed(p.q, p.s)]
-    unclaimed = len(grid) - len(claimed)
     if rec is None:
         rec = CheckReport(name, seed=seed)
-    draw = functools.partial(suite.draw, dims or suite.dims)
-    for chunk in _chunked_trials(name, seed, trials, draw, suite.derive):
-        holders, metas = zip(*[suite.trial(i, info, states) for i, info, states in chunk])
-        # one table of the whole chunk, bit for bit the per-point values
-        flat = [h for hs in holders for h in hs]
-        if suite.q_only:
-            table = _power_sums(flat, [p.q for p in claimed])
-        else:
-            table = np.array(_entropy_rows(flat, claimed)).reshape(len(flat), len(claimed))
-        rows = np.split(table, np.cumsum([len(hs) for hs in holders[:-1]]))
-        pairs, keep, case = suite.judge(metas, rows, claimed)
-        lhs, rhs = (np.stack(side, axis=-1) for side in zip(*pairs))
-        if keep is None:
-            keep = np.ones(lhs.shape[:2], dtype=bool)
-        at = np.argwhere(keep)
-        rec.trials += len(chunk)
-        rec.skipped += unclaimed * len(chunk) + keep.size - len(at)
-        # comparisons in (trial, point, case) order, as the claims are read
-        n = len(pairs)
-        rec.compare_many(lhs[keep], rhs[keep], lambda j: case(*at[j // n].tolist(), j % n))
+    rec.trials += trials
+    rec.skipped += (len(grid) - len(claimed)) * trials
+    dims = dims or suite.dims
+    d_max = max(a * b for a, b in dims) if suite.pairs else max(dims)
+    size = max(1, STATE_CHUNK * _CHUNK_DIM**2 // max(d_max, _CHUNK_DIM) ** 2)
+
+    def draw(i):
+        return suite.draw(dims, i, _trial_rng(seed, name, i))
+
+    for start in range(0, trials, size):
+        _run_chunk(rec, suite, claimed, range(start, min(start + size, trials)), draw)
     return rec
 
 

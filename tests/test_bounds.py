@@ -22,8 +22,8 @@ from entropy_kit.bounds import (
     thermodynamic_ratio_limit,
     unified_fannes_bound,
 )
-from entropy_kit.entropies import UnifiedParams, tsallis, unified_quantum
-from entropy_kit.errors import DomainError, InvalidIndex, OutOfValidity
+from entropy_kit.entropies import UnifiedParams, tsallis, unified_from_power_sum, unified_quantum
+from entropy_kit.errors import DomainError, FloatRange, InvalidIndex, OutOfValidity
 from entropy_kit.linops import diagonal_density, random_density, trace_distance
 from entropy_kit.verify import FANNES_GRID
 
@@ -376,3 +376,21 @@ class TestThermodynamicLimit:
 
     def test_full_distance_cap(self):
         assert thermodynamic_ratio_limit(2.0, 1.5, 1.0) == 1.5
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: kappa_s(2000.0, 0.0, 2),
+            lambda: unified_fannes_bound(BoundSpec(2000.0, -1.0, 3, 0.1)),
+            lambda: max_unified(0.1, 2.0, int(1e300)),
+            lambda: unified_from_power_sum(1e300, 0.1, 3.0),
+            lambda: unified_quantum(diagonal_density([0.5, 0.5]), UnifiedParams(2.0, -2000.0)),
+        ],
+    )
+    def test_a_defined_value_beyond_the_range_is_its_own_domain_error(self, call):
+        # callers tell it from an argument outside the domain; DomainError still catches it
+        with pytest.raises(FloatRange, match="float range"):
+            call()
+        assert issubclass(FloatRange, DomainError)

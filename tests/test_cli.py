@@ -126,6 +126,22 @@ class TestEntropyCommand:
         assert dist_doc.pop("shannon") == rho_doc.pop("von_neumann")
         assert dist_doc == rho_doc
 
+    def test_all_extra_beyond_the_float_range_is_missing(self, capsys):
+        # type_q at q = 1e-9 is taken at index 1e9, where the power sum underflows
+        argv = ["entropy", "--dist", "0.25,0.75", "--q", "1e-9", "--s", "0", "--all"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        table = dict(line.split() for line in out.strip().splitlines())
+        assert table["unified"] == table["renyi"] == "0.693147180416"
+        assert table["type_q"] == "out-of-float-range"
+        code, out, _ = run_cli(capsys, argv + ["--json"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["type_q"] is None and doc["unified"] == pytest.approx(0.693147180416)
+        code, out, _ = run_cli(capsys, argv + ["--csv"])
+        assert code == 0
+        assert out.splitlines()[4] == "type_q,"
+
     def test_source_required(self, capsys):
         with pytest.raises(SystemExit):
             main(["entropy", "--q", "2", "--s", "1"])
@@ -399,6 +415,20 @@ class TestBoundsCommand:
         doc = json.loads(out)
         assert doc["d"] == 4
         assert len(doc["rows"]) == 5 * 5  # default eps grid x bound names
+
+    def test_value_beyond_the_float_range_is_valid_but_missing(self, capsys):
+        # (2000, 0) lies in the high region, where d^(2(q-1)) leaves the float range
+        argv = ["bounds", "--q", "2000", "--s", "0", "--d", "2", "--eps", "0.1"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        by_name = {line.split()[1]: line.split()[2] for line in out.strip().splitlines()[1:]}
+        assert by_name["unified_fannes"] == "out-of-float-range"
+        assert by_name["lipschitz"] == "out-of-validity"
+        code, out, _ = run_cli(capsys, argv + ["--json"])
+        rows = {row["bound"]: row for row in json.loads(out)["rows"]}
+        assert rows["unified_fannes"]["value"] is None and rows["unified_fannes"]["valid"] is True
+        code, out, _ = run_cli(capsys, argv + ["--csv"])
+        assert "0.1,unified_fannes,,true" in out.splitlines()
 
     def test_dimension_one_table(self, capsys):
         # Lipschitz needs s >= 1 but no d; the others need d >= 2

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -202,11 +203,68 @@ class TestReports:
             run_check("fannes", trials=-1)
 
     @pytest.mark.parametrize("name", ALL_CHECKS)
-    @pytest.mark.parametrize("chunk", [1, 3])
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
     def test_report_independent_of_chunk_size(self, monkeypatch, name, chunk):
         default = run_check(name, trials=8, seed=5).to_json()
         monkeypatch.setattr(verify, "STATE_CHUNK", chunk)
         assert run_check(name, trials=8, seed=5).to_json() == default
+
+    @pytest.mark.parametrize("name", ALL_CHECKS)
+    def test_report_across_a_full_chunk_boundary(self, monkeypatch, name):
+        # 70 trials are a full default chunk and part of a second one
+        default = run_check(name, trials=70, seed=5).to_json()
+        monkeypatch.setattr(verify, "STATE_CHUNK", 1)
+        assert run_check(name, trials=70, seed=5).to_json() == default
+
+    @pytest.mark.parametrize("name", ["mixing", "ensemble", "triangle"])
+    def test_one_chunk_of_states_alive_at_a_time(self, monkeypatch, name):
+        # a plain suite, one whose trial step draws more, and one with a derive stage
+        monkeypatch.setattr(verify, "STATE_CHUNK", 4)
+        built, alive = [], []
+        build, trial_rng = verify.density_operators, verify._trial_rng
+
+        def tracked_build(mats):
+            states = build(mats)
+            built.extend(weakref.ref(state) for state in states)
+            return states
+
+        def watched_rng(seed, check, i):
+            if i % 4 == 0:  # the first draw of a chunk
+                alive.append(sum(ref() is not None for ref in built))
+            return trial_rng(seed, check, i)
+
+        monkeypatch.setattr(verify, "density_operators", tracked_build)
+        monkeypatch.setattr(verify, "_trial_rng", watched_rng)
+        run_check(name, trials=12, seed=0)
+        assert built
+        assert alive == [0, 0, 0]
+
+    @pytest.mark.parametrize(
+        "name,dims,trials,sizes",
+        [
+            ("ensemble", None, 70, [64, 6]),
+            ("ensemble", (64,), 20, [16, 4]),
+            ("ensemble", (128,), 5, [4, 1]),
+            ("ensemble", (256,), 2, [1, 1]),
+            # dimensions just above 32: 64 * 32**2 // 33**2 = 60 trials
+            ("ensemble", (2, 33), 61, [60, 1]),
+            # pair suites size by the composite a * b, at most 16 through run_check
+            ("subadd", None, 65, [64 * 3, 3]),
+            ("subadd", ((8, 8),), 17, [16 * 3, 3]),
+        ],
+    )
+    def test_chunk_sized_by_the_largest_matrix(self, monkeypatch, name, dims, trials, sizes):
+        built = []
+        build = verify.density_operators
+
+        def counted_build(mats):
+            built.append(len(mats))
+            return build(mats)
+
+        monkeypatch.setattr(verify, "density_operators", counted_build)
+        suite = verify.SUITES[name]
+        verify._run_suite(name, trials, 0, dims, verify._as_grid(None, suite.grid))
+        assert built == sizes
 
     def test_report_ok_inverts_for_violation_search(self):
         empty = CheckReport("subadd-violation")
