@@ -208,8 +208,9 @@ def stability_ratio_bound(spec: BoundSpec) -> float:
     """Continuity bound normalized by the maximal entropy.
 
     This is the Lesche-stability functional F(eps) = bound / max; it
-    vanishes at eps = 0 and grows monotonically over the bound's
-    validity interval.
+    vanishes at eps = 0 and does not decrease up to 2*eps =
+    q^(1/(1-q)) in the low region and up to eps = 1 - 1/d in the high
+    one, where eps^q ln_q(d-1) + H_q(eps) peaks and past which it falls.
     """
     return unified_fannes_bound(spec) / max_unified(spec.q, spec.s, spec.d)
 

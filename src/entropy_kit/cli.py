@@ -23,6 +23,7 @@ from pathlib import Path
 
 from .bounds import (
     BoundSpec,
+    _check_dimension,
     fannes_tsallis_high_q,
     fannes_tsallis_low_q,
     lipschitz_bound,
@@ -243,7 +244,12 @@ def _bound_value(name: str, q: float, s: float, d: int, eps: float):
 
 
 def cmd_bounds(args) -> int:
-    UnifiedParams(args.q, args.s)  # a bad index is an error, not a table of nan
+    # a bad index, dimension or trace distance is an error, not a table of nan
+    UnifiedParams(args.q, args.s)
+    _check_dimension(args.d, 1)
+    for eps in args.eps:
+        if not 0.0 <= eps <= 1.0:
+            raise DomainError(f"trace distance must lie in [0, 1], got {eps!r}")
     rows = []
     for eps in args.eps:
         for name in BOUND_NAMES:

@@ -3,10 +3,11 @@
 Every check draws its per-trial randomness from a SeedSequence built on
 (seed, check id, trial index), so reports are reproducible byte for byte
 regardless of execution order.  The random-state suites are rows of
-``SUITES`` run by one loop, which draws the matrices of a chunk of
-trials first (``STATE_CHUNK`` of them, fewer for large matrices), builds
-all of their states with one stacked ``density_operators`` call,
-evaluates them at every grid point as one table and judges the chunk's
+``SUITES``, each a draw and a judge, run by one loop: it draws the
+matrices of a chunk of trials (``STATE_CHUNK`` of them, fewer for large
+matrices), builds all of their states with one stacked
+``density_operators`` call and hands them to the suite's judge, which
+reads them at every grid point as one table and judges the chunk's
 claims as arrays over (trial, point, case), each step bit-identical to
 working one state, point and comparison at a time.  One chunk's states
 are alive at a time.  ``run_check`` is the entry point for every suite.
@@ -25,6 +26,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -32,14 +34,7 @@ import numpy as np
 
 from .bounds import BoundSpec, _check_dimension, fannes_range, max_unified, unified_fannes_bound
 from .entropies import UnifiedParams, _entropy_rows, unified_from_power_sum, unified_quantum
-from .errors import (
-    DimMismatch,
-    DomainError,
-    InvalidIndex,
-    NotDiagonal,
-    OutOfValidity,
-    PureState,
-)
+from .errors import DimMismatch, DomainError, InvalidIndex, NotDiagonal, OutOfValidity, PureState
 from .linops import (
     DensityOperator,
     GeneralizedMeasurement,
@@ -76,7 +71,7 @@ ALL_CHECKS = (
 _CHECK_IDS = {name: idx for idx, name in enumerate(ALL_CHECKS)}
 
 #: trials whose states one ``density_operators`` call builds while the
-#: suite draws no matrix above ``_CHUNK_DIM``; larger matrices get fewer
+#: suite builds no matrix above ``_CHUNK_DIM``; larger matrices get fewer
 #: trials, so one matrix slot of a chunk holds at most
 #: STATE_CHUNK * _CHUNK_DIM**2 entries.  Only one chunk's states are alive
 #: at a time, and each chunk pays a fixed cost (one stacked ``eigh`` per
@@ -266,14 +261,21 @@ def check_scalar_lemma(trials: int = 1000, seed: int = 0) -> CheckReport:
     return rec
 
 
-def _plain(i, info, states):
-    """Every state is a holder; the case reads the trial and its draw info."""
-    return states, (i, *info)
+def _table(per_trial: list, points, q_only: bool = False) -> list:
+    """Each trial's (holders, points) array of entropies at ``points``, or
+    of power sums tr(rho^q) for ``q_only`` claims, from one table of the
+    whole chunk, bit for bit the per-point values."""
+    flat = [h for hs in per_trial for h in hs]
+    if q_only:
+        table = _power_sums(flat, [p.q for p in points])
+    else:
+        table = np.array(_entropy_rows(flat, points)).reshape(len(flat), len(points))
+    return np.split(table, np.cumsum([len(hs) for hs in per_trial[:-1]]))
 
 
-def _pair_case(metas, points):
+def _pair_case(trials, points):
     def case(t, k, c):
-        i, da, db = metas[t]
+        i, (da, db) = trials[t]
         return {"trial": i, "d_a": da, "d_b": db, "q": points[k].q, "s": points[k].s}
 
     return case
@@ -284,24 +286,20 @@ def _ensemble_draw(dims, i, rng):
     return (rng, d), [_random_matrix(rng, d)]
 
 
-def _ensemble(i, info, states):
-    rng, d = info
-    (rho,) = states
-    # an ensemble of m pure states needs m >= rank >= 1
-    rank = int(np.sum(rho.eigenvalues > TOL.rank))
-    m = int(rng.integers(rank, max(rank, 8) + 1))
-    weights = ensemble_from_state(rho, m, rng).weights
-    return (rho, weights), (i, d, m)
-
-
-def _ensemble_judge(metas, rows, points):
+def _ensemble_judge(trials, states, points):
     """Quantum entropy never exceeds the classical entropy of any ensemble
     realizing the state; the Renyi line s = 0 is only claimed for q < 1."""
-    rho, weights = np.stack(rows, axis=1)
+    holders, ms = [], []
+    for (_, (rng, _)), (rho,) in zip(trials, states):
+        # an ensemble of m pure states needs m >= rank >= 1
+        rank = int(np.sum(rho.eigenvalues > TOL.rank))
+        ms.append(int(rng.integers(rank, max(rank, 8) + 1)))
+        holders.append((rho, ensemble_from_state(rho, ms[-1], rng).weights))
+    rho, weights = np.stack(_table(holders, points), axis=1)
 
     def case(t, k, c):
-        i, d, m = metas[t]
-        return {"trial": i, "d": d, "m": m, "q": points[k].q, "s": points[k].s}
+        i, (_, d) = trials[t]
+        return {"trial": i, "d": d, "m": ms[t], "q": points[k].q, "s": points[k].s}
 
     return [(rho, weights)], None, case
 
@@ -315,14 +313,15 @@ def _mixing_draw(dims, i, rng):
     return (d, k, weights), omegas + [mixed]
 
 
-def _mixing_judge(metas, rows, points):
+def _mixing_judge(trials, states, points):
     """Mixing concavity: sum_i p_i E(omega_i) <= E(sum_i p_i omega_i)
     for 0 < q < 1 and s <= 1."""
+    rows = _table(states, points)
     # zip stops at the omegas' rows; the mixture's row is last
-    lhs = [sum(w * row for w, row in zip(meta[3], e)) for meta, e in zip(metas, rows)]
+    lhs = [sum(w * row for w, row in zip(info[2], e)) for (_, info), e in zip(trials, rows)]
 
     def case(t, k, c):
-        i, d, n, _ = metas[t]
+        i, (d, n, _) = trials[t]
         return {"trial": i, "d": d, "k": n, "q": points[k].q, "s": points[k].s}
 
     return [(np.stack(lhs), np.stack([e[-1] for e in rows]))], None, case
@@ -334,40 +333,37 @@ def _fannes_draw(dims, i, rng):
     if rng.uniform() < 0.5:
         return d, [rho, _random_matrix(rng, d)]
     # interpolate toward a second state so small trace distances (the
-    # low-region validity window) are exercised; the second state is
-    # built only to be validated
+    # low-region validity window) are exercised
     lam = float(rng.uniform(0.0, 0.3))
     other = random_density_matrix(d, d, rng)
     return d, [rho, (1.0 - lam) * rho + lam * other, other]
 
 
-def _fannes(i, d, states):
-    rho, omega, *_ = states
-    return (rho, omega), (i, d, min(trace_distance(rho, omega), 1.0))
-
-
-def _fannes_judge(metas, rows, points):
+def _fannes_judge(trials, states, points):
     """Entropy differences of random state pairs stay below the unified
     continuity bound; low-region points whose 2*eps exceeds the
     monotonicity threshold are skipped."""
-    rho, omega = np.stack(rows, axis=1)
-    bound = np.zeros((len(metas), len(points)))
+    # an interpolated draw's third state is built only to be validated
+    pairs = [st[:2] for st in states]
+    eps = [min(trace_distance(rho, omega), 1.0) for rho, omega in pairs]
+    rho, omega = np.stack(_table(pairs, points), axis=1)
+    bound = np.zeros((len(trials), len(points)))
     keep = np.ones(bound.shape, dtype=bool)
-    for t, (_, d, eps) in enumerate(metas):
+    for t, (_, d) in enumerate(trials):
         for k, p in enumerate(points):
             try:
-                bound[t, k] = unified_fannes_bound(BoundSpec(p.q, p.s, d, eps))
+                bound[t, k] = unified_fannes_bound(BoundSpec(p.q, p.s, d, eps[t]))
             except OutOfValidity:
                 keep[t, k] = False
 
     def case(t, k, c):
-        i, d, eps = metas[t]
-        return {"trial": i, "d": d, "q": points[k].q, "s": points[k].s, "eps": eps}
+        i, d = trials[t]
+        return {"trial": i, "d": d, "q": points[k].q, "s": points[k].s, "eps": eps[t]}
 
     return [(np.abs(rho - omega), bound)], keep, case
 
 
-def _audenaert_judge(metas, rows, points):
+def _audenaert_judge(trials, states, points):
     """Schatten-norm inequality ||rho_A||_q + ||rho_B||_q <= 1 + ||rho_AB||_q
     for q > 1, from the power sums tr(rho^q)."""
     for p in points:
@@ -376,11 +372,11 @@ def _audenaert_judge(metas, rows, points):
     # (tr rho^q)^(1/q) as schatten_norm takes it: scalar pow, not numpy's array **
     norm_ab, norm_a, norm_b = np.stack([
         [[t ** (1.0 / p.q) for t, p in zip(row, points)] for row in e.tolist()]
-        for e in rows
+        for e in _table(states, points, q_only=True)
     ], axis=1)
 
     def case(t, k, c):
-        i, da, db = metas[t]
+        i, (da, db) = trials[t]
         return {"trial": i, "d_a": da, "d_b": db, "q": points[k].q}
 
     return [(norm_a + norm_b, 1.0 + norm_ab)], None, case
@@ -390,10 +386,10 @@ def _subadditive(q: float, s: float) -> bool:
     return q > 1.0 and s >= 1.0 / q
 
 
-def _subadd_judge(metas, rows, points):
+def _subadd_judge(trials, states, points):
     """Subadditivity E(rho_AB) <= E(rho_A) + E(rho_B) for q > 1, s >= 1/q."""
-    e_ab, e_a, e_b = np.stack(rows, axis=1)
-    return [(e_ab, e_a + e_b)], None, _pair_case(metas, points)
+    e_ab, e_a, e_b = np.stack(_table(states, points), axis=1)
+    return [(e_ab, e_a + e_b)], None, _pair_case(trials, points)
 
 
 def _violation_draw(dims, i, rng):
@@ -403,41 +399,39 @@ def _violation_draw(dims, i, rng):
     return (da, db), [fa, fb, np.kron(fa, fb)] + _bipartite_matrices(rng, da, db)
 
 
-def _violation_judge(metas, rows, points):
+def _violation_judge(trials, states, points):
     """E(rho_AB) against E(rho_A) + E(rho_B) on a product state and on a
     correlated one, where subadditivity is expected to fail."""
-    fa, fb, prod, corr, ca, cb = np.stack(rows, axis=1)
+    fa, fb, prod, corr, ca, cb = np.stack(_table(states, points), axis=1)
     kinds = ("product", "correlated")
 
     def case(t, k, c):
-        i, da, db = metas[t]
+        i, (da, db) = trials[t]
         p = points[k]
         return {"trial": i, "kind": kinds[c], "d_a": da, "d_b": db, "q": p.q, "s": p.s}
 
     return [(prod, fa + fb), (corr, ca + cb)], None, case
 
 
-def _purified_reductions(info, states):
+def _purified_reductions(da, db, rho_ab) -> list:
     # the rank-1 purified state needs no DensityOperator (and no
     # eigensolve) of its own: only its two reductions are evaluated
-    da, db = info
     n = da * db
-    psi = purify(states[0])
+    psi = purify(rho_ab)
     pure = np.outer(psi, psi.conj())
-    return [
-        partial_trace(pure, n, n, "B"),
-        partial_trace(pure, da, db * n, "B"),
-    ]
+    return [partial_trace(pure, n, n, "B"), partial_trace(pure, da, db * n, "B")]
 
 
-def _triangle_judge(metas, rows, points):
+def _triangle_judge(trials, states, points):
     """Triangle inequality |E(rho_A) - E(rho_B)| <= E(rho_AB) for q > 1,
     s >= 1/q, via purification; also verifies that both reductions of the
     purified state carry the entropies they should."""
+    more = _stacked([_purified_reductions(*info, st[0]) for (_, info), st in zip(trials, states)])
+    rows = _table([first + second for first, second in zip(states, more)], points)
     e_ab, e_a, e_b, e_c, e_bc = np.stack(rows, axis=1)
     zero = np.zeros_like(e_ab)
     kinds = ("purified-complement", "purified-rest", "triangle")
-    pair_case = _pair_case(metas, points)
+    pair_case = _pair_case(trials, points)
     return (
         [(np.abs(e_ab - e_c), zero), (np.abs(e_a - e_bc), zero), (np.abs(e_a - e_b), e_ab)],
         None,
@@ -456,13 +450,13 @@ def _pinching_draw(every, dims, i, rng):
     return (d, resolution.size), [rho, pinch(rho, resolution)]
 
 
-def _pinching_judge(metas, rows, points):
+def _pinching_judge(trials, states, points):
     """Pinching pushes tr(rho^q) up for q < 1 and down for q > 1."""
-    t_rho, t_pin = np.stack(rows, axis=1)
+    t_rho, t_pin = np.stack(_table(states, points, q_only=True), axis=1)
     low = np.array([p.q < 1.0 for p in points], dtype=bool)
 
     def case(t, k, c):
-        i, d, blocks = metas[t]
+        i, (d, blocks) = trials[t]
         q = points[k].q
         direction = "raise" if q < 1.0 else "lower"
         return {"trial": i, "d": d, "q": q, "blocks": blocks, "direction": direction}
@@ -470,12 +464,12 @@ def _pinching_judge(metas, rows, points):
     return [(np.where(low, t_rho, t_pin), np.where(low, t_pin, t_rho))], None, case
 
 
-def _projective_judge(metas, rows, points):
+def _projective_judge(trials, states, points):
     """Pinching never lowers the unified entropy: E(rho) <= E(pinched)."""
-    rho, pinched = np.stack(rows, axis=1)
+    rho, pinched = np.stack(_table(states, points), axis=1)
 
     def case(t, k, c):
-        i, d, blocks = metas[t]
+        i, (d, blocks) = trials[t]
         return {"trial": i, "d": d, "q": points[k].q, "s": points[k].s, "blocks": blocks}
 
     return [(rho, pinched)], None, case
@@ -485,21 +479,17 @@ def _projective_judge(metas, rows, points):
 class Suite:
     """One claim checked on random states: a row of ``SUITES``.
 
-    ``draw(dims, i, rng)`` gives (info, matrices) for trial i and
-    ``derive(info, states)`` an optional second stage: matrices that need
-    the first states, built the same way and appended to the trial's states.
-    ``trial(i, info, states)`` returns (holders, meta): the spectrum
-    holders whose table rows the trial reads, and what its cases name.
-    ``judge(metas, rows, points)`` then judges a whole chunk at once:
-    ``rows`` holds each trial's (holders, points) array of entropies at
-    the claimed points, or of power sums tr(rho^q) for ``q_only`` claims,
-    which ignore s and compare each distinct q of the grid once.  It
-    returns (pairs, keep, case): one (lhs, rhs) pair of (trial, point)
-    arrays per case of "lhs <= rhs", a (trial, point) mask of the points
-    inside the claim's validity window (None for all), and ``case(t, k,
-    c)``, the case dict of trial t, point k and case c.  Points outside
-    ``claimed`` are skipped without a judge.  ``pairs`` suites draw
-    (d_A, d_B) pairs.
+    ``draw(dims, i, rng)`` gives (info, matrices) for trial i, and a
+    chunk's matrices become states through one stacked build.
+    ``judge(trials, states, points)`` then judges the whole chunk at once
+    from its (i, info) pairs and each trial's states, reading entropies at
+    the claimed points, or power sums tr(rho^q) for ``q_only`` claims
+    (which ignore s and compare each distinct q of the grid once), through
+    ``_table``.  It returns (pairs, keep, case): one (lhs, rhs) pair of
+    (trial, point) arrays per case of "lhs <= rhs", a (trial, point) mask
+    of the points inside the claim's validity window (None for all), and
+    ``case(t, k, c)``, the case dict of trial t, point k and case c.
+    Points outside ``claimed`` are skipped without a judge.
     """
 
     draw: Callable
@@ -507,16 +497,18 @@ class Suite:
     dims: tuple
     grid: tuple
     claimed: Callable = lambda q, s: True
-    trial: Callable = _plain
-    derive: Callable | None = None
-    pairs: bool = False
     q_only: bool = False
+
+    @property
+    def pairs(self) -> bool:
+        """Whether the suite draws (d_A, d_B) pairs, as its dims list."""
+        return isinstance(self.dims[0], tuple)
 
 
 SUITES = {
     "ensemble": Suite(
         _ensemble_draw, _ensemble_judge, (2, 3, 4, 5), ENSEMBLE_GRID,
-        claimed=lambda q, s: not (s == 0.0 and not q < 1.0), trial=_ensemble,
+        claimed=lambda q, s: not (s == 0.0 and not q < 1.0),
     ),
     "mixing": Suite(
         _mixing_draw, _mixing_judge, DEFAULT_DIMS, MIXING_GRID,
@@ -524,22 +516,18 @@ SUITES = {
     ),
     "fannes": Suite(
         _fannes_draw, _fannes_judge, DEFAULT_DIMS, FANNES_GRID,
-        claimed=lambda q, s: fannes_range(q, s) is not None, trial=_fannes,
+        claimed=lambda q, s: fannes_range(q, s) is not None,
     ),
     "audenaert": Suite(
         _bipartite_draw, _audenaert_judge, DEFAULT_PAIR_DIMS,
-        tuple((q, 0.0) for q in AUDENAERT_Q), pairs=True, q_only=True,
+        tuple((q, 0.0) for q in AUDENAERT_Q), q_only=True,
     ),
     "subadd": Suite(
-        _bipartite_draw, _subadd_judge, DEFAULT_PAIR_DIMS, SUBADD_GRID,
-        claimed=_subadditive, pairs=True,
+        _bipartite_draw, _subadd_judge, DEFAULT_PAIR_DIMS, SUBADD_GRID, claimed=_subadditive
     ),
-    "subadd-violation": Suite(
-        _violation_draw, _violation_judge, SQUARE_PAIR_DIMS, VIOLATION_GRID, pairs=True
-    ),
+    "subadd-violation": Suite(_violation_draw, _violation_judge, SQUARE_PAIR_DIMS, VIOLATION_GRID),
     "triangle": Suite(
-        _bipartite_draw, _triangle_judge, SQUARE_PAIR_DIMS, SUBADD_GRID,
-        claimed=_subadditive, derive=_purified_reductions, pairs=True,
+        _bipartite_draw, _triangle_judge, SQUARE_PAIR_DIMS, SUBADD_GRID, claimed=_subadditive
     ),
     "pinching": Suite(
         functools.partial(_pinching_draw, 7), _pinching_judge, PINCHING_DIMS,
@@ -556,24 +544,13 @@ def _run_chunk(rec, suite, claimed, chunk, draw) -> None:
 
     ``draw(i)`` returns (info, matrices) for trial i from that trial's
     own generator.  The chunk's matrices become states through one
-    stacked call, and ``suite.derive`` matrices through a second.  The
-    states die when this call returns, before the next chunk is drawn.
+    stacked call; they die when this call returns, before the next chunk
+    is drawn.
     """
     infos, mats = zip(*[draw(i) for i in chunk])
     states = _stacked(mats)
     del mats
-    if suite.derive is not None:
-        more = _stacked([suite.derive(info, st) for info, st in zip(infos, states)])
-        states = [first + second for first, second in zip(states, more)]
-    holders, metas = zip(*[suite.trial(i, info, st) for i, info, st in zip(chunk, infos, states)])
-    # one table of the whole chunk, bit for bit the per-point values
-    flat = [h for hs in holders for h in hs]
-    if suite.q_only:
-        table = _power_sums(flat, [p.q for p in claimed])
-    else:
-        table = np.array(_entropy_rows(flat, claimed)).reshape(len(flat), len(claimed))
-    rows = np.split(table, np.cumsum([len(hs) for hs in holders[:-1]]))
-    pairs, keep, case = suite.judge(metas, rows, claimed)
+    pairs, keep, case = suite.judge(list(zip(chunk, infos)), states, claimed)
     lhs, rhs = (np.stack(side, axis=-1) for side in zip(*pairs))
     if keep is None:
         keep = np.ones(lhs.shape[:2], dtype=bool)
@@ -597,7 +574,8 @@ def _run_suite(name, trials, seed, dims, grid, rec=None) -> CheckReport:
     rec.trials += trials
     rec.skipped += (len(grid) - len(claimed)) * trials
     dims = dims or suite.dims
-    d_max = max(a * b for a, b in dims) if suite.pairs else max(dims)
+    # the largest matrix built: triangle's rho_BC is (d_B d_A d_B)-square
+    d_max = max(a * b * b for a, b in dims) if suite.pairs else max(dims)
     size = max(1, STATE_CHUNK * _CHUNK_DIM**2 // max(d_max, _CHUNK_DIM) ** 2)
 
     def draw(i):
@@ -728,6 +706,13 @@ def stability_ratio(ex: StabilityExample) -> float:
     return num / max_unified(q, s, d)
 
 
+def _integer(what: str, value) -> int:
+    """``value`` as an int; a float only if it is whole, not truncated."""
+    if isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise DomainError(f"{what} must be an integer, got {value!r}")
+
+
 def run_check(
     name: str,
     trials: int = 1000,
@@ -735,17 +720,18 @@ def run_check(
     dims=None,
     params_grid=None,
 ) -> CheckReport:
-    """Run one named suite; ``dims`` takes system sizes in [1,
+    """Run one named suite; ``dims`` takes integer system sizes in [1,
     ``MAX_CHECK_DIM``] (pairs are formed for the bipartite checks, capped
-    at composite dimension 16) and ``seed`` a nonnegative integer."""
+    at composite dimension 16), ``trials`` and ``seed`` nonnegative integers."""
     if name not in ALL_CHECKS:
         raise DomainError(f"unknown check {name!r}; choose from {', '.join(ALL_CHECKS)}")
+    trials, seed = _integer("trial count", trials), _integer("seed", seed)
     if trials < 0:
         raise DomainError(f"trial count must be nonnegative, got {trials!r}")
     if seed < 0:
         raise DomainError(f"seed must be nonnegative, got {seed!r}")
     if dims is not None:
-        dims = tuple(int(d) for d in dims)
+        dims = tuple(_integer("dimension", d) for d in dims)
         for d in dims:
             if not 1 <= d <= MAX_CHECK_DIM:
                 raise DomainError(f"dimension must lie in [1, {MAX_CHECK_DIM}], got {d!r}")

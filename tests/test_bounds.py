@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from entropy_kit.bounds import (
     BoundSpec,
@@ -348,6 +348,27 @@ class TestStabilityFunctional:
         grid = np.linspace(0.0, 0.5, 1000)
         vals = [stability_ratio_bound(BoundSpec(2.0, 1.0, 4, e)) for e in grid]
         assert all(b > a for a, b in zip(vals, vals[1:]))
+
+    @given(
+        st.floats(0.05, 4.0),
+        st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]),
+        st.integers(2, 64),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bound_non_decreasing_on_its_proven_eps_range(self, q, s, d):
+        # up to 2*eps = q^(1/(1-q)) in the low region, and up to eps = 1 - 1/d
+        # in the high one, where eps^q ln_q(d-1) + H_q(eps) peaks
+        region = fannes_range(q, s)
+        assume(region is not None)
+        top = low_q_threshold(q) / 2.0 if region == "low" else 1.0 - 1.0 / d
+        vals = [unified_fannes_bound(BoundSpec(q, s, d, e)) for e in np.linspace(0.0, top, 200)]
+        assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+    def test_high_region_falls_past_its_peak(self):
+        # the ratio is not monotone on the whole of [0, 1]: at q = 2, s = 1,
+        # d = 2 it peaks at eps = 1 - 1/d = 0.5 and is 0 again at eps = 1
+        assert stability_ratio_bound(BoundSpec(2.0, 1.0, 2, 0.5)) == pytest.approx(1.0)
+        assert stability_ratio_bound(BoundSpec(2.0, 1.0, 2, 1.0)) == 0.0
 
 
 class TestThermodynamicLimit:

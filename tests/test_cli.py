@@ -430,6 +430,29 @@ class TestBoundsCommand:
         code, out, _ = run_cli(capsys, argv + ["--csv"])
         assert "0.1,unified_fannes,,true" in out.splitlines()
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            # each used to exit 0 with every Fannes row out-of-validity
+            (["--q", "2", "--s", "1", "--d", "0"], "dimension must be at least 1, got 0"),
+            (["--q", "0.5", "--s", "1", "--d", "2", "--eps", "nan"], "got nan"),
+            (["--q", "2", "--s", "1", "--d", "3", "--eps", "2"], "got 2.0"),
+            (["--q", "2", "--s", "1", "--d", "3", "--eps=-0.1"], "got -0.1"),
+            (["--q", "2", "--s", "1", "--d", "3", "--eps", "0.1,1.5"], "got 1.5"),
+        ],
+    )
+    def test_bad_dimension_or_trace_distance_is_an_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, ["bounds"] + argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
+
+    def test_trace_distance_endpoints_are_tabulated(self, capsys):
+        code, out, _ = run_cli(capsys, ["bounds", "--q", "2", "--s", "1", "--d", "3", "--eps", "0,1", "--csv"])
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 2 * len(cli.BOUND_NAMES)
+
     def test_dimension_one_table(self, capsys):
         # Lipschitz needs s >= 1 but no d; the others need d >= 2
         code, out, _ = run_cli(capsys, ["bounds", "--q", "2", "--s", "1", "--d", "1", "--eps", "0.1"])

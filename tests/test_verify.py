@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -218,7 +220,7 @@ class TestReports:
 
     @pytest.mark.parametrize("name", ["mixing", "ensemble", "triangle"])
     def test_one_chunk_of_states_alive_at_a_time(self, monkeypatch, name):
-        # a plain suite, one whose trial step draws more, and one with a derive stage
+        # a plain suite, one whose judge draws more, and one whose judge builds more states
         monkeypatch.setattr(verify, "STATE_CHUNK", 4)
         built, alive = [], []
         build, trial_rng = verify.density_operators, verify._trial_rng
@@ -248,9 +250,16 @@ class TestReports:
             ("ensemble", (256,), 2, [1, 1]),
             # dimensions just above 32: 64 * 32**2 // 33**2 = 60 trials
             ("ensemble", (2, 33), 61, [60, 1]),
-            # pair suites size by the composite a * b, at most 16 through run_check
+            # pair suites size by d_A * d_B**2, the side of triangle's rho_BC:
+            # 27 at most for the default pairs
             ("subadd", None, 65, [64 * 3, 3]),
-            ("subadd", ((8, 8),), 17, [16 * 3, 3]),
+            ("subadd", ((4, 4),), 17, [16 * 3, 3]),
+            ("subadd", ((8, 8),), 3, [3, 3, 3]),
+            # triangle builds its purified reductions in a second stacked call
+            ("triangle", None, 65, [64 * 3, 64 * 2, 3, 2]),
+            ("triangle", ((2, 8),), 5, [4 * 3, 4 * 2, 3, 2]),
+            ("triangle", ((1, 16),), 2, [3, 2, 3, 2]),
+            ("triangle", ((16, 1),), 65, [64 * 3, 64 * 2, 3, 2]),
         ],
     )
     def test_chunk_sized_by_the_largest_matrix(self, monkeypatch, name, dims, trials, sizes):
@@ -265,6 +274,24 @@ class TestReports:
         suite = verify.SUITES[name]
         verify._run_suite(name, trials, 0, dims, verify._as_grid(None, suite.grid))
         assert built == sizes
+
+    def test_triangle_chunk_memory_is_capped(self):
+        # rho_BC is 256 x 256 at the pair (1, 16); 64 trials of it in one
+        # chunk peaked near 100 MB
+        tracemalloc.start()
+        try:
+            rep = run_check("triangle", trials=64, seed=0, dims=(1, 16))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report_ok(rep)
+        assert peak <= 10 * 2**20
+
+    def test_suite_is_a_draw_and_a_judge(self):
+        fields = [f.name for f in dataclasses.fields(verify.Suite)]
+        assert fields == ["draw", "judge", "dims", "grid", "claimed", "q_only"]
+        pairs = {name for name, suite in verify.SUITES.items() if suite.pairs}
+        assert pairs == {"audenaert", "subadd", "subadd-violation", "triangle"}
 
     def test_report_ok_inverts_for_violation_search(self):
         empty = CheckReport("subadd-violation")
@@ -335,6 +362,27 @@ class TestSuitesPass:
         for name in ("ensemble", "subadd"):
             with pytest.raises(DomainError, match="dimension must lie in"):
                 run_check(name, trials=1, seed=0, dims=dims)
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            # bare TypeErrors from range() and the seed sequence
+            ({"trials": 2.5}, "trial count must be an integer, got 2.5"),
+            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+            # a bare ValueError from int()
+            ({"dims": (float("nan"),)}, "dimension must be an integer, got nan"),
+            # int() truncated this to d = 2 and ran silently
+            ({"dims": (2.7,)}, "dimension must be an integer, got 2.7"),
+        ],
+    )
+    def test_non_integer_input_is_a_domain_error(self, kwargs, message):
+        for name in ("ensemble", "subadd", "scalar-lemma"):
+            with pytest.raises(DomainError, match=message):
+                run_check(name, **{"trials": 2, "seed": 0, **kwargs})
+
+    def test_whole_floats_are_integers(self):
+        as_floats = run_check("ensemble", trials=3.0, seed=4.0, dims=(2.0, 3.0))
+        assert as_floats.to_json() == run_check("ensemble", trials=3, seed=4, dims=(2, 3)).to_json()
 
     def test_schatten_norms_refuse_q_below_one(self):
         with pytest.raises(InvalidIndex, match="Schatten norm needs q >= 1, got 0.5"):
