@@ -288,7 +288,8 @@ class ProbabilityDistribution(_SpectralMemo):
 @dataclass(frozen=True, eq=False)
 class PureStateEnsemble:
     """Weights p_i with unit vectors |psi_i>; the average state must be a
-    valid DensityOperator (validated at construction)."""
+    valid DensityOperator (validated at construction).  ``states`` holds
+    the read-only rows of one (m, d) array."""
 
     weights: ProbabilityDistribution
     states: tuple
@@ -298,21 +299,19 @@ class PureStateEnsemble:
             object.__setattr__(
                 self, "weights", ProbabilityDistribution(self.weights)
             )
-        states = tuple(
-            _frozen(np.array(v, dtype=np.complex128)) for v in self.states
-        )
-        if len(states) != self.weights.size:
+        try:
+            v = _frozen(np.array(self.states, dtype=np.complex128))
+        except ValueError:  # numpy refuses ragged members
+            raise DimMismatch("ensemble state vectors must share one dimension") from None
+        if len(v) != self.weights.size:
             raise DimMismatch("one state vector per weight required")
-        d = states[0].size
-        for v in states:
-            if v.ndim != 1 or v.size != d:
-                raise DimMismatch("ensemble state vectors must share one dimension")
-            if abs(np.vdot(v, v).real - 1.0) > TOL.orthonormal:
-                raise DomainError("ensemble state vectors must be normalized")
-        object.__setattr__(self, "states", states)
-        avg = np.zeros((d, d), dtype=np.complex128)
-        for p, v in zip(self.weights.probs, states):
-            avg += p * np.outer(v, v.conj())
+        if v.ndim != 2:
+            raise DimMismatch("ensemble state vectors must share one dimension")
+        # written so that a NaN entry (norm nan) fails too
+        if not np.all(np.abs(np.einsum("ij,ij->i", v, v.conj()).real - 1.0) <= TOL.orthonormal):
+            raise DomainError("ensemble state vectors must be normalized")
+        object.__setattr__(self, "states", tuple(v))
+        avg = (v.T * self.weights.probs) @ v.conj()
         object.__setattr__(self, "_average", DensityOperator.from_matrix(avg))
 
     @property
@@ -534,7 +533,7 @@ def ensemble_from_state(rho: DensityOperator, m: int, seed) -> PureStateEnsemble
     weights = np.einsum("ij,ij->i", raw, raw.conj()).real
     kept = weights >= TOL.ensemble_weight
     weights = weights[kept]
-    states = tuple(row / np.sqrt(w) for w, row in zip(weights, raw[kept]))
+    states = raw[kept] / np.sqrt(weights)[:, None]
     ens = PureStateEnsemble(ProbabilityDistribution(weights), states)
     if np.abs(ens.average().mat - rho.mat).max() > TOL.reconstruction:
         raise EntropyKitError("ensemble average failed to reproduce the state")

@@ -83,6 +83,8 @@ DEFAULT_DIMS = (2, 3, 4, 5, 6)
 #: largest system dimension ``run_check`` draws states of: each state
 #: costs an O(d^3) eigensolve, and a chunk then holds a single trial
 MAX_CHECK_DIM = 256
+#: suites that need d >= 2: the Fannes bound, and random resolutions of two or more blocks
+TWO_LEVEL_CHECKS = ("fannes", "pinching", "projective")
 DEFAULT_PAIR_DIMS = ((2, 2), (2, 3), (3, 2), (3, 3))
 SQUARE_PAIR_DIMS = ((2, 2), (2, 3), (3, 3))
 
@@ -721,8 +723,9 @@ def run_check(
     params_grid=None,
 ) -> CheckReport:
     """Run one named suite; ``dims`` takes integer system sizes in [1,
-    ``MAX_CHECK_DIM``] (pairs are formed for the bipartite checks, capped
-    at composite dimension 16), ``trials`` and ``seed`` nonnegative integers."""
+    ``MAX_CHECK_DIM``], from 2 for ``TWO_LEVEL_CHECKS`` (pairs are formed for
+    the bipartite checks, capped at composite dimension 16), ``trials`` and
+    ``seed`` nonnegative integers.  Inputs are checked before anything is drawn."""
     if name not in ALL_CHECKS:
         raise DomainError(f"unknown check {name!r}; choose from {', '.join(ALL_CHECKS)}")
     trials, seed = _integer("trial count", trials), _integer("seed", seed)
@@ -735,6 +738,8 @@ def run_check(
         for d in dims:
             if not 1 <= d <= MAX_CHECK_DIM:
                 raise DomainError(f"dimension must lie in [1, {MAX_CHECK_DIM}], got {d!r}")
+            if d < 2 and name in TWO_LEVEL_CHECKS:
+                raise DomainError(f"check {name} needs every dimension >= 2, got {d!r}")
     if name == "scalar-lemma":
         _as_grid(params_grid, ())  # reads no grid, but a bad one is still an error
         return check_scalar_lemma(trials, seed)

@@ -313,6 +313,23 @@ class TestCheckCommand:
         assert code == 1
         assert out == (DATA / "check-all-trials30-seed9-qlimit.jsonl").read_text()
 
+    def test_large_ensembles_match_fixture(self, capsys):
+        """d up to 64 and ensembles of up to 64 members; the fixture was
+        written when each member was normalized and averaged on its own."""
+        argv = ["check", "ensemble", "--trials", "100", "--seed", "11", "--dims", "16,32,64", "--json"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert out == (DATA / "check-ensemble-trials100-seed11-dims16-32-64.jsonl").read_text()
+
+    @pytest.mark.parametrize("suite", ["fannes", "pinching", "projective", "all"])
+    def test_one_level_system_is_an_error_for_two_level_suites(self, capsys, suite):
+        argv = ["check", suite, "--trials", "20", "--seed", "3", "--dims", "1,2,16"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        name = "fannes" if suite == "all" else suite
+        assert err == f"error: check {name} needs every dimension >= 2, got 1\n"
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -639,6 +639,64 @@ class TestEnsembleFromState:
                 (np.array([1.0, 0.0]), np.array([2.0, 0.0])),
             )
 
+    @pytest.mark.parametrize(
+        "d,rank,m,seed",
+        [(2, 1, 1, 0), (3, 2, 8, 1), (5, 5, 8, 2), (16, 9, 16, 3), (32, 32, 40, 4), (64, 64, 64, 5)],
+    )
+    def test_members_equal_per_member_formulas(self, d, rank, m, seed):
+        """Weights and members are bit for bit one einsum and one
+        ``row / sqrt(w)`` per member, as seeded reports need."""
+        rho = random_density(d, rank, seed=seed)
+        r = int(np.sum(rho.eigenvalues > TOL.rank))
+        u = random_unitary(m, seed=seed + 50)[:, :r]
+        raw = (u * np.sqrt(rho.eigenvalues[:r])) @ rho.eigenvectors[:, :r].T
+        weights = np.einsum("ij,ij->i", raw, raw.conj()).real
+        kept = weights >= TOL.ensemble_weight
+        ens = ensemble_from_state(rho, m, seed=seed + 50)
+        assert np.array_equal(ens.weights.probs, weights[kept])
+        assert len(ens.states) == int(kept.sum())
+        for psi, w, row in zip(ens.states, weights[kept], raw[kept]):
+            assert np.array_equal(psi, row / np.sqrt(w))
+
+    def test_largest_ensemble_reproduces_state(self):
+        rho = random_density(64, 64, seed=38)
+        ens = ensemble_from_state(rho, 64, seed=39)
+        assert ens.size == 64
+        assert np.abs(ens.average().mat - rho.mat).max() <= TOL.reconstruction
+
+
+class TestPureStateEnsemble:
+    HALF = ProbabilityDistribution([0.5, 0.5])
+
+    def test_nan_member_fails_the_norm_check(self):
+        with pytest.raises(DomainError, match="normalized"):
+            PureStateEnsemble(self.HALF, ([1.0, 0.0], [np.nan, 0.0]))
+
+    @pytest.mark.parametrize(
+        "states,match",
+        [
+            (([1.0, 0.0], [0.0, 0.0, 1.0]), "share one dimension"),
+            ((np.eye(2), np.eye(2)), "share one dimension"),
+            (([1.0, 0.0], [[0.0, 1.0]]), "share one dimension"),
+            ((1.0, 1.0), "share one dimension"),
+            (([1.0, 0.0],), "one state vector per weight"),
+            (([1.0, 0.0], [0.0, 1.0], [1.0, 0.0]), "one state vector per weight"),
+        ],
+    )
+    def test_shape_errors_are_dim_mismatch(self, states, match):
+        with pytest.raises(DimMismatch, match=match):
+            PureStateEnsemble(self.HALF, states)
+
+    def test_members_are_read_only_copies(self):
+        vecs = np.eye(2, dtype=complex)
+        ens = PureStateEnsemble(self.HALF, vecs)
+        assert isinstance(ens.states, tuple) and len(ens.states) == 2
+        vecs[0, 0] = 0.0
+        assert ens.states[0][0] == 1.0
+        with pytest.raises(ValueError):
+            ens.states[1][0] = 1.0
+        assert ens.average().mat == pytest.approx(np.eye(2) / 2, abs=1e-15)
+
 
 class TestMatrixIO:
     def test_round_trip(self, tmp_path):

@@ -380,6 +380,18 @@ class TestSuitesPass:
             with pytest.raises(DomainError, match=message):
                 run_check(name, **{"trials": 2, "seed": 0, **kwargs})
 
+    @pytest.mark.parametrize("name", verify.TWO_LEVEL_CHECKS)
+    def test_one_level_systems_are_refused_before_any_draw(self, name, monkeypatch):
+        """The Fannes bound and random block resolutions need d >= 2, so
+        these suites refuse d = 1 before a trial runs, not mid-run."""
+        monkeypatch.setattr(verify, "_run_suite", lambda *args: pytest.fail("trials were drawn"))
+        with pytest.raises(DomainError, match=f"check {name} needs every dimension >= 2, got 1"):
+            run_check(name, trials=20, seed=3, dims=(2, 1))
+
+    @pytest.mark.parametrize("name", sorted(set(verify.SUITES) - set(verify.TWO_LEVEL_CHECKS)))
+    def test_other_suites_run_one_level_systems(self, name):
+        assert run_check(name, trials=4, seed=3, dims=(1, 2)).comparisons > 0
+
     def test_whole_floats_are_integers(self):
         as_floats = run_check("ensemble", trials=3.0, seed=4.0, dims=(2.0, 3.0))
         assert as_floats.to_json() == run_check("ensemble", trials=3, seed=4, dims=(2, 3)).to_json()
