@@ -40,7 +40,7 @@ from .entropies import (
 )
 from .errors import DomainError, EntropyKitError, FloatRange
 from .linops import ProbabilityDistribution, read_density
-from .verify import ALL_CHECKS, StabilityExample, report_ok, run_check, stability_ratio
+from .verify import ALL_CHECKS, StabilityExample, _checked_inputs, report_ok, run_check, stability_ratio
 
 SEED_ENV = "ENTROPY_KIT_SEED"
 
@@ -177,6 +177,8 @@ def cmd_check(args) -> int:
     seed = _resolve_seed(args)
     grid = _check_grid(args)
     names = ALL_CHECKS if args.suite == "all" else (args.suite,)
+    for name in names:  # so a bad input stops the run before any suite runs
+        _checked_inputs(name, args.trials, seed, args.dims)
     reports = [
         run_check(name, trials=args.trials, seed=seed, dims=args.dims, params_grid=grid)
         for name in names

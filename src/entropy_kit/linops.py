@@ -58,6 +58,15 @@ def _check_hermitian(mats: np.ndarray) -> None:
             )
 
 
+def _check_hermitian_unit_trace(mats: np.ndarray) -> None:
+    """The O(d^2) density checks of an (n, d, d) stack: finite, Hermitian
+    (``_check_hermitian``) and of trace 1 within ``TOL.trace``."""
+    _check_hermitian(mats)
+    for tr in mats.trace(axis1=1, axis2=2).real.tolist():
+        if abs(tr - 1.0) > TOL.trace:
+            raise DomainError(f"trace is {tr!r}, expected 1 within {TOL.trace:g}")
+
+
 def _density_spectra(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Validate an (n, d, d) stack of density matrices with one ``eigh``.
 
@@ -65,10 +74,7 @@ def _density_spectra(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     both descending; see ``DensityOperator`` for the cleaning.  One call
     on a stack gives bit for bit the values of n calls on its matrices.
     """
-    _check_hermitian(mats)
-    for tr in mats.trace(axis1=1, axis2=2).real.tolist():
-        if abs(tr - 1.0) > TOL.trace:
-            raise DomainError(f"trace is {tr!r}, expected 1 within {TOL.trace:g}")
+    _check_hermitian_unit_trace(mats)
     vals, vecs = np.linalg.eigh(mats)
     low = min(vals[:, 0].tolist())
     if low < -TOL.psd:
@@ -287,9 +293,15 @@ class ProbabilityDistribution(_SpectralMemo):
 
 @dataclass(frozen=True, eq=False)
 class PureStateEnsemble:
-    """Weights p_i with unit vectors |psi_i>; the average state must be a
-    valid DensityOperator (validated at construction).  ``states`` holds
-    the read-only rows of one (m, d) array."""
+    """Weights p_i with unit vectors |psi_i>; ``states`` holds the
+    read-only rows of one (m, d) array.
+
+    The average sum_i p_i |psi_i><psi_i| gets the Hermiticity and trace
+    checks of a ``DensityOperator`` at construction, but no eigensolve:
+    with every p_i >= 0 it is positive semidefinite up to rounding, which
+    leaves its lowest eigenvalue near -m d 2^-53, far above -``TOL.psd``.
+    ``average()`` builds the state, with the full check, on first use.
+    """
 
     weights: ProbabilityDistribution
     states: tuple
@@ -311,14 +323,21 @@ class PureStateEnsemble:
         if not np.all(np.abs(np.einsum("ij,ij->i", v, v.conj()).real - 1.0) <= TOL.orthonormal):
             raise DomainError("ensemble state vectors must be normalized")
         object.__setattr__(self, "states", tuple(v))
-        avg = (v.T * self.weights.probs) @ v.conj()
-        object.__setattr__(self, "_average", DensityOperator.from_matrix(avg))
+        avg = _frozen((v.T * self.weights.probs) @ v.conj())
+        _check_hermitian_unit_trace(avg[None])
+        object.__setattr__(self, "_average_matrix", avg)
+        object.__setattr__(self, "_average", None)
 
     @property
     def size(self) -> int:
         return self.weights.size
 
     def average(self) -> DensityOperator:
+        """The average state, built on the first call and memoized."""
+        if self._average is None:
+            object.__setattr__(
+                self, "_average", DensityOperator.from_matrix(self._average_matrix)
+            )
         return self._average
 
 
@@ -535,7 +554,7 @@ def ensemble_from_state(rho: DensityOperator, m: int, seed) -> PureStateEnsemble
     weights = weights[kept]
     states = raw[kept] / np.sqrt(weights)[:, None]
     ens = PureStateEnsemble(ProbabilityDistribution(weights), states)
-    if np.abs(ens.average().mat - rho.mat).max() > TOL.reconstruction:
+    if np.abs(ens._average_matrix - rho.mat).max() > TOL.reconstruction:
         raise EntropyKitError("ensemble average failed to reproduce the state")
     return ens
 

@@ -715,17 +715,9 @@ def _integer(what: str, value) -> int:
     raise DomainError(f"{what} must be an integer, got {value!r}")
 
 
-def run_check(
-    name: str,
-    trials: int = 1000,
-    seed: int = 0,
-    dims=None,
-    params_grid=None,
-) -> CheckReport:
-    """Run one named suite; ``dims`` takes integer system sizes in [1,
-    ``MAX_CHECK_DIM``], from 2 for ``TWO_LEVEL_CHECKS`` (pairs are formed for
-    the bipartite checks, capped at composite dimension 16), ``trials`` and
-    ``seed`` nonnegative integers.  Inputs are checked before anything is drawn."""
+def _checked_inputs(name: str, trials, seed, dims) -> tuple:
+    """``run_check``'s (trials, seed, dims) as ints, or the ``DomainError``
+    that ``run_check(name, ...)`` raises before drawing anything."""
     if name not in ALL_CHECKS:
         raise DomainError(f"unknown check {name!r}; choose from {', '.join(ALL_CHECKS)}")
     trials, seed = _integer("trial count", trials), _integer("seed", seed)
@@ -740,6 +732,21 @@ def run_check(
                 raise DomainError(f"dimension must lie in [1, {MAX_CHECK_DIM}], got {d!r}")
             if d < 2 and name in TWO_LEVEL_CHECKS:
                 raise DomainError(f"check {name} needs every dimension >= 2, got {d!r}")
+    return trials, seed, dims
+
+
+def run_check(
+    name: str,
+    trials: int = 1000,
+    seed: int = 0,
+    dims=None,
+    params_grid=None,
+) -> CheckReport:
+    """Run one named suite; ``dims`` takes integer system sizes in [1,
+    ``MAX_CHECK_DIM``], from 2 for ``TWO_LEVEL_CHECKS`` (pairs are formed for
+    the bipartite checks, capped at composite dimension 16), ``trials`` and
+    ``seed`` nonnegative integers.  Inputs are checked before anything is drawn."""
+    trials, seed, dims = _checked_inputs(name, trials, seed, dims)
     if name == "scalar-lemma":
         _as_grid(params_grid, ())  # reads no grid, but a bad one is still an error
         return check_scalar_lemma(trials, seed)

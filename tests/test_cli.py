@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from entropy_kit import cli
+from entropy_kit import cli, verify
 from entropy_kit.cli import SEED_ENV, main
 from entropy_kit.linops import diagonal_density, write_matrix
 from entropy_kit.verify import ALL_CHECKS
@@ -329,6 +329,14 @@ class TestCheckCommand:
         assert out == ""
         name = "fannes" if suite == "all" else suite
         assert err == f"error: check {name} needs every dimension >= 2, got 1\n"
+
+    def test_bad_dimension_stops_check_all_before_any_suite_runs(self, capsys):
+        argv = ["check", "all", "--trials", "20", "--seed", "3", "--dims", "1,2,16"]
+        with mock.patch.object(verify, "_run_suite", side_effect=AssertionError("ran")):
+            code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err == "error: check fannes needs every dimension >= 2, got 1\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -664,6 +664,22 @@ class TestEnsembleFromState:
         assert ens.size == 64
         assert np.abs(ens.average().mat - rho.mat).max() <= TOL.reconstruction
 
+    def test_no_eigensolve(self):
+        rho = random_density(64, 64, seed=38)
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+            ensemble_from_state(rho, 64, seed=39)
+        assert eigh.call_count == 0
+
+    def test_average_is_built_once_as_from_matrix(self):
+        rho = random_density(64, 64, seed=38)
+        ens = ensemble_from_state(rho, 64, seed=39)
+        avg = ens.average()
+        assert ens.average() is avg
+        v = np.array(ens.states)
+        direct = DensityOperator.from_matrix((v.T * ens.weights.probs) @ v.conj())
+        assert np.array_equal(avg.eigenvalues, direct.eigenvalues)
+        assert np.array_equal(avg.eigenvectors, direct.eigenvectors)
+
 
 class TestPureStateEnsemble:
     HALF = ProbabilityDistribution([0.5, 0.5])
@@ -686,6 +702,13 @@ class TestPureStateEnsemble:
     def test_shape_errors_are_dim_mismatch(self, states, match):
         with pytest.raises(DimMismatch, match=match):
             PureStateEnsemble(self.HALF, states)
+
+    def test_trace_of_the_average_is_checked_at_construction(self):
+        # each weight sum and norm is within 1e-10, their product is not
+        a = np.sqrt(1 + 0.9e-10)
+        weights = ProbabilityDistribution([0.5, 0.5 + 0.9e-10])
+        with pytest.raises(DomainError, match=r"trace is 1\.00000000018"):
+            PureStateEnsemble(weights, ([a, 0.0], [0.0, a]))
 
     def test_members_are_read_only_copies(self):
         vecs = np.eye(2, dtype=complex)
