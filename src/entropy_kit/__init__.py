@@ -34,7 +34,6 @@ from .linops import (
     random_unitary,
     read_density,
     read_matrix,
-    schatten_norm,
     tensor,
     trace_distance,
     write_matrix,
@@ -68,11 +67,9 @@ from .verify import (
     ALL_CHECKS,
     CheckReport,
     StabilityExample,
-    check_scalar_lemma,
     qubit_measurement_decrease,
     report_ok,
     run_check,
-    search_subadditivity_violation,
     stability_ratio,
 )
 

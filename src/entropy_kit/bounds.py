@@ -63,8 +63,8 @@ class BoundSpec:
 
 def eta_q(x: float, q: float) -> float:
     """Generalized eta function (x^q - x)/(1 - q); -x ln x at q -> 1."""
-    if x < 0:
-        raise DomainError(f"eta needs x >= 0, got {x!r}")
+    if not 0.0 <= x < math.inf:  # written so that NaN fails too
+        raise DomainError(f"eta needs finite x >= 0, got {x!r}")
     if not 0.0 < q < math.inf:  # inline, as in BoundSpec: on every low-index bound
         raise InvalidIndex(f"entropic index q must be positive and finite, got {q!r}")
     if abs(q - 1.0) < TOL.q_limit:
@@ -97,10 +97,9 @@ def fannes_tsallis_low_q(spec: BoundSpec) -> float:
     if q > 2:
         raise OutOfValidity(f"low-index bound needs q <= 2, got {q!r}")
     x = 2.0 * eps
-    if x > low_q_threshold(q):
-        raise OutOfValidity(
-            f"2*eps = {x!r} exceeds the monotonicity threshold {low_q_threshold(q)!r}"
-        )
+    limit = low_q_threshold(q)
+    if x > limit:
+        raise OutOfValidity(f"2*eps = {x!r} exceeds the monotonicity threshold {limit!r}")
     if eps == 0.0:
         return 0.0
     return x**q * q_log(d, q) + eta_q(x, q)

@@ -55,6 +55,8 @@ def q_log(x: float, q: float) -> float:
     """q-logarithm ln_q(x) = (x^(1-q) - 1)/(1 - q), with ln x at q -> 1."""
     if not x > 0:
         raise DomainError(f"q-logarithm needs x > 0, got {x!r}")
+    if not 0.0 < q < math.inf:  # inline, as in BoundSpec: on every bound
+        raise InvalidIndex(f"entropic index q must be positive and finite, got {q!r}")
     if abs(q - 1.0) < TOL.q_limit:
         return math.log(x)
     return math.expm1((1.0 - q) * math.log(x)) / (1.0 - q) + 0.0

@@ -1,6 +1,6 @@
 """Dense Hermitian operator core.
 
-Validated state and operator types with their spectra, Schatten norms,
+Validated state and operator types with their spectra and power sums,
 composite-system operations (tensor, purification, and the partial
 trace and pinching of plain matrices), generalized measurements, seeded
 random sampling, and a small JSON matrix file format.
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,6 +29,23 @@ from .errors import (
     NotPositive,
 )
 from .tolerances import TOL
+
+
+def _integer(what: str, value) -> int:
+    """``value`` as an int; a float only if it is whole, not truncated."""
+    if type(value) is int:
+        return value
+    if isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise DomainError(f"{what} must be an integer, got {value!r}")
+
+
+def _dimension(d) -> int:
+    """A system dimension as a positive int, under ``_integer``'s rule."""
+    d = _integer("dimension", d)
+    if d < 1:
+        raise DomainError(f"dimension must be positive, got {d!r}")
+    return d
 
 
 def _check_square(mat: np.ndarray) -> np.ndarray:
@@ -110,12 +128,12 @@ class _SpectralMemo:
         object.__setattr__(self, "_shannon", None)
 
     def power_sum(self, q: float) -> float:
-        """sum_j x_j^q over the spectrum, q > 0; 0^q = 0, so zeros never count."""
+        """sum_j x_j^q over the spectrum, q > 0 finite; 0^q = 0, so zeros never count."""
         sums = self._power_sums
         t = sums.get(q)
         if t is None:
-            if not q > 0:
-                raise InvalidIndex(f"power sum needs q > 0, got {q!r}")
+            if not 0.0 < q < math.inf:
+                raise InvalidIndex(f"power sum needs q positive and finite, got {q!r}")
             t = float(np.sum(self._values**q))
             if len(sums) < POWER_SUM_MEMO_CAP:
                 sums[q] = t
@@ -413,22 +431,6 @@ def _matrix_of(a) -> np.ndarray:
     raise DomainError(f"expected a Hermitian or density operator, got {type(a).__name__}")
 
 
-def _singular_values(a) -> np.ndarray:
-    """Descending singular values; for Hermitian input these are |eigenvalues|."""
-    if isinstance(a, DensityOperator):
-        return a.eigenvalues
-    vals = np.abs(np.linalg.eigvalsh(_matrix_of(a)))
-    return np.sort(vals)[::-1]
-
-
-def schatten_norm(a, q: float) -> float:
-    """(sum_j sigma_j^q)^(1/q) over singular values, for q >= 1."""
-    if q < 1:
-        raise InvalidIndex(f"Schatten norm needs q >= 1, got {q!r}")
-    sv = _singular_values(a)
-    return float(np.sum(sv**q) ** (1.0 / q))
-
-
 def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
     """Half the trace norm of (a - b)."""
     if a.dim != b.dim:
@@ -449,6 +451,7 @@ def partial_trace(mat: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.ndar
     Unvalidated beyond shapes: build a ``DensityOperator`` of the result
     where its spectrum is needed.
     """
+    dim_a, dim_b = _integer("dimension", dim_a), _integer("dimension", dim_b)
     n = dim_a * dim_b
     if dim_a < 1 or dim_b < 1 or mat.shape != (n, n):
         raise DimMismatch(
@@ -501,15 +504,13 @@ def diagonal_density(probs) -> DensityOperator:
 
 
 def maximally_mixed(d: int) -> DensityOperator:
-    if d < 1:
-        raise DomainError(f"dimension must be positive, got {d!r}")
+    d = _dimension(d)
     return DensityOperator.from_matrix(np.eye(d) / d)
 
 
 def random_density_matrix(d: int, rank: int, seed) -> np.ndarray:
     """Ginibre matrix G G^dagger / tr(G G^dagger) with G of shape (d, rank)."""
-    if d < 1:
-        raise DomainError(f"dimension must be positive, got {d!r}")
+    d, rank = _dimension(d), _integer("rank", rank)
     if not 1 <= rank <= d:
         raise InvalidIndex(f"rank {rank!r} outside [1, {d}]")
     rng = _rng(seed)
@@ -525,8 +526,7 @@ def random_density(d: int, rank: int, seed) -> DensityOperator:
 
 def random_unitary(d: int, seed) -> np.ndarray:
     """Haar-distributed unitary via QR with phase-normalized R diagonal."""
-    if d < 1:
-        raise DomainError(f"dimension must be positive, got {d!r}")
+    d = _dimension(d)
     rng = _rng(seed)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(g)
@@ -542,6 +542,7 @@ def ensemble_from_state(rho: DensityOperator, m: int, seed) -> PureStateEnsemble
     ``random_unitary(m, seed)``, so p_i = sum_j |u_ij|^2 lambda_j.
     Members with weight below ``TOL.ensemble_weight`` are discarded.
     """
+    m = _integer("ensemble size", m)
     lam = rho.eigenvalues
     r = int(np.sum(lam > TOL.rank))
     if m < r:
@@ -572,6 +573,7 @@ def random_resolution(d: int, seed, ranks=None) -> OrthogonalResolution:
     near-unit rows of U with a block of U^H U - I, summed over at most d
     terms).  Their Hermiticity is checked on their stack.
     """
+    d = _dimension(d)
     rng = _rng(seed)
     if ranks is None:
         if d < 2:
@@ -587,7 +589,7 @@ def random_resolution(d: int, seed, ranks=None) -> OrthogonalResolution:
             else:
                 size += 1
         ranks.append(size)
-    ranks = [int(r) for r in ranks]
+    ranks = [_integer("block rank", r) for r in ranks]
     if sum(ranks) != d or any(r < 1 for r in ranks):
         raise DomainError(f"block ranks {ranks} do not partition dimension {d}")
     u = random_unitary(d, rng)

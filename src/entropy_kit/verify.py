@@ -10,11 +10,12 @@ matrices), builds all of their states with one stacked
 reads them at every grid point as one table and judges the chunk's
 claims as arrays over (trial, point, case), each step bit-identical to
 working one state, point and comparison at a time.  One chunk's states
-are alive at a time.  ``run_check`` is the entry point for every suite.
+are alive at a time.  ``run_check`` is the only entry to every suite.
 A comparison "lhs <= rhs" fails when the signed violation lhs - rhs
 exceeds TOL.check_rel * (1 + magnitude); ``failures`` counts failed
 comparisons, ``skipped`` counts grid points outside a claim's proven
-region or validity window.  A suite that made no comparison at all does not pass.
+region or validity window, and a suite that claims no grid point draws
+nothing.  A suite that made no comparison at all does not pass.
 
 The subadditivity violation search inverts the reading: there the
 inequality is expected to break, ``failures`` counts the violations
@@ -26,7 +27,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -34,10 +34,11 @@ import numpy as np
 
 from .bounds import BoundSpec, _check_dimension, fannes_range, max_unified, unified_fannes_bound
 from .entropies import UnifiedParams, _entropy_rows, unified_from_power_sum, unified_quantum
-from .errors import DimMismatch, DomainError, InvalidIndex, NotDiagonal, OutOfValidity, PureState
+from .errors import DimMismatch, DomainError, NotDiagonal, OutOfValidity, PureState
 from .linops import (
     DensityOperator,
     GeneralizedMeasurement,
+    _integer,
     _power_sums,
     apply_generalized,
     density_operators,
@@ -236,7 +237,7 @@ def _stacked(per_trial: list) -> list:
     return out
 
 
-def check_scalar_lemma(trials: int = 1000, seed: int = 0) -> CheckReport:
+def _scalar_lemma(trials: int, seed: int) -> CheckReport:
     """Scalar comparisons behind the continuity proofs.
 
     |x^s - y^s| <= s |x - y| on [0,1] for s >= 1 and on [1,inf) for
@@ -367,11 +368,8 @@ def _fannes_judge(trials, states, points):
 
 def _audenaert_judge(trials, states, points):
     """Schatten-norm inequality ||rho_A||_q + ||rho_B||_q <= 1 + ||rho_AB||_q
-    for q > 1, from the power sums tr(rho^q)."""
-    for p in points:
-        if p.q < 1.0:
-            raise InvalidIndex(f"Schatten norm needs q >= 1, got {p.q!r}")
-    # (tr rho^q)^(1/q) as schatten_norm takes it: scalar pow, not numpy's array **
+    for q >= 1, from the power sums tr(rho^q)."""
+    # (tr rho^q)^(1/q) with scalar pow, not numpy's array **
     norm_ab, norm_a, norm_b = np.stack([
         [[t ** (1.0 / p.q) for t, p in zip(row, points)] for row in e.tolist()]
         for e in _table(states, points, q_only=True)
@@ -491,7 +489,8 @@ class Suite:
     (trial, point) arrays per case of "lhs <= rhs", a (trial, point) mask
     of the points inside the claim's validity window (None for all), and
     ``case(t, k, c)``, the case dict of trial t, point k and case c.
-    Points outside ``claimed`` are skipped without a judge.
+    Points outside ``claimed`` are skipped without a judge; with none
+    inside, no trial is drawn.
     """
 
     draw: Callable
@@ -522,7 +521,7 @@ SUITES = {
     ),
     "audenaert": Suite(
         _bipartite_draw, _audenaert_judge, DEFAULT_PAIR_DIMS,
-        tuple((q, 0.0) for q in AUDENAERT_Q), q_only=True,
+        tuple((q, 0.0) for q in AUDENAERT_Q), claimed=lambda q, s: q >= 1.0, q_only=True,
     ),
     "subadd": Suite(
         _bipartite_draw, _subadd_judge, DEFAULT_PAIR_DIMS, SUBADD_GRID, claimed=_subadditive
@@ -575,6 +574,8 @@ def _run_suite(name, trials, seed, dims, grid, rec=None) -> CheckReport:
         rec = CheckReport(name, seed=seed)
     rec.trials += trials
     rec.skipped += (len(grid) - len(claimed)) * trials
+    if not claimed:
+        return rec
     dims = dims or suite.dims
     # the largest matrix built: triangle's rho_BC is (d_B d_A d_B)-square
     d_max = max(a * b * b for a, b in dims) if suite.pairs else max(dims)
@@ -588,19 +589,11 @@ def _run_suite(name, trials, seed, dims, grid, rec=None) -> CheckReport:
     return rec
 
 
-def search_subadditivity_violation(
-    trials: int = 200, dims=None, params_grid=None, seed: int = 0
-) -> CheckReport:
-    """Hunt for E(rho_AB) > E(rho_A) + E(rho_B) where subadditivity fails.
-
-    The default grid samples both failure regions, {q > 1, s < 0} and
-    {0 < q < 1, s > 0}.  Two analytic instances on I/2 (x) I/2 are
-    evaluated before any sampling, so at least one violation is present:
+def _seeded_violations(seed: int) -> CheckReport:
+    """The ``subadd-violation`` report before sampling: two analytic
+    instances on I/2 (x) I/2, so at least one violation is present.
     (q=2, s=-1) violates by exactly 1 and (q=1/2, s=1) by 6 - 4 sqrt 2.
-    Here ``failures`` counts violations found, and finding none is the
-    failure mode.
     """
-    grid = _as_grid(params_grid, VIOLATION_GRID)
     rec = CheckReport("subadd-violation", seed=seed)
     mm = maximally_mixed(2)
     product = tensor(mm, mm)
@@ -612,7 +605,7 @@ def search_subadditivity_violation(
             2.0 * unified_quantum(mm, params),
             {"trial": -1, "kind": "seeded", "d_a": 2, "d_b": 2, "q": q, "s": s},
         )
-    return _run_suite("subadd-violation", trials, seed, dims, grid, rec)
+    return rec
 
 
 QUBIT_MEASUREMENT = (((1, 0), (0, 0)), ((0, 1), (0, 0)))
@@ -708,13 +701,6 @@ def stability_ratio(ex: StabilityExample) -> float:
     return num / max_unified(q, s, d)
 
 
-def _integer(what: str, value) -> int:
-    """``value`` as an int; a float only if it is whole, not truncated."""
-    if isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer()):
-        return int(value)
-    raise DomainError(f"{what} must be an integer, got {value!r}")
-
-
 def _checked_inputs(name: str, trials, seed, dims) -> tuple:
     """``run_check``'s (trials, seed, dims) as ints, or the ``DomainError``
     that ``run_check(name, ...)`` raises before drawing anything."""
@@ -742,21 +728,22 @@ def run_check(
     dims=None,
     params_grid=None,
 ) -> CheckReport:
-    """Run one named suite; ``dims`` takes integer system sizes in [1,
-    ``MAX_CHECK_DIM``], from 2 for ``TWO_LEVEL_CHECKS`` (pairs are formed for
-    the bipartite checks, capped at composite dimension 16), ``trials`` and
-    ``seed`` nonnegative integers.  Inputs are checked before anything is drawn."""
+    """Run one named suite, the only entry to any suite; ``dims`` takes
+    integer system sizes in [1, ``MAX_CHECK_DIM``], from 2 for
+    ``TWO_LEVEL_CHECKS`` (pairs are formed for the bipartite checks, capped
+    at composite dimension 16), ``trials`` and ``seed`` nonnegative
+    integers.  Inputs are checked before anything is drawn."""
     trials, seed, dims = _checked_inputs(name, trials, seed, dims)
     if name == "scalar-lemma":
         _as_grid(params_grid, ())  # reads no grid, but a bad one is still an error
-        return check_scalar_lemma(trials, seed)
+        return _scalar_lemma(trials, seed)
     if name == "qubit-measure":
         return qubit_measurement_decrease(diagonal_density((0.8, 0.2)), params_grid)
     if dims is not None and SUITES[name].pairs:
         dims = tuple((a, b) for a in dims for b in dims if a * b <= 16) or DEFAULT_PAIR_DIMS
-    if name == "subadd-violation":
-        return search_subadditivity_violation(trials, dims, params_grid, seed)
-    return _run_suite(name, trials, seed, dims, _as_grid(params_grid, SUITES[name].grid))
+    grid = _as_grid(params_grid, SUITES[name].grid)
+    rec = _seeded_violations(seed) if name == "subadd-violation" else None
+    return _run_suite(name, trials, seed, dims, grid, rec)
 
 
 def report_ok(report: CheckReport) -> bool:

@@ -26,7 +26,7 @@ from entropy_kit.linops import (
 from entropy_kit.verify import (
     StabilityExample,
     qubit_measurement_decrease,
-    search_subadditivity_violation,
+    run_check,
     stability_ratio,
 )
 
@@ -116,7 +116,7 @@ def test_criterion_5_thermodynamic_envelope(capsys):
 
 def test_criterion_6_subadditivity_violations_found(capsys):
     def body():
-        rep = search_subadditivity_violation(trials=200, seed=42)
+        rep = run_check("subadd-violation", trials=200, seed=42)
         assert rep.failures >= 1
         assert rep.max_violation >= 1.0 - 1e-9
         mm = maximally_mixed(2)

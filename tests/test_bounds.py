@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from entropy_kit import bounds
 from entropy_kit.bounds import (
     BoundSpec,
     eta_q,
@@ -68,6 +69,12 @@ class TestEta:
         with pytest.raises(InvalidIndex):
             eta_q(0.2, 0.0)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_non_finite_argument(self, x):
+        # both returned nan
+        with pytest.raises(DomainError, match=f"eta needs finite x >= 0, got {x!r}"):
+            eta_q(x, 2.0)
+
 
 class TestThreshold:
     def test_values(self):
@@ -111,6 +118,21 @@ class TestLowIndexBound:
     def test_boundary_admissible(self):
         # 2*eps right at the threshold still evaluates
         assert fannes_tsallis_low_q(BoundSpec(2.0, 1.0, 4, 0.25)) > 0
+
+    def test_refusal_computes_the_threshold_once(self, monkeypatch):
+        calls = []
+
+        def counted(q):
+            calls.append(q)
+            return low_q_threshold(q)
+
+        monkeypatch.setattr(bounds, "low_q_threshold", counted)
+        with pytest.raises(OutOfValidity) as info:
+            fannes_tsallis_low_q(BoundSpec(0.7, 0.5, 4, 0.3))
+        assert calls == [0.7]
+        assert str(info.value) == (
+            f"2*eps = 0.6 exceeds the monotonicity threshold {low_q_threshold(0.7)!r}"
+        )
 
 
 class TestHighIndexBound:

@@ -354,11 +354,16 @@ class TestCheckCommand:
         assert err.startswith("error:")
         assert "must be finite" in err
 
-    def test_grid_below_the_schatten_range_is_an_error(self, capsys):
-        code, out, err = run_cli(capsys, ["check", "audenaert", "--q-grid", "0.5", "--s-grid=1"])
+    def test_grid_below_the_schatten_range_is_skipped(self, capsys):
+        # audenaert used to stop check all with an error after earlier suites ran
+        argv = ["check", "all", "--trials", "20", "--q-grid", "0.5", "--s-grid", "1", "--json"]
+        code, out, err = run_cli(capsys, argv)
         assert code == 1
-        assert out == ""
-        assert err.startswith("error:")
+        assert err == ""
+        reports = [json.loads(line) for line in out.splitlines()]
+        assert [r["check"] for r in reports] == list(verify.ALL_CHECKS)
+        audenaert = reports[verify.ALL_CHECKS.index("audenaert")]
+        assert (audenaert["trials"], audenaert["skipped"], audenaert["failures"]) == (20, 20, 0)
 
 
 class TestStabilityCommand:

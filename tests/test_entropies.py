@@ -60,6 +60,12 @@ class TestQLog:
         with pytest.raises(DomainError):
             q_log(-1.0, 2.0)
 
+    @pytest.mark.parametrize("q", [math.nan, math.inf, 0.0, -1.0])
+    def test_index_rule(self, q):
+        # q_log(2, nan) returned nan
+        with pytest.raises(InvalidIndex, match=f"q must be positive and finite, got {q!r}"):
+            q_log(2.0, q)
+
     @given(st.floats(0.1, 10.0), st.floats(0.05, 3.0))
     def test_continuous_near_limit(self, x, q):
         direct = q_log(x, q)

@@ -40,7 +40,6 @@ from entropy_kit.linops import (
     random_unitary,
     read_density,
     read_matrix,
-    schatten_norm,
     tensor,
     trace_distance,
     write_matrix,
@@ -129,25 +128,6 @@ class TestProbabilityDistribution:
             ProbabilityDistribution(probs)
 
 
-class TestNorms:
-    def test_schatten_identity(self):
-        op = HermitianOperator(np.eye(3))
-        assert schatten_norm(op, 2) == pytest.approx(np.sqrt(3.0))
-
-    def test_schatten_trace_norm_of_state_is_one(self):
-        rho = random_density(4, 3, seed=5)
-        assert schatten_norm(rho, 1) == pytest.approx(1.0, abs=1e-10)
-
-    def test_schatten_rejects_q_below_one(self):
-        with pytest.raises(InvalidIndex):
-            schatten_norm(maximally_mixed(2), 0.5)
-
-    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0])
-    def test_schatten_matches_trace_power(self, q):
-        rho = random_density(5, 4, seed=8)
-        assert schatten_norm(rho, q) == pytest.approx(rho.power_sum(q) ** (1 / q))
-
-
 class TestTraceDistance:
     def test_identical_states(self):
         rho = random_density(3, 3, seed=1)
@@ -197,6 +177,13 @@ class TestTracePower:
         for q in (np.nan, float("nan")):
             with pytest.raises(InvalidIndex):
                 rho.power_sum(q)
+        assert rho._power_sums == {}
+
+    def test_rejects_infinite_q(self):
+        # every x^inf of a mixed spectrum is 0, and the sum read 0.0
+        rho = maximally_mixed(2)
+        with pytest.raises(InvalidIndex, match="q positive and finite, got inf"):
+            rho.power_sum(np.inf)
         assert rho._power_sums == {}
 
 
@@ -337,7 +324,8 @@ class TestPinch:
         for seed in range(10):
             rho = random_density(4, 4, seed=seed)
             pinched = DensityOperator.from_matrix(pinch(rho.mat, random_resolution(4, seed=seed)))
-            assert schatten_norm(pinched, q) <= schatten_norm(rho, q) + 1e-10
+            # the Schatten q-norm (tr rho^q)^(1/q)
+            assert pinched.power_sum(q) ** (1 / q) <= rho.power_sum(q) ** (1 / q) + 1e-10
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
@@ -591,6 +579,47 @@ class TestRandomSampling:
             path.write_bytes(b"\xff\xfe{")
         with pytest.raises(DomainError, match="cannot read matrix file"):
             read_matrix(path)
+
+
+class TestIntegerSizes:
+    """Dimensions, ranks and ensemble sizes follow ``run_check``'s integer
+    rule: a whole float is its int, anything else a ``DomainError``."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: maximally_mixed(2.5),
+            lambda: random_density(2.5, 1, 0),
+            lambda: random_density_matrix(3, 1.5, 0),
+            lambda: random_unitary(2.5, 0),
+            lambda: random_resolution(2.5, 0),
+            lambda: ensemble_from_state(maximally_mixed(2), 2.5, 0),
+            lambda: partial_trace(np.eye(4) / 4, 2.5, 2, "A"),
+            lambda: partial_trace(np.eye(4) / 4, 2, float("nan"), "B"),
+        ],
+    )
+    def test_fractional_size_is_a_domain_error(self, call):
+        # each ended in a bare TypeError or ValueError
+        with pytest.raises(DomainError, match="must be an integer, got"):
+            call()
+
+    def test_fractional_block_ranks_are_not_truncated(self):
+        # int() made these "block ranks [1, 1]"
+        with pytest.raises(DomainError, match="block rank must be an integer, got 1.5"):
+            random_resolution(3, 0, ranks=(1.5, 1.5))
+
+    def test_whole_floats_are_integers(self):
+        assert bit_equal(maximally_mixed(3.0).mat, maximally_mixed(3).mat)
+        assert bit_equal(random_density_matrix(4.0, 2.0, 7), random_density_matrix(4, 2, 7))
+        assert bit_equal(random_unitary(3.0, 7), random_unitary(3, 7))
+        whole = random_resolution(4.0, 7, ranks=(1.0, 3.0))
+        plain = random_resolution(4, 7, ranks=(1, 3))
+        assert all(bit_equal(a.entries, b.entries) for a, b in zip(whole.projectors, plain.projectors))
+        rho = random_density(3, 3, seed=7)
+        assert bit_equal(ensemble_from_state(rho, 5.0, 7).weights.probs,
+                         ensemble_from_state(rho, 5, 7).weights.probs)
+        mat = random_density_matrix(6, 6, 7)
+        assert bit_equal(partial_trace(mat, 2.0, np.int64(3), "A"), partial_trace(mat, 2, 3, "A"))
 
 
 class TestEnsembleFromState:

@@ -33,7 +33,6 @@ from entropy_kit.verify import (
     qubit_measurement_decrease,
     report_ok,
     run_check,
-    search_subadditivity_violation,
     stability_ratio,
 )
 
@@ -201,8 +200,10 @@ class TestReports:
         assert report_ok(rep)
 
     def test_negative_trials_rejected(self):
-        with pytest.raises(DomainError):
-            run_check("fannes", trials=-1)
+        # the former public entries of these two suites reported -4 and 0 trials
+        for name in ("fannes", "subadd-violation", "scalar-lemma"):
+            with pytest.raises(DomainError, match="trial count must be nonnegative"):
+                run_check(name, trials=-5)
 
     @pytest.mark.parametrize("name", ALL_CHECKS)
     @pytest.mark.parametrize("chunk", [1, 3, 64])
@@ -353,8 +354,9 @@ class TestSuitesPass:
 
     @pytest.mark.parametrize("seed", [-1, -(2**70)])
     def test_negative_seed_is_a_domain_error(self, seed):
-        with pytest.raises(DomainError, match="seed must be nonnegative"):
-            run_check("fannes", trials=1, seed=seed)
+        for name in ("fannes", "subadd-violation"):
+            with pytest.raises(DomainError, match="seed must be nonnegative"):
+                run_check(name, trials=1, seed=seed)
 
     @pytest.mark.parametrize("dims", [(0,), (2, verify.MAX_CHECK_DIM + 1), (10**300,)])
     def test_dimension_outside_the_drawable_range(self, dims):
@@ -376,7 +378,7 @@ class TestSuitesPass:
         ],
     )
     def test_non_integer_input_is_a_domain_error(self, kwargs, message):
-        for name in ("ensemble", "subadd", "scalar-lemma"):
+        for name in ("ensemble", "subadd", "subadd-violation", "scalar-lemma"):
             with pytest.raises(DomainError, match=message):
                 run_check(name, **{"trials": 2, "seed": 0, **kwargs})
 
@@ -396,11 +398,18 @@ class TestSuitesPass:
         as_floats = run_check("ensemble", trials=3.0, seed=4.0, dims=(2.0, 3.0))
         assert as_floats.to_json() == run_check("ensemble", trials=3, seed=4, dims=(2, 3)).to_json()
 
-    def test_schatten_norms_refuse_q_below_one(self):
-        with pytest.raises(InvalidIndex, match="Schatten norm needs q >= 1, got 0.5"):
-            run_check("audenaert", trials=1, seed=0, params_grid=[(2.0, 0.0), (0.5, 0.0)])
-        # as before, a suite with no trial evaluates no norm
-        assert run_check("audenaert", trials=0, seed=0, params_grid=[(0.5, 0.0)]).comparisons == 0
+    def test_schatten_norms_skip_q_below_one(self):
+        # q < 1 lies outside Audenaert's claim and is skipped like any such point
+        mixed = run_check("audenaert", trials=5, seed=0, params_grid=[(2.0, 0.0), (0.5, 0.0)])
+        alone = run_check("audenaert", trials=5, seed=0, params_grid=[(2.0, 0.0)])
+        assert (mixed.comparisons, mixed.skipped, mixed.failures) == (5, 5, 0)
+        assert mixed.worst_case == alone.worst_case
+
+    @pytest.mark.parametrize("name", ["triangle", "audenaert", "subadd"])
+    def test_no_claimed_point_draws_nothing(self, name, monkeypatch):
+        monkeypatch.setattr(verify, "_run_chunk", lambda *args: pytest.fail("trials were drawn"))
+        rep = run_check(name, trials=1000, seed=0, params_grid=[(0.5, 1.0)])
+        assert (rep.trials, rep.skipped, rep.comparisons) == (1000, 1000, 0)
 
     def test_entropy_beyond_the_float_range_is_a_domain_error(self):
         # t^s overflows at s = -3000; the qubit's power sum underflows at q = 1e300
@@ -412,7 +421,7 @@ class TestSuitesPass:
 
 class TestSeededViolations:
     def test_analytic_instances_without_sampling(self):
-        rep = search_subadditivity_violation(trials=0, seed=0)
+        rep = run_check("subadd-violation", trials=0, seed=0)
         assert rep.trials == 1
         assert rep.failures == 2
         assert rep.worst_case["kind"] == "seeded"
