@@ -74,13 +74,17 @@ def _from_power_sum(t: float, q: float, s: float) -> float:
 def unified_from_power_sum(t: float, q: float, s: float) -> float:
     """Unified entropy from a precomputed power sum t = sum p_i^q.
 
-    Needs q away from its limit window; the s -> 0 limit is handled.
+    Needs q away from its limit window; the s -> 0 limit is handled.  A
+    normalized spectrum has t <= 1 for q > 1 and t >= 1 for q < 1, so t
+    beyond 1 by more than ``TOL.trace`` on the other side is refused.
     """
-    if not t > 0:
-        raise DomainError(f"power sum must be positive, got {t!r}")
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"power sum must be positive and finite, got {t!r}")
     _check_q(q)
     if abs(q - 1.0) < TOL.q_limit:
         raise InvalidIndex("power-sum form is undefined in the q -> 1 limit window")
+    if (t > 1.0 + TOL.trace) if q > 1.0 else (t < 1.0 - TOL.trace):
+        raise DomainError(f"no normalized spectrum has power sum {t!r} at q = {q!r}")
     try:
         return _from_power_sum(t, q, s)
     except OverflowError:

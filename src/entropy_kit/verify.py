@@ -25,12 +25,14 @@ found, and an empty result is the anomaly.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .bounds import BoundSpec, _check_dimension, fannes_range, max_unified, unified_fannes_bound
 from .entropies import UnifiedParams, _entropy_rows, unified_from_power_sum, unified_quantum
@@ -192,8 +194,105 @@ class CheckReport:
         return json.dumps(self.to_dict())
 
 
-def _trial_rng(seed: int, check: str, index: int) -> np.random.Generator:
-    return np.random.default_rng((seed, _CHECK_IDS[check], index))
+# Each trial draws from the PCG64 stream of SeedSequence((seed, check id,
+# trial)).  numpy freezes that hash (NEP 19), so it is computed below in
+# uint32 arithmetic for a whole chunk, one row per trial.  Each hashmix
+# step k maps a word v to (v ^ c_k) * c_(k+1), then v ^ (v >> 16), with
+# c_k = init * mult**k.
+
+
+def _geometric(init: int, mult: int, n: int) -> np.ndarray:
+    """init * mult**k mod 2**32 for k < n."""
+    out = [init]
+    for _ in range(n - 1):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, dtype=np.uint32)
+
+
+_MULT_A = 0x931E8875
+#: pool hashmix constants: steps 0-3 fill the pool, 4-15 mix it and
+#: 16-19 take the first entropy word past it
+_POOL_HASH = _geometric(0x43B0D7E5, _MULT_A, 21)
+#: each further entropy word's steps start 4 steps on
+_WORD_STEP = np.uint32(pow(_MULT_A, 4, 2**32))
+#: row src: the steps pool word src mixes into each word d != src with
+_MIX_STEP = np.array([[4 + 3 * src + d - (d > src) for d in range(4)] for src in range(4)])
+_MIX_XOR, _MIX_MUL = _POOL_HASH[_MIX_STEP], _POOL_HASH[_MIX_STEP + 1]
+#: generate_state(4, uint64): 8 steps through the pool, cycled
+_STATE_HASH = _geometric(0x8B51F9DD, 0x58F38DED, 9)
+
+
+def _hashmix(v: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    v = v ^ xor
+    v *= mul
+    v ^= v >> 16
+    return v
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * np.uint32(0xCA01F9DD)
+    r -= y * np.uint32(0x4973F715)
+    r ^= r >> 16
+    return r
+
+
+def _state_words(entropy: np.ndarray) -> np.ndarray:
+    """Row j: ``SeedSequence(entropy[j]).generate_state(4, np.uint64)``,
+    for (trials, words) uint32 entropy rows of one length."""
+    pool = np.zeros((len(entropy), 4), dtype=np.uint32)
+    pool[:, : entropy.shape[1]] = entropy[:, :4]
+    pool = _hashmix(pool, _POOL_HASH[:4], _POOL_HASH[1:5])
+    for src in range(4):
+        # word src mixes into the other three and keeps its own value
+        mixed = _mix(pool, _hashmix(pool[:, src : src + 1], _MIX_XOR[src], _MIX_MUL[src]))
+        mixed[:, src] = pool[:, src]
+        pool = mixed
+    xor, mul = _POOL_HASH[16:20], _POOL_HASH[17:]
+    for src in range(4, entropy.shape[1]):
+        pool = _mix(pool, _hashmix(entropy[:, src : src + 1], xor, mul))
+        xor, mul = xor * _WORD_STEP, mul * _WORD_STEP
+    words = _hashmix(np.tile(pool, 2), _STATE_HASH[:-1], _STATE_HASH[1:])
+    return words.astype("<u4", copy=False).view("<u8").astype(np.uint64)
+
+
+class _StateWords(ISeedSequence):
+    """A trial's precomputed words: all ``PCG64`` asks its seed sequence for."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self.words
+
+
+def _chunks(trials: int, size: int):
+    """Trials 0 .. trials - 1 as consecutive ranges of ``size``."""
+    return (range(start, min(start + size, trials)) for start in range(0, trials, size))
+
+
+def _int_words(n: int) -> bytes:
+    """n as SeedSequence reads an int: little-endian uint32 words, at least one."""
+    return n.to_bytes(4 * max(1, -(-n.bit_length() // 32)), "little")
+
+
+def _trial_rngs(seed: int, check: str, chunk: range) -> list:
+    """The generators of trials ``chunk``, each bit for bit the one numpy
+    seeds from the tuple (seed, check id, i)."""
+    head = np.frombuffer(_int_words(seed) + _int_words(_CHECK_IDS[check]), "<u4")
+    rngs, start = [], chunk.start
+    while start < chunk.stop:
+        # indices with as many words as the first one share a row length
+        n_words = len(_int_words(start)) // 4
+        part = range(start, min(chunk.stop, 1 << 32 * n_words))
+        entropy = np.empty((len(part), len(head) + n_words), dtype=np.uint32)
+        entropy[:, : len(head)] = head
+        index = b"".join(i.to_bytes(4 * n_words, "little") for i in part)
+        entropy[:, len(head) :] = np.frombuffer(index, "<u4").reshape(len(part), n_words)
+        rngs += [np.random.Generator(np.random.PCG64(_StateWords(w))) for w in _state_words(entropy)]
+        start = part.stop
+    return rngs
 
 
 def _as_grid(params_grid, default) -> list:
@@ -245,8 +344,9 @@ def _scalar_lemma(trials: int, seed: int) -> CheckReport:
     |x - y| on [1, inf).
     """
     rec = CheckReport("scalar-lemma", seed=seed)
-    for i in range(trials):
-        rng = _trial_rng(seed, "scalar-lemma", i)
+    chunks = _chunks(trials, STATE_CHUNK)
+    rngs = itertools.chain.from_iterable(_trial_rngs(seed, "scalar-lemma", c) for c in chunks)
+    for i, rng in enumerate(rngs):
         x0, y0 = rng.uniform(0.0, 1.0, 2)
         x1, y1 = rng.uniform(1.0, 10.0, 2)
         s_hi = float(rng.uniform(1.0, 4.0))
@@ -543,12 +643,12 @@ SUITES = {
 def _run_chunk(rec, suite, claimed, chunk, draw) -> None:
     """Draw, build and judge the trials of ``chunk`` into ``rec``.
 
-    ``draw(i)`` returns (info, matrices) for trial i from that trial's
-    own generator.  The chunk's matrices become states through one
-    stacked call; they die when this call returns, before the next chunk
-    is drawn.
+    ``draw(chunk)`` returns (info, matrices) for each trial, each from
+    that trial's own generator.  The chunk's matrices become states
+    through one stacked call; they die when this call returns, before
+    the next chunk is drawn.
     """
-    infos, mats = zip(*[draw(i) for i in chunk])
+    infos, mats = zip(*draw(chunk))
     states = _stacked(mats)
     del mats
     pairs, keep, case = suite.judge(list(zip(chunk, infos)), states, claimed)
@@ -581,11 +681,11 @@ def _run_suite(name, trials, seed, dims, grid, rec=None) -> CheckReport:
     d_max = max(a * b * b for a, b in dims) if suite.pairs else max(dims)
     size = max(1, STATE_CHUNK * _CHUNK_DIM**2 // max(d_max, _CHUNK_DIM) ** 2)
 
-    def draw(i):
-        return suite.draw(dims, i, _trial_rng(seed, name, i))
+    def draw(chunk):
+        return [suite.draw(dims, i, rng) for i, rng in zip(chunk, _trial_rngs(seed, name, chunk))]
 
-    for start in range(0, trials, size):
-        _run_chunk(rec, suite, claimed, range(start, min(start + size, trials)), draw)
+    for chunk in _chunks(trials, size):
+        _run_chunk(rec, suite, claimed, chunk, draw)
     return rec
 
 

@@ -33,6 +33,7 @@ from entropy_kit.linops import (
     random_density_matrix,
     random_unitary,
 )
+from entropy_kit.tolerances import TOL
 
 FLAT4 = ProbabilityDistribution([0.25] * 4)
 SKEW = ProbabilityDistribution([0.5, 0.3, 0.2])
@@ -302,6 +303,11 @@ class TestFamilyStructure:
     )
     def test_kernel_bit_equal_to_checked_form(self, t, q, s):
         assume(not UnifiedParams(q, s).is_q_limit)  # refused by both callers of the kernel
+        if (t > 1.0 + TOL.trace) if q > 1.0 else (t < 1.0 - TOL.trace):
+            # on the side of 1 that no normalized spectrum reaches
+            with pytest.raises(DomainError, match="no normalized spectrum"):
+                unified_from_power_sum(t, q, s)
+            return
         try:
             expect = _from_power_sum(t, q, s).hex()
         except OverflowError:
@@ -310,6 +316,22 @@ class TestFamilyStructure:
                 unified_from_power_sum(t, q, s)
             return
         assert unified_from_power_sum(t, q, s).hex() == expect
+
+    @pytest.mark.parametrize("t", [math.inf, 5.0])
+    def test_power_sum_above_one_refused_for_q_above_one(self, t):
+        # these returned -inf and -4.0
+        with pytest.raises(DomainError):
+            unified_from_power_sum(t, 2.0, 1.0)
+
+    @pytest.mark.parametrize("t,q", [(0.5, 0.5), (1e-300, 0.3), (math.inf, 0.5)])
+    def test_power_sum_below_one_or_infinite_refused_for_q_below_one(self, t, q):
+        with pytest.raises(DomainError):
+            unified_from_power_sum(t, q, 1.0)
+
+    @pytest.mark.parametrize("t,q", [(1.0 + TOL.trace / 2, 2.0), (1.0 - TOL.trace / 2, 0.5)])
+    def test_power_sum_within_the_trace_tolerance_of_one(self, t, q):
+        # a rounded power sum of a normalized spectrum is still read
+        assert abs(unified_from_power_sum(t, q, 1.0)) < 1e-9
 
     @pytest.mark.parametrize("t,q,s", [(1e-200, 8.0, -2.0), (1e300, 0.1, 3.0)])
     def test_overflow_is_a_domain_error(self, t, q, s):

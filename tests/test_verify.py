@@ -224,20 +224,20 @@ class TestReports:
         # a plain suite, one whose judge draws more, and one whose judge builds more states
         monkeypatch.setattr(verify, "STATE_CHUNK", 4)
         built, alive = [], []
-        build, trial_rng = verify.density_operators, verify._trial_rng
+        build, trial_rngs = verify.density_operators, verify._trial_rngs
 
         def tracked_build(mats):
             states = build(mats)
             built.extend(weakref.ref(state) for state in states)
             return states
 
-        def watched_rng(seed, check, i):
-            if i % 4 == 0:  # the first draw of a chunk
-                alive.append(sum(ref() is not None for ref in built))
-            return trial_rng(seed, check, i)
+        def watched_rngs(seed, check, chunk):
+            # a chunk's generators are built just before its first draw
+            alive.append(sum(ref() is not None for ref in built))
+            return trial_rngs(seed, check, chunk)
 
         monkeypatch.setattr(verify, "density_operators", tracked_build)
-        monkeypatch.setattr(verify, "_trial_rng", watched_rng)
+        monkeypatch.setattr(verify, "_trial_rngs", watched_rngs)
         run_check(name, trials=12, seed=0)
         assert built
         assert alive == [0, 0, 0]
@@ -300,6 +300,37 @@ class TestReports:
         regular = CheckReport("fannes")
         regular.compare(2.0, 1.0, {})
         assert not report_ok(regular)
+
+
+SEEDS = (0, 1, 42, 2**32 - 1, 2**32, 2**64 + 3, 2**100 + 9)
+
+
+class TestTrialGenerators:
+    """Each chunk's generators are hashed in one batch, bit for bit
+    numpy's ``default_rng((seed, check id, trial))``: this pins numpy's
+    frozen SeedSequence -> PCG64 seeding that the batch reproduces."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("name", ALL_CHECKS)
+    def test_state_equals_default_rng(self, seed, name):
+        # one-word indices, and chunks across 2**32 and 2**64, whose rows differ in length
+        for chunk in (range(70), range(2**32 - 3, 2**32 + 3), range(2**64 - 2, 2**64 + 2)):
+            rngs = verify._trial_rngs(seed, name, chunk)
+            assert len(rngs) == len(chunk)
+            for i, rng in zip(chunk, rngs):
+                expect = np.random.default_rng((seed, verify._CHECK_IDS[name], i))
+                assert rng.bit_generator.state == expect.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [5, 2**64 + 5])
+    @pytest.mark.parametrize("name", ALL_CHECKS)
+    def test_reports_equal_with_default_rng(self, monkeypatch, seed, name):
+        batched = run_check(name, trials=70, seed=seed).to_json()
+
+        def one_by_one(seed, check, chunk):
+            return [np.random.default_rng((seed, verify._CHECK_IDS[check], i)) for i in chunk]
+
+        monkeypatch.setattr(verify, "_trial_rngs", one_by_one)
+        assert run_check(name, trials=70, seed=seed).to_json() == batched
 
 
 class TestGrid:
