@@ -16,29 +16,8 @@ from dataclasses import dataclass
 
 from .entropies import UnifiedParams, binary_tsallis, q_log
 from .errors import DomainError, FloatRange, InvalidIndex, OutOfValidity
+from .linops import _dimension
 from .tolerances import TOL
-
-
-#: every int up to 2**53 has an exact float value, so such a d (the
-#: common case) needs no float round trip
-_EXACT_INT = 2**53
-
-
-def _check_dimension(d, least: int) -> None:
-    """Raise DomainError unless d is an integer with an exact float value
-    (the bounds evaluate d in floating point) and d >= least."""
-    if type(d) is int and least <= d <= _EXACT_INT:
-        return
-    try:
-        f = float(d)
-    except OverflowError:
-        f = math.nan
-    if not (f == d and f.is_integer()):
-        raise DomainError(
-            f"dimension must be an integer with an exact float value, got {d!r}"
-        )
-    if d < least:
-        raise DomainError(f"dimension must be at least {least}, got {d!r}")
 
 
 @dataclass(frozen=True)
@@ -56,7 +35,7 @@ class BoundSpec:
             raise InvalidIndex(f"entropic index q must be positive and finite, got {self.q!r}")
         if not -math.inf < self.s < math.inf:
             raise InvalidIndex(f"entropic index s must be finite, got {self.s!r}")
-        _check_dimension(self.d, 2)
+        _dimension(self.d, 2)
         if not 0.0 <= self.eps <= 1.0:
             raise DomainError(f"trace distance must lie in [0, 1], got {self.eps!r}")
 
@@ -122,8 +101,7 @@ def kappa_s(q: float, s: float, d: int) -> float:
     UnifiedParams(q, s)
     if not q > 1:
         raise InvalidIndex(f"dimension factor needs q > 1, got {q!r}")
-    _check_dimension(d, 2)
-    return _kappa_s(q, s, d)
+    return _kappa_s(q, s, _dimension(d, 2))
 
 
 def _kappa_s(q: float, s: float, d: int) -> float:
@@ -189,7 +167,7 @@ def max_unified(q: float, s: float, d: int) -> float:
     which degenerates to ln d at s = 0 or q -> 1, and to 0 at d = 1.
     """
     UnifiedParams(q, s)
-    _check_dimension(d, 1)
+    d = _dimension(d)
     if d == 1:
         return 0.0
     if abs(q - 1.0) < TOL.q_limit or abs(s) < TOL.s_limit:

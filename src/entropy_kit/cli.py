@@ -23,7 +23,6 @@ from pathlib import Path
 
 from .bounds import (
     BoundSpec,
-    _check_dimension,
     fannes_tsallis_high_q,
     fannes_tsallis_low_q,
     lipschitz_bound,
@@ -39,7 +38,7 @@ from .entropies import (
     unified_quantum,
 )
 from .errors import DomainError, EntropyKitError, FloatRange
-from .linops import ProbabilityDistribution, read_density
+from .linops import ProbabilityDistribution, _dimension, read_density
 from .verify import ALL_CHECKS, StabilityExample, _checked_inputs, report_ok, run_check, stability_ratio
 
 SEED_ENV = "ENTROPY_KIT_SEED"
@@ -248,7 +247,7 @@ def _bound_value(name: str, q: float, s: float, d: int, eps: float):
 def cmd_bounds(args) -> int:
     # a bad index, dimension or trace distance is an error, not a table of nan
     UnifiedParams(args.q, args.s)
-    _check_dimension(args.d, 1)
+    _dimension(args.d)
     for eps in args.eps:
         if not 0.0 <= eps <= 1.0:
             raise DomainError(f"trace distance must lie in [0, 1], got {eps!r}")

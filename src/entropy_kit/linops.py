@@ -40,11 +40,23 @@ def _integer(what: str, value) -> int:
     raise DomainError(f"{what} must be an integer, got {value!r}")
 
 
-def _dimension(d) -> int:
-    """A system dimension as a positive int, under ``_integer``'s rule."""
+_EXACT_INT = 2**53  # every int up to here has an exact float value: no float round trip
+
+
+def _dimension(d, least: int = 1) -> int:
+    """A system dimension as an int of at least ``least``, under ``_integer``'s
+    rule and with an exact float value, as bounds evaluate d in floating point."""
+    if type(d) is int and least <= d <= _EXACT_INT:
+        return d
     d = _integer("dimension", d)
-    if d < 1:
-        raise DomainError(f"dimension must be positive, got {d!r}")
+    try:
+        exact = float(d) == d
+    except OverflowError:
+        exact = False
+    if not exact:
+        raise DomainError(f"dimension must be an integer with an exact float value, got {d!r}")
+    if d < least:
+        raise DomainError(f"dimension must be at least {least}, got {d!r}")
     return d
 
 
@@ -560,6 +572,11 @@ def ensemble_from_state(rho: DensityOperator, m: int, seed) -> PureStateEnsemble
     return ens
 
 
+#: largest dimension whose block ranks ``random_resolution`` draws: the
+#: cut positions are the bits of one int64 draw below 2^(d-1)
+MAX_RANK_DRAW_DIM = 64
+
+
 def random_resolution(d: int, seed, ranks=None) -> OrthogonalResolution:
     """Random orthogonal resolution from Haar-unitary column blocks.
 
@@ -576,8 +593,8 @@ def random_resolution(d: int, seed, ranks=None) -> OrthogonalResolution:
     d = _dimension(d)
     rng = _rng(seed)
     if ranks is None:
-        if d < 2:
-            raise DomainError("random block ranks need dimension >= 2")
+        if not 2 <= d <= MAX_RANK_DRAW_DIM:
+            raise DomainError(f"random block ranks need a dimension in [2, {MAX_RANK_DRAW_DIM}], got {d!r}")
         # bits of an integer in [1, 2^(d-1)) mark the cut positions
         cuts = int(rng.integers(1, 2 ** (d - 1)))
         ranks = []

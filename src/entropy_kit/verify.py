@@ -34,12 +34,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .bounds import BoundSpec, _check_dimension, fannes_range, max_unified, unified_fannes_bound
+from .bounds import BoundSpec, fannes_range, max_unified, unified_fannes_bound
 from .entropies import UnifiedParams, _entropy_rows, unified_from_power_sum, unified_quantum
 from .errors import DimMismatch, DomainError, NotDiagonal, OutOfValidity, PureState
 from .linops import (
+    MAX_RANK_DRAW_DIM,
     DensityOperator,
     GeneralizedMeasurement,
+    _dimension,
     _integer,
     _power_sums,
     apply_generalized,
@@ -88,6 +90,8 @@ DEFAULT_DIMS = (2, 3, 4, 5, 6)
 MAX_CHECK_DIM = 256
 #: suites that need d >= 2: the Fannes bound, and random resolutions of two or more blocks
 TWO_LEVEL_CHECKS = ("fannes", "pinching", "projective")
+#: suites that draw random block ranks, which need d <= ``MAX_RANK_DRAW_DIM``
+RESOLUTION_CHECKS = ("pinching", "projective")
 DEFAULT_PAIR_DIMS = ((2, 2), (2, 3), (3, 2), (3, 3))
 SQUARE_PAIR_DIMS = ((2, 2), (2, 3), (3, 3))
 
@@ -439,17 +443,15 @@ def _fannes_draw(dims, i, rng):
     # low-region validity window) are exercised
     lam = float(rng.uniform(0.0, 0.3))
     other = random_density_matrix(d, d, rng)
-    return d, [rho, (1.0 - lam) * rho + lam * other, other]
+    return d, [rho, (1.0 - lam) * rho + lam * other]
 
 
 def _fannes_judge(trials, states, points):
     """Entropy differences of random state pairs stay below the unified
     continuity bound; low-region points whose 2*eps exceeds the
     monotonicity threshold are skipped."""
-    # an interpolated draw's third state is built only to be validated
-    pairs = [st[:2] for st in states]
-    eps = [min(trace_distance(rho, omega), 1.0) for rho, omega in pairs]
-    rho, omega = np.stack(_table(pairs, points), axis=1)
+    eps = [min(trace_distance(rho, omega), 1.0) for rho, omega in states]
+    rho, omega = np.stack(_table(states, points), axis=1)
     bound = np.zeros((len(trials), len(points)))
     keep = np.ones(bound.shape, dtype=bool)
     for t, (_, d) in enumerate(trials):
@@ -759,7 +761,7 @@ class StabilityExample:
             raise DomainError(f'variant must be "example0" or "example1", got {self.variant!r}')
         if not 0.0 <= self.eps < 1.0:
             raise DomainError(f"eps must lie in [0, 1), got {self.eps!r}")
-        _check_dimension(self.d, 2)
+        _dimension(self.d, 2)
         UnifiedParams(self.q, self.s)
 
 
@@ -818,6 +820,8 @@ def _checked_inputs(name: str, trials, seed, dims) -> tuple:
                 raise DomainError(f"dimension must lie in [1, {MAX_CHECK_DIM}], got {d!r}")
             if d < 2 and name in TWO_LEVEL_CHECKS:
                 raise DomainError(f"check {name} needs every dimension >= 2, got {d!r}")
+            if d > MAX_RANK_DRAW_DIM and name in RESOLUTION_CHECKS:
+                raise DomainError(f"check {name} needs every dimension <= {MAX_RANK_DRAW_DIM}, got {d!r}")
     return trials, seed, dims
 
 
@@ -830,8 +834,9 @@ def run_check(
 ) -> CheckReport:
     """Run one named suite, the only entry to any suite; ``dims`` takes
     integer system sizes in [1, ``MAX_CHECK_DIM``], from 2 for
-    ``TWO_LEVEL_CHECKS`` (pairs are formed for the bipartite checks, capped
-    at composite dimension 16), ``trials`` and ``seed`` nonnegative
+    ``TWO_LEVEL_CHECKS`` and up to ``MAX_RANK_DRAW_DIM`` for
+    ``RESOLUTION_CHECKS`` (pairs are formed for the bipartite checks,
+    capped at composite dimension 16), ``trials`` and ``seed`` nonnegative
     integers.  Inputs are checked before anything is drawn."""
     trials, seed, dims = _checked_inputs(name, trials, seed, dims)
     if name == "scalar-lemma":

@@ -330,6 +330,16 @@ class TestCheckCommand:
         name = "fannes" if suite == "all" else suite
         assert err == f"error: check {name} needs every dimension >= 2, got 1\n"
 
+    @pytest.mark.parametrize("suite", ["pinching", "projective", "all"])
+    def test_more_than_64_levels_is_an_error_for_resolution_suites(self, capsys, suite):
+        # drawn block ranks overflowed numpy's int64 draw: a traceback mid-run
+        argv = ["check", suite, "--trials", "20", "--seed", "3", "--dims", "2,65"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        name = "pinching" if suite == "all" else suite
+        assert err == f"error: check {name} needs every dimension <= 64, got 65\n"
+
     def test_bad_dimension_stops_check_all_before_any_suite_runs(self, capsys):
         argv = ["check", "all", "--trials", "20", "--seed", "3", "--dims", "1,2,16"]
         with mock.patch.object(verify, "_run_suite", side_effect=AssertionError("ran")):
@@ -638,7 +648,7 @@ _FUZZ_ARGV = st.one_of(
         _flag("--trials", ("0", "1", "2", "3", "-1", "x")),
         _maybe(_flag("--seed", ("0", "7", "-1", "x", str(2**128)))),
         # dimensions the suites can draw in a moment, and ones they must refuse
-        _maybe(_flag("--dims", ("2", "1", "3,2", "6", "0", "2.5", "1e300", "100000"))),
+        _maybe(_flag("--dims", ("2", "1", "3,2", "6", "0", "2.5", "1e300", "100000", "65"))),
         _maybe(st.tuples(_flag("--q-grid", _FUZZ_FLOATS + ("0.5,2",)), _flag("--s-grid", _FUZZ_FLOATS + ("1,2",)))
                .map(lambda t: t[0] + t[1])),
         _OUTPUT,

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entropy_kit import linops
+from entropy_kit.bounds import BoundSpec, kappa_s, max_unified
 from entropy_kit.errors import (
     DimMismatch,
     DomainError,
@@ -45,6 +46,7 @@ from entropy_kit.linops import (
     write_matrix,
 )
 from entropy_kit.tolerances import TOL
+from entropy_kit.verify import StabilityExample
 
 
 def basis_resolution(d):
@@ -620,6 +622,65 @@ class TestIntegerSizes:
                          ensemble_from_state(rho, 5, 7).weights.probs)
         mat = random_density_matrix(6, 6, 7)
         assert bit_equal(partial_trace(mat, 2.0, np.int64(3), "A"), partial_trace(mat, 2, 3, "A"))
+
+
+class TestDimensionRule:
+    """``linops._dimension`` is the one rule for a system dimension: an
+    integer (a whole float is its int) with an exact float value, at least
+    the entry's least dimension.  Every entry point refuses the rest with a
+    ``DomainError``; the linops rows used to end in numpy's bare
+    ``ValueError`` at the huge values."""
+
+    ENTRIES = [
+        (1, lambda d: maximally_mixed(d)),
+        (1, lambda d: random_density(d, 1, 0)),
+        (1, lambda d: random_unitary(d, 0)),
+        (2, lambda d: random_resolution(d, 0)),  # drawn block ranks need two levels
+        (2, lambda d: BoundSpec(2.0, 1.0, d, 0.1)),
+        (2, lambda d: kappa_s(2.0, -1.0, d)),
+        (1, lambda d: max_unified(2.0, 1.0, d)),
+        (2, lambda d: StabilityExample("example0", 0.1, d, 2.0, 1.0)),
+    ]
+
+    @pytest.mark.parametrize("least,call", ENTRIES)
+    @pytest.mark.parametrize(
+        "bad",
+        ["below least", 4.7, float("nan"), float("inf"), 2**53 + 1, 10**400],
+        ids=["below-least", "4.7", "nan", "inf", "2**53+1", "10**400"],
+    )
+    def test_every_entry_refuses_a_bad_dimension(self, least, call, bad):
+        with pytest.raises(DomainError, match="dimension"):
+            call(least - 1 if bad == "below least" else bad)
+
+    @pytest.mark.parametrize("least,call", ENTRIES)
+    def test_every_entry_accepts_its_least_dimension(self, least, call):
+        call(least)
+        call(float(least))
+
+    def test_messages(self):
+        with pytest.raises(DomainError, match="dimension must be at least 2, got 1"):
+            linops._dimension(1, 2)
+        with pytest.raises(DomainError, match="dimension must be an integer, got 4.7"):
+            linops._dimension(4.7)
+        with pytest.raises(DomainError, match="integer with an exact float value, got 9007199254740993"):
+            linops._dimension(2**53 + 1)
+
+    def test_exact_large_values_pass_as_ints(self):
+        for d in (2**53, 2**60, 2.0**60, 10**17, np.int64(4)):
+            out = linops._dimension(d, 2)
+            assert type(out) is int and out == d
+
+    @pytest.mark.parametrize("d", [1, 65, 2**60])
+    def test_drawn_block_ranks_need_at_most_64_levels(self, d):
+        # the cut positions are the bits of one int64 draw below 2^(d-1):
+        # d = 65 overflowed it, and a huge d built 2^(d-1) without bound
+        with pytest.raises(DomainError, match=r"random block ranks need a dimension in \[2, 64\]"):
+            random_resolution(d, 0)
+
+    def test_widest_drawn_block_ranks(self):
+        res = random_resolution(64, 0)
+        assert res.dim == 64 and 2 <= res.size <= 64
+        assert random_resolution(65, 0, ranks=(1,) * 65).size == 65
 
 
 class TestEnsembleFromState:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entropy_kit.entropies import UnifiedParams, unified_quantum
+from entropy_kit.entropies import UnifiedParams, unified_classical, unified_quantum
 from entropy_kit.bounds import max_unified
 from entropy_kit.errors import DimMismatch, DomainError, InvalidIndex, NotDiagonal, PureState
 from entropy_kit.linops import (
@@ -421,6 +421,18 @@ class TestSuitesPass:
         with pytest.raises(DomainError, match=f"check {name} needs every dimension >= 2, got 1"):
             run_check(name, trials=20, seed=3, dims=(2, 1))
 
+    @pytest.mark.parametrize("name", verify.RESOLUTION_CHECKS)
+    def test_resolution_suites_refuse_more_than_64_levels_before_any_draw(self, name, monkeypatch):
+        """Drawn block ranks are the bits of one int64 draw, so d = 65 used
+        to stop these suites mid-run with numpy's bare ValueError."""
+        monkeypatch.setattr(verify, "_run_suite", lambda *args: pytest.fail("trials were drawn"))
+        with pytest.raises(DomainError, match=f"check {name} needs every dimension <= 64, got 65"):
+            run_check(name, trials=20, seed=3, dims=(2, 65))
+
+    @pytest.mark.parametrize("name", verify.RESOLUTION_CHECKS)
+    def test_resolution_suites_run_64_levels(self, name):
+        assert run_check(name, trials=2, seed=3, dims=(64,)).comparisons > 0
+
     @pytest.mark.parametrize("name", sorted(set(verify.SUITES) - set(verify.TWO_LEVEL_CHECKS)))
     def test_other_suites_run_one_level_systems(self, name):
         assert run_check(name, trials=4, seed=3, dims=(1, 2)).comparisons > 0
@@ -564,6 +576,21 @@ class TestStabilityExamples:
             -0.9 * math.log(0.9) - 0.1 * math.log(0.1) + 0.1 * math.log(99)
         ) / math.log(100)
         assert stability_ratio(ex) == pytest.approx(hand, abs=1e-12)
+
+    @pytest.mark.parametrize("q", [1.0, 1.0 + 5e-8])
+    @pytest.mark.parametrize("s", [-1.0, 0.0, 1.0])
+    def test_example1_shannon_branch_matches_explicit_spectra(self, q, s):
+        # q within TOL.q_limit of 1: the closed form's Shannon branch for the
+        # flat state on d - 1 levels, against the spectra written out
+        d, eps = 10, 0.1
+        ex = StabilityExample("example1", eps, d, q, s)
+        params = UnifiedParams(q, s)
+        flat = [0.0] + [1.0 / (d - 1)] * (d - 1)
+        perturbed = [eps] + [(1.0 - eps) / (d - 1)] * (d - 1)
+        direct = abs(
+            unified_classical(flat, params) - unified_classical(perturbed, params)
+        ) / max_unified(q, s, d)
+        assert stability_ratio(ex) == pytest.approx(direct, abs=1e-15)
 
     def test_refuses_huge_materialization(self):
         ex = StabilityExample("example0", 0.01, 10**6, 0.5, -1.0)
