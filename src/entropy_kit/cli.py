@@ -43,13 +43,14 @@ from .verify import ALL_CHECKS, StabilityExample, _checked_inputs, report_ok, ru
 
 SEED_ENV = "ENTROPY_KIT_SEED"
 
-BOUND_NAMES = (
-    "fannes_tsallis_low_q",
-    "fannes_tsallis_high_q",
-    "unified_fannes",
-    "lipschitz",
-    "max_unified",
-)
+#: each ``bounds`` row, in table order: its name and its value at (q, s, d, eps)
+BOUNDS = {
+    "fannes_tsallis_low_q": lambda q, s, d, eps: fannes_tsallis_low_q(BoundSpec(q, s, d, eps)),
+    "fannes_tsallis_high_q": lambda q, s, d, eps: fannes_tsallis_high_q(BoundSpec(q, s, d, eps)),
+    "unified_fannes": lambda q, s, d, eps: unified_fannes_bound(BoundSpec(q, s, d, eps)),
+    "lipschitz": lambda q, s, d, eps: lipschitz_bound(eps, q, s),
+    "max_unified": lambda q, s, d, eps: max_unified(q, s, d),
+}
 
 
 #: how text output shows a value that leaves the float range
@@ -232,18 +233,6 @@ def cmd_stability(args) -> int:
     return 0
 
 
-def _bound_value(name: str, q: float, s: float, d: int, eps: float):
-    if name == "fannes_tsallis_low_q":
-        return fannes_tsallis_low_q(BoundSpec(q, s, d, eps))
-    if name == "fannes_tsallis_high_q":
-        return fannes_tsallis_high_q(BoundSpec(q, s, d, eps))
-    if name == "unified_fannes":
-        return unified_fannes_bound(BoundSpec(q, s, d, eps))
-    if name == "lipschitz":
-        return lipschitz_bound(eps, q, s)
-    return max_unified(q, s, d)
-
-
 def cmd_bounds(args) -> int:
     # a bad index, dimension or trace distance is an error, not a table of nan
     UnifiedParams(args.q, args.s)
@@ -253,9 +242,9 @@ def cmd_bounds(args) -> int:
             raise DomainError(f"trace distance must lie in [0, 1], got {eps!r}")
     rows = []
     for eps in args.eps:
-        for name in BOUND_NAMES:
+        for name, bound in BOUNDS.items():
             try:
-                value = _bound_value(name, args.q, args.s, args.d, eps)
+                value = bound(args.q, args.s, args.d, eps)
                 valid = True
             except FloatRange:  # inside the bound's region, beyond the float range
                 value, valid = None, True

@@ -31,13 +31,21 @@ from .errors import (
 from .tolerances import TOL
 
 
+def _shown(value) -> str:
+    """``repr(value)``, or a stand-in where Python refuses to print an int that long."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
+
+
 def _integer(what: str, value) -> int:
     """``value`` as an int; a float only if it is whole, not truncated."""
     if type(value) is int:
         return value
     if isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer()):
         return int(value)
-    raise DomainError(f"{what} must be an integer, got {value!r}")
+    raise DomainError(f"{what} must be an integer, got {_shown(value)}")
 
 
 _EXACT_INT = 2**53  # every int up to here has an exact float value: no float round trip
@@ -54,9 +62,9 @@ def _dimension(d, least: int = 1) -> int:
     except OverflowError:
         exact = False
     if not exact:
-        raise DomainError(f"dimension must be an integer with an exact float value, got {d!r}")
+        raise DomainError(f"dimension must be an integer with an exact float value, got {_shown(d)}")
     if d < least:
-        raise DomainError(f"dimension must be at least {least}, got {d!r}")
+        raise DomainError(f"dimension must be at least {least}, got {_shown(d)}")
     return d
 
 
@@ -467,7 +475,8 @@ def partial_trace(mat: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.ndar
     n = dim_a * dim_b
     if dim_a < 1 or dim_b < 1 or mat.shape != (n, n):
         raise DimMismatch(
-            f"matrix of shape {mat.shape} does not match the bipartition {dim_a} x {dim_b}"
+            f"matrix of shape {mat.shape} does not match the bipartition"
+            f" {_shown(dim_a)} x {_shown(dim_b)}"
         )
     blocks = mat.reshape(dim_a, dim_b, dim_a, dim_b)
     if keep == "A":
@@ -524,7 +533,7 @@ def random_density_matrix(d: int, rank: int, seed) -> np.ndarray:
     """Ginibre matrix G G^dagger / tr(G G^dagger) with G of shape (d, rank)."""
     d, rank = _dimension(d), _integer("rank", rank)
     if not 1 <= rank <= d:
-        raise InvalidIndex(f"rank {rank!r} outside [1, {d}]")
+        raise InvalidIndex(f"rank {_shown(rank)} outside [1, {d}]")
     rng = _rng(seed)
     g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
     a = g @ g.conj().T
@@ -608,7 +617,7 @@ def random_resolution(d: int, seed, ranks=None) -> OrthogonalResolution:
         ranks.append(size)
     ranks = [_integer("block rank", r) for r in ranks]
     if sum(ranks) != d or any(r < 1 for r in ranks):
-        raise DomainError(f"block ranks {ranks} do not partition dimension {d}")
+        raise DomainError(f"block ranks {_shown(ranks)} do not partition dimension {d}")
     u = random_unitary(d, rng)
     # written so that a NaN entry (defect nan) fails too
     if not np.abs(u.conj().T @ u - np.eye(d)).max() <= TOL.orthonormal / (2 * d):

@@ -1,25 +1,27 @@
 """Randomized, seeded verification of the entropy family's inequalities.
 
-Every check draws its per-trial randomness from a SeedSequence built on
-(seed, check id, trial index), so reports are reproducible byte for byte
-regardless of execution order.  The random-state suites are rows of
-``SUITES``, each a draw and a judge, run by one loop: it draws the
-matrices of a chunk of trials (``STATE_CHUNK`` of them, fewer for large
-matrices), builds all of their states with one stacked
+Each claim is a row of ``CHECKS``: closed-form comparisons, a suite of
+random states or both, the dimensions it takes and whether it is expected
+to break.  ``run_check``, the only entry, runs every row one way: it
+validates the inputs, takes the report from the closed-form part (or
+starts an empty one) and runs the suite into it.  Each trial draws from a
+SeedSequence built on (seed, check id, trial index), so reports are
+reproducible byte for byte regardless of execution order.  A suite's one
+loop draws the matrices of a chunk of trials (``STATE_CHUNK`` of them,
+fewer for large matrices), builds their states with one stacked
 ``density_operators`` call and hands them to the suite's judge, which
 reads them at every grid point as one table and judges the chunk's
 claims as arrays over (trial, point, case), each step bit-identical to
 working one state, point and comparison at a time.  One chunk's states
-are alive at a time.  ``run_check`` is the only entry to every suite.
-A comparison "lhs <= rhs" fails when the signed violation lhs - rhs
-exceeds TOL.check_rel * (1 + magnitude); ``failures`` counts failed
-comparisons, ``skipped`` counts grid points outside a claim's proven
-region or validity window, and a suite that claims no grid point draws
-nothing.  A suite that made no comparison at all does not pass.
+are alive at a time.  A comparison "lhs <= rhs" fails when the signed
+violation lhs - rhs exceeds TOL.check_rel * (1 + magnitude); ``failures``
+counts failed comparisons, ``skipped`` counts grid points outside a
+claim's proven region or validity window, and a suite that claims no
+grid point draws nothing.  A check that made no comparison does not pass.
 
-The subadditivity violation search inverts the reading: there the
-inequality is expected to break, ``failures`` counts the violations
-found, and an empty result is the anomaly.
+A check expected to break (the subadditivity violation search) inverts
+the reading: ``failures`` counts the violations found, and an empty
+result is the anomaly.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .linops import (
     _dimension,
     _integer,
     _power_sums,
+    _shown,
     apply_generalized,
     density_operators,
     diagonal_density,
@@ -59,22 +62,6 @@ from .linops import (
 )
 from .tolerances import TOL
 
-ALL_CHECKS = (
-    "ensemble",
-    "mixing",
-    "scalar-lemma",
-    "fannes",
-    "audenaert",
-    "subadd",
-    "subadd-violation",
-    "triangle",
-    "pinching",
-    "projective",
-    "qubit-measure",
-)
-
-_CHECK_IDS = {name: idx for idx, name in enumerate(ALL_CHECKS)}
-
 #: trials whose states one ``density_operators`` call builds while the
 #: suite builds no matrix above ``_CHUNK_DIM``; larger matrices get fewer
 #: trials, so one matrix slot of a chunk holds at most
@@ -88,10 +75,6 @@ DEFAULT_DIMS = (2, 3, 4, 5, 6)
 #: largest system dimension ``run_check`` draws states of: each state
 #: costs an O(d^3) eigensolve, and a chunk then holds a single trial
 MAX_CHECK_DIM = 256
-#: suites that need d >= 2: the Fannes bound, and random resolutions of two or more blocks
-TWO_LEVEL_CHECKS = ("fannes", "pinching", "projective")
-#: suites that draw random block ranks, which need d <= ``MAX_RANK_DRAW_DIM``
-RESOLUTION_CHECKS = ("pinching", "projective")
 DEFAULT_PAIR_DIMS = ((2, 2), (2, 3), (3, 2), (3, 3))
 SQUARE_PAIR_DIMS = ((2, 2), (2, 3), (3, 3))
 
@@ -284,7 +267,7 @@ def _int_words(n: int) -> bytes:
 def _trial_rngs(seed: int, check: str, chunk: range) -> list:
     """The generators of trials ``chunk``, each bit for bit the one numpy
     seeds from the tuple (seed, check id, i)."""
-    head = np.frombuffer(_int_words(seed) + _int_words(_CHECK_IDS[check]), "<u4")
+    head = np.frombuffer(_int_words(seed) + _int_words(ALL_CHECKS.index(check)), "<u4")
     rngs, start = [], chunk.start
     while start < chunk.stop:
         # indices with as many words as the first one share a row length
@@ -340,7 +323,7 @@ def _stacked(per_trial: list) -> list:
     return out
 
 
-def _scalar_lemma(trials: int, seed: int) -> CheckReport:
+def _scalar_lemma(trials: int, seed: int, params_grid) -> CheckReport:
     """Scalar comparisons behind the continuity proofs.
 
     |x^s - y^s| <= s |x - y| on [0,1] for s >= 1 and on [1,inf) for
@@ -365,6 +348,25 @@ def _scalar_lemma(trials: int, seed: int) -> CheckReport:
         )
         for kind, lhs, rhs, s in cases:
             rec.compare(lhs, rhs, {"trial": i, "kind": kind, "s": s})
+    return rec
+
+
+def _seeded_violations(trials: int, seed: int, params_grid) -> CheckReport:
+    """The ``subadd-violation`` report before sampling: two analytic
+    instances on I/2 (x) I/2, so at least one violation is present.
+    (q=2, s=-1) violates by exactly 1 and (q=1/2, s=1) by 6 - 4 sqrt 2.
+    """
+    rec = CheckReport("subadd-violation", seed=seed)
+    mm = maximally_mixed(2)
+    product = tensor(mm, mm)
+    rec.trials += 1
+    for q, s in ((2.0, -1.0), (0.5, 1.0)):
+        params = UnifiedParams(q, s)
+        rec.compare(
+            unified_quantum(product, params),
+            2.0 * unified_quantum(mm, params),
+            {"trial": -1, "kind": "seeded", "d_a": 2, "d_b": 2, "q": q, "s": s},
+        )
     return rec
 
 
@@ -579,7 +581,7 @@ def _projective_judge(trials, states, points):
 
 @dataclass(frozen=True)
 class Suite:
-    """One claim checked on random states: a row of ``SUITES``.
+    """A claim checked on random states: the random part of a ``CHECKS`` row.
 
     ``draw(dims, i, rng)`` gives (info, matrices) for trial i, and a
     chunk's matrices become states through one stacked build.
@@ -608,38 +610,61 @@ class Suite:
         return isinstance(self.dims[0], tuple)
 
 
-SUITES = {
-    "ensemble": Suite(
+@dataclass(frozen=True)
+class Check:
+    """A row of ``CHECKS``: ``exact(trials, seed, params_grid)`` makes the
+    report from closed forms and ``suite`` runs random trials into it
+    (either may be None), for dimensions in [least, most] = ``dims``."""
+
+    exact: Callable | None
+    suite: Suite | None
+    dims: tuple = (1, MAX_CHECK_DIM)
+    breaks: bool = False
+
+
+CHECKS = {
+    "ensemble": Check(None, Suite(
         _ensemble_draw, _ensemble_judge, (2, 3, 4, 5), ENSEMBLE_GRID,
         claimed=lambda q, s: not (s == 0.0 and not q < 1.0),
-    ),
-    "mixing": Suite(
+    )),
+    "mixing": Check(None, Suite(
         _mixing_draw, _mixing_judge, DEFAULT_DIMS, MIXING_GRID,
         claimed=lambda q, s: q < 1.0 and s <= 1.0,
-    ),
-    "fannes": Suite(
+    )),
+    "scalar-lemma": Check(_scalar_lemma, None),
+    # the Fannes bound is stated for d >= 2
+    "fannes": Check(None, Suite(
         _fannes_draw, _fannes_judge, DEFAULT_DIMS, FANNES_GRID,
         claimed=lambda q, s: fannes_range(q, s) is not None,
-    ),
-    "audenaert": Suite(
+    ), (2, MAX_CHECK_DIM)),
+    "audenaert": Check(None, Suite(
         _bipartite_draw, _audenaert_judge, DEFAULT_PAIR_DIMS,
         tuple((q, 0.0) for q in AUDENAERT_Q), claimed=lambda q, s: q >= 1.0, q_only=True,
-    ),
-    "subadd": Suite(
+    )),
+    "subadd": Check(None, Suite(
         _bipartite_draw, _subadd_judge, DEFAULT_PAIR_DIMS, SUBADD_GRID, claimed=_subadditive
-    ),
-    "subadd-violation": Suite(_violation_draw, _violation_judge, SQUARE_PAIR_DIMS, VIOLATION_GRID),
-    "triangle": Suite(
+    )),
+    "subadd-violation": Check(_seeded_violations, Suite(
+        _violation_draw, _violation_judge, SQUARE_PAIR_DIMS, VIOLATION_GRID
+    ), breaks=True),
+    "triangle": Check(None, Suite(
         _bipartite_draw, _triangle_judge, SQUARE_PAIR_DIMS, SUBADD_GRID, claimed=_subadditive
-    ),
-    "pinching": Suite(
+    )),
+    # a random resolution has two or more blocks, and its drawn block
+    # ranks need d <= MAX_RANK_DRAW_DIM
+    "pinching": Check(None, Suite(
         functools.partial(_pinching_draw, 7), _pinching_judge, PINCHING_DIMS,
         tuple((q, 0.0) for q in PINCHING_Q), q_only=True,
-    ),
-    "projective": Suite(
+    ), (2, MAX_RANK_DRAW_DIM)),
+    "projective": Check(None, Suite(
         functools.partial(_pinching_draw, 5), _projective_judge, DEFAULT_DIMS, PROJECTIVE_GRID
-    ),
+    ), (2, MAX_RANK_DRAW_DIM)),
+    "qubit-measure": Check(lambda trials, seed, params_grid: qubit_measurement_decrease(
+        diagonal_density((0.8, 0.2)), params_grid
+    ), None),
 }
+#: in this order, which fixes each check's id in the trial seeds
+ALL_CHECKS = tuple(CHECKS)
 
 
 def _run_chunk(rec, suite, claimed, chunk, draw) -> None:
@@ -664,20 +689,18 @@ def _run_chunk(rec, suite, claimed, chunk, draw) -> None:
     rec.compare_many(lhs[keep], rhs[keep], lambda j: case(*at[j // n].tolist(), j % n))
 
 
-def _run_suite(name, trials, seed, dims, grid, rec=None) -> CheckReport:
-    """Run the ``SUITES`` row ``name`` over ``grid``, from ``_as_grid``;
-    ``rec`` carries comparisons made before the random trials."""
-    suite = SUITES[name]
+def _run_suite(name, trials, seed, dims, grid, rec) -> None:
+    """Run the suite of the ``CHECKS`` row ``name`` over ``grid``, from
+    ``_as_grid``, into ``rec``, the report of the row's closed-form part."""
+    suite = CHECKS[name].suite
     if suite.q_only:
         # s is ignored, so a q repeated with another s would repeat its comparisons
         grid = list({p.q: p for p in grid}.values())
     claimed = [p for p in grid if suite.claimed(p.q, p.s)]
-    if rec is None:
-        rec = CheckReport(name, seed=seed)
     rec.trials += trials
     rec.skipped += (len(grid) - len(claimed)) * trials
     if not claimed:
-        return rec
+        return
     dims = dims or suite.dims
     # the largest matrix built: triangle's rho_BC is (d_B d_A d_B)-square
     d_max = max(a * b * b for a, b in dims) if suite.pairs else max(dims)
@@ -688,26 +711,6 @@ def _run_suite(name, trials, seed, dims, grid, rec=None) -> CheckReport:
 
     for chunk in _chunks(trials, size):
         _run_chunk(rec, suite, claimed, chunk, draw)
-    return rec
-
-
-def _seeded_violations(seed: int) -> CheckReport:
-    """The ``subadd-violation`` report before sampling: two analytic
-    instances on I/2 (x) I/2, so at least one violation is present.
-    (q=2, s=-1) violates by exactly 1 and (q=1/2, s=1) by 6 - 4 sqrt 2.
-    """
-    rec = CheckReport("subadd-violation", seed=seed)
-    mm = maximally_mixed(2)
-    product = tensor(mm, mm)
-    rec.trials += 1
-    for q, s in ((2.0, -1.0), (0.5, 1.0)):
-        params = UnifiedParams(q, s)
-        rec.compare(
-            unified_quantum(product, params),
-            2.0 * unified_quantum(mm, params),
-            {"trial": -1, "kind": "seeded", "d_a": 2, "d_b": 2, "q": q, "s": s},
-        )
-    return rec
 
 
 QUBIT_MEASUREMENT = (((1, 0), (0, 0)), ((0, 1), (0, 0)))
@@ -806,22 +809,23 @@ def stability_ratio(ex: StabilityExample) -> float:
 def _checked_inputs(name: str, trials, seed, dims) -> tuple:
     """``run_check``'s (trials, seed, dims) as ints, or the ``DomainError``
     that ``run_check(name, ...)`` raises before drawing anything."""
-    if name not in ALL_CHECKS:
+    if name not in CHECKS:
         raise DomainError(f"unknown check {name!r}; choose from {', '.join(ALL_CHECKS)}")
     trials, seed = _integer("trial count", trials), _integer("seed", seed)
     if trials < 0:
-        raise DomainError(f"trial count must be nonnegative, got {trials!r}")
+        raise DomainError(f"trial count must be nonnegative, got {_shown(trials)}")
     if seed < 0:
-        raise DomainError(f"seed must be nonnegative, got {seed!r}")
+        raise DomainError(f"seed must be nonnegative, got {_shown(seed)}")
     if dims is not None:
+        least, most = CHECKS[name].dims
         dims = tuple(_integer("dimension", d) for d in dims)
         for d in dims:
             if not 1 <= d <= MAX_CHECK_DIM:
-                raise DomainError(f"dimension must lie in [1, {MAX_CHECK_DIM}], got {d!r}")
-            if d < 2 and name in TWO_LEVEL_CHECKS:
-                raise DomainError(f"check {name} needs every dimension >= 2, got {d!r}")
-            if d > MAX_RANK_DRAW_DIM and name in RESOLUTION_CHECKS:
-                raise DomainError(f"check {name} needs every dimension <= {MAX_RANK_DRAW_DIM}, got {d!r}")
+                raise DomainError(f"dimension must lie in [1, {MAX_CHECK_DIM}], got {_shown(d)}")
+            if d < least:
+                raise DomainError(f"check {name} needs every dimension >= {least}, got {d!r}")
+            if d > most:
+                raise DomainError(f"check {name} needs every dimension <= {most}, got {d!r}")
     return trials, seed, dims
 
 
@@ -832,30 +836,27 @@ def run_check(
     dims=None,
     params_grid=None,
 ) -> CheckReport:
-    """Run one named suite, the only entry to any suite; ``dims`` takes
-    integer system sizes in [1, ``MAX_CHECK_DIM``], from 2 for
-    ``TWO_LEVEL_CHECKS`` and up to ``MAX_RANK_DRAW_DIM`` for
-    ``RESOLUTION_CHECKS`` (pairs are formed for the bipartite checks,
-    capped at composite dimension 16), ``trials`` and ``seed`` nonnegative
+    """Run the ``CHECKS`` row ``name``, the only entry to any check; ``dims``
+    takes integer system sizes in the row's range, within [1,
+    ``MAX_CHECK_DIM``] (pairs are formed for the bipartite suites, capped
+    at composite dimension 16), ``trials`` and ``seed`` nonnegative
     integers.  Inputs are checked before anything is drawn."""
     trials, seed, dims = _checked_inputs(name, trials, seed, dims)
-    if name == "scalar-lemma":
-        _as_grid(params_grid, ())  # reads no grid, but a bad one is still an error
-        return _scalar_lemma(trials, seed)
-    if name == "qubit-measure":
-        return qubit_measurement_decrease(diagonal_density((0.8, 0.2)), params_grid)
-    if dims is not None and SUITES[name].pairs:
-        dims = tuple((a, b) for a in dims for b in dims if a * b <= 16) or DEFAULT_PAIR_DIMS
-    grid = _as_grid(params_grid, SUITES[name].grid)
-    rec = _seeded_violations(seed) if name == "subadd-violation" else None
-    return _run_suite(name, trials, seed, dims, grid, rec)
+    exact, suite = CHECKS[name].exact, CHECKS[name].suite
+    # a check that reads no grid still refuses a bad one
+    grid = _as_grid(params_grid, suite.grid if suite else ())
+    rec = exact(trials, seed, params_grid) if exact else CheckReport(name, seed=seed)
+    if suite:
+        if dims is not None and suite.pairs:
+            dims = tuple((a, b) for a in dims for b in dims if a * b <= 16) or DEFAULT_PAIR_DIMS
+        _run_suite(name, trials, seed, dims, grid, rec)
+    return rec
 
 
 def report_ok(report: CheckReport) -> bool:
-    """Pass criterion: at least one comparison and no failures, except
-    the violation search which must find at least one."""
+    """Pass criterion: at least one comparison, and no failures, or at
+    least one for a check expected to break."""
     if report.comparisons == 0:
         return False
-    if report.check == "subadd-violation":
-        return report.failures >= 1
-    return report.failures == 0
+    breaks = report.check in CHECKS and CHECKS[report.check].breaks
+    return (report.failures > 0) == breaks

@@ -491,7 +491,31 @@ class TestBoundsCommand:
     def test_trace_distance_endpoints_are_tabulated(self, capsys):
         code, out, _ = run_cli(capsys, ["bounds", "--q", "2", "--s", "1", "--d", "3", "--eps", "0,1", "--csv"])
         assert code == 0
-        assert len(out.splitlines()) == 1 + 2 * len(cli.BOUND_NAMES)
+        assert len(out.splitlines()) == 1 + 2 * len(cli.BOUNDS)
+
+    def test_row_order(self, capsys):
+        # a reordered or renamed bounds row changes these bytes
+        argv = ["bounds", "--q", "2", "--s", "-0.5", "--d", "7", "--eps", "0,0.3,1", "--csv"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert out == (
+            "eps,bound,value,valid\n"
+            "0,fannes_tsallis_low_q,0,true\n"
+            "0,fannes_tsallis_high_q,0,true\n"
+            "0,unified_fannes,0,true\n"
+            "0,lipschitz,,false\n"
+            "0,max_unified,3.29150262213,true\n"
+            "0.3,fannes_tsallis_low_q,,false\n"
+            "0.3,fannes_tsallis_high_q,0.495,true\n"
+            "0.3,unified_fannes,24.255,true\n"
+            "0.3,lipschitz,,false\n"
+            "0.3,max_unified,3.29150262213,true\n"
+            "1,fannes_tsallis_low_q,,false\n"
+            "1,fannes_tsallis_high_q,0.833333333333,true\n"
+            "1,unified_fannes,40.8333333333,true\n"
+            "1,lipschitz,,false\n"
+            "1,max_unified,3.29150262213,true\n"
+        )
 
     def test_dimension_one_table(self, capsys):
         # Lipschitz needs s >= 1 but no d; the others need d >= 2

@@ -670,6 +670,32 @@ class TestDimensionRule:
             out = linops._dimension(d, 2)
             assert type(out) is int and out == d
 
+    @pytest.mark.parametrize(
+        "call,error",
+        [
+            (lambda: linops._dimension(10**5000), DomainError),
+            (lambda: linops._dimension(-(10**5000)), DomainError),
+            (lambda: max_unified(2.0, 1.0, 10**5000), DomainError),
+            (lambda: kappa_s(2.0, 1.0, 10**5000), DomainError),
+            (lambda: BoundSpec(2.0, 1.0, 10**5000, 0.1), DomainError),
+            (lambda: StabilityExample("example0", 0.1, 10**5000, 2.0, 1.0), DomainError),
+            (lambda: random_resolution(2, 0, ranks=[10**5000]), DomainError),
+            (lambda: partial_trace(np.eye(2) / 2, 10**5000, 1, "A"), DimMismatch),
+            # the error of any rank above d, as rank 4 at d = 3
+            (lambda: random_density_matrix(2, 10**5000, 0), InvalidIndex),
+        ],
+    )
+    def test_giant_ints_are_package_errors(self, call, error):
+        # each ended in a bare ValueError: Python refuses to print an int
+        # of more than 4300 digits, and the messages printed it
+        with pytest.raises(error, match="too long to print"):
+            call()
+
+    def test_printable_values_print_as_before(self):
+        assert linops._shown(10**400) == repr(10**400)
+        assert linops._shown([1, 2]) == "[1, 2]"
+        assert linops._shown(4.7) == "4.7"
+
     @pytest.mark.parametrize("d", [1, 65, 2**60])
     def test_drawn_block_ranks_need_at_most_64_levels(self, d):
         # the cut positions are the bits of one int64 draw below 2^(d-1):

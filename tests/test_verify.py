@@ -272,8 +272,8 @@ class TestReports:
             return build(mats)
 
         monkeypatch.setattr(verify, "density_operators", counted_build)
-        suite = verify.SUITES[name]
-        verify._run_suite(name, trials, 0, dims, verify._as_grid(None, suite.grid))
+        suite = verify.CHECKS[name].suite
+        verify._run_suite(name, trials, 0, dims, verify._as_grid(None, suite.grid), CheckReport(name))
         assert built == sizes
 
     def test_triangle_chunk_memory_is_capped(self):
@@ -291,7 +291,7 @@ class TestReports:
     def test_suite_is_a_draw_and_a_judge(self):
         fields = [f.name for f in dataclasses.fields(verify.Suite)]
         assert fields == ["draw", "judge", "dims", "grid", "claimed", "q_only"]
-        pairs = {name for name, suite in verify.SUITES.items() if suite.pairs}
+        pairs = {name for name, check in verify.CHECKS.items() if check.suite and check.suite.pairs}
         assert pairs == {"audenaert", "subadd", "subadd-violation", "triangle"}
 
     def test_report_ok_inverts_for_violation_search(self):
@@ -300,6 +300,48 @@ class TestReports:
         regular = CheckReport("fannes")
         regular.compare(2.0, 1.0, {})
         assert not report_ok(regular)
+
+
+class TestCheckTable:
+    """``verify.CHECKS`` is the one description of a check; the expected
+    values here are written out, not read back from the table."""
+
+    def test_check_order(self):
+        # the order fixes each check's id in the trial seeds
+        assert ALL_CHECKS == (
+            "ensemble", "mixing", "scalar-lemma", "fannes", "audenaert", "subadd",
+            "subadd-violation", "triangle", "pinching", "projective", "qubit-measure",
+        )
+
+    @pytest.mark.parametrize(
+        "d,refusing",
+        [(1, {"fannes", "pinching", "projective"}), (65, {"pinching", "projective"}), (2, set())],
+    )
+    def test_dimension_ranges(self, d, refusing):
+        refused = set()
+        for name in ALL_CHECKS:
+            try:
+                run_check(name, trials=0, seed=0, dims=(d,))
+            except DomainError:
+                refused.add(name)
+        assert refused == refusing
+
+    def test_only_the_violation_search_is_expected_to_break(self):
+        breaking = set()
+        for name in ALL_CHECKS:
+            rep = CheckReport(name)
+            rep.compare(2.0, 1.0, {})
+            if report_ok(rep):
+                breaking.add(name)
+        assert breaking == {"subadd-violation"}
+
+    def test_report_of_a_check_without_a_row(self):
+        demo = CheckReport("demo")
+        assert not report_ok(demo)
+        demo.compare(1.0, 2.0, {})
+        assert report_ok(demo)
+        demo.compare(2.0, 1.0, {})
+        assert not report_ok(demo)
 
 
 SEEDS = (0, 1, 42, 2**32 - 1, 2**32, 2**64 + 3, 2**100 + 9)
@@ -318,7 +360,7 @@ class TestTrialGenerators:
             rngs = verify._trial_rngs(seed, name, chunk)
             assert len(rngs) == len(chunk)
             for i, rng in zip(chunk, rngs):
-                expect = np.random.default_rng((seed, verify._CHECK_IDS[name], i))
+                expect = np.random.default_rng((seed, ALL_CHECKS.index(name), i))
                 assert rng.bit_generator.state == expect.bit_generator.state
 
     @pytest.mark.parametrize("seed", [5, 2**64 + 5])
@@ -327,7 +369,7 @@ class TestTrialGenerators:
         batched = run_check(name, trials=70, seed=seed).to_json()
 
         def one_by_one(seed, check, chunk):
-            return [np.random.default_rng((seed, verify._CHECK_IDS[check], i)) for i in chunk]
+            return [np.random.default_rng((seed, ALL_CHECKS.index(check), i)) for i in chunk]
 
         monkeypatch.setattr(verify, "_trial_rngs", one_by_one)
         assert run_check(name, trials=70, seed=seed).to_json() == batched
@@ -413,7 +455,21 @@ class TestSuitesPass:
             with pytest.raises(DomainError, match=message):
                 run_check(name, **{"trials": 2, "seed": 0, **kwargs})
 
-    @pytest.mark.parametrize("name", verify.TWO_LEVEL_CHECKS)
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"dims": (10**5000,)}, r"dimension must lie in \[1, 256\]"),
+            ({"seed": -(10**5000)}, "seed must be nonnegative"),
+            # never a huge positive count: that run would not end
+            ({"trials": -(10**5000)}, "trial count must be nonnegative"),
+        ],
+    )
+    def test_giant_ints_are_domain_errors(self, kwargs, message):
+        # each ended in a bare ValueError: Python refuses to print the int
+        with pytest.raises(DomainError, match=f"{message}, got <int too long to print>"):
+            run_check("ensemble", **{"trials": 1, "seed": 0, **kwargs})
+
+    @pytest.mark.parametrize("name", ["fannes", "pinching", "projective"])
     def test_one_level_systems_are_refused_before_any_draw(self, name, monkeypatch):
         """The Fannes bound and random block resolutions need d >= 2, so
         these suites refuse d = 1 before a trial runs, not mid-run."""
@@ -421,7 +477,7 @@ class TestSuitesPass:
         with pytest.raises(DomainError, match=f"check {name} needs every dimension >= 2, got 1"):
             run_check(name, trials=20, seed=3, dims=(2, 1))
 
-    @pytest.mark.parametrize("name", verify.RESOLUTION_CHECKS)
+    @pytest.mark.parametrize("name", ["pinching", "projective"])
     def test_resolution_suites_refuse_more_than_64_levels_before_any_draw(self, name, monkeypatch):
         """Drawn block ranks are the bits of one int64 draw, so d = 65 used
         to stop these suites mid-run with numpy's bare ValueError."""
@@ -429,11 +485,11 @@ class TestSuitesPass:
         with pytest.raises(DomainError, match=f"check {name} needs every dimension <= 64, got 65"):
             run_check(name, trials=20, seed=3, dims=(2, 65))
 
-    @pytest.mark.parametrize("name", verify.RESOLUTION_CHECKS)
+    @pytest.mark.parametrize("name", ["pinching", "projective"])
     def test_resolution_suites_run_64_levels(self, name):
         assert run_check(name, trials=2, seed=3, dims=(64,)).comparisons > 0
 
-    @pytest.mark.parametrize("name", sorted(set(verify.SUITES) - set(verify.TWO_LEVEL_CHECKS)))
+    @pytest.mark.parametrize("name", ["audenaert", "ensemble", "mixing", "subadd", "subadd-violation", "triangle"])
     def test_other_suites_run_one_level_systems(self, name):
         assert run_check(name, trials=4, seed=3, dims=(1, 2)).comparisons > 0
 
