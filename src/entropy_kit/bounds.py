@@ -7,16 +7,22 @@ proven (q, s) regions, with a dimension factor d^(2(q-1)) on the high-q
 side for s in [-1, 0].  Evaluating a bound outside its region raises
 OutOfValidity instead of returning a number.  Indices follow the rule of
 ``UnifiedParams`` (q positive and finite, s finite), else InvalidIndex.
+
+The unified bound's terms that do not depend on eps are taken once per
+(q, s, d) and kept in a bounded memo (see ``_point_terms``); only the
+per-eps formula runs on each call, with the same float operations as a
+call that computes every term.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-from .entropies import UnifiedParams, binary_tsallis, q_log
+from .entropies import _binary_tsallis, _check_indices, _check_q, q_log
 from .errors import DomainError, FloatRange, InvalidIndex, OutOfValidity
-from .linops import _dimension
+from .linops import _EXACT_INT, _dimension
 from .tolerances import TOL
 
 
@@ -30,12 +36,15 @@ class BoundSpec:
     eps: float
 
     def __post_init__(self):
-        # UnifiedParams' rule, inline: every bound evaluation builds a spec
-        if not 0.0 < self.q < math.inf:
-            raise InvalidIndex(f"entropic index q must be positive and finite, got {self.q!r}")
-        if not -math.inf < self.s < math.inf:
-            raise InvalidIndex(f"entropic index s must be finite, got {self.s!r}")
-        _dimension(self.d, 2)
+        q, s, d = self.q, self.s, self.d
+        # every bound evaluation builds a spec: a float pair and an int d
+        # that pass the rules' comparisons skip the calls
+        if not (
+            type(q) is float and type(s) is float and 0.0 < q < math.inf and -math.inf < s < math.inf
+        ):
+            _check_indices(q, s)
+        if not (type(d) is int and 2 <= d <= _EXACT_INT):
+            _dimension(d, 2)
         if not 0.0 <= self.eps <= 1.0:
             raise DomainError(f"trace distance must lie in [0, 1], got {self.eps!r}")
 
@@ -44,8 +53,12 @@ def eta_q(x: float, q: float) -> float:
     """Generalized eta function (x^q - x)/(1 - q); -x ln x at q -> 1."""
     if not 0.0 <= x < math.inf:  # written so that NaN fails too
         raise DomainError(f"eta needs finite x >= 0, got {x!r}")
-    if not 0.0 < q < math.inf:  # inline, as in BoundSpec: on every low-index bound
-        raise InvalidIndex(f"entropic index q must be positive and finite, got {q!r}")
+    _check_q(q)
+    return _eta_q(x, q)
+
+
+def _eta_q(x: float, q: float) -> float:
+    """``eta_q`` on an x and q that the caller has checked."""
     if abs(q - 1.0) < TOL.q_limit:
         return -x * math.log(x) if x > 0 else 0.0
     return (x**q - x) / (1.0 - q)
@@ -56,8 +69,7 @@ def low_q_threshold(q: float) -> float:
 
     Continuous through q = 1 where it equals 1/e.
     """
-    if not 0.0 < q < math.inf:  # inline, as in BoundSpec: on every low-index bound
-        raise InvalidIndex(f"entropic index q must be positive and finite, got {q!r}")
+    _check_q(q)
     if q == 1.0:
         return math.exp(-1.0)
     # log1p keeps ln q accurate near 1; for q below about 1e-16, q - 1
@@ -66,30 +78,42 @@ def low_q_threshold(q: float) -> float:
     return math.exp(log_q / (1.0 - q))
 
 
+def _low_q(q: float, eps: float, limit: float, log_d: float) -> float:
+    """The low-index formula at one eps, given the threshold ``limit`` on
+    2*eps and log_d = ln_q(d)."""
+    x = 2.0 * eps
+    if x > limit:
+        raise OutOfValidity(f"2*eps = {x!r} exceeds the monotonicity threshold {limit!r}")
+    if eps == 0.0:
+        return 0.0
+    return x**q * log_d + _eta_q(x, q)
+
+
+def _high_q(q: float, eps: float, factor: float, log_d1: float) -> float:
+    """The high-index formula at one eps times ``factor``, given log_d1 =
+    ln_q(d - 1)."""
+    return factor * (eps**q * log_d1 + _binary_tsallis(eps, q))
+
+
 def fannes_tsallis_low_q(spec: BoundSpec) -> float:
     """Low-index Tsallis continuity bound (2 eps)^q ln_q(d) + eta_q(2 eps).
 
     Valid for q in (0, 2] while 2*eps <= q^(1/(1-q)); at q = 1 this is the
     classic Fannes form 2 eps ln d - 2 eps ln(2 eps).
     """
-    q, eps, d = spec.q, spec.eps, spec.d
+    q = spec.q
     if q > 2:
         raise OutOfValidity(f"low-index bound needs q <= 2, got {q!r}")
-    x = 2.0 * eps
-    limit = low_q_threshold(q)
-    if x > limit:
-        raise OutOfValidity(f"2*eps = {x!r} exceeds the monotonicity threshold {limit!r}")
-    if eps == 0.0:
-        return 0.0
-    return x**q * q_log(d, q) + eta_q(x, q)
+    return _low_q(q, spec.eps, low_q_threshold(q), q_log(spec.d, q))
 
 
 def fannes_tsallis_high_q(spec: BoundSpec) -> float:
     """High-index Tsallis continuity bound eps^q ln_q(d-1) + H_q(eps, 1-eps)."""
-    q, eps, d = spec.q, spec.eps, spec.d
+    q = spec.q
     if not q > 1:
         raise OutOfValidity(f"high-index bound needs q > 1, got {q!r}")
-    return eps**q * q_log(d - 1, q) + binary_tsallis(eps, q)
+    # 1.0 * x is x, bit for bit
+    return _high_q(q, spec.eps, 1.0, q_log(spec.d - 1, q))
 
 
 def kappa_s(q: float, s: float, d: int) -> float:
@@ -98,7 +122,7 @@ def kappa_s(q: float, s: float, d: int) -> float:
     Equals d^(2(q-1)) for s in [-1, 0] and 1 for s >= 1; the strip
     0 < s < 1 (and s < -1) is outside the proven region.
     """
-    UnifiedParams(q, s)
+    _check_indices(q, s)
     if not q > 1:
         raise InvalidIndex(f"dimension factor needs q > 1, got {q!r}")
     return _kappa_s(q, s, _dimension(d, 2))
@@ -131,6 +155,58 @@ def fannes_range(q: float, s: float) -> str | None:
     return None
 
 
+#: (q, s) points the bound memo keeps: the benchmark's sweep cycles through
+#: 171, and an LRU memo smaller than a cyclic working set never hits
+BOUND_MEMO_CAP = 1024
+#: dimensions whose terms one point keeps; later d are computed per call
+BOUND_MEMO_DIMS = 64
+
+
+@functools.lru_cache(maxsize=BOUND_MEMO_CAP, typed=True)
+def _point_terms(q: float, s: float):
+    """The unified bound's eps-free terms at a checked (q, s): its per-eps
+    formula, the threshold q^(1/(1-q)) (low region) or None (high region),
+    and a dict of the terms of each d that ``_unified_fannes_bound`` fills;
+    outside both regions, the refusal message.
+
+    Keys are typed, so a numpy-scalar q, whose results are numpy floats,
+    never shares a point with a float q.  A d of any type shares its
+    entry: int, float and numpy d evaluate alike.
+    """
+    region = fannes_range(q, s)
+    if region == "low":
+        return _low_q, low_q_threshold(q), {}
+    if region == "high":
+        return _high_q, None, {}
+    # the sign of a zero s is printed but is not in the key, so that
+    # message is formatted per call
+    return _no_region(q, s) if s != 0 else None
+
+
+def _no_region(q: float, s: float) -> str:
+    return f"no unified continuity bound proven at (q, s) = ({q!r}, {s!r})"
+
+
+def _unified_fannes_bound(q: float, s: float, d: int, eps: float) -> float:
+    """``unified_fannes_bound`` on inputs that ``BoundSpec`` accepts, unchecked."""
+    point = _point_terms(q, s)
+    if type(point) is not tuple:
+        raise OutOfValidity(point or _no_region(q, s))
+    formula, limit, by_d = point
+    terms = by_d.get(d)
+    if terms is None:
+        # ln_q(d) with the threshold, or kappa_s with ln_q(d - 1); a
+        # FloatRange from kappa_s is raised on every call, never kept
+        if limit is None:
+            terms = _kappa_s(q, s, d), q_log(d - 1, q)
+        else:
+            terms = limit, q_log(d, q)
+        if len(by_d) < BOUND_MEMO_DIMS:
+            by_d[d] = terms
+    factor, log_d = terms
+    return formula(q, eps, factor, log_d)
+
+
 def unified_fannes_bound(spec: BoundSpec) -> float:
     """Continuity bound for the unified (q, s)-entropy.
 
@@ -138,19 +214,12 @@ def unified_fannes_bound(spec: BoundSpec) -> float:
     2*eps threshold); in the high region it is kappa_s times the
     high-index Tsallis bound.  Elsewhere raises OutOfValidity.
     """
-    region = fannes_range(spec.q, spec.s)
-    if region == "low":
-        return fannes_tsallis_low_q(spec)
-    if region == "high":
-        return _kappa_s(spec.q, spec.s, spec.d) * fannes_tsallis_high_q(spec)
-    raise OutOfValidity(
-        f"no unified continuity bound proven at (q, s) = ({spec.q!r}, {spec.s!r})"
-    )
+    return _unified_fannes_bound(spec.q, spec.s, spec.d, spec.eps)
 
 
 def lipschitz_bound(eps: float, q: float, s: float) -> float:
     """Lipschitz-type bound 2 q (q - 1)^(-1) eps, for q > 1 and s >= 1."""
-    UnifiedParams(q, s)
+    _check_indices(q, s)
     if not q > 1:
         raise InvalidIndex(f"Lipschitz bound needs q > 1, got {q!r}")
     if s < 1.0:
@@ -166,7 +235,7 @@ def max_unified(q: float, s: float, d: int) -> float:
     Attained at the maximally mixed state: (d^((1-q)s) - 1)/((1-q)s),
     which degenerates to ln d at s = 0 or q -> 1, and to 0 at d = 1.
     """
-    UnifiedParams(q, s)
+    _check_indices(q, s)
     d = _dimension(d)
     if d == 1:
         return 0.0
@@ -198,7 +267,7 @@ def thermodynamic_ratio_limit(q: float, s: float, eps: float) -> float:
     Equals s (1 - (1 - eps)^q) = s [eps^q + (q - 1) H_q(eps, 1-eps)],
     which stays below s * q * eps.
     """
-    UnifiedParams(q, s)
+    _check_indices(q, s)
     if not q > 1:
         raise InvalidIndex(f"thermodynamic limit needs q > 1, got {q!r}")
     if s < 1.0:

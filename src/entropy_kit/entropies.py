@@ -17,17 +17,37 @@ scalar expm1/log, so values stay stable close to the special points.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import DomainError, FloatRange, InvalidIndex
-from .linops import DensityOperator, ProbabilityDistribution, _SpectralMemo, _power_sums
+from .linops import DensityOperator, ProbabilityDistribution, _SpectralMemo, _power_sums, _shown
 from .tolerances import TOL
+
+
+def _float_value(x):
+    """An index as the index rule compares it: a real number as its float
+    value, infinite where it has none (an int past the float range)."""
+    if type(x) is float or not isinstance(x, numbers.Real):
+        return x
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
 
 
 def _check_q(q: float) -> None:
     # written so that NaN fails too
-    if not 0.0 < q < math.inf:
-        raise InvalidIndex(f"entropic index q must be positive and finite, got {q!r}")
+    if not 0.0 < _float_value(q) < math.inf:
+        raise InvalidIndex(f"entropic index q must be positive and finite, got {_shown(q)}")
+
+
+def _check_indices(q: float, s: float) -> None:
+    """The index rule of ``UnifiedParams`` and ``BoundSpec``: q positive and
+    finite, s finite."""
+    _check_q(q)
+    if not -math.inf < _float_value(s) < math.inf:
+        raise InvalidIndex(f"entropic index s must be finite, got {_shown(s)}")
 
 
 @dataclass(frozen=True)
@@ -38,9 +58,7 @@ class UnifiedParams:
     s: float
 
     def __post_init__(self):
-        _check_q(self.q)
-        if not math.isfinite(self.s):
-            raise InvalidIndex(f"entropic index s must be finite, got {self.s!r}")
+        _check_indices(self.q, self.s)
 
     @property
     def is_q_limit(self) -> bool:
@@ -55,8 +73,7 @@ def q_log(x: float, q: float) -> float:
     """q-logarithm ln_q(x) = (x^(1-q) - 1)/(1 - q), with ln x at q -> 1."""
     if not x > 0:
         raise DomainError(f"q-logarithm needs x > 0, got {x!r}")
-    if not 0.0 < q < math.inf:  # inline, as in BoundSpec: on every bound
-        raise InvalidIndex(f"entropic index q must be positive and finite, got {q!r}")
+    _check_q(q)
     if abs(q - 1.0) < TOL.q_limit:
         return math.log(x)
     return math.expm1((1.0 - q) * math.log(x)) / (1.0 - q) + 0.0
@@ -161,6 +178,12 @@ def binary_tsallis(eps: float, q: float) -> float:
     if not 0.0 <= eps <= 1.0:
         raise DomainError(f"binary argument must lie in [0, 1], got {eps!r}")
     _check_q(q)
+    return _binary_tsallis(eps, q)
+
+
+def _binary_tsallis(eps: float, q: float) -> float:
+    """``binary_tsallis`` on an eps in [0, 1] and a q that the caller has
+    checked; the only copy of the formula."""
     if abs(q - 1.0) < TOL.q_limit:
         out = 0.0
         for x in (eps, 1.0 - eps):

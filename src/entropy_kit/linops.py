@@ -68,6 +68,19 @@ def _dimension(d, least: int = 1) -> int:
     return d
 
 
+#: largest dimension of a matrix that linops builds from a size, not from
+#: given entries: a complex 4096 x 4096 matrix takes 256 MiB
+MAX_MATRIX_DIM = 4096
+
+
+def _matrix_dimension(d) -> int:
+    """``_dimension`` of a matrix to be built, at most ``MAX_MATRIX_DIM``."""
+    d = _dimension(d)
+    if d > MAX_MATRIX_DIM:
+        raise DomainError(f"matrix dimension must be at most {MAX_MATRIX_DIM}, got {_shown(d)}")
+    return d
+
+
 def _check_square(mat: np.ndarray) -> np.ndarray:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
         raise DomainError(f"expected a nonempty square matrix, got shape {mat.shape}")
@@ -461,6 +474,7 @@ def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
 
 def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
     """Kronecker product state on the composite system (row-major labels)."""
+    _matrix_dimension(a.dim * b.dim)
     return DensityOperator.from_matrix(np.kron(a.mat, b.mat))
 
 
@@ -521,17 +535,18 @@ def apply_generalized(rho: DensityOperator, meas: GeneralizedMeasurement) -> Den
 def diagonal_density(probs) -> DensityOperator:
     """Diagonal state with the given spectrum (validated as probabilities)."""
     p = ProbabilityDistribution(probs)
+    _matrix_dimension(p.probs.size)
     return DensityOperator.from_matrix(np.diag(p.probs.astype(np.complex128)))
 
 
 def maximally_mixed(d: int) -> DensityOperator:
-    d = _dimension(d)
+    d = _matrix_dimension(d)
     return DensityOperator.from_matrix(np.eye(d) / d)
 
 
 def random_density_matrix(d: int, rank: int, seed) -> np.ndarray:
     """Ginibre matrix G G^dagger / tr(G G^dagger) with G of shape (d, rank)."""
-    d, rank = _dimension(d), _integer("rank", rank)
+    d, rank = _matrix_dimension(d), _integer("rank", rank)
     if not 1 <= rank <= d:
         raise InvalidIndex(f"rank {_shown(rank)} outside [1, {d}]")
     rng = _rng(seed)
@@ -547,7 +562,7 @@ def random_density(d: int, rank: int, seed) -> DensityOperator:
 
 def random_unitary(d: int, seed) -> np.ndarray:
     """Haar-distributed unitary via QR with phase-normalized R diagonal."""
-    d = _dimension(d)
+    d = _matrix_dimension(d)
     rng = _rng(seed)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(g)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .bounds import BoundSpec, fannes_range, max_unified, unified_fannes_bound
+from .bounds import _unified_fannes_bound, fannes_range, max_unified
 from .entropies import UnifiedParams, _entropy_rows, unified_from_power_sum, unified_quantum
 from .errors import DimMismatch, DomainError, NotDiagonal, OutOfValidity, PureState
 from .linops import (
@@ -456,10 +456,12 @@ def _fannes_judge(trials, states, points):
     rho, omega = np.stack(_table(states, points), axis=1)
     bound = np.zeros((len(trials), len(points)))
     keep = np.ones(bound.shape, dtype=bool)
+    # BoundSpec would accept every input here: q and s come from _as_grid,
+    # d from _checked_inputs, and eps = min(trace distance, 1) >= 0
     for t, (_, d) in enumerate(trials):
         for k, p in enumerate(points):
             try:
-                bound[t, k] = unified_fannes_bound(BoundSpec(p.q, p.s, d, eps[t]))
+                bound[t, k] = _unified_fannes_bound(p.q, p.s, d, eps[t])
             except OutOfValidity:
                 keep[t, k] = False
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,8 +25,9 @@ from entropy_kit.bounds import (
     unified_fannes_bound,
 )
 from entropy_kit.entropies import UnifiedParams, tsallis, unified_from_power_sum, unified_quantum
-from entropy_kit.errors import DomainError, FloatRange, InvalidIndex, OutOfValidity
+from entropy_kit.errors import DomainError, EntropyKitError, FloatRange, InvalidIndex, OutOfValidity
 from entropy_kit.linops import diagonal_density, random_density, trace_distance
+from entropy_kit.tolerances import TOL
 from entropy_kit.verify import FANNES_GRID
 
 
@@ -318,6 +320,17 @@ class TestIndexRule:
             with pytest.raises(InvalidIndex, match="q must be positive and finite"):
                 call()
 
+    @pytest.mark.parametrize(
+        "q,s",
+        [(10**400, 1.0), (2.0, 10**400), (10**5000, -1.0), (2.0, -(10**5000))],
+        ids=["q=10**400", "s=10**400", "q=10**5000", "s=-10**5000"],
+    )
+    def test_rejects_an_index_without_a_float_value(self, q, s):
+        # the UnifiedParams rule: the q ended in a bare OverflowError, and
+        # the s gave a bound
+        with pytest.raises(InvalidIndex, match="must be (positive and )?finite"):
+            BoundSpec(q, s, 4, 0.1)
+
     @pytest.mark.parametrize("s", BAD_S)
     def test_rejects_non_finite_s(self, s):
         for call in (
@@ -437,3 +450,159 @@ class TestFloatRange:
         with pytest.raises(FloatRange, match="float range"):
             call()
         assert issubclass(FloatRange, DomainError)
+
+
+#: the grid of the bound fixture in tests/data: q inside and around the
+#: q -> 1 window, in (0, 1), in (1, 2] (an int 2 too) and above 2, where
+#: 2000 takes kappa_s past the float range; s in every region strip, at
+#: both zeros and at +-5e-10; d with the int and float 2^60; eps at 0, 1
+#: and on both sides of the low-index threshold
+FIXTURE_Q = (
+    1e-17, 0.1, 0.5, 0.9, 1.0 - 1e-5, 1.0 - 5e-8, 1.0, 1.0 + 5e-8, 1.0 + 1e-5,
+    1.5, 2, 2.0, 3.0, 2000.0,
+)
+FIXTURE_S = (-2.0, -1.0, -0.5, -5e-10, -0.0, 0.0, 5e-10, 0.5, 1.0, 2.0)
+FIXTURE_D = (2, 3, 16, 2**40, 2**60, 2.0**60)
+FIXTURE_PATH = Path(__file__).parent / "data" / "fannes-bounds.txt"
+
+
+def _fixture_eps(q) -> list:
+    half = low_q_threshold(q) / 2.0
+    return sorted({0.0, 0.01, math.nextafter(half, 0.0), half, math.nextafter(half, 1.0), 1.0})
+
+
+def _outcome(fn, spec: BoundSpec) -> str:
+    """``repr`` of the value, or ``type: message`` of the refusal."""
+    try:
+        return repr(fn(spec))
+    except EntropyKitError as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def _fixture_rows():
+    """(label, outcome) over the fixture grid, in the file's line order."""
+    for q in FIXTURE_Q:
+        for d in FIXTURE_D:
+            for eps in _fixture_eps(q):
+                for fn in (fannes_tsallis_low_q, fannes_tsallis_high_q):
+                    yield f"{fn.__name__}{(q, d, eps)}", _outcome(fn, BoundSpec(q, 1.0, d, eps))
+                for s in FIXTURE_S:
+                    spec = BoundSpec(q, s, d, eps)
+                    yield f"unified_fannes_bound{(q, s, d, eps)}", _outcome(unified_fannes_bound, spec)
+
+
+class TestFrozenBounds:
+    def test_values_and_refusals_match_the_fixture(self):
+        # the fixture was written by the bounds that recomputed every term per call
+        want = FIXTURE_PATH.read_text().splitlines()
+        got = list(_fixture_rows())
+        assert len(got) == len(want)
+        for (label, outcome), line in zip(got, want):
+            assert outcome == line, label
+
+
+def _parent_bound(q, s, d, eps):
+    """The unified bound as it was computed before the memo, every term on
+    every call: the reference the memoized path must match bit for bit."""
+
+    def q_log(x):
+        if abs(q - 1.0) < TOL.q_limit:
+            return math.log(x)
+        return math.expm1((1.0 - q) * math.log(x)) / (1.0 - q) + 0.0
+
+    if 0 < q < 1 and (s <= -1.0 or 0.0 <= s <= 1.0):
+        x = 2.0 * eps
+        log_q = math.log1p(q - 1.0) if q - 1.0 > -1.0 else math.log(q)
+        limit = math.exp(log_q / (1.0 - q))
+        if x > limit:
+            raise OutOfValidity(f"2*eps = {x!r} exceeds the monotonicity threshold {limit!r}")
+        if eps == 0.0:
+            return 0.0
+        if abs(q - 1.0) < TOL.q_limit:
+            eta = -x * math.log(x) if x > 0 else 0.0
+        else:
+            eta = (x**q - x) / (1.0 - q)
+        return x**q * q_log(d) + eta
+    if q > 1 and (-1.0 <= s <= 0.0 or s >= 1.0):
+        if -1.0 <= s <= 0.0:
+            try:
+                kappa = float(d) ** (2.0 * (q - 1.0))
+            except OverflowError:
+                raise FloatRange(
+                    f"dimension factor at q = {q!r}, d = {d!r} exceeds the float range"
+                ) from None
+        else:
+            kappa = 1.0
+        if abs(q - 1.0) < TOL.q_limit:
+            binary = 0.0
+            for y in (eps, 1.0 - eps):
+                if y > 0:
+                    binary -= y * math.log(y)
+        else:
+            binary = (eps**q + (1.0 - eps) ** q - 1.0) / (1.0 - q) + 0.0
+        return kappa * (eps**q * q_log(d - 1) + binary)
+    raise OutOfValidity(f"no unified continuity bound proven at (q, s) = ({q!r}, {s!r})")
+
+
+def _typed_outcome(fn, *args) -> tuple:
+    try:
+        value = fn(*args)
+    # numpy warns (an error under this suite's filter) where a numpy-scalar
+    # q takes d^(2(q-1)) past the float range
+    except (EntropyKitError, RuntimeWarning) as err:
+        return type(err), str(err)
+    return type(value), repr(value)
+
+
+_Q_SPECIAL = [1e-17, 0.5, 1.0 - 5e-8, 1.0, 1.0 + 5e-8, 2.0, 2000.0]
+_S_SPECIAL = [-2.0, -1.0, -0.5, -5e-10, -0.0, 0.0, 5e-10, 0.5, 1.0, 2.0]
+_D_SPECIAL = [2, 3, 16, 2**40, 2**60, 2.0**60]
+
+
+class TestBoundMemo:
+    @given(
+        st.one_of(
+            st.sampled_from(_Q_SPECIAL),
+            st.floats(1e-3, 10.0),
+            st.integers(1, 5),
+            st.floats(1e-3, 10.0).map(np.float64),
+            st.sampled_from(_Q_SPECIAL).map(np.float64),
+        ),
+        st.one_of(st.sampled_from(_S_SPECIAL), st.floats(-3.0, 3.0), st.integers(-2, 2)),
+        st.one_of(
+            st.sampled_from(_D_SPECIAL),
+            st.integers(2, 10**6),
+            st.integers(2, 64).map(np.int64),
+            st.integers(2, 64).map(float),
+        ),
+        st.one_of(st.sampled_from([0.0, 0.1, 0.5, 1.0]), st.floats(0.0, 1.0)),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_memoized_path_matches_every_term_per_call(self, q, s, d, eps):
+        # twice: the first call may fill the memo entry, the second reads it
+        want = _typed_outcome(_parent_bound, q, s, d, eps)
+        for _ in range(2):
+            assert _typed_outcome(unified_fannes_bound, BoundSpec(q, s, d, eps)) == want
+        assert bounds._point_terms.cache_info().currsize <= bounds.BOUND_MEMO_CAP
+
+    def test_memo_never_exceeds_its_caps(self):
+        for k in range(bounds.BOUND_MEMO_CAP + 12):
+            bounds._unified_fannes_bound(2.0 + k / 1024, 1.0, 4, 0.1)
+        info = bounds._point_terms.cache_info()
+        assert info.maxsize == bounds.BOUND_MEMO_CAP and info.currsize == bounds.BOUND_MEMO_CAP
+        # past its dimension cap a point computes the terms of new d per call
+        for d in range(2, bounds.BOUND_MEMO_DIMS + 12):
+            for _ in range(2):
+                got = bounds._unified_fannes_bound(3.5, -0.5, d, 0.1)
+                assert got.hex() == _parent_bound(3.5, -0.5, d, 0.1).hex()
+        assert len(bounds._point_terms(3.5, -0.5)[2]) == bounds.BOUND_MEMO_DIMS
+
+    def test_float_range_is_raised_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(FloatRange, match="float range"):
+                unified_fannes_bound(BoundSpec(2000.0, 0.0, 2, 0.1))
+
+    def test_a_zero_s_keeps_its_sign_in_the_refusal(self):
+        for s in (0.0, -0.0, 0.0):
+            with pytest.raises(OutOfValidity, match=rf"\(1\.0, {s!r}\)"):
+                unified_fannes_bound(BoundSpec(1.0, s, 4, 0.1))

@@ -91,6 +91,21 @@ class TestUnifiedParams:
         with pytest.raises(InvalidIndex):
             UnifiedParams(q, s)
 
+    @pytest.mark.parametrize(
+        "q,s",
+        [(10**5000, 1.0), (1.0, 10**5000), (10**400, 1.0), (2.0, -(10**400)), (-(10**400), 1.0)],
+        ids=["q=10**5000", "s=10**5000", "q=10**400", "s=-10**400", "q=-10**400"],
+    )
+    def test_rejects_an_index_without_a_float_value(self, q, s):
+        # an int past the float range compares as finite: it ended in a bare
+        # OverflowError, at construction (s) or at evaluation (q)
+        with pytest.raises(InvalidIndex, match="must be (positive and )?finite"):
+            UnifiedParams(q, s)
+
+    def test_accepts_exact_non_float_indices(self):
+        assert UnifiedParams(2, np.float64(-1.0)) == UnifiedParams(2.0, -1.0)
+        assert UnifiedParams(np.int64(3), 2**60).s == 2**60
+
     def test_limit_flags(self):
         assert UnifiedParams(1.0 + 1e-8, 2.0).is_q_limit
         assert not UnifiedParams(1.001, 2.0).is_q_limit

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -624,6 +625,9 @@ class TestIntegerSizes:
         assert bit_equal(partial_trace(mat, 2.0, np.int64(3), "A"), partial_trace(mat, 2, 3, "A"))
 
 
+ABOVE_CAP = linops.MAX_MATRIX_DIM + 1
+
+
 class TestDimensionRule:
     """``linops._dimension`` is the one rule for a system dimension: an
     integer (a whole float is its int) with an exact float value, at least
@@ -702,6 +706,36 @@ class TestDimensionRule:
         # d = 65 overflowed it, and a huge d built 2^(d-1) without bound
         with pytest.raises(DomainError, match=r"random block ranks need a dimension in \[2, 64\]"):
             random_resolution(d, 0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: maximally_mixed(ABOVE_CAP),
+            lambda: maximally_mixed(2**60),
+            lambda: random_density(ABOVE_CAP, 1, 0),
+            lambda: random_density(2**53, 1, 0),
+            lambda: random_unitary(ABOVE_CAP, 0),
+            lambda: random_resolution(ABOVE_CAP, 0, ranks=[ABOVE_CAP]),
+            lambda: ensemble_from_state(maximally_mixed(2), ABOVE_CAP, 0),
+            lambda: diagonal_density(np.full(ABOVE_CAP, 1.0 / ABOVE_CAP)),
+            lambda: tensor(maximally_mixed(65), maximally_mixed(64)),
+        ],
+        ids=[
+            "maximally_mixed", "maximally_mixed-2**60", "random_density", "random_density-2**53",
+            "random_unitary", "random_resolution", "ensemble_from_state", "diagonal_density", "tensor",
+        ],
+    )
+    def test_a_matrix_above_the_cap_is_refused_before_it_is_built(self, call):
+        # these ended in numpy's ValueError or MemoryError, or allocated
+        # gigabytes first; the refusal comes before any d x d allocation
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=f"matrix dimension must be at most {linops.MAX_MATRIX_DIM}"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_widest_drawn_block_ranks(self):
         res = random_resolution(64, 0)
