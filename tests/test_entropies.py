@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from entropy_kit.entropies import (
     unified_from_power_sum,
     unified_quantum,
 )
-from entropy_kit.errors import DomainError, InvalidIndex
+from entropy_kit.errors import DomainError, EntropyKitError, InvalidIndex
 from entropy_kit.linops import (
     DensityOperator,
     ProbabilityDistribution,
@@ -496,3 +497,78 @@ class TestEntropyTable:
         assert _entropy_rows([], [UnifiedParams(2.0, 1.0)]) == []
         assert _entropy_rows([FLAT4, SKEW], []) == [(), ()]
         assert _power_sums([FLAT4], []).shape == (1, 0)
+
+
+#: q and s at 0.5, 1 and 2 times the limit windows' half-widths, on both
+#: sides, and both zeros of s
+POINT_Q_EDGES = tuple(1.0 + k * TOL.q_limit for k in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0))
+POINT_S_EDGES = tuple(k * TOL.s_limit for k in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)) + (0.0, -0.0)
+#: the benchmark's sweep grid: 15 q times 11 s, plus six type-q pairs (1/k, k)
+SWEEP_Q = (0.1, 0.3, 0.5, 0.7, 0.9, 1.0 - 5e-8, 1.0, 1.0 + 5e-8, 1.0 - 1e-5, 1.0 + 1e-5,
+           1.5, 2.0, 2.5, 3.0, 5.0)
+SWEEP_S = (-2.0, -1.0, -0.5, -5e-10, 0.0, 5e-10, -1e-8, 1e-8, 0.5, 1.0, 2.0)
+SWEEP_TYPE_Q = (3.0, 1.5, 4.0, 0.25, 0.8, 1.25)
+#: t^s past the float range, a power sum that underflows to 0, a (1 - q) s
+#: that overflows, and s far inside the s -> 0 window
+OVERFLOW_POINTS = (
+    (2.0, -2000.0), (0.01, 2000.0), (0.5, 1e6), (300.0, -5.0), (2000.0, 1.0), (2000.0, 0.0),
+    (1e300, 1e10), (1e-300, 1.0), (1.0 + 2e-7, 1e-300), (1.0 - 2e-7, -5e-308),
+)
+POINTS = (
+    tuple((q, s) for q in POINT_Q_EDGES + (0.5, 2.0) for s in POINT_S_EDGES + (-1.0, 1.0))
+    + tuple((q, s) for q in SWEEP_Q for s in SWEEP_S)
+    + tuple((1.0 / k, k) for k in SWEEP_TYPE_Q)
+    + OVERFLOW_POINTS
+)
+#: power sums at and just past the normalized range, tiny, huge and refused
+POINT_T = (1.0, 1.0 - TOL.trace, 1.0 + TOL.trace, 0.5, 2.0, 1e-300, 1e300, 0.0, math.inf)
+POINTS_PATH = Path(__file__).parent / "data" / "unified-points.txt"
+
+
+def _point_holders():
+    """(quantum, classical) spectrum holders: diagonal, Ginibre, rank-deficient."""
+    rng = np.random.default_rng(2718)
+    quantum = [
+        diagonal_density([0.6, 0.25, 0.1, 0.05]),
+        diagonal_density([0.9, 0.0, 0.1 - 1e-13, 1e-13]),
+        diagonal_density([1.0, 0.0]),
+        random_density(5, 5, rng),
+        random_density(6, 2, rng),
+    ]
+    return quantum, [ProbabilityDistribution(rho.eigenvalues) for rho in quantum]
+
+
+def _point_outcome(fn, *args) -> str:
+    """``repr`` of the value, or ``type: message`` of the refusal."""
+    try:
+        return repr(fn(*args))
+    except EntropyKitError as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def _point_rows():
+    """(label, outcome) over the per-point fixture grid, in the file's line order."""
+    quantum, classical = _point_holders()
+    for q, s in POINTS:
+        params = UnifiedParams(q, s)
+        for i, rho in enumerate(quantum):
+            yield f"unified_quantum(#{i}, {q!r}, {s!r})", _point_outcome(unified_quantum, rho, params)
+        for i, dist in enumerate(classical):
+            yield f"unified_classical(#{i}, {q!r}, {s!r})", _point_outcome(unified_classical, dist, params)
+        for t in POINT_T + tuple(dist.power_sum(q) for dist in classical):
+            yield f"unified_from_power_sum{(t, q, s)}", _point_outcome(unified_from_power_sum, t, q, s)
+    for q in dict.fromkeys(q for q, _ in POINTS):
+        for fn in (renyi, tsallis, type_q_entropy):
+            for i, holder in enumerate(quantum + classical):
+                yield f"{fn.__name__}(#{i}, {q!r})", _point_outcome(fn, holder, q)
+
+
+class TestFrozenPoints:
+    def test_values_and_refusals_match_the_fixture(self):
+        # the fixture was written by the path that re-derived each point's
+        # limit window and denominator on every call
+        want = POINTS_PATH.read_text().splitlines()
+        got = list(_point_rows())
+        assert len(got) == len(want)
+        for (label, outcome), line in zip(got, want):
+            assert outcome == line, label
