@@ -26,7 +26,7 @@ from .linops import _EXACT_INT, _dimension
 from .tolerances import TOL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BoundSpec:
     """Inputs of a bound evaluation: indices, dimension, trace distance."""
 
@@ -35,8 +35,7 @@ class BoundSpec:
     d: int
     eps: float
 
-    def __post_init__(self):
-        q, s, d = self.q, self.s, self.d
+    def __init__(self, q: float, s: float, d: int, eps: float):
         # every bound evaluation builds a spec: a float pair and an int d
         # that pass the rules' comparisons skip the calls
         if not (
@@ -45,8 +44,10 @@ class BoundSpec:
             _check_indices(q, s)
         if not (type(d) is int and 2 <= d <= _EXACT_INT):
             _dimension(d, 2)
-        if not 0.0 <= self.eps <= 1.0:
-            raise DomainError(f"trace distance must lie in [0, 1], got {self.eps!r}")
+        if not 0.0 <= eps <= 1.0:
+            raise DomainError(f"trace distance must lie in [0, 1], got {eps!r}")
+        # the fields of a frozen record, set in one step
+        self.__dict__.update(q=q, s=s, d=d, eps=eps)
 
 
 def eta_q(x: float, q: float) -> float:
@@ -131,8 +132,10 @@ def kappa_s(q: float, s: float, d: int) -> float:
 def _kappa_s(q: float, s: float, d: int) -> float:
     """``kappa_s`` for a q > 1 and d that the caller has checked."""
     if -1.0 <= s <= 0.0:
+        # math.pow raises OverflowError for a numpy-scalar q too, where
+        # numpy's ** returns inf with a warning
         try:
-            return float(d) ** (2.0 * (q - 1.0))
+            return math.pow(float(d), 2.0 * (q - 1.0))
         except OverflowError:
             raise FloatRange(
                 f"dimension factor at q = {q!r}, d = {d!r} exceeds the float range"

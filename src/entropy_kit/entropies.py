@@ -12,6 +12,13 @@ evaluate through one path, alone or as a table of many spectra at many
 points.  Logarithms are natural throughout and 0 * ln 0 = 0.  Limits are
 dispatched through the thresholds in ``TOL`` and evaluated with the
 scalar expm1/log, so values stay stable close to the special points.
+
+Which of the three forms a point takes (Shannon, ln t / (1 - q), or
+expm1(s ln t) / ((1 - q) s)) and its denominator are decided once, when
+its ``UnifiedParams`` is built.  ``_unified`` evaluates one holder at a
+point and the column kernel ``_from_power_sums`` a chunk's column of power
+sums; each holds a copy of the two-line formula, as a call per value
+would cost more than the formula.
 """
 
 from __future__ import annotations
@@ -19,6 +26,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, FloatRange, InvalidIndex
 from .linops import DensityOperator, ProbabilityDistribution, _SpectralMemo, _power_sums, _shown
@@ -50,23 +59,43 @@ def _check_indices(q: float, s: float) -> None:
         raise InvalidIndex(f"entropic index s must be finite, got {_shown(s)}")
 
 
-@dataclass(frozen=True)
+def _point_form(q: float, s: float):
+    """How the formula is evaluated at (q, s): None in the q -> 1 window,
+    (None, 1 - q) in the s -> 0 window, else (s, (1 - q) s)."""
+    if abs(q - 1.0) < TOL.q_limit:
+        return None
+    if abs(s) < TOL.s_limit:
+        return None, 1.0 - q
+    return s, (1.0 - q) * s
+
+
+@dataclass(frozen=True, init=False)
 class UnifiedParams:
-    """Finite index pair (q, s) with q > 0."""
+    """Finite index pair (q, s) with q > 0.
+
+    Which formula applies at (q, s), and its denominator, is decided here
+    once (see ``_point_form``) and kept outside the fields, so equality,
+    hashing and repr read (q, s) alone.
+    """
 
     q: float
     s: float
 
-    def __post_init__(self):
-        _check_indices(self.q, self.s)
+    def __init__(self, q: float, s: float):
+        # renyi, tsallis and type_q_entropy build a pair per call: a float
+        # pair that passes the rule's comparisons skips the calls
+        if not (type(q) is float and type(s) is float and 0.0 < q < math.inf and -math.inf < s < math.inf):
+            _check_indices(q, s)
+        # the fields of a frozen record and its form, set in one step
+        self.__dict__.update(q=q, s=s, _form=_point_form(q, s))
 
     @property
     def is_q_limit(self) -> bool:
-        return abs(self.q - 1.0) < TOL.q_limit
+        return self._form is None
 
     @property
     def is_s_limit(self) -> bool:
-        return not self.is_q_limit and abs(self.s) < TOL.s_limit
+        return self._form is not None and self._form[0] is None
 
 
 def q_log(x: float, q: float) -> float:
@@ -79,13 +108,24 @@ def q_log(x: float, q: float) -> float:
     return math.expm1((1.0 - q) * math.log(x)) / (1.0 - q) + 0.0
 
 
-def _from_power_sum(t: float, q: float, s: float) -> float:
-    """The (q, s) formula on a power sum t > 0, q outside its limit
-    window; unchecked, and the only copy of the formula."""
-    if abs(s) < TOL.s_limit:
-        return math.log(t) / (1.0 - q) + 0.0
+def _from_power_sums(ts: list, form) -> list:
+    """The formula at one (q, s) outside the q -> 1 window, given its
+    ``_point_form``, on each power sum t > 0 of ``ts``; unchecked.
+
+    ``_unified`` holds the other copy of these two lines: a call per cell
+    costs more than the formula itself (see README.md)."""
+    s, den = form
+    log = math.log
+    if s is None:
+        return [log(t) / den + 0.0 for t in ts]
+    expm1 = math.expm1
     # + 0.0 turns the -0.0 arising at t = 1 into a plain zero
-    return math.expm1(s * math.log(t)) / ((1.0 - q) * s) + 0.0
+    return [expm1(s * log(t)) / den + 0.0 for t in ts]
+
+
+def _from_power_sum(t: float, q: float, s: float) -> float:
+    """``_from_power_sums`` on one t at a q outside its limit window."""
+    return _from_power_sums((t,), _point_form(q, s))[0]
 
 
 def unified_from_power_sum(t: float, q: float, s: float) -> float:
@@ -120,30 +160,35 @@ def _unified(spectrum, params: UnifiedParams) -> float:
     a spectrum holder at some indices."""
     if not isinstance(spectrum, _SpectralMemo):
         spectrum = ProbabilityDistribution(spectrum)
-    if params.is_q_limit:
+    form = params._form
+    if form is None:
         return spectrum.shannon()
+    s, den = form
     try:
-        return _from_power_sum(spectrum.power_sum(params.q), params.q, params.s)
+        t = spectrum.power_sum(params.q)
+        if s is None:
+            return math.log(t) / den + 0.0
+        return math.expm1(s * math.log(t)) / den + 0.0
     except (OverflowError, ValueError):
         raise _beyond_float_range(params) from None
 
 
-def _entropy_rows(holders, grid) -> list:
-    """Entropies of spectrum holders at the ``UnifiedParams`` of ``grid``,
-    one row per holder: row[k] is bit for bit ``_unified(holder,
-    grid[k])``, with the power sums of each q taken once for all holders
-    (see ``_power_sums``) and q -> 1 points sent through ``_unified``."""
-    sums = _power_sums(holders, [p.q for p in grid]).T.tolist()
-    cols = []
-    for p, col in zip(grid, sums):
-        if p.is_q_limit:
-            cols.append([_unified(h, p) for h in holders])
+def _entropy_rows(holders, grid) -> np.ndarray:
+    """The (holders, grid) array of entropies of spectrum holders at the
+    ``UnifiedParams`` of ``grid``: cell [i, k] is bit for bit
+    ``_unified(holders[i], grid[k])``.  The power sums of each q are taken
+    once for all holders (see ``_power_sums``) and turned into entropies in
+    place, a column per point; q -> 1 points go through ``_unified``."""
+    table = _power_sums(holders, [p.q for p in grid])
+    for k, p in enumerate(grid):
+        if p._form is None:
+            table[:, k] = [_unified(h, p) for h in holders]
             continue
         try:
-            cols.append([_from_power_sum(t, p.q, p.s) for t in col])
+            table[:, k] = _from_power_sums(table[:, k].tolist(), p._form)
         except (OverflowError, ValueError):
             raise _beyond_float_range(p) from None
-    return list(zip(*cols)) if cols else [()] * len(holders)
+    return table
 
 
 def renyi(p, q: float) -> float:

@@ -378,7 +378,7 @@ def _table(per_trial: list, points, q_only: bool = False) -> list:
     if q_only:
         table = _power_sums(flat, [p.q for p in points])
     else:
-        table = np.array(_entropy_rows(flat, points)).reshape(len(flat), len(points))
+        table = _entropy_rows(flat, points)
     return np.split(table, np.cumsum([len(hs) for hs in per_trial[:-1]]))
 
 

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +58,65 @@ class TestBoundSpec:
     @pytest.mark.parametrize("d", [2**53, 2.0**60, 10**17, np.int64(4), 4.0])
     def test_exact_dimensions_accepted(self, d):
         assert BoundSpec(2.0, 1.0, d, 0.1).d == d
+
+
+class TestBoundSpecRecord:
+    """``BoundSpec`` sets its fields in a hand-written ``__init__``; it must
+    still be the frozen dataclass it was, with the same checks."""
+
+    def test_fields_equality_hash_and_repr(self):
+        assert [(f.name, f.type) for f in dataclasses.fields(BoundSpec)] == [
+            ("q", "float"), ("s", "float"), ("d", "int"), ("eps", "float"),
+        ]
+        spec = BoundSpec(2.0, 1.0, 4, 0.1)
+        assert spec == BoundSpec(q=2.0, s=1.0, d=4, eps=0.1)
+        assert spec != BoundSpec(2.0, 1.0, 4, 0.2)
+        assert hash(spec) == hash((2.0, 1.0, 4, 0.1))
+        assert repr(spec) == "BoundSpec(q=2.0, s=1.0, d=4, eps=0.1)"
+
+    def test_replace_pickle_and_copy(self):
+        spec = BoundSpec(2.0, 1.0, 4, 0.1)
+        assert dataclasses.replace(spec, eps=0.2) == BoundSpec(2.0, 1.0, 4, 0.2)
+        with pytest.raises(DomainError, match="dimension must be at least 2, got 1"):
+            dataclasses.replace(spec, d=1)
+        for twin in (pickle.loads(pickle.dumps(spec)), copy.copy(spec), copy.deepcopy(spec)):
+            assert twin == spec and repr(twin) == repr(spec)
+            assert unified_fannes_bound(twin) == unified_fannes_bound(spec)
+
+    def test_frozen(self):
+        spec = BoundSpec(2.0, 1.0, 4, 0.1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.eps = 0.2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del spec.q
+        assert spec.eps == 0.1
+
+    @pytest.mark.parametrize(
+        "args,error,message",
+        [
+            # q before s before d before eps, as the checks ran in __post_init__
+            ((0.0, math.nan, 1, 2.0), InvalidIndex, "entropic index q must be positive and finite, got 0.0"),
+            ((2.0, math.nan, 1, 2.0), InvalidIndex, "entropic index s must be finite, got nan"),
+            ((2.0, 1.0, 1, 2.0), DomainError, "dimension must be at least 2, got 1"),
+            ((2.0, 1.0, 4, 2.0), DomainError, "trace distance must lie in [0, 1], got 2.0"),
+            ((2.0, 1.0, 4, math.nan), DomainError, "trace distance must lie in [0, 1], got nan"),
+            # numpy scalars and ints miss the float fast path and take the full rules
+            ((np.float64(math.nan), 1.0, 4, 0.1), InvalidIndex, "entropic index q must be positive and finite, got np.float64(nan)"),
+            ((2, np.float64(math.inf), 4, 0.1), InvalidIndex, "entropic index s must be finite, got np.float64(inf)"),
+            ((2.0, 1.0, np.int64(1), 0.1), DomainError, "dimension must be at least 2, got 1"),
+            ((2.0, 1.0, 4.5, 0.1), DomainError, "dimension must be an integer, got 4.5"),
+        ],
+    )
+    def test_refusals_in_order(self, args, error, message):
+        with pytest.raises(error) as info:
+            BoundSpec(*args)
+        assert type(info.value) is error and str(info.value) == message
+
+    def test_non_float_inputs_are_kept_as_given(self):
+        spec = BoundSpec(np.float64(2.0), np.int64(1), np.int64(4), np.float64(0.1))
+        assert repr(spec) == "BoundSpec(q=np.float64(2.0), s=np.int64(1), d=np.int64(4), eps=np.float64(0.1))"
+        assert BoundSpec(2, 1, 4.0, 0.1) == BoundSpec(2.0, 1.0, 4, 0.1)
+        assert type(BoundSpec(2, 1, 4.0, 0.1).d) is float
 
 
 class TestEta:
@@ -186,6 +248,23 @@ class TestKappa:
             kappa_s(2000.0, 0.0, 2)
         with pytest.raises(DomainError, match="exceeds the float range"):
             unified_fannes_bound(BoundSpec(2000.0, -1.0, 3, 0.1))
+
+    @pytest.mark.parametrize("q", [np.float64(2000.0), np.float32(2000.0), 2000, np.int64(2000)])
+    def test_overflow_is_a_domain_error_for_any_real_q(self, q):
+        # numpy's ** returned inf with an overflow warning for a numpy-scalar q
+        message = f"dimension factor at q = {q!r}, d = 2 exceeds the float range"
+        with pytest.raises(FloatRange) as info:
+            kappa_s(q, 0.0, 2)
+        assert str(info.value) == message
+        for _ in range(2):  # a refusal is raised on every call, never kept
+            with pytest.raises(FloatRange) as info:
+                unified_fannes_bound(BoundSpec(q, 0.0, 2, 0.1))
+            assert str(info.value) == message
+
+    def test_numpy_q_keeps_the_float_q_value(self):
+        for q, s, d in ((2.5, -1.0, 16), (1.5, -0.5, 2**40), (3.0, 0.0, 2.0**60)):
+            want = kappa_s(q, s, d)
+            assert float(kappa_s(np.float64(q), s, d)).hex() == want.hex()
 
 
 class TestRangeClassifier:
@@ -526,7 +605,7 @@ def _parent_bound(q, s, d, eps):
     if q > 1 and (-1.0 <= s <= 0.0 or s >= 1.0):
         if -1.0 <= s <= 0.0:
             try:
-                kappa = float(d) ** (2.0 * (q - 1.0))
+                kappa = math.pow(float(d), 2.0 * (q - 1.0))
             except OverflowError:
                 raise FloatRange(
                     f"dimension factor at q = {q!r}, d = {d!r} exceeds the float range"
@@ -547,9 +626,7 @@ def _parent_bound(q, s, d, eps):
 def _typed_outcome(fn, *args) -> tuple:
     try:
         value = fn(*args)
-    # numpy warns (an error under this suite's filter) where a numpy-scalar
-    # q takes d^(2(q-1)) past the float range
-    except (EntropyKitError, RuntimeWarning) as err:
+    except EntropyKitError as err:
         return type(err), str(err)
     return type(value), repr(value)
 

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +41,10 @@ from entropy_kit.tolerances import TOL
 
 FLAT4 = ProbabilityDistribution([0.25] * 4)
 SKEW = ProbabilityDistribution([0.5, 0.3, 0.2])
+#: q and s at 0.5, 1 and 2 times the limit windows' half-widths, on both
+#: sides, and both zeros of s
+POINT_Q_EDGES = tuple(1.0 + k * TOL.q_limit for k in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0))
+POINT_S_EDGES = tuple(k * TOL.s_limit for k in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)) + (0.0, -0.0)
 
 
 def random_dist(seed: int, size: int = 4) -> ProbabilityDistribution:
@@ -112,6 +119,56 @@ class TestUnifiedParams:
         assert not UnifiedParams(1.001, 2.0).is_q_limit
         assert UnifiedParams(2.0, 1e-10).is_s_limit
         assert not UnifiedParams(1.0 + 1e-8, 1e-10).is_s_limit
+
+    @pytest.mark.parametrize("q", POINT_Q_EDGES + (0.5, 1.0, 2.0, 2))
+    @pytest.mark.parametrize("s", POINT_S_EDGES + (1.0, -1.0, np.float64(5e-10)))
+    def test_limit_flags_at_the_window_edges(self, q, s):
+        # the flags as they were computed from (q, s) on every read; both
+        # are plain bools now, where a numpy index made them numpy bools
+        params = UnifiedParams(q, s)
+        in_q = abs(q - 1.0) < TOL.q_limit
+        assert params.is_q_limit is bool(in_q)
+        assert params.is_s_limit is bool(not in_q and abs(s) < TOL.s_limit)
+
+    @pytest.mark.parametrize(
+        "q,s,message",
+        [
+            (0.0, math.nan, "entropic index q must be positive and finite, got 0.0"),
+            (2.0, math.nan, "entropic index s must be finite, got nan"),
+            (np.float64(math.inf), 1.0, "entropic index q must be positive and finite, got np.float64(inf)"),
+            (2, -math.inf, "entropic index s must be finite, got -inf"),
+        ],
+    )
+    def test_refusals_in_order(self, q, s, message):
+        with pytest.raises(InvalidIndex) as info:
+            UnifiedParams(q, s)
+        assert str(info.value) == message
+
+    def test_equal_points_compare_and_hash_equal(self):
+        assert UnifiedParams(q=2.0, s=1.0) == UnifiedParams(2.0, 1.0)
+        for a, b in (((2.0, 1.0), (2, 1)), ((2.0, 0.0), (2.0, -0.0)), ((1.0, 5e-10), (1, 5e-10))):
+            assert UnifiedParams(*a) == UnifiedParams(*b)
+            assert hash(UnifiedParams(*a)) == hash(UnifiedParams(*b)) == hash(a)
+        assert [f.name for f in dataclasses.fields(UnifiedParams)] == ["q", "s"]
+        assert repr(UnifiedParams(2.0, -0.0)) == "UnifiedParams(q=2.0, s=-0.0)"
+
+    @pytest.mark.parametrize("q,s", [(2.0, 1.0), (2.0, 5e-10), (1.0 + 5e-8, 2.0), (0.5, -1.0)])
+    def test_replace_pickle_and_copy_carry_the_form(self, q, s):
+        params = UnifiedParams(q, s)
+        twins = (pickle.loads(pickle.dumps(params)), copy.copy(params), copy.deepcopy(params))
+        for twin in twins:
+            assert twin == params
+            assert (twin.is_q_limit, twin.is_s_limit) == (params.is_q_limit, params.is_s_limit)
+            assert unified_classical(SKEW, twin).hex() == unified_classical(SKEW, params).hex()
+        for q2, s2 in ((q, 1.5), (1.0, s), (0.7, 0.0), (3.0, -2e-9)):
+            moved = dataclasses.replace(params, q=q2, s=s2)
+            fresh = UnifiedParams(q2, s2)
+            assert (moved.is_q_limit, moved.is_s_limit) == (fresh.is_q_limit, fresh.is_s_limit)
+            assert unified_classical(SKEW, moved).hex() == unified_classical(SKEW, fresh).hex()
+        with pytest.raises(InvalidIndex):
+            dataclasses.replace(params, q=0.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            params.q = 3.0
 
 
 class TestClassicalValues:
@@ -472,9 +529,14 @@ class TestEntropyTable:
             st.tuples(
                 st.one_of(
                     st.sampled_from([0.5, 2.0, 1.0, 1.0 + 5e-8, 1.0 - 5e-8]),
+                    st.sampled_from(POINT_Q_EDGES),
                     st.floats(0.05, 6.0),
                 ),
-                st.one_of(st.sampled_from([0.0, 1e-10, -1e-10, 1.0]), st.floats(-3.0, 3.0)),
+                st.one_of(
+                    st.sampled_from([0.0, 1e-10, -1e-10, 1.0]),
+                    st.sampled_from(POINT_S_EDGES),
+                    st.floats(-3.0, 3.0),
+                ),
             ),
             min_size=1,
             max_size=8,
@@ -485,8 +547,9 @@ class TestEntropyTable:
         grid = [UnifiedParams(q, s) for q, s in points]
         rows = _entropy_rows(holders, grid)
         sums = _power_sums(holders, [p.q for p in grid]).tolist()
-        assert len(rows) == len(sums) == len(holders)
-        for h, row, sum_row in zip(holders, rows, sums):
+        assert rows.shape == (len(holders), len(grid)) and rows.dtype == np.float64
+        assert len(sums) == len(holders)
+        for h, row, sum_row in zip(holders, rows.tolist(), sums):
             quantum = isinstance(h, DensityOperator)
             for k, params in enumerate(grid):
                 alone = (unified_quantum if quantum else unified_classical)(h, params)
@@ -494,15 +557,11 @@ class TestEntropyTable:
                 assert sum_row[k].hex() == h.power_sum(params.q).hex()
 
     def test_empty_chunk_and_empty_grid(self):
-        assert _entropy_rows([], [UnifiedParams(2.0, 1.0)]) == []
-        assert _entropy_rows([FLAT4, SKEW], []) == [(), ()]
+        assert _entropy_rows([], [UnifiedParams(2.0, 1.0)]).shape == (0, 1)
+        assert _entropy_rows([FLAT4, SKEW], []).shape == (2, 0)
         assert _power_sums([FLAT4], []).shape == (1, 0)
 
 
-#: q and s at 0.5, 1 and 2 times the limit windows' half-widths, on both
-#: sides, and both zeros of s
-POINT_Q_EDGES = tuple(1.0 + k * TOL.q_limit for k in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0))
-POINT_S_EDGES = tuple(k * TOL.s_limit for k in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)) + (0.0, -0.0)
 #: the benchmark's sweep grid: 15 q times 11 s, plus six type-q pairs (1/k, k)
 SWEEP_Q = (0.1, 0.3, 0.5, 0.7, 0.9, 1.0 - 5e-8, 1.0, 1.0 + 5e-8, 1.0 - 1e-5, 1.0 + 1e-5,
            1.5, 2.0, 2.5, 3.0, 5.0)
