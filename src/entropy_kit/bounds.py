@@ -20,7 +20,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .entropies import _binary_tsallis, _check_indices, _check_q, q_log
+from .entropies import _binary_tsallis, _check_indices, _check_q, _point_form, q_log
 from .errors import DomainError, FloatRange, InvalidIndex, OutOfValidity
 from .linops import _EXACT_INT, _dimension
 from .tolerances import TOL
@@ -242,9 +242,10 @@ def max_unified(q: float, s: float, d: int) -> float:
     d = _dimension(d)
     if d == 1:
         return 0.0
-    if abs(q - 1.0) < TOL.q_limit or abs(s) < TOL.s_limit:
+    form = _point_form(q, s)
+    if form is None or form[0] is None:
         return math.log(d)
-    x = (1.0 - q) * s
+    x = form[1]
     try:
         return math.expm1(x * math.log(d)) / x
     except OverflowError:

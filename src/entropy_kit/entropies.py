@@ -123,11 +123,6 @@ def _from_power_sums(ts: list, form) -> list:
     return [expm1(s * log(t)) / den + 0.0 for t in ts]
 
 
-def _from_power_sum(t: float, q: float, s: float) -> float:
-    """``_from_power_sums`` on one t at a q outside its limit window."""
-    return _from_power_sums((t,), _point_form(q, s))[0]
-
-
 def unified_from_power_sum(t: float, q: float, s: float) -> float:
     """Unified entropy from a precomputed power sum t = sum p_i^q.
 
@@ -137,13 +132,13 @@ def unified_from_power_sum(t: float, q: float, s: float) -> float:
     """
     if not 0.0 < t < math.inf:
         raise DomainError(f"power sum must be positive and finite, got {t!r}")
-    _check_q(q)
-    if abs(q - 1.0) < TOL.q_limit:
+    form = UnifiedParams(q, s)._form
+    if form is None:
         raise InvalidIndex("power-sum form is undefined in the q -> 1 limit window")
     if (t > 1.0 + TOL.trace) if q > 1.0 else (t < 1.0 - TOL.trace):
         raise DomainError(f"no normalized spectrum has power sum {t!r} at q = {q!r}")
     try:
-        return _from_power_sum(t, q, s)
+        return _from_power_sums((t,), form)[0]
     except OverflowError:
         raise FloatRange(
             f"entropy at t = {t!r}, q = {q!r}, s = {s!r} exceeds the float range"

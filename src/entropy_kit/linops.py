@@ -665,12 +665,12 @@ def read_matrix(path) -> HermitianOperator:
         raise DomainError(f"cannot read matrix file {str(path)!r}: {exc}") from None
     try:
         data = json.loads(text)
-        d = int(data["d"])
+        d = _integer("dimension", data["d"])
         re = np.array(data["re"], dtype=np.float64)
         im = np.array(data["im"], dtype=np.float64)
     except json.JSONDecodeError as exc:
         raise DomainError(f"matrix file is not valid JSON: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, DomainError) as exc:
         raise DomainError(f"malformed matrix record: {exc}") from exc
     if re.shape != (d, d) or im.shape != (d, d):
         raise DimMismatch(f"matrix entries do not have shape ({d}, {d})")

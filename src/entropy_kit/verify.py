@@ -13,11 +13,13 @@ fewer for large matrices), builds their states with one stacked
 reads them at every grid point as one table and judges the chunk's
 claims as arrays over (trial, point, case), each step bit-identical to
 working one state, point and comparison at a time.  One chunk's states
-are alive at a time.  A comparison "lhs <= rhs" fails when the signed
-violation lhs - rhs exceeds TOL.check_rel * (1 + magnitude); ``failures``
-counts failed comparisons, ``skipped`` counts grid points outside a
-claim's proven region or validity window, and a suite that claims no
-grid point draws nothing.  A check that made no comparison does not pass.
+are alive at a time.  Closed-form and random parts alike record their
+comparisons as arrays through ``CheckReport.compare_many``: "lhs <= rhs"
+fails when the signed violation lhs - rhs exceeds TOL.check_rel * (1 +
+magnitude), a strict "lhs < rhs" when it is >= 0; ``failures`` counts
+failed comparisons, ``skipped`` counts grid points outside a claim's
+proven region or validity window, and a suite that claims no grid point
+draws nothing.  A check that made no comparison does not pass.
 
 A check expected to break (the subadditivity violation search) inverts
 the reading: ``failures`` counts the violations found, and an empty
@@ -27,7 +29,6 @@ result is the anomaly.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 from collections.abc import Callable
@@ -37,7 +38,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .bounds import _unified_fannes_bound, fannes_range, max_unified
-from .entropies import UnifiedParams, _entropy_rows, unified_from_power_sum, unified_quantum
+from .entropies import UnifiedParams, _entropy_rows, _point_form, unified_from_power_sum, unified_quantum
 from .errors import DimMismatch, DomainError, NotDiagonal, OutOfValidity, PureState
 from .linops import (
     MAX_RANK_DRAW_DIM,
@@ -106,8 +107,7 @@ PROJECTIVE_GRID = tuple(
 
 @dataclass
 class CheckReport:
-    """Outcome of one verification suite, accumulated by ``compare`` and
-    ``compare_many``."""
+    """Outcome of one verification suite, accumulated by ``compare_many``."""
 
     check: str
     trials: int = 0
@@ -121,40 +121,33 @@ class CheckReport:
     #: comparisons made; not emitted, so JSON and CSV reports keep their bytes
     comparisons: int = 0
 
-    def compare(self, lhs: float, rhs: float, info: dict, strict: bool = False) -> bool:
-        """Record "lhs <= rhs" (strict: "lhs < rhs"); True if it failed."""
-        self.comparisons += 1
-        violation = float(lhs) - float(rhs)
-        if strict:
-            failed = violation >= 0.0
-        else:
-            failed = violation > TOL.check_rel * (1.0 + max(abs(lhs), abs(rhs)))
-        if failed:
-            self.failures += 1
-        if self.worst_case is None or violation > self.max_violation:
-            self.max_violation = violation
-            self.worst_case = dict(info, lhs=float(lhs), rhs=float(rhs))
-        return failed
+    def compare_many(
+        self, lhs: np.ndarray, rhs: np.ndarray, case_at: Callable, strict: bool = False
+    ) -> None:
+        """Record "lhs <= rhs" (strict: "lhs < rhs") for every element of
+        two float arrays of one shape, in C order.
 
-    def compare_many(self, lhs: np.ndarray, rhs: np.ndarray, case_at: Callable) -> None:
-        """Record "lhs <= rhs" for every element of two float arrays of one
-        shape, bit for bit as ``compare`` called on each in C order would.
-
-        Elementwise ``- abs maximum * +`` round as the scalar expressions
-        do; the worst case is the first index of the largest violation,
-        as the strict ``>`` in ``compare`` picks it, and a NaN violation is
-        the worst case only as the report's very first comparison.
-        ``case_at(index)`` gives the case of a flat index and is called for
-        the worst comparison alone.
+        A comparison fails when its violation lhs - rhs exceeds
+        TOL.check_rel * (1 + max(|lhs|, |rhs|)), or under ``strict`` when
+        it is >= 0.  Elementwise ``- abs maximum * +`` round as Python
+        floats do.  The worst case is the first index of the largest
+        violation, so a report reads the same for any split of its
+        comparisons into calls, and a NaN violation is the worst case
+        only as the report's very first comparison.  ``case_at(index)``
+        gives the case of a flat index and is called for the worst
+        comparison alone.
         """
         lhs, rhs = lhs.ravel(), rhs.ravel()
         if lhs.size == 0:
             return
         with np.errstate(invalid="ignore", over="ignore"):  # silent, as Python floats are
             violation = lhs - rhs
-            slack = TOL.check_rel * (1.0 + np.maximum(np.abs(lhs), np.abs(rhs)))
+            if strict:
+                failed = violation >= 0.0
+            else:
+                failed = violation > TOL.check_rel * (1.0 + np.maximum(np.abs(lhs), np.abs(rhs)))
         self.comparisons += violation.size
-        self.failures += int(np.count_nonzero(violation > slack))
+        self.failures += int(np.count_nonzero(failed))
         worst, best = None, self.max_violation
         if self.worst_case is None:
             worst, best = 0, violation[0]
@@ -323,31 +316,39 @@ def _stacked(per_trial: list) -> list:
     return out
 
 
+_LEMMA_KINDS = ("unit-direct", "tail-direct", "unit-reversed", "tail-reversed", "tail-log")
+
+
 def _scalar_lemma(trials: int, seed: int, params_grid) -> CheckReport:
-    """Scalar comparisons behind the continuity proofs.
+    """Scalar comparisons behind the continuity proofs, judged as one
+    (trial, kind) array per chunk of trials.
 
     |x^s - y^s| <= s |x - y| on [0,1] for s >= 1 and on [1,inf) for
     0 < s <= 1; reversed on the swapped regimes; and |ln x - ln y| <=
     |x - y| on [1, inf).
     """
-    rec = CheckReport("scalar-lemma", seed=seed)
-    chunks = _chunks(trials, STATE_CHUNK)
-    rngs = itertools.chain.from_iterable(_trial_rngs(seed, "scalar-lemma", c) for c in chunks)
-    for i, rng in enumerate(rngs):
-        x0, y0 = rng.uniform(0.0, 1.0, 2)
-        x1, y1 = rng.uniform(1.0, 10.0, 2)
-        s_hi = float(rng.uniform(1.0, 4.0))
-        s_lo = float(rng.uniform(0.01, 1.0))
-        rec.trials += 1
-        cases = (
-            ("unit-direct", abs(x0**s_hi - y0**s_hi), s_hi * abs(x0 - y0), s_hi),
-            ("tail-direct", abs(x1**s_lo - y1**s_lo), s_lo * abs(x1 - y1), s_lo),
-            ("unit-reversed", s_lo * abs(x0 - y0), abs(x0**s_lo - y0**s_lo), s_lo),
-            ("tail-reversed", s_hi * abs(x1 - y1), abs(x1**s_hi - y1**s_hi), s_hi),
-            ("tail-log", abs(math.log(x1) - math.log(y1)), abs(x1 - y1), 0.0),
-        )
-        for kind, lhs, rhs, s in cases:
-            rec.compare(lhs, rhs, {"trial": i, "kind": kind, "s": s})
+    rec = CheckReport("scalar-lemma", trials=trials, seed=seed)
+    for chunk in _chunks(trials, STATE_CHUNK):
+        rows = []
+        for rng in _trial_rngs(seed, "scalar-lemma", chunk):
+            x0, y0 = rng.uniform(0.0, 1.0, 2)
+            x1, y1 = rng.uniform(1.0, 10.0, 2)
+            s_hi = float(rng.uniform(1.0, 4.0))
+            s_lo = float(rng.uniform(0.01, 1.0))
+            # (lhs, rhs, s) of each kind
+            rows.append((
+                (abs(x0**s_hi - y0**s_hi), s_hi * abs(x0 - y0), s_hi),
+                (abs(x1**s_lo - y1**s_lo), s_lo * abs(x1 - y1), s_lo),
+                (s_lo * abs(x0 - y0), abs(x0**s_lo - y0**s_lo), s_lo),
+                (s_hi * abs(x1 - y1), abs(x1**s_hi - y1**s_hi), s_hi),
+                (abs(math.log(x1) - math.log(y1)), abs(x1 - y1), 0.0),
+            ))
+        lhs, rhs, s = np.moveaxis(np.array(rows), -1, 0)
+
+        def case(j, chunk=chunk, s=s.ravel()):
+            return {"trial": chunk[j // 5], "kind": _LEMMA_KINDS[j % 5], "s": float(s[j])}
+
+        rec.compare_many(lhs, rhs, case)
     return rec
 
 
@@ -356,17 +357,15 @@ def _seeded_violations(trials: int, seed: int, params_grid) -> CheckReport:
     instances on I/2 (x) I/2, so at least one violation is present.
     (q=2, s=-1) violates by exactly 1 and (q=1/2, s=1) by 6 - 4 sqrt 2.
     """
-    rec = CheckReport("subadd-violation", seed=seed)
+    rec = CheckReport("subadd-violation", trials=1, seed=seed)
     mm = maximally_mixed(2)
     product = tensor(mm, mm)
-    rec.trials += 1
-    for q, s in ((2.0, -1.0), (0.5, 1.0)):
-        params = UnifiedParams(q, s)
-        rec.compare(
-            unified_quantum(product, params),
-            2.0 * unified_quantum(mm, params),
-            {"trial": -1, "kind": "seeded", "d_a": 2, "d_b": 2, "q": q, "s": s},
-        )
+    points = [UnifiedParams(2.0, -1.0), UnifiedParams(0.5, 1.0)]
+    lhs = np.array([unified_quantum(product, p) for p in points])
+    rhs = np.array([2.0 * unified_quantum(mm, p) for p in points])
+    rec.compare_many(lhs, rhs, lambda j: {
+        "trial": -1, "kind": "seeded", "d_a": 2, "d_b": 2, "q": points[j].q, "s": points[j].s
+    })
     return rec
 
 
@@ -733,16 +732,11 @@ def qubit_measurement_decrease(rho_diag: DensityOperator, params_grid=None) -> C
     if float(rho_diag.eigenvalues.min()) <= TOL.rank:
         raise PureState("strict decrease needs an impure state")
     grid = _as_grid(params_grid, PROJECTIVE_GRID)
-    rec = CheckReport("qubit-measure")
+    rec = CheckReport("qubit-measure", trials=1)
     after = apply_generalized(rho_diag, GeneralizedMeasurement(QUBIT_MEASUREMENT))
-    rec.trials += 1
-    for params in grid:
-        rec.compare(
-            unified_quantum(after, params),
-            unified_quantum(rho_diag, params),
-            {"q": params.q, "s": params.s},
-            strict=True,
-        )
+    lhs = np.array([unified_quantum(after, p) for p in grid])
+    rhs = np.array([unified_quantum(rho_diag, p) for p in grid])
+    rec.compare_many(lhs, rhs, lambda j: {"q": grid[j].q, "s": grid[j].s}, strict=True)
     return rec
 
 
@@ -791,7 +785,7 @@ def stability_ratio(ex: StabilityExample) -> float:
     1 as d grows even though eps is fixed: the Lesche criterion fails.
     """
     q, s, d = ex.q, ex.s, ex.d
-    if abs(q - 1.0) < TOL.q_limit:
+    if _point_form(q, s) is None:
         # Shannon entropies of the diagonal spectra
         eps = ex.eps
         if ex.variant == "example0":

@@ -31,7 +31,13 @@ from entropy_kit.entropies import UnifiedParams, tsallis, unified_from_power_sum
 from entropy_kit.errors import DomainError, EntropyKitError, FloatRange, InvalidIndex, OutOfValidity
 from entropy_kit.linops import diagonal_density, random_density, trace_distance
 from entropy_kit.tolerances import TOL
-from entropy_kit.verify import FANNES_GRID
+from entropy_kit.verify import (
+    FANNES_GRID,
+    StabilityExample,
+    _example_power_sums,
+    _xlnx,
+    stability_ratio,
+)
 
 
 def example_pair(eps: float, d: int):
@@ -445,6 +451,58 @@ class TestMaxUnified:
     def test_overflow_is_a_domain_error(self, q, s, d):
         with pytest.raises(DomainError, match="exceeds the float range"):
             max_unified(q, s, d)
+
+
+#: q and s on both sides of their limit windows' edges, and both zeros
+WINDOW_Q = [1.0 + k * TOL.q_limit for k in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)] + [0.5, 2.0]
+WINDOW_S = [k * TOL.s_limit for k in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)] + [0.0, -0.0, -2.0, 1.0]
+
+
+def _own_window_max_unified(q: float, s: float, d: int) -> float:
+    """``max_unified``'s value as it read when it tested TOL's windows itself."""
+    if d == 1:
+        return 0.0
+    if abs(q - 1.0) < TOL.q_limit or abs(s) < TOL.s_limit:
+        return math.log(d)
+    x = (1.0 - q) * s
+    return math.expm1(x * math.log(d)) / x
+
+
+def _own_window_stability_ratio(ex: StabilityExample) -> float:
+    """``stability_ratio`` as it read when it tested TOL.q_limit itself."""
+    q, s, d, eps = ex.q, ex.s, ex.d, ex.eps
+    if abs(q - 1.0) < TOL.q_limit:
+        if ex.variant == "example0":
+            s_rho = 0.0
+            s_omega = -_xlnx(1.0 - eps) - _xlnx(eps) + eps * math.log(d - 1)
+        else:
+            s_rho = math.log(d - 1)
+            s_omega = -_xlnx(eps) - _xlnx(1.0 - eps) + (1.0 - eps) * math.log(d - 1)
+        return abs(s_rho - s_omega) / math.log(d)
+    t_rho, t_omega = _example_power_sums(ex)
+    num = abs(unified_from_power_sum(t_rho, q, s) - unified_from_power_sum(t_omega, q, s))
+    return num / _own_window_max_unified(q, s, d)
+
+
+class TestOneLimitRule:
+    """``max_unified`` and ``stability_ratio`` take their q -> 1 and s -> 0
+    windows from ``entropies._point_form``, bit for bit as before."""
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 2**53])
+    def test_max_unified(self, d):
+        for q in WINDOW_Q:
+            for s in WINDOW_S:
+                expect = _typed_outcome(_own_window_max_unified, q, s, d)
+                assert _typed_outcome(max_unified, q, s, d) == expect, (q, s)
+
+    @pytest.mark.parametrize("d", [2, 7, 2**53])
+    @pytest.mark.parametrize("variant", ["example0", "example1"])
+    def test_stability_ratio(self, d, variant):
+        for q in WINDOW_Q:
+            for s in WINDOW_S:
+                ex = StabilityExample(variant, 0.1, d, q, s)
+                expect = _typed_outcome(_own_window_stability_ratio, ex)
+                assert _typed_outcome(stability_ratio, ex) == expect, (q, s)
 
 
 class TestStabilityFunctional:

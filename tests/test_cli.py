@@ -94,6 +94,15 @@ class TestEntropyCommand:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_dimension_beyond_the_float_range_exits_one(self, capsys, tmp_path):
+        # JSON reads 1e400 as inf, which died with a bare OverflowError
+        path = tmp_path / "rho.json"
+        path.write_text('{"d": 1e400, "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}')
+        code, out, err = run_cli(capsys, ["entropy", "--rho", str(path), "--q", "2", "--s", "1"])
+        assert code == 1
+        assert out == ""
+        assert err == "error: malformed matrix record: dimension must be an integer, got inf\n"
+
     @pytest.mark.parametrize("q,s", [("2", "nan"), ("2", "inf"), ("nan", "1")])
     def test_non_finite_index_exits_one(self, capsys, q, s):
         code, out, err = run_cli(capsys, ["entropy", "--dist", "0.5,0.5", "--q", q, "--s", s])

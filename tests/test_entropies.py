@@ -15,7 +15,8 @@ from hypothesis import assume, given, settings, strategies as st
 from entropy_kit.entropies import (
     UnifiedParams,
     _entropy_rows,
-    _from_power_sum,
+    _from_power_sums,
+    _point_form,
     binary_tsallis,
     q_log,
     renyi,
@@ -382,7 +383,7 @@ class TestFamilyStructure:
                 unified_from_power_sum(t, q, s)
             return
         try:
-            expect = _from_power_sum(t, q, s).hex()
+            expect = _from_power_sums((t,), _point_form(q, s))[0].hex()
         except OverflowError:
             # t^s beyond the float range: the public form names the range
             with pytest.raises(DomainError, match="float range"):
@@ -405,6 +406,16 @@ class TestFamilyStructure:
     def test_power_sum_within_the_trace_tolerance_of_one(self, t, q):
         # a rounded power sum of a normalized spectrum is still read
         assert abs(unified_from_power_sum(t, q, 1.0)) < 1e-9
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, 10**400, -(10**400)])
+    def test_power_sum_backbone_checks_s(self, s):
+        # these returned nan or 0.0, and +-10**400 raised FloatRange
+        with pytest.raises(InvalidIndex, match="entropic index s must be finite"):
+            unified_from_power_sum(0.5, 2.0, s)
+
+    def test_power_sum_backbone_checks_q_before_s(self):
+        with pytest.raises(InvalidIndex, match="entropic index q"):
+            unified_from_power_sum(0.5, math.nan, math.nan)
 
     @pytest.mark.parametrize("t,q,s", [(1e-200, 8.0, -2.0), (1e300, 0.1, 3.0)])
     def test_overflow_is_a_domain_error(self, t, q, s):

@@ -916,6 +916,19 @@ class TestMatrixIO:
         with pytest.raises(DomainError, match="malformed matrix record"):
             read_matrix(path)
 
+    @pytest.mark.parametrize("d", ["1e400", "2.5", "NaN", '"2"'])
+    def test_dimension_must_be_an_integer(self, tmp_path, d):
+        # 1e400 (inf) raised a bare OverflowError and 2.5 was read as 2
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"d": {d}, "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}}')
+        with pytest.raises(DomainError, match="malformed matrix record: dimension must be an integer"):
+            read_matrix(path)
+
+    def test_whole_float_dimension_is_read(self, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text('{"d": 2.0, "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}')
+        assert read_matrix(path).entries.shape == (2, 2)
+
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("not json")

@@ -10,7 +10,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from entropy_kit.entropies import UnifiedParams, unified_classical, unified_quantum
 from entropy_kit.bounds import max_unified
@@ -56,28 +56,52 @@ def stability_example_states(
     return diagonal_density(first), diagonal_density(second)
 
 
+def _compare_one(rep: CheckReport, lhs: float, rhs: float, case: dict, strict: bool = False) -> bool:
+    """One comparison through ``compare_many`` on 1-element arrays; True
+    if it failed."""
+    before = rep.failures
+    rep.compare_many(np.array([lhs]), np.array([rhs]), lambda j: case, strict=strict)
+    return rep.failures > before
+
+
+def _scalar_compare(rep: CheckReport, lhs: float, rhs: float, case: dict, strict: bool = False) -> None:
+    """The rule of ``compare_many`` for one comparison, in Python floats:
+    the oracle the array path is held to."""
+    rep.comparisons += 1
+    violation = float(lhs) - float(rhs)
+    if strict:
+        failed = violation >= 0.0
+    else:
+        failed = violation > verify.TOL.check_rel * (1.0 + max(abs(lhs), abs(rhs)))
+    if failed:
+        rep.failures += 1
+    if rep.worst_case is None or violation > rep.max_violation:
+        rep.max_violation = violation
+        rep.worst_case = dict(case, lhs=float(lhs), rhs=float(rhs))
+
+
 class TestRecorder:
     def test_flags_blatant_violation(self):
         rec = CheckReport("demo")
-        assert rec.compare(2.0, 1.0, {"tag": "x"})
+        assert _compare_one(rec, 2.0, 1.0, {"tag": "x"})
         assert rec.failures == 1
         assert rec.max_violation == pytest.approx(1.0)
         assert rec.worst_case["lhs"] == 2.0 and rec.worst_case["rhs"] == 1.0
 
     def test_tolerates_roundoff(self):
         rec = CheckReport("demo")
-        assert not rec.compare(1.0 + 1e-9, 1.0, {})
+        assert not _compare_one(rec, 1.0 + 1e-9, 1.0, {})
         assert rec.failures == 0
 
     def test_strict_mode_rejects_equality(self):
         rec = CheckReport("demo")
-        assert rec.compare(1.0, 1.0, {}, strict=True)
+        assert _compare_one(rec, 1.0, 1.0, {}, strict=True)
 
     def test_tracks_worst_case(self):
         rec = CheckReport("demo")
-        rec.compare(1.5, 1.0, {"tag": "small"})
-        rec.compare(3.0, 1.0, {"tag": "big"})
-        rec.compare(1.1, 1.0, {"tag": "tiny"})
+        _compare_one(rec, 1.5, 1.0, {"tag": "small"})
+        _compare_one(rec, 3.0, 1.0, {"tag": "big"})
+        _compare_one(rec, 1.1, 1.0, {"tag": "tiny"})
         assert rec.worst_case["tag"] == "big"
         assert rec.max_violation == pytest.approx(2.0)
 
@@ -92,8 +116,8 @@ class TestRecorder:
         # "no comparison yet" is worst_case None, not max_violation 0.0, so
         # a suite whose every comparison holds reports its closest one
         rep = CheckReport("demo")
-        rep.compare(1.0, 3.0, {"tag": "first"})
-        rep.compare(1.0, 4.0, {"tag": "looser"})
+        _compare_one(rep, 1.0, 3.0, {"tag": "first"})
+        _compare_one(rep, 1.0, 4.0, {"tag": "looser"})
         assert rep.max_violation == -2.0
         assert rep.worst_case == {"tag": "first", "lhs": 1.0, "rhs": 3.0}
         assert rep.comparisons == 2 and rep.failures == 0
@@ -102,7 +126,7 @@ class TestRecorder:
         # |x^s - y^s| <= s|x - y| holds on [0, 1] for s >= 1 but breaks on
         # the tail: x = 1, y = 3, s = 2 gives 8 > 4
         rec = CheckReport("demo")
-        assert rec.compare(abs(1.0**2 - 3.0**2), 2.0 * abs(1.0 - 3.0), {})
+        assert _compare_one(rec, abs(1.0**2 - 3.0**2), 2.0 * abs(1.0 - 3.0), {})
 
 
 #: violations the scalar path orders in its own way: ties, signed zeros, NaN
@@ -122,21 +146,26 @@ class TestCompareMany:
         st.sampled_from([0.0, 1e3]),
         st.lists(st.integers(0, 40), max_size=4),
         st.sampled_from([None, (1.0, 3.0), (math.nan, 0.0), (5.0, 1.0)]),
+        st.booleans(),
     )
-    def test_bit_equal_to_scalar_compares(self, pairs, shift, cuts, before):
+    # strict: equality, the signed zeros and NaN, first and later
+    @example([(1.0, 1.0), (0.0, -0.0), (-0.0, 0.0), (math.nan, 0.0), (2.0, 2.0)], 0.0, [1, 3], None, True)
+    @example([(0.0, -0.0), (1.0, 1.0), (math.nan, 1.0)], 0.0, [], (math.nan, 0.0), True)
+    @example([(-0.0, 0.0), (5.0, 5.0)], 0.0, [1], (1.0, 1.0), True)
+    def test_bit_equal_to_scalar_compares(self, pairs, shift, cuts, before, strict):
         # shift 1e3 makes every finite violation negative; ``before`` is a
-        # scalar comparison made first, as the seeded violation pair is
+        # single comparison made first, as the seeded violation pair's first is
         lhs = np.array([a for a, _ in pairs], dtype=float)
         rhs = np.array([b + shift for _, b in pairs], dtype=float)
         loop, many = CheckReport("demo"), CheckReport("demo")
         if before is not None:
-            for rep in (loop, many):
-                rep.compare(*before, {"index": -1})
+            _scalar_compare(loop, *before, {"index": -1}, strict=strict)
+            _compare_one(many, *before, {"index": -1}, strict=strict)
         for j, (a, b) in enumerate(zip(lhs.tolist(), rhs.tolist())):
-            loop.compare(a, b, {"index": j})
+            _scalar_compare(loop, a, b, {"index": j}, strict=strict)
         edges = sorted({0, len(pairs), *(c for c in cuts if c <= len(pairs))})
         for lo, hi in zip(edges, edges[1:]):
-            many.compare_many(lhs[lo:hi], rhs[lo:hi], lambda j, lo=lo: {"index": lo + j})
+            many.compare_many(lhs[lo:hi], rhs[lo:hi], lambda j, lo=lo: {"index": lo + j}, strict=strict)
         assert many.comparisons == loop.comparisons
         # JSON keeps the sign of a zero and spells NaN, so equal text is equal bits
         assert json.dumps(many.to_dict()) == json.dumps(loop.to_dict())
@@ -298,7 +327,7 @@ class TestReports:
         empty = CheckReport("subadd-violation")
         assert not report_ok(empty)
         regular = CheckReport("fannes")
-        regular.compare(2.0, 1.0, {})
+        _compare_one(regular, 2.0, 1.0, {})
         assert not report_ok(regular)
 
 
@@ -330,7 +359,7 @@ class TestCheckTable:
         breaking = set()
         for name in ALL_CHECKS:
             rep = CheckReport(name)
-            rep.compare(2.0, 1.0, {})
+            _compare_one(rep, 2.0, 1.0, {})
             if report_ok(rep):
                 breaking.add(name)
         assert breaking == {"subadd-violation"}
@@ -338,9 +367,9 @@ class TestCheckTable:
     def test_report_of_a_check_without_a_row(self):
         demo = CheckReport("demo")
         assert not report_ok(demo)
-        demo.compare(1.0, 2.0, {})
+        _compare_one(demo, 1.0, 2.0, {})
         assert report_ok(demo)
-        demo.compare(2.0, 1.0, {})
+        _compare_one(demo, 2.0, 1.0, {})
         assert not report_ok(demo)
 
 
