@@ -344,11 +344,9 @@ def _scalar_lemma(trials: int, seed: int, params_grid) -> CheckReport:
                 (abs(math.log(x1) - math.log(y1)), abs(x1 - y1), 0.0),
             ))
         lhs, rhs, s = np.moveaxis(np.array(rows), -1, 0)
-
-        def case(j, chunk=chunk, s=s.ravel()):
-            return {"trial": chunk[j // 5], "kind": _LEMMA_KINDS[j % 5], "s": float(s[j])}
-
-        rec.compare_many(lhs, rhs, case)
+        rec.compare_many(lhs, rhs, lambda j: {
+            "trial": chunk[j // 5], "kind": _LEMMA_KINDS[j % 5], "s": float(s.flat[j])
+        })
     return rec
 
 
