@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -623,6 +624,28 @@ class TestSeeds:
         monkeypatch.setenv(SEED_ENV, "abc")
         code, _, _ = run_cli(capsys, ["check", "fannes", "--trials", "2", "--seed", "3"])
         assert code == 0
+
+
+def _pinned_outputs():
+    """(argv, exit code, stdout) of each case in ``cli-outputs.txt``: a
+    ``$ entropy-kit ARGV`` line, an ``[exit N]`` line, then stdout verbatim."""
+    text = (DATA / "cli-outputs.txt").read_text()
+    cases = []
+    for block in text.split("$ entropy-kit ")[1:]:
+        argv, code, out = block.split("\n", 2)
+        code = int(code.removeprefix("[exit ").removesuffix("]"))
+        cases.append(pytest.param(shlex.split(argv), code, out, id=argv))
+    return cases
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("argv,exit_code,expected", _pinned_outputs())
+    def test_output_matches_fixture(self, capsys, monkeypatch, argv, exit_code, expected):
+        """Every command in text, JSON and CSV, byte for byte, as the CLI
+        wrote it when each command still formatted its own output."""
+        monkeypatch.delenv(SEED_ENV, raising=False)
+        code, out, _ = run_cli(capsys, argv)
+        assert (code, out) == (exit_code, expected)
 
 
 #: values for index, eps and probability flags: edges, range limits and junk
