@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .entropies import _binary_tsallis, _check_indices, _check_q, _point_form, q_log
 from .errors import DomainError, FloatRange, InvalidIndex, OutOfValidity
-from .linops import _EXACT_INT, _dimension
+from .linops import _EXACT_INT, _dimension, _shown
 from .tolerances import TOL
 
 
@@ -45,9 +45,15 @@ class BoundSpec:
         if not (type(d) is int and 2 <= d <= _EXACT_INT):
             _dimension(d, 2)
         if not 0.0 <= eps <= 1.0:
-            raise DomainError(f"trace distance must lie in [0, 1], got {eps!r}")
+            _check_eps(eps)
         # the fields of a frozen record, set in one step
         self.__dict__.update(q=q, s=s, d=d, eps=eps)
+
+
+def _check_eps(eps: float) -> None:
+    """The rule for a trace distance: eps in [0, 1]."""
+    if not 0.0 <= eps <= 1.0:  # written so that NaN fails too
+        raise DomainError(f"trace distance must lie in [0, 1], got {_shown(eps)}")
 
 
 def eta_q(x: float, q: float) -> float:
@@ -55,7 +61,12 @@ def eta_q(x: float, q: float) -> float:
     if not 0.0 <= x < math.inf:  # written so that NaN fails too
         raise DomainError(f"eta needs finite x >= 0, got {x!r}")
     _check_q(q)
-    return _eta_q(x, q)
+    try:
+        return _eta_q(x, q)
+    except OverflowError:
+        raise FloatRange(
+            f"eta at x = {_shown(x)}, q = {_shown(q)} exceeds the float range"
+        ) from None
 
 
 def _eta_q(x: float, q: float) -> float:
@@ -227,8 +238,7 @@ def lipschitz_bound(eps: float, q: float, s: float) -> float:
         raise InvalidIndex(f"Lipschitz bound needs q > 1, got {q!r}")
     if s < 1.0:
         raise OutOfValidity(f"Lipschitz bound proven for s >= 1, got {s!r}")
-    if not 0.0 <= eps <= 1.0:
-        raise DomainError(f"trace distance must lie in [0, 1], got {eps!r}")
+    _check_eps(eps)
     return 2.0 * q / (q - 1.0) * eps
 
 
@@ -276,6 +286,5 @@ def thermodynamic_ratio_limit(q: float, s: float, eps: float) -> float:
         raise InvalidIndex(f"thermodynamic limit needs q > 1, got {q!r}")
     if s < 1.0:
         raise OutOfValidity(f"thermodynamic limit proven for s >= 1, got {s!r}")
-    if not 0.0 <= eps <= 1.0:
-        raise DomainError(f"trace distance must lie in [0, 1], got {eps!r}")
+    _check_eps(eps)
     return s * -math.expm1(q * math.log1p(-eps)) if eps < 1.0 else s

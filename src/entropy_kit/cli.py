@@ -5,12 +5,12 @@ density-matrix file), ``check`` (run verification suites), ``stability``
 (closed-form stability-ratio sweeps over dimension), ``bounds``
 (tabulate continuity bounds over a trace-distance grid).
 
-Numbers in text and CSV output carry 12 significant digits.  A ``bounds``
-row or an ``entropy --all`` extra whose value leaves the float range is
-null in JSON, blank in CSV and ``out-of-float-range`` in text.  JSON mode
-emits one document per line for ``check`` and a single document
-otherwise.  The ``ENTROPY_KIT_SEED`` environment variable supplies the
-default seed when ``--seed`` is absent.
+Every command writes through ``_render``: one JSON document (one per line
+for ``check``), or a CSV header and rows of ``_cell``s, or a text layout of
+its own; numbers in text and CSV carry 12 significant digits.  A value
+that leaves the float range is null in JSON, blank in CSV and
+``out-of-float-range`` in text.  The ``ENTROPY_KIT_SEED`` environment
+variable supplies the default seed when ``--seed`` is absent.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from pathlib import Path
 
 from .bounds import (
     BoundSpec,
+    _check_eps,
     fannes_tsallis_high_q,
     fannes_tsallis_low_q,
     lipschitz_bound,
@@ -107,6 +108,27 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _cell(value) -> str:
+    """One CSV cell: blank for None, true/false for a bool, ``_fmt`` for a float."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    return _fmt(value) if isinstance(value, float) else str(value)
+
+
+def _render(args, doc: str, columns, rows, lines) -> None:
+    """The one output path: the JSON text ``doc``, or a CSV header of
+    ``columns`` and one line of cells per row, or the text ``lines``."""
+    if args.json:
+        text = doc
+    elif args.csv:
+        text = "\n".join([",".join(columns)] + [",".join(map(_cell, row)) for row in rows])
+    else:
+        text = "\n".join(lines)
+    _emit(args, text)
+
+
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -137,6 +159,7 @@ def cmd_entropy(args) -> int:
         spectrum = read_density(args.rho)
         source, limit, unified = "rho", "von_neumann", unified_quantum
     values = {"unified": unified(spectrum, params)}
+    lines = [_fmt(values["unified"])]
     if args.all:
         extras = {
             "renyi": (renyi, args.q),
@@ -149,19 +172,10 @@ def cmd_entropy(args) -> int:
                 values[name] = entropy(spectrum, q)
             except FloatRange:  # shown as missing, as in the bounds table
                 values[name] = None
-    if args.json:
-        doc = {"q": args.q, "s": args.s, "source": source}
-        doc.update(values)
-        _emit(args, json.dumps(doc))
-    elif args.csv:
-        lines = ["name,value"] + [f"{k},{'' if v is None else _fmt(v)}" for k, v in values.items()]
-        _emit(args, "\n".join(lines))
-    elif args.all:
         width = max(len(k) for k in values)
-        shown = {k: BEYOND_RANGE if v is None else _fmt(v) for k, v in values.items()}
-        _emit(args, "\n".join(f"{k:<{width}}  {v}" for k, v in shown.items()))
-    else:
-        _emit(args, _fmt(values["unified"]))
+        lines = [f"{k:<{width}}  {BEYOND_RANGE if v is None else _fmt(v)}" for k, v in values.items()]
+    doc = {"q": args.q, "s": args.s, "source": source, **values}
+    _render(args, json.dumps(doc), ("name", "value"), values.items(), lines)
     return 0
 
 
@@ -183,53 +197,32 @@ def cmd_check(args) -> int:
         run_check(name, trials=args.trials, seed=seed, dims=args.dims, params_grid=grid)
         for name in names
     ]
-    all_ok = all(report_ok(r) for r in reports)
-    if args.json:
-        _emit(args, "\n".join(r.to_json() for r in reports))
-    elif args.csv:
-        lines = ["check,trials,skipped,failures,max_violation,seed"]
-        lines += [
-            f"{r.check},{r.trials},{r.skipped},{r.failures},{_fmt(r.max_violation)},{r.seed}"
-            for r in reports
-        ]
-        _emit(args, "\n".join(lines))
-    else:
-        lines = []
-        for r in reports:
-            if r.comparisons == 0:
-                marker = "no comparisons"
-            else:
-                marker = "pass" if report_ok(r) else "FAIL"
-            lines.append(
-                f"{r.check}: trials={r.trials} skipped={r.skipped} "
-                f"failures={r.failures} max_violation={_fmt(r.max_violation)} [{marker}]"
-            )
-        lines.append("all checks passed" if all_ok else "some checks FAILED")
-        _emit(args, "\n".join(lines))
-    return 0 if all_ok else 1
+    columns = ("check", "trials", "skipped", "failures", "max_violation", "seed")
+    rows = [[d[c] for c in columns] for d in (r.to_dict() for r in reports)]
+    oks = [report_ok(r) for r in reports]
+    lines = [
+        f"{r.check}: trials={r.trials} skipped={r.skipped} failures={r.failures} "
+        f"max_violation={_fmt(r.max_violation)} "
+        f"[{'no comparisons' if r.comparisons == 0 else 'pass' if ok else 'FAIL'}]"
+        for r, ok in zip(reports, oks)
+    ]
+    lines.append("all checks passed" if all(oks) else "some checks FAILED")
+    _render(args, "\n".join(r.to_json() for r in reports), columns, rows, lines)
+    return 0 if all(oks) else 1
 
 
 def cmd_stability(args) -> int:
     variant = f"example{args.example}"
-    rows = []
-    for d in args.dims:
-        ex = StabilityExample(variant, args.eps, d, args.q, args.s)
-        rows.append((d, stability_ratio(ex)))
-    if args.json:
-        doc = {
-            "example": variant,
-            "q": args.q,
-            "s": args.s,
-            "eps": args.eps,
-            "rows": [{"d": d, "ratio": r} for d, r in rows],
-        }
-        _emit(args, json.dumps(doc))
-    elif args.csv:
-        _emit(args, "\n".join(["d,ratio"] + [f"{d},{_fmt(r)}" for d, r in rows]))
-    else:
-        lines = [f"{variant}  q={_fmt(args.q)}  s={_fmt(args.s)}  eps={_fmt(args.eps)}"]
-        lines += [f"{d:<12d} {_fmt(r)}" for d, r in rows]
-        _emit(args, "\n".join(lines))
+    rows = [
+        (d, stability_ratio(StabilityExample(variant, args.eps, d, args.q, args.s)))
+        for d in args.dims
+    ]
+    columns = ("d", "ratio")
+    doc = {"example": variant, "q": args.q, "s": args.s, "eps": args.eps}
+    doc["rows"] = [dict(zip(columns, row)) for row in rows]
+    lines = [f"{variant}  q={_fmt(args.q)}  s={_fmt(args.s)}  eps={_fmt(args.eps)}"]
+    lines += [f"{d:<12d} {_fmt(r)}" for d, r in rows]
+    _render(args, json.dumps(doc), columns, rows, lines)
     return 0
 
 
@@ -238,43 +231,24 @@ def cmd_bounds(args) -> int:
     UnifiedParams(args.q, args.s)
     _dimension(args.d)
     for eps in args.eps:
-        if not 0.0 <= eps <= 1.0:
-            raise DomainError(f"trace distance must lie in [0, 1], got {eps!r}")
+        _check_eps(eps)
     rows = []
     for eps in args.eps:
         for name, bound in BOUNDS.items():
             try:
-                value = bound(args.q, args.s, args.d, eps)
-                valid = True
+                value, valid = bound(args.q, args.s, args.d, eps), True
             except FloatRange:  # inside the bound's region, beyond the float range
                 value, valid = None, True
             except EntropyKitError:
                 value, valid = None, False
             rows.append((eps, name, value, valid))
-    if args.json:
-        doc = {
-            "q": args.q,
-            "s": args.s,
-            "d": args.d,
-            "rows": [
-                {"eps": e, "bound": n, "value": v, "valid": ok}
-                for e, n, v, ok in rows
-            ],
-        }
-        _emit(args, json.dumps(doc))
-    elif args.csv:
-        lines = ["eps,bound,value,valid"]
-        lines += [
-            f"{_fmt(e)},{n},{'' if v is None else _fmt(v)},{str(ok).lower()}"
-            for e, n, v, ok in rows
-        ]
-        _emit(args, "\n".join(lines))
-    else:
-        lines = [f"q={_fmt(args.q)}  s={_fmt(args.s)}  d={args.d}"]
-        for e, n, v, ok in rows:
-            shown = "out-of-validity" if not ok else BEYOND_RANGE if v is None else _fmt(v)
-            lines.append(f"eps={_fmt(e):<8} {n:<22} {shown}")
-        _emit(args, "\n".join(lines))
+    columns = ("eps", "bound", "value", "valid")
+    doc = {"q": args.q, "s": args.s, "d": args.d, "rows": [dict(zip(columns, row)) for row in rows]}
+    lines = [f"q={_fmt(args.q)}  s={_fmt(args.s)}  d={args.d}"]
+    for e, n, v, ok in rows:
+        shown = "out-of-validity" if not ok else BEYOND_RANGE if v is None else _fmt(v)
+        lines.append(f"eps={_fmt(e):<8} {n:<22} {shown}")
+    _render(args, json.dumps(doc), columns, rows, lines)
     return 0
 
 

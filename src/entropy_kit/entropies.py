@@ -24,25 +24,13 @@ would cost more than the formula.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, FloatRange, InvalidIndex
-from .linops import DensityOperator, ProbabilityDistribution, _SpectralMemo, _power_sums, _shown
+from .linops import DensityOperator, ProbabilityDistribution, _SpectralMemo, _float_value, _power_sums, _shown
 from .tolerances import TOL
-
-
-def _float_value(x):
-    """An index as the index rule compares it: a real number as its float
-    value, infinite where it has none (an int past the float range)."""
-    if type(x) is float or not isinstance(x, numbers.Real):
-        return x
-    try:
-        return float(x)
-    except OverflowError:
-        return math.inf
 
 
 def _check_q(q: float) -> None:
@@ -105,7 +93,12 @@ def q_log(x: float, q: float) -> float:
     _check_q(q)
     if abs(q - 1.0) < TOL.q_limit:
         return math.log(x)
-    return math.expm1((1.0 - q) * math.log(x)) / (1.0 - q) + 0.0
+    try:
+        return math.expm1((1.0 - q) * math.log(x)) / (1.0 - q) + 0.0
+    except OverflowError:
+        raise FloatRange(
+            f"q-logarithm at x = {_shown(x)}, q = {_shown(q)} exceeds the float range"
+        ) from None
 
 
 def _from_power_sums(ts: list, form) -> list:

@@ -40,12 +40,26 @@ def _shown(value) -> str:
 
 
 def _integer(what: str, value) -> int:
-    """``value`` as an int; a float only if it is whole, not truncated."""
+    """``value`` as an int; a float only if it is whole, not truncated, and
+    never a bool."""
     if type(value) is int:
         return value
-    if isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer()):
+    if not isinstance(value, bool) and (
+        isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
+    ):
         return int(value)
     raise DomainError(f"{what} must be an integer, got {_shown(value)}")
+
+
+def _float_value(x):
+    """An index as the index rule compares it: a real number as its float
+    value, infinite where it has none (an int past the float range)."""
+    if type(x) is float or not isinstance(x, numbers.Real):
+        return x
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
 
 
 _EXACT_INT = 2**53  # every int up to here has an exact float value: no float round trip
@@ -165,8 +179,9 @@ class _SpectralMemo:
         sums = self._power_sums
         t = sums.get(q)
         if t is None:
-            if not 0.0 < q < math.inf:
-                raise InvalidIndex(f"power sum needs q positive and finite, got {q!r}")
+            # the index rule of ``entropies._check_q``, with its own message
+            if not 0.0 < _float_value(q) < math.inf:
+                raise InvalidIndex(f"power sum needs q positive and finite, got {_shown(q)}")
             t = float(np.sum(self._values**q))
             if len(sums) < POWER_SUM_MEMO_CAP:
                 sums[q] = t

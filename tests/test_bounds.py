@@ -27,7 +27,7 @@ from entropy_kit.bounds import (
     thermodynamic_ratio_limit,
     unified_fannes_bound,
 )
-from entropy_kit.entropies import UnifiedParams, tsallis, unified_from_power_sum, unified_quantum
+from entropy_kit.entropies import UnifiedParams, q_log, tsallis, unified_from_power_sum, unified_quantum
 from entropy_kit.errors import DomainError, EntropyKitError, FloatRange, InvalidIndex, OutOfValidity
 from entropy_kit.linops import diagonal_density, random_density, trace_distance
 from entropy_kit.tolerances import TOL
@@ -144,6 +144,7 @@ class TestEta:
         # both returned nan
         with pytest.raises(DomainError, match=f"eta needs finite x >= 0, got {x!r}"):
             eta_q(x, 2.0)
+
 
 
 class TestThreshold:
@@ -388,6 +389,27 @@ BAD_Q = (0.0, -1.0, math.nan, math.inf)
 BAD_S = (math.nan, math.inf, -math.inf)
 
 
+class TestTraceDistanceRule:
+    """Every function that takes a trace distance refuses one outside
+    [0, 1] with the same message."""
+
+    @pytest.mark.parametrize(
+        "eps,shown",
+        [(-0.1, "-0.1"), (1.5, "1.5"), (math.nan, "nan"), (10**5000, "<int too long to print>")],
+        ids=["negative", "above one", "nan", "giant int"],
+    )
+    def test_one_message(self, eps, shown):
+        # an int too long for repr raised a bare ValueError in the message
+        for call in (
+            lambda: BoundSpec(2.0, 1.0, 4, eps),
+            lambda: lipschitz_bound(eps, 2.0, 1.0),
+            lambda: thermodynamic_ratio_limit(2.0, 1.0, eps),
+        ):
+            with pytest.raises(DomainError) as err:
+                call()
+            assert str(err.value) == f"trace distance must lie in [0, 1], got {shown}"
+
+
 class TestIndexRule:
     """q positive and finite and s finite, in every function of bounds."""
 
@@ -442,7 +464,8 @@ class TestMaxUnified:
         with pytest.raises(DomainError):
             max_unified(2.0, 1.0, 0)
 
-    @pytest.mark.parametrize("d", [4.7, 10**400, float("nan"), float("inf"), 2**53 + 1])
+    # True was read as d = 1, where the maximum is 0.0
+    @pytest.mark.parametrize("d", [4.7, 10**400, float("nan"), float("inf"), 2**53 + 1, True])
     def test_dimension_must_be_an_exact_integer(self, d):
         with pytest.raises(DomainError):
             max_unified(2.0, 1.0, d)
@@ -580,6 +603,10 @@ class TestFloatRange:
             lambda: max_unified(0.1, 2.0, int(1e300)),
             lambda: unified_from_power_sum(1e300, 0.1, 3.0),
             lambda: unified_quantum(diagonal_density([0.5, 0.5]), UnifiedParams(2.0, -2000.0)),
+            # these three raised a bare OverflowError
+            lambda: q_log(0.5, 2000.0),
+            lambda: q_log(1e-300, 3.0),
+            lambda: eta_q(10.0, 400.0),
         ],
     )
     def test_a_defined_value_beyond_the_range_is_its_own_domain_error(self, call):

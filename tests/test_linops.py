@@ -189,6 +189,13 @@ class TestTracePower:
             rho.power_sum(np.inf)
         assert rho._power_sums == {}
 
+    @pytest.mark.parametrize("holder", [maximally_mixed(2), ProbabilityDistribution([0.5, 0.5])])
+    def test_rejects_an_int_q_without_a_float_value(self, holder):
+        # numpy raised a bare OverflowError converting the int
+        with pytest.raises(InvalidIndex, match="q positive and finite, got 1000"):
+            holder.power_sum(10**400)
+        assert holder._power_sums == {}
+
 
 def bits(x: float) -> str:
     return float(x).hex()
@@ -599,6 +606,8 @@ class TestIntegerSizes:
             lambda: ensemble_from_state(maximally_mixed(2), 2.5, 0),
             lambda: partial_trace(np.eye(4) / 4, 2.5, 2, "A"),
             lambda: partial_trace(np.eye(4) / 4, 2, float("nan"), "B"),
+            # built a 1 x 1 state
+            lambda: maximally_mixed(True),
         ],
     )
     def test_fractional_size_is_a_domain_error(self, call):
@@ -916,9 +925,9 @@ class TestMatrixIO:
         with pytest.raises(DomainError, match="malformed matrix record"):
             read_matrix(path)
 
-    @pytest.mark.parametrize("d", ["1e400", "2.5", "NaN", '"2"'])
+    @pytest.mark.parametrize("d", ["1e400", "2.5", "NaN", '"2"', "true"])
     def test_dimension_must_be_an_integer(self, tmp_path, d):
-        # 1e400 (inf) raised a bare OverflowError and 2.5 was read as 2
+        # 1e400 (inf) raised a bare OverflowError, 2.5 was read as 2 and true as 1
         path = tmp_path / "bad.json"
         path.write_text(f'{{"d": {d}, "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}}')
         with pytest.raises(DomainError, match="malformed matrix record: dimension must be an integer"):

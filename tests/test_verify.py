@@ -477,6 +477,10 @@ class TestSuitesPass:
             ({"dims": (float("nan"),)}, "dimension must be an integer, got nan"),
             # int() truncated this to d = 2 and ran silently
             ({"dims": (2.7,)}, "dimension must be an integer, got 2.7"),
+            # a bool was read as 1 or 0: trials=True ran one trial
+            ({"trials": True}, "trial count must be an integer, got True"),
+            ({"seed": False}, "seed must be an integer, got False"),
+            ({"dims": (True,)}, "dimension must be an integer, got True"),
         ],
     )
     def test_non_integer_input_is_a_domain_error(self, kwargs, message):
