@@ -200,12 +200,13 @@ def cmd_check(args) -> int:
     columns = ("check", "trials", "skipped", "failures", "max_violation", "seed")
     rows = [[d[c] for c in columns] for d in (r.to_dict() for r in reports)]
     oks = [report_ok(r) for r in reports]
-    lines = [
-        f"{r.check}: trials={r.trials} skipped={r.skipped} failures={r.failures} "
-        f"max_violation={_fmt(r.max_violation)} "
-        f"[{'no comparisons' if r.comparisons == 0 else 'pass' if ok else 'FAIL'}]"
-        for r, ok in zip(reports, oks)
-    ]
+    lines = []
+    for r, ok in zip(reports, oks):
+        marker = "no comparisons" if r.comparisons == 0 else "pass" if ok else "FAIL"
+        lines.append(
+            f"{r.check}: trials={r.trials} skipped={r.skipped} "
+            f"failures={r.failures} max_violation={_fmt(r.max_violation)} [{marker}]"
+        )
     lines.append("all checks passed" if all(oks) else "some checks FAILED")
     _render(args, "\n".join(r.to_json() for r in reports), columns, rows, lines)
     return 0 if all(oks) else 1
