@@ -8,10 +8,9 @@ side for s in [-1, 0].  Evaluating a bound outside its region raises
 OutOfValidity instead of returning a number.  Indices follow the rule of
 ``UnifiedParams`` (q positive and finite, s finite), else InvalidIndex.
 
-The unified bound's terms that do not depend on eps are taken once per
-(q, s, d) and kept in a bounded memo (see ``_point_terms``); only the
-per-eps formula runs on each call, with the same float operations as a
-call that computes every term.
+The unified bound's eps-free terms are memoized per (q, s, d) (see
+``_point_terms``); a call runs only the per-eps formula, with the float
+operations of a call that computes every term.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 
 from .entropies import _binary_tsallis, _check_indices, _check_q, _point_form, q_log
 from .errors import DomainError, FloatRange, InvalidIndex, OutOfValidity
-from .linops import _EXACT_INT, _dimension, _shown
+from .linops import _EXACT_INT, _dimension, _real, _shown
 from .tolerances import TOL
 
 
@@ -44,7 +43,10 @@ class BoundSpec:
             _check_indices(q, s)
         if not (type(d) is int and 2 <= d <= _EXACT_INT):
             _dimension(d, 2)
-        if not 0.0 <= eps <= 1.0:
+        try:
+            if not 0.0 <= eps <= 1.0:
+                _check_eps(eps)
+        except TypeError:  # a non-number, refused below
             _check_eps(eps)
         # the fields of a frozen record, set in one step
         self.__dict__.update(q=q, s=s, d=d, eps=eps)
@@ -52,14 +54,14 @@ class BoundSpec:
 
 def _check_eps(eps: float) -> None:
     """The rule for a trace distance: eps in [0, 1]."""
-    if not 0.0 <= eps <= 1.0:  # written so that NaN fails too
+    if not 0.0 <= _real(eps) <= 1.0:  # written so that NaN fails too
         raise DomainError(f"trace distance must lie in [0, 1], got {_shown(eps)}")
 
 
 def eta_q(x: float, q: float) -> float:
     """Generalized eta function (x^q - x)/(1 - q); -x ln x at q -> 1."""
-    if not 0.0 <= x < math.inf:  # written so that NaN fails too
-        raise DomainError(f"eta needs finite x >= 0, got {x!r}")
+    if not 0.0 <= _real(x) < math.inf:  # written so that NaN fails too
+        raise DomainError(f"eta needs finite x >= 0, got {_shown(x)}")
     _check_q(q)
     try:
         return _eta_q(x, q)
@@ -124,8 +126,8 @@ def fannes_tsallis_high_q(spec: BoundSpec) -> float:
     q = spec.q
     if not q > 1:
         raise OutOfValidity(f"high-index bound needs q > 1, got {q!r}")
-    # 1.0 * x is x, bit for bit
-    return _high_q(q, spec.eps, 1.0, q_log(spec.d - 1, q))
+    # kappa_s is 1.0 at s = 1, and 1.0 * x is x, bit for bit
+    return _unified_fannes_bound(q, 1.0, spec.d, spec.eps)
 
 
 def kappa_s(q: float, s: float, d: int) -> float:
@@ -169,29 +171,22 @@ def fannes_range(q: float, s: float) -> str | None:
     return None
 
 
-#: (q, s) points the bound memo keeps: the benchmark's sweep cycles through
-#: 171, and an LRU memo smaller than a cyclic working set never hits
-BOUND_MEMO_CAP = 1024
-#: dimensions whose terms one point keeps; later d are computed per call
-BOUND_MEMO_DIMS = 64
+#: (q, s, d) keys the bound memo keeps: an LRU memo smaller than a cyclic
+#: working set never hits, and the benchmark's sweep cycles through 2565 keys
+BOUND_MEMO_CAP = 4096
 
 
 @functools.lru_cache(maxsize=BOUND_MEMO_CAP, typed=True)
-def _point_terms(q: float, s: float):
-    """The unified bound's eps-free terms at a checked (q, s): its per-eps
-    formula, the threshold q^(1/(1-q)) (low region) or None (high region),
-    and a dict of the terms of each d that ``_unified_fannes_bound`` fills;
-    outside both regions, the refusal message.
-
-    Keys are typed, so a numpy-scalar q, whose results are numpy floats,
-    never shares a point with a float q.  A d of any type shares its
-    entry: int, float and numpy d evaluate alike.
-    """
+def _point_terms(q: float, s: float, d: int):
+    """(_low_q, q^(1/(1-q)), ln_q(d)) or (_high_q, kappa_s, ln_q(d - 1)) at a
+    checked (q, s, d) of the low or high region, else the refusal message.
+    Keys are typed, so a numpy-scalar q (numpy-float terms) has entries of
+    its own; a FloatRange from kappa_s is raised per call, never kept."""
     region = fannes_range(q, s)
     if region == "low":
-        return _low_q, low_q_threshold(q), {}
+        return _low_q, low_q_threshold(q), q_log(d, q)
     if region == "high":
-        return _high_q, None, {}
+        return _high_q, _kappa_s(q, s, d), q_log(d - 1, q)
     # the sign of a zero s is printed but is not in the key, so that
     # message is formatted per call
     return _no_region(q, s) if s != 0 else None
@@ -203,21 +198,10 @@ def _no_region(q: float, s: float) -> str:
 
 def _unified_fannes_bound(q: float, s: float, d: int, eps: float) -> float:
     """``unified_fannes_bound`` on inputs that ``BoundSpec`` accepts, unchecked."""
-    point = _point_terms(q, s)
-    if type(point) is not tuple:
-        raise OutOfValidity(point or _no_region(q, s))
-    formula, limit, by_d = point
-    terms = by_d.get(d)
-    if terms is None:
-        # ln_q(d) with the threshold, or kappa_s with ln_q(d - 1); a
-        # FloatRange from kappa_s is raised on every call, never kept
-        if limit is None:
-            terms = _kappa_s(q, s, d), q_log(d - 1, q)
-        else:
-            terms = limit, q_log(d, q)
-        if len(by_d) < BOUND_MEMO_DIMS:
-            by_d[d] = terms
-    factor, log_d = terms
+    terms = _point_terms(q, s, d)
+    if type(terms) is not tuple:
+        raise OutOfValidity(terms or _no_region(q, s))
+    formula, factor, log_d = terms
     return formula(q, eps, factor, log_d)
 
 

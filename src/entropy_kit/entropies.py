@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FloatRange, InvalidIndex
-from .linops import DensityOperator, ProbabilityDistribution, _SpectralMemo, _float_value, _power_sums, _shown
+from .linops import DensityOperator, ProbabilityDistribution, _SpectralMemo, _float_value, _power_sums, _real, _shown
 from .tolerances import TOL
 
 
@@ -88,8 +88,8 @@ class UnifiedParams:
 
 def q_log(x: float, q: float) -> float:
     """q-logarithm ln_q(x) = (x^(1-q) - 1)/(1 - q), with ln x at q -> 1."""
-    if not x > 0:
-        raise DomainError(f"q-logarithm needs x > 0, got {x!r}")
+    if not _real(x) > 0:
+        raise DomainError(f"q-logarithm needs x > 0, got {_shown(x)}")
     _check_q(q)
     if abs(q - 1.0) < TOL.q_limit:
         return math.log(x)
@@ -123,18 +123,18 @@ def unified_from_power_sum(t: float, q: float, s: float) -> float:
     normalized spectrum has t <= 1 for q > 1 and t >= 1 for q < 1, so t
     beyond 1 by more than ``TOL.trace`` on the other side is refused.
     """
-    if not 0.0 < t < math.inf:
-        raise DomainError(f"power sum must be positive and finite, got {t!r}")
+    if not 0.0 < _real(t) < math.inf:
+        raise DomainError(f"power sum must be positive and finite, got {_shown(t)}")
     form = UnifiedParams(q, s)._form
     if form is None:
         raise InvalidIndex("power-sum form is undefined in the q -> 1 limit window")
     if (t > 1.0 + TOL.trace) if q > 1.0 else (t < 1.0 - TOL.trace):
-        raise DomainError(f"no normalized spectrum has power sum {t!r} at q = {q!r}")
+        raise DomainError(f"no normalized spectrum has power sum {_shown(t)} at q = {q!r}")
     try:
         return _from_power_sums((t,), form)[0]
     except OverflowError:
         raise FloatRange(
-            f"entropy at t = {t!r}, q = {q!r}, s = {s!r} exceeds the float range"
+            f"entropy at t = {_shown(t)}, q = {q!r}, s = {s!r} exceeds the float range"
         ) from None
 
 
@@ -208,8 +208,8 @@ def unified_quantum(rho: DensityOperator, params: UnifiedParams) -> float:
 
 def binary_tsallis(eps: float, q: float) -> float:
     """Binary Tsallis entropy H_q(eps, 1 - eps) = (eps^q + (1-eps)^q - 1)/(1 - q)."""
-    if not 0.0 <= eps <= 1.0:
-        raise DomainError(f"binary argument must lie in [0, 1], got {eps!r}")
+    if not 0.0 <= _real(eps) <= 1.0:
+        raise DomainError(f"binary argument must lie in [0, 1], got {_shown(eps)}")
     _check_q(q)
     return _binary_tsallis(eps, q)
 

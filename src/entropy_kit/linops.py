@@ -51,13 +51,18 @@ def _integer(what: str, value) -> int:
     raise DomainError(f"{what} must be an integer, got {_shown(value)}")
 
 
+def _real(x):
+    """``x`` if it is a real number, else NaN, which every rule's comparison refuses."""
+    return x if isinstance(x, numbers.Real) else math.nan
+
+
 def _float_value(x):
     """An index as the index rule compares it: a real number as its float
-    value, infinite where it has none (an int past the float range)."""
-    if type(x) is float or not isinstance(x, numbers.Real):
+    value, inf where it has none (an int past the float range), else NaN."""
+    if type(x) is float:
         return x
     try:
-        return float(x)
+        return float(_real(x))
     except OverflowError:
         return math.inf
 
@@ -95,14 +100,20 @@ def _matrix_dimension(d) -> int:
     return d
 
 
-def _check_square(mat: np.ndarray) -> np.ndarray:
+def _array(entries, dtype=np.complex128, copy=True) -> np.ndarray:
+    """``np.array`` of outside entries, refusing ragged rows, non-numbers and
+    ints past the float range with a DomainError."""
+    try:
+        return np.array(entries, dtype=dtype, copy=copy)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"entries must form an array of numbers: {exc}") from None
+
+
+def _as_square_matrix(entries, copy=True) -> np.ndarray:
+    mat = _array(entries, copy=copy)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
         raise DomainError(f"expected a nonempty square matrix, got shape {mat.shape}")
     return mat
-
-
-def _as_square_matrix(entries) -> np.ndarray:
-    return _check_square(np.array(entries, dtype=np.complex128))
 
 
 def _check_hermitian(mats: np.ndarray) -> None:
@@ -311,7 +322,7 @@ def density_operators(mats) -> list[DensityOperator]:
     state holds read-only views into its stack's buffers, which live as
     long as any state of that stack does.
     """
-    mats = [_check_square(np.asarray(m, dtype=np.complex128)) for m in mats]
+    mats = [_as_square_matrix(m, copy=None) for m in mats]
     groups: dict[tuple, list[int]] = {}
     for i, mat in enumerate(mats):
         groups.setdefault(mat.shape, []).append(i)
@@ -338,7 +349,7 @@ class ProbabilityDistribution(_SpectralMemo):
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.probs, dtype=np.float64)
+        p = _array(self.probs, np.float64)
         if p.ndim != 1 or p.size == 0:
             raise DomainError("expected a nonempty 1-d probability vector")
         if np.any(p < 0):
@@ -381,6 +392,8 @@ class PureStateEnsemble:
             v = _frozen(np.array(self.states, dtype=np.complex128))
         except ValueError:  # numpy refuses ragged members
             raise DimMismatch("ensemble state vectors must share one dimension") from None
+        except (TypeError, OverflowError) as exc:
+            raise DomainError(f"entries must form an array of numbers: {exc}") from None
         if len(v) != self.weights.size:
             raise DimMismatch("one state vector per weight required")
         if v.ndim != 2:
@@ -512,7 +525,7 @@ def partial_trace(mat: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.ndar
         return np.einsum("abcb->ac", blocks)
     if keep == "B":
         return np.einsum("abac->bc", blocks)
-    raise DomainError(f'keep must be "A" or "B", got {keep!r}')
+    raise DomainError(f'keep must be "A" or "B", got {_shown(keep)}')
 
 
 def purify(rho: DensityOperator) -> np.ndarray:
@@ -685,7 +698,7 @@ def read_matrix(path) -> HermitianOperator:
         im = np.array(data["im"], dtype=np.float64)
     except json.JSONDecodeError as exc:
         raise DomainError(f"matrix file is not valid JSON: {exc}") from exc
-    except (KeyError, TypeError, ValueError, DomainError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, DomainError) as exc:
         raise DomainError(f"malformed matrix record: {exc}") from exc
     if re.shape != (d, d) or im.shape != (d, d):
         raise DimMismatch(f"matrix entries do not have shape ({d}, {d})")

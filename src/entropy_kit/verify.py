@@ -45,8 +45,10 @@ from .linops import (
     DensityOperator,
     GeneralizedMeasurement,
     _dimension,
+    _float_value,
     _integer,
     _power_sums,
+    _real,
     _shown,
     apply_generalized,
     density_operators,
@@ -276,9 +278,13 @@ def _trial_rngs(seed: int, check: str, chunk: range) -> list:
 
 
 def _as_grid(params_grid, default) -> list:
-    """The grid (``default`` if None) as ``UnifiedParams``, validated once."""
+    """The grid (``default`` if None) as ``UnifiedParams`` of the float
+    values (``linops._float_value``) of its (q, s) pairs, validated once."""
     grid = default if params_grid is None else params_grid
-    return [UnifiedParams(float(q), float(s)) for q, s in grid]
+    try:
+        return [UnifiedParams(*map(_float_value, pair)) for pair in grid]
+    except TypeError:  # not an iterable of pairs
+        raise DomainError(f"grid must be a sequence of (q, s) pairs, got {_shown(grid)}") from None
 
 
 def _pick(rng: np.random.Generator, items):
@@ -308,12 +314,8 @@ def _bipartite_draw(dims, i, rng):
 def _stacked(per_trial: list) -> list:
     """States of every trial's matrices from one ``density_operators``
     call, split back into one list per trial."""
-    states = density_operators([m for mats in per_trial for m in mats])
-    out, start = [], 0
-    for mats in per_trial:
-        out.append(states[start : start + len(mats)])
-        start += len(mats)
-    return out
+    states = iter(density_operators([m for mats in per_trial for m in mats]))
+    return [[next(states) for _ in mats] for mats in per_trial]
 
 
 _LEMMA_KINDS = ("unit-direct", "tail-direct", "unit-reversed", "tail-reversed", "tail-log")
@@ -755,9 +757,9 @@ class StabilityExample:
 
     def __post_init__(self):
         if self.variant not in ("example0", "example1"):
-            raise DomainError(f'variant must be "example0" or "example1", got {self.variant!r}')
-        if not 0.0 <= self.eps < 1.0:
-            raise DomainError(f"eps must lie in [0, 1), got {self.eps!r}")
+            raise DomainError(f'variant must be "example0" or "example1", got {_shown(self.variant)}')
+        if not 0.0 <= _real(self.eps) < 1.0:
+            raise DomainError(f"eps must lie in [0, 1), got {_shown(self.eps)}")
         _dimension(self.d, 2)
         UnifiedParams(self.q, self.s)
 
@@ -803,8 +805,8 @@ def stability_ratio(ex: StabilityExample) -> float:
 def _checked_inputs(name: str, trials, seed, dims) -> tuple:
     """``run_check``'s (trials, seed, dims) as ints, or the ``DomainError``
     that ``run_check(name, ...)`` raises before drawing anything."""
-    if name not in CHECKS:
-        raise DomainError(f"unknown check {name!r}; choose from {', '.join(ALL_CHECKS)}")
+    if not isinstance(name, str) or name not in CHECKS:
+        raise DomainError(f"unknown check {_shown(name)}; choose from {', '.join(ALL_CHECKS)}")
     trials, seed = _integer("trial count", trials), _integer("seed", seed)
     if trials < 0:
         raise DomainError(f"trial count must be nonnegative, got {_shown(trials)}")

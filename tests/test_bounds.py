@@ -747,17 +747,45 @@ class TestBoundMemo:
             assert _typed_outcome(unified_fannes_bound, BoundSpec(q, s, d, eps)) == want
         assert bounds._point_terms.cache_info().currsize <= bounds.BOUND_MEMO_CAP
 
+    @given(
+        st.one_of(
+            st.sampled_from([1.0 + 5e-8, 2.0, 2000.0]),
+            st.floats(1.001, 10.0),
+            st.integers(2, 5),
+            st.floats(1.001, 10.0).map(np.float64),
+            st.integers(2, 5).map(np.int64),
+        ),
+        st.one_of(
+            st.sampled_from(_D_SPECIAL),
+            st.integers(2, 10**6),
+            st.integers(2, 64).map(np.int64),
+            st.integers(2, 64).map(float),
+        ),
+        st.one_of(st.sampled_from([0.0, 0.1, 0.5, 1.0]), st.floats(0.0, 1.0)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_high_index_bound_reads_the_memo_as_its_own_formula(self, q, d, eps):
+        # the formula fannes_tsallis_high_q evaluated before it read the memo
+        want = _typed_outcome(lambda: bounds._high_q(q, eps, 1.0, q_log(d - 1, q)))
+        for _ in range(2):
+            assert _typed_outcome(fannes_tsallis_high_q, BoundSpec(q, 1.0, d, eps)) == want
+
     def test_memo_never_exceeds_its_caps(self):
         for k in range(bounds.BOUND_MEMO_CAP + 12):
             bounds._unified_fannes_bound(2.0 + k / 1024, 1.0, 4, 0.1)
         info = bounds._point_terms.cache_info()
         assert info.maxsize == bounds.BOUND_MEMO_CAP and info.currsize == bounds.BOUND_MEMO_CAP
-        # past its dimension cap a point computes the terms of new d per call
-        for d in range(2, bounds.BOUND_MEMO_DIMS + 12):
-            for _ in range(2):
-                got = bounds._unified_fannes_bound(3.5, -0.5, d, 0.1)
-                assert got.hex() == _parent_bound(3.5, -0.5, d, 0.1).hex()
-        assert len(bounds._point_terms(3.5, -0.5)[2]) == bounds.BOUND_MEMO_DIMS
+
+    def test_each_dimension_of_a_point_is_a_memo_entry(self):
+        # the second pass over 100 dimensions at one point reads the memo only
+        dims = range(2, 102)
+        for d in dims:
+            bounds._unified_fannes_bound(3.5, -0.5, d, 0.1)
+        hits = bounds._point_terms.cache_info().hits
+        for d in dims:
+            got = bounds._unified_fannes_bound(3.5, -0.5, d, 0.1)
+            assert got.hex() == _parent_bound(3.5, -0.5, d, 0.1).hex()
+        assert bounds._point_terms.cache_info().hits == hits + 100
 
     def test_float_range_is_raised_on_every_call(self):
         for _ in range(3):

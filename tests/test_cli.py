@@ -745,3 +745,16 @@ class TestModuleEntry:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0.75"
+
+    def test_entry_beyond_the_float_range_exits_one(self, tmp_path):
+        # a JSON int past the float range died with a bare OverflowError
+        path = tmp_path / "rho.json"
+        path.write_text(f'{{"d": 1, "re": [[{10**400}]], "im": [[0.0]]}}')
+        proc = subprocess.run(
+            [sys.executable, "-m", "entropy_kit",
+             "entropy", "--rho", str(path), "--q", "2", "--s", "1"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: malformed matrix record: int too large to convert to float\n"

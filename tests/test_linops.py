@@ -880,6 +880,48 @@ class TestPureStateEnsemble:
         assert ens.average().mat == pytest.approx(np.eye(2) / 2, abs=1e-15)
 
 
+class TestUnconvertibleEntries:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: HermitianOperator([[10**400]]),
+            lambda: DensityOperator.from_matrix([[10**400]]),
+            lambda: density_operators([[[10**400]]]),
+            lambda: GeneralizedMeasurement([[[10**400]]]),
+            lambda: OrthogonalResolution([[[10**400]]]),
+            lambda: ProbabilityDistribution([10**400, 0]),
+            lambda: PureStateEnsemble([1.0], [[10**400]]),
+            lambda: HermitianOperator([[1, 0], [0]]),
+            lambda: density_operators([np.eye(2) / 2, [[1, 0], [0]]]),
+            lambda: GeneralizedMeasurement([[[1, 0], [0]]]),
+            lambda: ProbabilityDistribution([[0.5], [0.25, 0.25]]),
+            lambda: ProbabilityDistribution(["a", "b"]),
+        ],
+        ids=[
+            "hermitian-int-past-float-range",
+            "density-int-past-float-range",
+            "density-operators-int-past-float-range",
+            "measurement-int-past-float-range",
+            "resolution-int-past-float-range",
+            "distribution-int-past-float-range",
+            "ensemble-int-past-float-range",
+            "hermitian-ragged",
+            "density-operators-ragged",
+            "measurement-ragged",
+            "distribution-ragged",
+            "distribution-non-numeric",
+        ],
+    )
+    def test_is_a_domain_error(self, build):
+        # numpy's OverflowError and ValueError used to escape bare
+        with pytest.raises(DomainError, match="entries must form an array of numbers"):
+            build()
+
+    def test_ragged_ensemble_members_stay_a_dimension_mismatch(self):
+        with pytest.raises(DimMismatch, match="share one dimension"):
+            PureStateEnsemble([0.5, 0.5], [[1.0], [1.0, 0.0]])
+
+
 class TestMatrixIO:
     def test_round_trip(self, tmp_path):
         rho = random_density(3, 3, seed=40)
@@ -916,6 +958,7 @@ class TestMatrixIO:
             {"re": [[1.0]], "im": [[0.0]]},  # no "d"
             {"d": "x", "re": [[1.0]], "im": [[0.0]]},
             {"d": 1, "re": [["x"]], "im": [[0.0]]},
+            {"d": 1, "re": [[10**400]], "im": [[0.0]]},  # no float value
             [1, 2],  # not a record
         ],
     )

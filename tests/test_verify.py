@@ -12,8 +12,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from entropy_kit.entropies import UnifiedParams, unified_classical, unified_quantum
-from entropy_kit.bounds import max_unified
+from entropy_kit.entropies import (
+    UnifiedParams,
+    binary_tsallis,
+    q_log,
+    renyi,
+    unified_classical,
+    unified_from_power_sum,
+    unified_quantum,
+)
+from entropy_kit.bounds import BoundSpec, eta_q, lipschitz_bound, max_unified
 from entropy_kit.errors import DimMismatch, DomainError, InvalidIndex, NotDiagonal, PureState
 from entropy_kit.linops import (
     DensityOperator,
@@ -21,6 +29,7 @@ from entropy_kit.linops import (
     apply_generalized,
     diagonal_density,
     maximally_mixed,
+    partial_trace,
     tensor,
     trace_distance,
 )
@@ -431,6 +440,47 @@ class TestGrid:
         two = run_check(name, trials=10, seed=0, params_grid=[(1.5, 1.0), (2.0, 1.0), (1.5, 2.0)])
         assert two.comparisons == 20
         assert two.skipped == 0
+
+
+#: an int whose repr Python refuses (past its 4300-digit limit)
+HUGE = 10**5000
+
+REFUSED_SCALARS = {
+    "q_log-huge-x": (lambda: q_log(-HUGE, 2.0), DomainError),
+    "binary_tsallis-huge-eps": (lambda: binary_tsallis(HUGE, 2.0), DomainError),
+    "unified_from_power_sum-huge-t": (lambda: unified_from_power_sum(HUGE, 2.0, 1.0), DomainError),
+    "eta_q-huge-x": (lambda: eta_q(-HUGE, 2.0), DomainError),
+    "stability-huge-eps": (lambda: StabilityExample("example0", HUGE, 5, 2.0, 1.0), DomainError),
+    "stability-huge-variant": (lambda: StabilityExample(HUGE, 0.1, 5, 2.0, 1.0), DomainError),
+    "run_check-huge-name": (lambda: run_check(HUGE), DomainError),
+    "run_check-unhashable-name": (lambda: run_check([1]), DomainError),
+    "partial_trace-huge-keep": (lambda: partial_trace(np.eye(4), 2, 2, HUGE), DomainError),
+    "params-str-q": (lambda: UnifiedParams("a", 1.0), InvalidIndex),
+    "params-none-s": (lambda: UnifiedParams(2.0, None), InvalidIndex),
+    "renyi-str-q": (lambda: renyi([0.5, 0.5], "a"), InvalidIndex),
+    "bound-spec-str-eps": (lambda: BoundSpec(2.0, 1.0, 3, "a"), DomainError),
+    "lipschitz-str-eps": (lambda: lipschitz_bound("a", 2.0, 1.0), DomainError),
+    "q_log-str-x": (lambda: q_log("a", 2.0), DomainError),
+    "eta_q-str-x": (lambda: eta_q("a", 2.0), DomainError),
+    "binary_tsallis-str-eps": (lambda: binary_tsallis("a", 2.0), DomainError),
+    "unified_from_power_sum-str-t": (lambda: unified_from_power_sum("a", 2.0, 1.0), DomainError),
+    "stability-str-eps": (lambda: StabilityExample("example0", "a", 5, 2.0, 1.0), DomainError),
+    "grid-q-past-float-range": (lambda: run_check("fannes", params_grid=[(10**400, 1.0)]), InvalidIndex),
+    "grid-str-q": (lambda: run_check("fannes", params_grid=[("a", 1.0)]), InvalidIndex),
+    "grid-point-of-one": (lambda: run_check("fannes", params_grid=[(2.0,)]), DomainError),
+    "grid-point-none": (lambda: run_check("fannes", params_grid=[None]), DomainError),
+    "grid-not-iterable": (lambda: run_check("fannes", params_grid=5), DomainError),
+}
+
+
+class TestRefusedScalars:
+    @pytest.mark.parametrize("call,error", REFUSED_SCALARS.values(), ids=REFUSED_SCALARS.keys())
+    def test_refused_with_the_documented_error(self, call, error):
+        # each escaped as a bare ValueError, TypeError or OverflowError
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error
+        assert str(info.value)
 
 
 class TestSuitesPass:
