@@ -43,10 +43,7 @@ class BoundSpec:
             _check_indices(q, s)
         if not (type(d) is int and 2 <= d <= _EXACT_INT):
             _dimension(d, 2)
-        try:
-            if not 0.0 <= eps <= 1.0:
-                _check_eps(eps)
-        except TypeError:  # a non-number, refused below
+        if not (type(eps) is float and 0.0 <= eps <= 1.0):
             _check_eps(eps)
         # the fields of a frozen record, set in one step
         self.__dict__.update(q=q, s=s, d=d, eps=eps)

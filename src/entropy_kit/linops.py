@@ -101,10 +101,10 @@ def _matrix_dimension(d) -> int:
 
 
 def _array(entries, dtype=np.complex128, copy=True) -> np.ndarray:
-    """``np.array`` of outside entries, refusing ragged rows, non-numbers and
-    ints past the float range with a DomainError."""
+    """``np.array`` (``np.asarray`` if not ``copy``) of outside entries, refusing
+    ragged rows, non-numbers and ints past the float range with a DomainError."""
     try:
-        return np.array(entries, dtype=dtype, copy=copy)
+        return (np.array if copy else np.asarray)(entries, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"entries must form an array of numbers: {exc}") from None
 
@@ -322,7 +322,7 @@ def density_operators(mats) -> list[DensityOperator]:
     state holds read-only views into its stack's buffers, which live as
     long as any state of that stack does.
     """
-    mats = [_as_square_matrix(m, copy=None) for m in mats]
+    mats = [_as_square_matrix(m, copy=False) for m in mats]
     groups: dict[tuple, list[int]] = {}
     for i, mat in enumerate(mats):
         groups.setdefault(mat.shape, []).append(i)

@@ -38,14 +38,15 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .bounds import _unified_fannes_bound, fannes_range, max_unified
-from .entropies import UnifiedParams, _entropy_rows, _point_form, unified_from_power_sum, unified_quantum
+from .entropies import (
+    UnifiedParams, _check_indices, _entropy_rows, _point_form, unified_from_power_sum, unified_quantum
+)
 from .errors import DimMismatch, DomainError, NotDiagonal, OutOfValidity, PureState
 from .linops import (
     MAX_RANK_DRAW_DIM,
     DensityOperator,
     GeneralizedMeasurement,
     _dimension,
-    _float_value,
     _integer,
     _power_sums,
     _real,
@@ -278,13 +279,15 @@ def _trial_rngs(seed: int, check: str, chunk: range) -> list:
 
 
 def _as_grid(params_grid, default) -> list:
-    """The grid (``default`` if None) as ``UnifiedParams`` of the float
-    values (``linops._float_value``) of its (q, s) pairs, validated once."""
+    """The grid (``default`` if None) as float ``UnifiedParams``, each pair checked as given."""
     grid = default if params_grid is None else params_grid
     try:
-        return [UnifiedParams(*map(_float_value, pair)) for pair in grid]
-    except TypeError:  # not an iterable of pairs
+        pairs = [(q, s) for q, s in grid]
+    except (TypeError, ValueError):  # not an iterable of pairs
         raise DomainError(f"grid must be a sequence of (q, s) pairs, got {_shown(grid)}") from None
+    for q, s in pairs:
+        _check_indices(q, s)
+    return [UnifiedParams(float(q), float(s)) for q, s in pairs]
 
 
 def _pick(rng: np.random.Generator, items):

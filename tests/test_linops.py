@@ -917,6 +917,20 @@ class TestUnconvertibleEntries:
         with pytest.raises(DomainError, match="entries must form an array of numbers"):
             build()
 
+    def test_no_copy_conversion_works_where_copy_none_is_refused(self, monkeypatch):
+        # numpy 1.x, which the package supports, refuses np.array(copy=None)
+        array = np.array
+
+        def numpy1_array(obj, *args, copy=True, **kwargs):
+            if copy is None:
+                raise ValueError("NoneType copy mode not allowed.")
+            return array(obj, *args, copy=copy, **kwargs)
+
+        monkeypatch.setattr(np, "array", numpy1_array)
+        rho = np.diag([0.75, 0.25]).astype(complex)
+        (state,) = density_operators([rho])
+        assert np.array_equal(state.mat, rho)
+
     def test_ragged_ensemble_members_stay_a_dimension_mismatch(self):
         with pytest.raises(DimMismatch, match="share one dimension"):
             PureStateEnsemble([0.5, 0.5], [[1.0], [1.0, 0.0]])

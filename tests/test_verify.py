@@ -7,6 +7,7 @@ import json
 import math
 import tracemalloc
 import weakref
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -428,6 +429,27 @@ class TestGrid:
         # mixing claims no point with s = nan, which used to be skipped
         with pytest.raises(InvalidIndex, match="s must be finite, got nan"):
             run_check("mixing", trials=10, seed=0, params_grid=[(0.5, math.nan)])
+
+    @pytest.mark.parametrize(
+        "pair,shown",
+        [
+            (("a", 1.0), "'a'"),
+            (("2", 1.0), "'2'"),
+            ((2.0, Decimal("1")), "Decimal('1')"),
+            ((10**400, 1.0), "1" + "0" * 400),
+        ],
+        ids=["str", "numeric-str", "decimal", "int-past-float-range"],
+    )
+    def test_refused_value_is_shown_as_given(self, pair, shown):
+        # a non-number or an int past the float range used to print as nan or inf
+        with pytest.raises(InvalidIndex) as info:
+            run_check("fannes", trials=10, seed=0, params_grid=[pair])
+        assert str(info.value).endswith(f"got {shown}")
+
+    def test_int_and_numpy_points_run_as_floats(self):
+        as_floats = run_check("fannes", trials=10, seed=0, params_grid=[(2.0, 1.0)]).to_json()
+        assert run_check("fannes", trials=10, seed=0, params_grid=[(2, 1)]).to_json() == as_floats
+        assert run_check("fannes", trials=10, seed=0, params_grid=[(np.float64(2), np.int64(1))]).to_json() == as_floats
 
     @pytest.mark.parametrize("name", ["audenaert", "pinching"])
     def test_q_only_suites_compare_each_q_once(self, name):
