@@ -11,9 +11,11 @@ Composite indices are row-major throughout: a bipartite basis label
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -215,15 +217,42 @@ def _power_sums(holders, qs) -> np.ndarray:
     """
     distinct = list(dict.fromkeys(qs))
     table = np.empty((len(holders), len(distinct)))
-    groups: dict[int, list[int]] = {}
-    for i, holder in enumerate(holders):
-        groups.setdefault(holder._values.size, []).append(i)
-    for idx in groups.values():
-        stack = np.stack([holders[i]._values for i in idx])
+    for idx in _groups(holder._values.size for holder in holders):
+        stack = _stack([holders[i]._values for i in idx])
         for j, q in enumerate(distinct):
             table[idx, j] = (stack**q).sum(axis=1)
     col = {q: j for j, q in enumerate(distinct)}
     return table[:, [col[q] for q in qs]]
+
+
+def _groups(keys) -> list[list[int]]:
+    """The indices of equal keys, one list per key in first-seen order."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
+def _grouped(items: list, key, build) -> list:
+    """``build(group)`` of each group of ``items`` with one ``key(item)``,
+    giving one result per item of the group; returned in input order."""
+    if len(items) == 1:
+        return build(items)
+    out = [None] * len(items)
+    for idx in _groups(map(key, items)):
+        for i, made in zip(idx, build([items[i] for i in idx])):
+            out[i] = made
+    return out
+
+
+_shape = operator.attrgetter("shape")
+
+
+def _stack(arrays: list) -> np.ndarray:
+    """One (n, ...) array of same-shaped arrays: a view of a lone array,
+    else a copy by ``np.array``, which copies as ``np.stack`` does at a
+    fraction of its call cost.  Stored stacks copy with ``np.array``."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
 
 def _rng(seed) -> np.random.Generator:
@@ -322,19 +351,16 @@ def density_operators(mats) -> list[DensityOperator]:
     state holds read-only views into its stack's buffers, which live as
     long as any state of that stack does.
     """
-    mats = [_as_square_matrix(m, copy=False) for m in mats]
-    groups: dict[tuple, list[int]] = {}
-    for i, mat in enumerate(mats):
-        groups.setdefault(mat.shape, []).append(i)
-    out = [None] * len(mats)
-    for idx in groups.values():
-        stack = _frozen(np.stack([mats[i] for i in idx]))
-        vals, vecs = _density_spectra(stack)
-        for j, i in enumerate(idx):
-            state = object.__new__(DensityOperator)
-            state._adopt(_checked_hermitian(stack[j]), vals[j], vecs[j])
-            out[i] = state
-    return out
+    return _grouped([_as_square_matrix(m, copy=False) for m in mats], _shape, _density_stack)
+
+
+def _density_stack(mats: list) -> list[DensityOperator]:
+    stack = _frozen(np.array(mats))
+    vals, vecs = _density_spectra(stack)
+    states = [object.__new__(DensityOperator) for _ in mats]
+    for j, state in enumerate(states):
+        state._adopt(_checked_hermitian(stack[j]), vals[j], vecs[j])
+    return states
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,22 +376,33 @@ class ProbabilityDistribution(_SpectralMemo):
 
     def __post_init__(self):
         p = _array(self.probs, np.float64)
-        if p.ndim != 1 or p.size == 0:
+        if p.ndim != 1:
             raise DomainError("expected a nonempty 1-d probability vector")
-        if np.any(p < 0):
-            raise DomainError("probabilities must be nonnegative")
-        total = float(p.sum())
+        _check_probabilities(p[None])
+        self._adopt(_frozen(p))
+
+    def _adopt(self, p: np.ndarray) -> None:
+        object.__setattr__(self, "probs", p)
+        self._start_memo(p)
+
+    @property
+    def size(self) -> int:
+        return self.probs.size
+
+
+def _check_probabilities(p: np.ndarray) -> None:
+    """Raise unless every row of the (n, m) stack, m >= 1, is nonnegative
+    and sums to 1 within ``TOL.trace``."""
+    if p.shape[1] == 0:
+        raise DomainError("expected a nonempty 1-d probability vector")
+    if np.any(p < 0):
+        raise DomainError("probabilities must be nonnegative")
+    for total in p.sum(axis=1).tolist():
         # written so that a NaN or infinite entry (total nan or inf) fails too
         if not abs(total - 1.0) <= TOL.trace:
             raise DomainError(
                 f"probabilities sum to {total!r}, expected 1 within {TOL.trace:g}"
             )
-        object.__setattr__(self, "probs", _frozen(p))
-        self._start_memo(self.probs)
-
-    @property
-    def size(self) -> int:
-        return self.probs.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -384,26 +421,26 @@ class PureStateEnsemble:
     states: tuple
 
     def __post_init__(self):
-        if not isinstance(self.weights, ProbabilityDistribution):
-            object.__setattr__(
-                self, "weights", ProbabilityDistribution(self.weights)
-            )
+        weights = self.weights
+        if not isinstance(weights, ProbabilityDistribution):
+            weights = ProbabilityDistribution(weights)
         try:
-            v = _frozen(np.array(self.states, dtype=np.complex128))
-        except ValueError:  # numpy refuses ragged members
-            raise DimMismatch("ensemble state vectors must share one dimension") from None
-        except (TypeError, OverflowError) as exc:
-            raise DomainError(f"entries must form an array of numbers: {exc}") from None
-        if len(v) != self.weights.size:
+            v = _frozen(_array(self.states))
+        except DomainError:
+            try:  # numpy refuses ragged members for their shape, whatever their entries
+                np.array(self.states)
+            except ValueError:
+                raise DimMismatch("ensemble state vectors must share one dimension") from None
+            raise
+        if len(v) != weights.size:
             raise DimMismatch("one state vector per weight required")
         if v.ndim != 2:
             raise DimMismatch("ensemble state vectors must share one dimension")
-        # written so that a NaN entry (norm nan) fails too
-        if not np.all(np.abs(np.einsum("ij,ij->i", v, v.conj()).real - 1.0) <= TOL.orthonormal):
-            raise DomainError("ensemble state vectors must be normalized")
+        self._adopt(weights, v, _member_averages(weights.probs[None], v[None])[0])
+
+    def _adopt(self, weights: ProbabilityDistribution, v: np.ndarray, avg: np.ndarray) -> None:
+        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "states", tuple(v))
-        avg = _frozen((v.T * self.weights.probs) @ v.conj())
-        _check_hermitian_unit_trace(avg[None])
         object.__setattr__(self, "_average_matrix", avg)
         object.__setattr__(self, "_average", None)
 
@@ -418,6 +455,39 @@ class PureStateEnsemble:
                 self, "_average", DensityOperator.from_matrix(self._average_matrix)
             )
         return self._average
+
+
+def _member_averages(p: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The read-only averages sum_i p_i |psi_i><psi_i| of (n, m) weights
+    and (n, m, d) members, after the member norm and the average's
+    Hermiticity and trace checks."""
+    # written so that a NaN entry (norm nan) fails too
+    if not np.all(np.abs(np.einsum("kij,kij->ki", v, v.conj()).real - 1.0) <= TOL.orthonormal):
+        raise DomainError("ensemble state vectors must be normalized")
+    avg = _frozen((v.swapaxes(1, 2) * p[:, None, :]) @ v.conj())
+    _check_hermitian_unit_trace(avg)
+    return avg
+
+
+def _ensemble_stack(items: list) -> list[PureStateEnsemble]:
+    """The ensembles of (weights, members, state matrix) items with members
+    of one shape: bit for bit ``PureStateEnsemble(weights, members)``,
+    whose average must reproduce the state matrix."""
+    p = _frozen(np.array([w for w, _, _ in items]))
+    v = _frozen(np.array([m for _, m, _ in items]))
+    _check_probabilities(p)
+    avg = _member_averages(p, v)
+    target = _stack([mat for _, _, mat in items])
+    if (np.abs(avg - target).max(axis=(1, 2)) > TOL.reconstruction).any():
+        raise EntropyKitError("ensemble average failed to reproduce the state")
+    out = []
+    for j in range(len(items)):
+        weights = object.__new__(ProbabilityDistribution)
+        weights._adopt(p[j])
+        ens = object.__new__(PureStateEnsemble)
+        ens._adopt(weights, v[j], avg[j])
+        out.append(ens)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -492,8 +562,17 @@ def _matrix_of(a) -> np.ndarray:
     raise DomainError(f"expected a Hermitian or density operator, got {type(a).__name__}")
 
 
+def _check_array(mat) -> None:
+    if not isinstance(mat, np.ndarray):
+        raise DomainError(f"expected a numpy array, got {type(mat).__name__}")
+
+
 def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
     """Half the trace norm of (a - b)."""
+    if not (isinstance(a, DensityOperator) and isinstance(b, DensityOperator)):
+        raise DomainError(
+            f"expected two density operators, got {type(a).__name__} and {type(b).__name__}"
+        )
     if a.dim != b.dim:
         raise DimMismatch(f"dimensions {a.dim} and {b.dim} differ")
     diff = np.linalg.eigvalsh(a.mat - b.mat)
@@ -513,6 +592,7 @@ def partial_trace(mat: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.ndar
     Unvalidated beyond shapes: build a ``DensityOperator`` of the result
     where its spectrum is needed.
     """
+    _check_array(mat)
     dim_a, dim_b = _integer("dimension", dim_a), _integer("dimension", dim_b)
     n = dim_a * dim_b
     if dim_a < 1 or dim_b < 1 or mat.shape != (n, n):
@@ -539,6 +619,7 @@ def purify(rho: DensityOperator) -> np.ndarray:
 
 def pinch(mat: np.ndarray, resolution: OrthogonalResolution) -> np.ndarray:
     """Pinched matrix sum_j N_j mat N_j, unvalidated beyond shapes."""
+    _check_array(mat)
     d = resolution.dim
     if mat.shape != (d, d):
         raise DimMismatch(f"matrix of shape {mat.shape} does not match resolution dimension {d}")
@@ -572,15 +653,45 @@ def maximally_mixed(d: int) -> DensityOperator:
     return DensityOperator.from_matrix(np.eye(d) / d)
 
 
-def random_density_matrix(d: int, rank: int, seed) -> np.ndarray:
-    """Ginibre matrix G G^dagger / tr(G G^dagger) with G of shape (d, rank)."""
+# Sampling runs in two steps.  A draw (``_ginibre_draw``, ``_haar_draw``,
+# ``_resolution_draw``, ``_ensemble_draw``) checks its arguments and takes
+# every number from the generator, in the order the one-item sampler takes
+# them; a builder (``_density_matrices``, ``_unitaries``, ``_resolutions``,
+# ``_ensembles``) turns a list of draws into matrices with one stacked call
+# per shape, each bit for bit what the item gives alone.  Each public
+# sampler is one draw and a build of one item.  A complex Gaussian matrix
+# is drawn as its real and imaginary parts in one (2, rows, cols) call, the
+# stream of two ``standard_normal((rows, cols))`` calls.
+
+
+def _complex(draws: list) -> np.ndarray:
+    """The (n, rows, cols) complex stack of same-shaped Gaussian draws."""
+    x = _stack(draws)
+    return x[:, 0] + 1j * x[:, 1]
+
+
+def _ginibre_draw(d: int, rank: int, seed) -> np.ndarray:
+    """The Gaussian G of ``random_density_matrix(d, rank, seed)``."""
     d, rank = _matrix_dimension(d), _integer("rank", rank)
     if not 1 <= rank <= d:
         raise InvalidIndex(f"rank {_shown(rank)} outside [1, {d}]")
-    rng = _rng(seed)
-    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
-    a = g @ g.conj().T
-    return a / a.trace().real
+    return _rng(seed).standard_normal((2, d, rank))
+
+
+def _ginibre_stack(draws: list) -> np.ndarray:
+    g = _complex(draws)
+    a = g @ g.conj().swapaxes(1, 2)
+    return a / a.trace(axis1=1, axis2=2).real[:, None, None]
+
+
+def _density_matrices(draws: list) -> list:
+    """G G^dagger / tr(G G^dagger) of each ``_ginibre_draw``."""
+    return _grouped(draws, _shape, _ginibre_stack)
+
+
+def random_density_matrix(d: int, rank: int, seed) -> np.ndarray:
+    """Ginibre matrix G G^dagger / tr(G G^dagger) with G of shape (d, rank)."""
+    return _density_matrices([_ginibre_draw(d, rank, seed)])[0]
 
 
 def random_density(d: int, rank: int, seed) -> DensityOperator:
@@ -588,14 +699,63 @@ def random_density(d: int, rank: int, seed) -> DensityOperator:
     return DensityOperator.from_matrix(random_density_matrix(d, rank, seed))
 
 
+def _haar_draw(d: int, seed) -> np.ndarray:
+    """The Gaussian of ``random_unitary(d, seed)``."""
+    d = _matrix_dimension(d)
+    return _rng(seed).standard_normal((2, d, d))
+
+
+def _haar_stack(draws: list) -> np.ndarray:
+    q, r = np.linalg.qr(_complex(draws))
+    dia = r.diagonal(axis1=1, axis2=2)
+    return q * (dia / np.abs(dia))[:, None, :]
+
+
+def _unitaries(draws: list) -> list:
+    """The Haar unitary of each ``_haar_draw``: its QR factor Q with each
+    column's phase fixed by R's diagonal (Mezzadri 2007)."""
+    return _grouped(draws, _shape, _haar_stack)
+
+
 def random_unitary(d: int, seed) -> np.ndarray:
     """Haar-distributed unitary via QR with phase-normalized R diagonal."""
-    d = _matrix_dimension(d)
-    rng = _rng(seed)
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(g)
-    dia = r.diagonal()
-    return q * (dia / np.abs(dia))
+    return _unitaries([_haar_draw(d, seed)])[0]
+
+
+def _ensemble_draw(rho: DensityOperator, m: int, seed) -> tuple:
+    """(rank of rho, Haar draw) of ``ensemble_from_state(rho, m, seed)``."""
+    m = _integer("ensemble size", m)
+    r = int(np.sum(rho.eigenvalues > TOL.rank))
+    if m < r:
+        raise InvalidIndex(f"ensemble size {m} below the state rank {r}")
+    return r, _haar_draw(m, seed)
+
+
+def _member_stack(items: list) -> list:
+    """(weights, members, state matrix) of same-shaped (rho, rank, unitary)
+    items."""
+    r = items[0][1]
+    u = _stack([u[:, :r] for _, _, u in items])
+    roots = np.sqrt(_stack([rho.eigenvalues[:r] for rho, _, _ in items]))
+    vecs = _stack([rho.eigenvectors[:, :r] for rho, _, _ in items])
+    raw = (u * roots[:, None, :]) @ vecs.swapaxes(1, 2)
+    weights = np.einsum("kij,kij->ki", raw, raw.conj()).real
+    kept = weights >= TOL.ensemble_weight
+    # the floor keeps a dropped zero-weight row from dividing by 0; kept rows are unchanged
+    members = raw / np.sqrt(np.maximum(weights, TOL.ensemble_weight))[:, :, None]
+    return [
+        (w, v, rho.mat) if k.all() else (w[k], v[k], rho.mat)
+        for w, v, k, (rho, _, _) in zip(weights, members, kept, items)
+    ]
+
+
+def _ensembles(rhos: list, draws: list) -> list[PureStateEnsemble]:
+    """The ensemble of each state and ``_ensemble_draw``: members, their
+    validation and the check that they reproduce the state, stacked by shape."""
+    us = _unitaries([g for _, g in draws])
+    items = [(rho, r, u) for rho, (r, _), u in zip(rhos, draws, us)]
+    members = _grouped(items, lambda it: (it[2].shape, it[1], it[0].dim), _member_stack)
+    return _grouped(members, lambda it: it[1].shape, _ensemble_stack)
 
 
 def ensemble_from_state(rho: DensityOperator, m: int, seed) -> PureStateEnsemble:
@@ -606,22 +766,7 @@ def ensemble_from_state(rho: DensityOperator, m: int, seed) -> PureStateEnsemble
     ``random_unitary(m, seed)``, so p_i = sum_j |u_ij|^2 lambda_j.
     Members with weight below ``TOL.ensemble_weight`` are discarded.
     """
-    m = _integer("ensemble size", m)
-    lam = rho.eigenvalues
-    r = int(np.sum(lam > TOL.rank))
-    if m < r:
-        raise InvalidIndex(f"ensemble size {m} below the state rank {r}")
-    u = random_unitary(m, seed)[:, :r]
-    roots = np.sqrt(lam[:r])
-    raw = (u * roots) @ rho.eigenvectors[:, :r].T
-    weights = np.einsum("ij,ij->i", raw, raw.conj()).real
-    kept = weights >= TOL.ensemble_weight
-    weights = weights[kept]
-    states = raw[kept] / np.sqrt(weights)[:, None]
-    ens = PureStateEnsemble(ProbabilityDistribution(weights), states)
-    if np.abs(ens._average_matrix - rho.mat).max() > TOL.reconstruction:
-        raise EntropyKitError("ensemble average failed to reproduce the state")
-    return ens
+    return _ensembles([rho], [_ensemble_draw(rho, m, seed)])[0]
 
 
 #: largest dimension whose block ranks ``random_resolution`` draws: the
@@ -629,19 +774,8 @@ def ensemble_from_state(rho: DensityOperator, m: int, seed) -> PureStateEnsemble
 MAX_RANK_DRAW_DIM = 64
 
 
-def random_resolution(d: int, seed, ranks=None) -> OrthogonalResolution:
-    """Random orthogonal resolution from Haar-unitary column blocks.
-
-    Block ranks default to a uniformly drawn composition of d with at
-    least two parts, so rank-1 and higher-rank blocks both occur.
-
-    The unitary U is checked once instead of the constructor's O(k^2)
-    projector products: |U^H U - I|_max <= TOL.orthonormal / (2d) bounds
-    the idempotence, mutual orthogonality and completeness defects of the
-    block projectors U_j U_j^H by TOL.orthonormal (each is a product of
-    near-unit rows of U with a block of U^H U - I, summed over at most d
-    terms).  Their Hermiticity is checked on their stack.
-    """
+def _resolution_draw(d: int, seed, ranks=None) -> tuple:
+    """(block ranks, Haar draw) of ``random_resolution(d, seed, ranks)``."""
     d = _dimension(d)
     rng = _rng(seed)
     if ranks is None:
@@ -661,21 +795,55 @@ def random_resolution(d: int, seed, ranks=None) -> OrthogonalResolution:
     ranks = [_integer("block rank", r) for r in ranks]
     if sum(ranks) != d or any(r < 1 for r in ranks):
         raise DomainError(f"block ranks {_shown(ranks)} do not partition dimension {d}")
-    u = random_unitary(d, rng)
-    # written so that a NaN entry (defect nan) fails too
-    if not np.abs(u.conj().T @ u - np.eye(d)).max() <= TOL.orthonormal / (2 * d):
-        raise DomainError("sampled unitary is not unitary within tolerance")
-    projs = []
-    start = 0
-    for r in ranks:
-        block = u[:, start : start + r]
-        projs.append(block @ block.conj().T)
-        start += r
-    stack = _frozen(np.stack(projs))
-    _check_hermitian(stack)
-    resolution = object.__new__(OrthogonalResolution)
-    object.__setattr__(resolution, "projectors", tuple(map(_checked_hermitian, stack)))
-    return resolution
+    return ranks, _haar_draw(d, rng)
+
+
+def _projector_stack(blocks: list) -> list[HermitianOperator]:
+    b = _stack(blocks)
+    projs = _frozen(b @ b.conj().swapaxes(1, 2))
+    _check_hermitian(projs)
+    return list(map(_checked_hermitian, projs))
+
+
+def _resolutions(draws: list) -> list[OrthogonalResolution]:
+    """The resolution of each ``_resolution_draw``: one stacked unitarity
+    check per dimension and one stacked product U_j U_j^H per block shape."""
+    us = _unitaries([g for _, g in draws])
+    for idx in _groups(len(u) for u in us):
+        u = _stack([us[i] for i in idx])
+        d = u.shape[1]
+        defect = np.abs(u.conj().swapaxes(1, 2) @ u - np.eye(d)).max(axis=(1, 2))
+        # written so that a NaN entry (defect nan) fails too
+        if not (defect <= TOL.orthonormal / (2 * d)).all():
+            raise DomainError("sampled unitary is not unitary within tolerance")
+    blocks = [
+        u[:, end - r : end]
+        for (ranks, _), u in zip(draws, us)
+        for r, end in zip(ranks, itertools.accumulate(ranks))
+    ]
+    projs = iter(_grouped(blocks, _shape, _projector_stack))
+    out = []
+    for ranks, _ in draws:
+        resolution = object.__new__(OrthogonalResolution)
+        object.__setattr__(resolution, "projectors", tuple(itertools.islice(projs, len(ranks))))
+        out.append(resolution)
+    return out
+
+
+def random_resolution(d: int, seed, ranks=None) -> OrthogonalResolution:
+    """Random orthogonal resolution from Haar-unitary column blocks.
+
+    Block ranks default to a uniformly drawn composition of d with at
+    least two parts, so rank-1 and higher-rank blocks both occur.
+
+    The unitary U is checked once instead of the constructor's O(k^2)
+    projector products: |U^H U - I|_max <= TOL.orthonormal / (2d) bounds
+    the idempotence, mutual orthogonality and completeness defects of the
+    block projectors U_j U_j^H by TOL.orthonormal (each is a product of
+    near-unit rows of U with a block of U^H U - I, summed over at most d
+    terms).  Their Hermiticity is checked on their stack.
+    """
+    return _resolutions([_resolution_draw(d, seed, ranks)])[0]
 
 
 def write_matrix(path, a) -> None:

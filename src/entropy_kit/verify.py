@@ -7,19 +7,25 @@ validates the inputs, takes the report from the closed-form part (or
 starts an empty one) and runs the suite into it.  Each trial draws from a
 SeedSequence built on (seed, check id, trial index), so reports are
 reproducible byte for byte regardless of execution order.  A suite's one
-loop draws the matrices of a chunk of trials (``STATE_CHUNK`` of them,
-fewer for large matrices), builds their states with one stacked
-``density_operators`` call and hands them to the suite's judge, which
-reads them at every grid point as one table and judges the chunk's
-claims as arrays over (trial, point, case), each step bit-identical to
-working one state, point and comparison at a time.  One chunk's states
-are alive at a time.  Closed-form and random parts alike record their
-comparisons as arrays through ``CheckReport.compare_many``: "lhs <= rhs"
-fails when the signed violation lhs - rhs exceeds TOL.check_rel * (1 +
-magnitude), a strict "lhs < rhs" when it is >= 0; ``failures`` counts
-failed comparisons, ``skipped`` counts grid points outside a claim's
-proven region or validity window, and a suite that claims no grid point
-draws nothing.  A check that made no comparison does not pass.
+loop takes a chunk of trials (``STATE_CHUNK`` of them, fewer for large
+matrices) through a draw step and a build step.  Each trial draws its
+discrete choices and every Gaussian factor from its own generator; then
+the chunk's draws become Ginibre states, Haar unitaries and resolution
+projectors with one stacked call per kind and shape, the suite's build
+makes each trial's matrices from them (mixtures, interpolations, partial
+traces, products, pinchings), and one stacked ``density_operators`` call
+makes their states.  The ensemble judge draws its ensembles per trial
+and builds them the same way.  The judge reads the states at every grid
+point as one table and judges the chunk's claims as arrays over (trial,
+point, case), each step bit-identical to working one matrix, state,
+point and comparison at a time.  One chunk's states are alive at a time.
+Closed-form and random parts alike record their comparisons as arrays
+through ``CheckReport.compare_many``: "lhs <= rhs" fails when the signed
+violation lhs - rhs exceeds TOL.check_rel * (1 + magnitude), a strict
+"lhs < rhs" when it is >= 0; ``failures`` counts failed comparisons,
+``skipped`` counts grid points outside a claim's proven region or
+validity window, and a suite that claims no grid point draws nothing.  A
+check that made no comparison does not pass.
 
 A check expected to break (the subadditivity violation search) inverts
 the reading: ``failures`` counts the violations found, and an empty
@@ -46,21 +52,25 @@ from .linops import (
     MAX_RANK_DRAW_DIM,
     DensityOperator,
     GeneralizedMeasurement,
+    _density_matrices,
     _dimension,
+    _ensemble_draw,
+    _ensembles,
+    _ginibre_draw,
+    _grouped,
     _integer,
     _power_sums,
     _real,
+    _resolution_draw,
+    _resolutions,
     _shown,
     apply_generalized,
     density_operators,
     diagonal_density,
-    ensemble_from_state,
     maximally_mixed,
     partial_trace,
     pinch,
     purify,
-    random_density_matrix,
-    random_resolution,
     tensor,
     trace_distance,
 )
@@ -294,14 +304,13 @@ def _pick(rng: np.random.Generator, items):
     return items[int(rng.integers(len(items)))]
 
 
-def _random_matrix(rng: np.random.Generator, d: int) -> np.ndarray:
-    """Ginibre density matrix of dimension d and a uniformly drawn rank."""
-    return random_density_matrix(d, int(rng.integers(1, d + 1)), rng)
+def _ginibre(rng: np.random.Generator, d: int) -> np.ndarray:
+    """Ginibre draw of dimension d and a uniformly drawn rank."""
+    return _ginibre_draw(d, int(rng.integers(1, d + 1)), rng)
 
 
-def _bipartite_matrices(rng: np.random.Generator, da: int, db: int) -> list:
-    """A random rho_AB on C^da (x) C^db and its reductions rho_A, rho_B."""
-    rho_ab = _random_matrix(rng, da * db)
+def _reductions(da: int, db: int, rho_ab: np.ndarray) -> list:
+    """rho_AB on C^da (x) C^db and its reductions rho_A, rho_B."""
     return [
         rho_ab,
         partial_trace(rho_ab, da, db, "A"),
@@ -311,14 +320,24 @@ def _bipartite_matrices(rng: np.random.Generator, da: int, db: int) -> list:
 
 def _bipartite_draw(dims, i, rng):
     da, db = _pick(rng, dims)
-    return (da, db), _bipartite_matrices(rng, da, db)
+    return (da, db), [_ginibre(rng, da * db)]
 
 
-def _stacked(per_trial: list) -> list:
-    """States of every trial's matrices from one ``density_operators``
-    call, split back into one list per trial."""
-    states = iter(density_operators([m for mats in per_trial for m in mats]))
-    return [[next(states) for _ in mats] for mats in per_trial]
+def _bipartite_build(info, made):
+    return _reductions(*info, made[0])
+
+
+def _per_trial(build, per_trial: list) -> list:
+    """``build`` of every trial's items in one call, split back into one
+    list per trial."""
+    made = iter(build([x for xs in per_trial for x in xs]))
+    return [[next(made) for _ in xs] for xs in per_trial]
+
+
+def _sampled(draws: list) -> list:
+    """Draws of one kind built with one stacked call per shape: Ginibre
+    draws into density matrices, (ranks, Haar draw) pairs into resolutions."""
+    return (_resolutions if isinstance(draws[0], tuple) else _density_matrices)(draws)
 
 
 _LEMMA_KINDS = ("unit-direct", "tail-direct", "unit-reversed", "tail-reversed", "tail-log")
@@ -392,20 +411,24 @@ def _pair_case(trials, points):
     return case
 
 
-def _ensemble_draw(dims, i, rng):
+def _state_draw(dims, i, rng):
     d = int(_pick(rng, dims))
-    return (rng, d), [_random_matrix(rng, d)]
+    return (rng, d), [_ginibre(rng, d)]
 
 
 def _ensemble_judge(trials, states, points):
     """Quantum entropy never exceeds the classical entropy of any ensemble
-    realizing the state; the Renyi line s = 0 is only claimed for q < 1."""
-    holders, ms = [], []
-    for (_, (rng, _)), (rho,) in zip(trials, states):
+    realizing the state; the Renyi line s = 0 is only claimed for q < 1.
+    Each trial draws its ensemble from its own generator, and the chunk's
+    ensembles are built with one stacked call per shape."""
+    rhos = [rho for (rho,) in states]
+    draws, ms = [], []
+    for (_, (rng, _)), rho in zip(trials, rhos):
         # an ensemble of m pure states needs m >= rank >= 1
         rank = int(np.sum(rho.eigenvalues > TOL.rank))
         ms.append(int(rng.integers(rank, max(rank, 8) + 1)))
-        holders.append((rho, ensemble_from_state(rho, ms[-1], rng).weights))
+        draws.append(_ensemble_draw(rho, ms[-1], rng))
+    holders = [(rho, ens.weights) for rho, ens in zip(rhos, _ensembles(rhos, draws))]
     rho, weights = np.stack(_table(holders, points), axis=1)
 
     def case(t, k, c):
@@ -419,9 +442,11 @@ def _mixing_draw(dims, i, rng):
     d = int(_pick(rng, dims))
     k = int(rng.integers(2, 5))
     weights = rng.dirichlet(np.ones(k))
-    omegas = [_random_matrix(rng, d) for _ in range(k)]
-    mixed = sum(w * om for w, om in zip(weights, omegas))
-    return (d, k, weights), omegas + [mixed]
+    return (d, k, weights), [_ginibre(rng, d) for _ in range(k)]
+
+
+def _mixing_build(info, omegas):
+    return omegas + [sum(w * om for w, om in zip(info[2], omegas))]
 
 
 def _mixing_judge(trials, states, points):
@@ -440,14 +465,21 @@ def _mixing_judge(trials, states, points):
 
 def _fannes_draw(dims, i, rng):
     d = int(_pick(rng, dims))
-    rho = _random_matrix(rng, d)
+    rho = _ginibre(rng, d)
     if rng.uniform() < 0.5:
-        return d, [rho, _random_matrix(rng, d)]
+        return (d, None), [rho, _ginibre(rng, d)]
     # interpolate toward a second state so small trace distances (the
     # low-region validity window) are exercised
     lam = float(rng.uniform(0.0, 0.3))
-    other = random_density_matrix(d, d, rng)
-    return d, [rho, (1.0 - lam) * rho + lam * other]
+    return (d, lam), [rho, _ginibre_draw(d, d, rng)]
+
+
+def _fannes_build(info, made):
+    lam = info[1]
+    if lam is None:
+        return made
+    rho, other = made
+    return [rho, (1.0 - lam) * rho + lam * other]
 
 
 def _fannes_judge(trials, states, points):
@@ -460,7 +492,7 @@ def _fannes_judge(trials, states, points):
     keep = np.ones(bound.shape, dtype=bool)
     # BoundSpec would accept every input here: q and s come from _as_grid,
     # d from _checked_inputs, and eps = min(trace distance, 1) >= 0
-    for t, (_, d) in enumerate(trials):
+    for t, (_, (d, _)) in enumerate(trials):
         for k, p in enumerate(points):
             try:
                 bound[t, k] = _unified_fannes_bound(p.q, p.s, d, eps[t])
@@ -468,7 +500,7 @@ def _fannes_judge(trials, states, points):
                 keep[t, k] = False
 
     def case(t, k, c):
-        i, d = trials[t]
+        i, (d, _) = trials[t]
         return {"trial": i, "d": d, "q": points[k].q, "s": points[k].s, "eps": eps[t]}
 
     return [(np.abs(rho - omega), bound)], keep, case
@@ -502,9 +534,12 @@ def _subadd_judge(trials, states, points):
 
 def _violation_draw(dims, i, rng):
     da, db = _pick(rng, dims)
-    fa = _random_matrix(rng, da)
-    fb = _random_matrix(rng, db)
-    return (da, db), [fa, fb, np.kron(fa, fb)] + _bipartite_matrices(rng, da, db)
+    return (da, db), [_ginibre(rng, da), _ginibre(rng, db), _ginibre(rng, da * db)]
+
+
+def _violation_build(info, made):
+    fa, fb, rho_ab = made
+    return [fa, fb, np.kron(fa, fb)] + _reductions(*info, rho_ab)
 
 
 def _violation_judge(trials, states, points):
@@ -534,7 +569,10 @@ def _triangle_judge(trials, states, points):
     """Triangle inequality |E(rho_A) - E(rho_B)| <= E(rho_AB) for q > 1,
     s >= 1/q, via purification; also verifies that both reductions of the
     purified state carry the entropies they should."""
-    more = _stacked([_purified_reductions(*info, st[0]) for (_, info), st in zip(trials, states)])
+    more = _per_trial(
+        density_operators,
+        [_purified_reductions(*info, st[0]) for (_, info), st in zip(trials, states)],
+    )
     rows = _table([first + second for first, second in zip(states, more)], points)
     e_ab, e_a, e_b, e_c, e_bc = np.stack(rows, axis=1)
     zero = np.zeros_like(e_ab)
@@ -552,10 +590,15 @@ def _pinching_draw(every, dims, i, rng):
     rank-1 blocks on every ``every``-th trial so the fully projective
     case is always exercised."""
     d = int(_pick(rng, dims))
-    rho = _random_matrix(rng, d)
+    rho = _ginibre(rng, d)
     ranks = (1,) * d if i % every == 0 else None
-    resolution = random_resolution(d, rng, ranks=ranks)
-    return (d, resolution.size), [rho, pinch(rho, resolution)]
+    resolution = _resolution_draw(d, rng, ranks)
+    return (d, len(resolution[0])), [rho, resolution]
+
+
+def _pinching_build(info, made):
+    rho, resolution = made
+    return [rho, pinch(rho, resolution)]
 
 
 def _pinching_judge(trials, states, points):
@@ -587,8 +630,12 @@ def _projective_judge(trials, states, points):
 class Suite:
     """A claim checked on random states: the random part of a ``CHECKS`` row.
 
-    ``draw(dims, i, rng)`` gives (info, matrices) for trial i, and a
-    chunk's matrices become states through one stacked build.
+    ``draw(dims, i, rng)`` gives (info, draws) for trial i: its discrete
+    choices and the ``linops`` draws (Ginibre draws, (ranks, Haar draw)
+    pairs of resolutions) it takes from its generator.  The chunk's draws
+    are built with one stacked call per kind and shape, ``build(info,
+    made)`` turns each trial's built draws into its matrices, and the
+    chunk's matrices become states through one stacked call.
     ``judge(trials, states, points)`` then judges the whole chunk at once
     from its (i, info) pairs and each trial's states, reading entropies at
     the claimed points, or power sums tr(rho^q) for ``q_only`` claims
@@ -602,6 +649,7 @@ class Suite:
     """
 
     draw: Callable
+    build: Callable
     judge: Callable
     dims: tuple
     grid: tuple
@@ -628,40 +676,43 @@ class Check:
 
 CHECKS = {
     "ensemble": Check(None, Suite(
-        _ensemble_draw, _ensemble_judge, (2, 3, 4, 5), ENSEMBLE_GRID,
+        _state_draw, lambda info, made: made, _ensemble_judge, (2, 3, 4, 5), ENSEMBLE_GRID,
         claimed=lambda q, s: not (s == 0.0 and not q < 1.0),
     )),
     "mixing": Check(None, Suite(
-        _mixing_draw, _mixing_judge, DEFAULT_DIMS, MIXING_GRID,
+        _mixing_draw, _mixing_build, _mixing_judge, DEFAULT_DIMS, MIXING_GRID,
         claimed=lambda q, s: q < 1.0 and s <= 1.0,
     )),
     "scalar-lemma": Check(_scalar_lemma, None),
     # the Fannes bound is stated for d >= 2
     "fannes": Check(None, Suite(
-        _fannes_draw, _fannes_judge, DEFAULT_DIMS, FANNES_GRID,
+        _fannes_draw, _fannes_build, _fannes_judge, DEFAULT_DIMS, FANNES_GRID,
         claimed=lambda q, s: fannes_range(q, s) is not None,
     ), (2, MAX_CHECK_DIM)),
     "audenaert": Check(None, Suite(
-        _bipartite_draw, _audenaert_judge, DEFAULT_PAIR_DIMS,
+        _bipartite_draw, _bipartite_build, _audenaert_judge, DEFAULT_PAIR_DIMS,
         tuple((q, 0.0) for q in AUDENAERT_Q), claimed=lambda q, s: q >= 1.0, q_only=True,
     )),
     "subadd": Check(None, Suite(
-        _bipartite_draw, _subadd_judge, DEFAULT_PAIR_DIMS, SUBADD_GRID, claimed=_subadditive
+        _bipartite_draw, _bipartite_build, _subadd_judge, DEFAULT_PAIR_DIMS, SUBADD_GRID,
+        claimed=_subadditive,
     )),
     "subadd-violation": Check(_seeded_violations, Suite(
-        _violation_draw, _violation_judge, SQUARE_PAIR_DIMS, VIOLATION_GRID
+        _violation_draw, _violation_build, _violation_judge, SQUARE_PAIR_DIMS, VIOLATION_GRID
     ), breaks=True),
     "triangle": Check(None, Suite(
-        _bipartite_draw, _triangle_judge, SQUARE_PAIR_DIMS, SUBADD_GRID, claimed=_subadditive
+        _bipartite_draw, _bipartite_build, _triangle_judge, SQUARE_PAIR_DIMS, SUBADD_GRID,
+        claimed=_subadditive,
     )),
     # a random resolution has two or more blocks, and its drawn block
     # ranks need d <= MAX_RANK_DRAW_DIM
     "pinching": Check(None, Suite(
-        functools.partial(_pinching_draw, 7), _pinching_judge, PINCHING_DIMS,
+        functools.partial(_pinching_draw, 7), _pinching_build, _pinching_judge, PINCHING_DIMS,
         tuple((q, 0.0) for q in PINCHING_Q), q_only=True,
     ), (2, MAX_RANK_DRAW_DIM)),
     "projective": Check(None, Suite(
-        functools.partial(_pinching_draw, 5), _projective_judge, DEFAULT_DIMS, PROJECTIVE_GRID
+        functools.partial(_pinching_draw, 5), _pinching_build, _projective_judge, DEFAULT_DIMS,
+        PROJECTIVE_GRID,
     ), (2, MAX_RANK_DRAW_DIM)),
     "qubit-measure": Check(lambda trials, seed, params_grid: qubit_measurement_decrease(
         diagonal_density((0.8, 0.2)), params_grid
@@ -674,13 +725,17 @@ ALL_CHECKS = tuple(CHECKS)
 def _run_chunk(rec, suite, claimed, chunk, draw) -> None:
     """Draw, build and judge the trials of ``chunk`` into ``rec``.
 
-    ``draw(chunk)`` returns (info, matrices) for each trial, each from
-    that trial's own generator.  The chunk's matrices become states
-    through one stacked call; they die when this call returns, before
-    the next chunk is drawn.
+    ``draw(chunk)`` returns (info, draws) for each trial, each from that
+    trial's own generator.  The chunk's draws are built with one stacked
+    call per kind and shape, each trial's matrices are made from them by
+    ``suite.build``, and those become states through one stacked call;
+    they die when this call returns, before the next chunk is drawn.
     """
-    infos, mats = zip(*draw(chunk))
-    states = _stacked(mats)
+    infos, draws = zip(*draw(chunk))
+    made = _per_trial(lambda flat: _grouped(flat, type, _sampled), draws)
+    mats = [suite.build(info, m) for info, m in zip(infos, made)]
+    del draws, made
+    states = _per_trial(density_operators, mats)
     del mats
     pairs, keep, case = suite.judge(list(zip(chunk, infos)), states, claimed)
     lhs, rhs = (np.stack(side, axis=-1) for side in zip(*pairs))
@@ -759,7 +814,7 @@ class StabilityExample:
     s: float
 
     def __post_init__(self):
-        if self.variant not in ("example0", "example1"):
+        if not isinstance(self.variant, str) or self.variant not in ("example0", "example1"):
             raise DomainError(f'variant must be "example0" or "example1", got {_shown(self.variant)}')
         if not 0.0 <= _real(self.eps) < 1.0:
             raise DomainError(f"eps must lie in [0, 1), got {_shown(self.eps)}")

@@ -331,6 +331,15 @@ class TestCheckCommand:
         assert code == 0
         assert out == (DATA / "check-ensemble-trials100-seed11-dims16-32-64.jsonl").read_text()
 
+    def test_mixed_shape_chunks_match_fixture(self, capsys):
+        """130 trials end on a short chunk of 2, and dims 2, 3 and 6 mix
+        shapes in each chunk's stacked builds, some groups of one item;
+        the fixture was written when each sampled matrix was built alone."""
+        argv = ["check", "all", "--trials", "130", "--seed", "11", "--dims", "2,3,6", "--json"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert out == (DATA / "check-all-trials130-seed11-dims2-3-6.jsonl").read_text()
+
     @pytest.mark.parametrize("suite", ["fannes", "pinching", "projective", "all"])
     def test_one_level_system_is_an_error_for_two_level_suites(self, capsys, suite):
         argv = ["check", suite, "--trials", "20", "--seed", "3", "--dims", "1,2,16"]

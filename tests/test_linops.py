@@ -554,8 +554,8 @@ class TestRandomSampling:
         ],
     )
     def test_random_resolution_rejects_a_non_unitary_draw(self, monkeypatch, broken):
-        unitary = linops.random_unitary
-        monkeypatch.setattr(linops, "random_unitary", lambda d, seed: broken(unitary(d, seed)))
+        unitaries = linops._unitaries
+        monkeypatch.setattr(linops, "_unitaries", lambda draws: [broken(u) for u in unitaries(draws)])
         with pytest.raises(DomainError, match="not unitary"):
             random_resolution(4, seed=0)
 
@@ -577,7 +577,7 @@ class TestRandomSampling:
         while defect(scale) > fraction * TOL.orthonormal / (2 * d):
             scale /= 1.05
         near = u + scale * e
-        with mock.patch.object(linops, "random_unitary", lambda dim, seed: near):
+        with mock.patch.object(linops, "_unitaries", lambda draws: [near]):
             res = random_resolution(d, seed=rng, ranks=(d,) if d == 1 else None)
         # the products random_resolution skips
         OrthogonalResolution(res.projectors)
@@ -840,6 +840,72 @@ class TestEnsembleFromState:
         assert np.array_equal(avg.eigenvectors, direct.eigenvectors)
 
 
+class TestStackedSamplers:
+    """Each stacked builder gives, item by item, bit for bit the one-item
+    public sampler with the same seed, over mixed shapes and one-item
+    groups; the public samplers give the per-matrix formulas."""
+
+    @staticmethod
+    def shapes(seed: int, n: int = 40) -> list:
+        """(d, rank, m, seed) with d in [2, 6], a random rank and m in
+        [rank, 8], then a d = 7 item alone in its groups."""
+        rng = np.random.default_rng(seed)
+        out = []
+        for _ in range(n):
+            d = int(rng.integers(2, 7))
+            rank = int(rng.integers(1, d + 1))
+            out.append((d, rank, int(rng.integers(rank, 9)), int(rng.integers(2**32))))
+        return out + [(7, 4, 7, 99)]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_density_matrices(self, seed):
+        items = self.shapes(seed)
+        stacked = linops._density_matrices([linops._ginibre_draw(d, r, s) for d, r, _, s in items])
+        for (d, r, _, s), mat in zip(items, stacked):
+            assert bit_equal(mat, random_density_matrix(d, r, s))
+            rng = np.random.default_rng(s)
+            g = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
+            a = g @ g.conj().T
+            assert bit_equal(mat, a / a.trace().real)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_unitaries(self, seed):
+        items = self.shapes(seed)
+        stacked = linops._unitaries([linops._haar_draw(m, s) for _, _, m, s in items])
+        for (_, _, m, s), u in zip(items, stacked):
+            assert bit_equal(u, random_unitary(m, s))
+            rng = np.random.default_rng(s)
+            q, r = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+            assert bit_equal(u, q * (r.diagonal() / np.abs(r.diagonal())))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_resolutions(self, seed):
+        # drawn block ranks, and rank-1 blocks on every third item
+        items = [(d, s, (1,) * d if k % 3 == 0 else None) for k, (d, _, _, s) in enumerate(self.shapes(seed))]
+        stacked = linops._resolutions([linops._resolution_draw(*item) for item in items])
+        for item, res in zip(items, stacked):
+            alone = random_resolution(*item)
+            assert res.size == alone.size
+            assert all(bit_equal(a.entries, b.entries) for a, b in zip(res.projectors, alone.projectors))
+            assert all(not p.entries.flags.writeable for p in res.projectors)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ensembles(self, seed):
+        items = self.shapes(seed)
+        rhos = [random_density(d, r, seed=s) for d, r, _, s in items]
+        draws = [linops._ensemble_draw(rho, m, s + 1) for rho, (_, _, m, s) in zip(rhos, items)]
+        for rho, (_, _, m, s), ens in zip(rhos, items, linops._ensembles(rhos, draws)):
+            alone = ensemble_from_state(rho, m, s + 1)
+            assert bit_equal(ens.weights.probs, alone.weights.probs)
+            assert bit_equal(np.array(ens.states), np.array(alone.states))
+            assert bit_equal(ens._average_matrix, alone._average_matrix)
+
+    def test_empty_lists(self):
+        assert linops._density_matrices([]) == []
+        assert linops._resolutions([]) == []
+        assert linops._ensembles([], []) == []
+
+
 class TestPureStateEnsemble:
     HALF = ProbabilityDistribution([0.5, 0.5])
 
@@ -934,6 +1000,25 @@ class TestUnconvertibleEntries:
     def test_ragged_ensemble_members_stay_a_dimension_mismatch(self):
         with pytest.raises(DimMismatch, match="share one dimension"):
             PureStateEnsemble([0.5, 0.5], [[1.0], [1.0, 0.0]])
+
+    def test_non_numeric_ensemble_member_is_a_domain_error(self):
+        # numpy's ValueError for a string was read as ragged members
+        with pytest.raises(DomainError, match="entries must form an array of numbers"):
+            PureStateEnsemble([1.0], [["a"]])
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: partial_trace([[1, 0], [0, 0]], 1, 2, "A"),
+            lambda: pinch([[1, 0], [0, 0]], random_resolution(2, 0)),
+            lambda: trace_distance([[1]], [[1]]),
+        ],
+        ids=["partial_trace", "pinch", "trace_distance"],
+    )
+    def test_nested_list_operand_is_a_domain_error(self, call):
+        # each read .shape or .dim of the list: a bare AttributeError
+        with pytest.raises(DomainError, match="expected"):
+            call()
 
 
 class TestMatrixIO:

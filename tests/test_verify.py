@@ -327,9 +327,9 @@ class TestReports:
         assert report_ok(rep)
         assert peak <= 10 * 2**20
 
-    def test_suite_is_a_draw_and_a_judge(self):
+    def test_suite_is_a_draw_a_build_and_a_judge(self):
         fields = [f.name for f in dataclasses.fields(verify.Suite)]
-        assert fields == ["draw", "judge", "dims", "grid", "claimed", "q_only"]
+        assert fields == ["draw", "build", "judge", "dims", "grid", "claimed", "q_only"]
         pairs = {name for name, check in verify.CHECKS.items() if check.suite and check.suite.pairs}
         assert pairs == {"audenaert", "subadd", "subadd-violation", "triangle"}
 
@@ -701,6 +701,12 @@ class TestStabilityExamples:
         ex = StabilityExample("example0", 0.1, int(1e300), 0.1, 2.0)
         with pytest.raises(DomainError, match="float range"):
             stability_ratio(ex)
+
+    def test_array_variant_is_a_domain_error(self):
+        # the membership test raised numpy's bare "truth value of an array
+        # is ambiguous" ValueError
+        with pytest.raises(DomainError, match="variant must be"):
+            StabilityExample(np.array(["a", "b"]), 0.1, 5, 2.0, 1.0)
 
     def test_example1_frozen_small_dimension(self):
         # d = 10, q = 2, s = -1: power sums 1/9 and 1/10, entropies 8 and 9
