@@ -16,9 +16,13 @@ scalar expm1/log, so values stay stable close to the special points.
 Which of the three forms a point takes (Shannon, ln t / (1 - q), or
 expm1(s ln t) / ((1 - q) s)) and its denominator are decided once, when
 its ``UnifiedParams`` is built.  ``_unified`` evaluates one holder at a
-point and the column kernel ``_from_power_sums`` a chunk's column of power
-sums; each holds a copy of the two-line formula, as a call per value
-would cost more than the formula.
+point and ``_from_logs`` a column of a table; each holds a copy of the
+two-line formula, as a call per value would cost more than the formula.
+``_entropy_table`` reads many spectra, rows of value stacks, at many
+points: it raises each stack to each distinct q once, takes one scalar
+``math.log`` per (spectrum, q), shared by every s at that q, and one
+scalar ``math.expm1`` per cell, and leaves the products, quotients and
+``+ 0.0`` to numpy, which rounds them exactly as Python floats do.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FloatRange, InvalidIndex
-from .linops import DensityOperator, ProbabilityDistribution, _SpectralMemo, _float_value, _power_sums, _real, _shown
+from .linops import DensityOperator, ProbabilityDistribution, _SpectralMemo, _float_value, _real, _shown, _spectrum
 from .tolerances import TOL
 
 
@@ -101,19 +105,19 @@ def q_log(x: float, q: float) -> float:
         ) from None
 
 
-def _from_power_sums(ts: list, form) -> list:
+def _from_logs(logs: np.ndarray, form) -> np.ndarray:
     """The formula at one (q, s) outside the q -> 1 window, given its
-    ``_point_form``, on each power sum t > 0 of ``ts``; unchecked.
+    ``_point_form``, on the logarithms ln t of power sums t; unchecked.
 
-    ``_unified`` holds the other copy of these two lines: a call per cell
-    costs more than the formula itself (see README.md)."""
+    Bit for bit the scalar formula of ``_unified``: ``math.expm1`` per
+    value, and numpy's elementwise ``* / +``, which round as Python floats
+    do, silent as they are where a value leaves the float range."""
     s, den = form
-    log = math.log
-    if s is None:
-        return [log(t) / den + 0.0 for t in ts]
-    expm1 = math.expm1
-    # + 0.0 turns the -0.0 arising at t = 1 into a plain zero
-    return [expm1(s * log(t)) / den + 0.0 for t in ts]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if s is not None:
+            logs = np.array(list(map(math.expm1, (s * logs).tolist())))
+        # + 0.0 turns the -0.0 arising at t = 1 into a plain zero
+        return logs / den + 0.0
 
 
 def unified_from_power_sum(t: float, q: float, s: float) -> float:
@@ -131,7 +135,7 @@ def unified_from_power_sum(t: float, q: float, s: float) -> float:
     if (t > 1.0 + TOL.trace) if q > 1.0 else (t < 1.0 - TOL.trace):
         raise DomainError(f"no normalized spectrum has power sum {_shown(t)} at q = {q!r}")
     try:
-        return _from_power_sums((t,), form)[0]
+        return _from_logs(np.array([math.log(t)]), form).item()
     except OverflowError:
         raise FloatRange(
             f"entropy at t = {_shown(t)}, q = {q!r}, s = {s!r} exceeds the float range"
@@ -148,7 +152,10 @@ def _unified(spectrum, params: UnifiedParams) -> float:
     a spectrum holder at some indices."""
     if not isinstance(spectrum, _SpectralMemo):
         spectrum = ProbabilityDistribution(spectrum)
-    form = params._form
+    try:
+        form = params._form
+    except AttributeError:  # caught here, not checked on every call
+        raise DomainError(f"expected UnifiedParams, got {type(params).__name__}") from None
     if form is None:
         return spectrum.shannon()
     s, den = form
@@ -161,19 +168,45 @@ def _unified(spectrum, params: UnifiedParams) -> float:
         raise _beyond_float_range(params) from None
 
 
-def _entropy_rows(holders, grid) -> np.ndarray:
-    """The (holders, grid) array of entropies of spectrum holders at the
-    ``UnifiedParams`` of ``grid``: cell [i, k] is bit for bit
-    ``_unified(holders[i], grid[k])``.  The power sums of each q are taken
-    once for all holders (see ``_power_sums``) and turned into entropies in
-    place, a column per point; q -> 1 points go through ``_unified``."""
-    table = _power_sums(holders, [p.q for p in grid])
+def _entropy_table(rows: list, grid, q_only: bool = False) -> np.ndarray:
+    """The (rows, grid) array of entropies at the ``UnifiedParams`` of
+    ``grid``, or of power sums tr(rho^q) for ``q_only``, of spectra given as
+    rows (stack, j) of value stacks (``linops._stack_rows``): row j of the
+    C-contiguous (n, d) array stack[0].  Cell [i, k] is bit for bit
+    ``_unified`` (for ``q_only``, ``power_sum``) of row i at grid[k].
+
+    Each stack is raised to each distinct q once, as a Python float, and
+    summed over its own axis; zero padding, an array of exponents or a
+    strided sum would change bits (numpy's pairwise blocking, the ``**``
+    fast paths).  The columns of one q share their logarithms; q -> 1
+    points go through ``_unified``."""
+    if not rows:
+        return np.empty((0, len(grid)))
+    qs = list(dict.fromkeys(p.q for p in grid))
+    # the (q, row) power sums of every stack side by side; at: each stack's first column
+    at, parts, size = {}, [], 0
+    for stack, _ in rows:
+        if id(stack) not in at:
+            vals = stack[0]
+            at[id(stack)] = size
+            size += len(vals)
+            parts.append(np.array([(vals**q).sum(axis=1) for q in qs]).reshape(len(qs), len(vals)))
+    sums = np.concatenate(parts, axis=1)[:, [at[id(stack)] + j for stack, j in rows]]
+    col = {q: j for j, q in enumerate(qs)}
+    if q_only:
+        return sums[[col[p.q] for p in grid]].T
+    table = np.empty((len(rows), len(grid)))
+    logs, holders = {}, None
     for k, p in enumerate(grid):
         if p._form is None:
+            if holders is None:
+                holders = [_spectrum(stack[0][j]) for stack, j in rows]
             table[:, k] = [_unified(h, p) for h in holders]
             continue
         try:
-            table[:, k] = _from_power_sums(table[:, k].tolist(), p._form)
+            if p.q not in logs:
+                logs[p.q] = np.array(list(map(math.log, sums[col[p.q]].tolist())))
+            table[:, k] = _from_logs(logs[p.q], p._form)
         except (OverflowError, ValueError):
             raise _beyond_float_range(p) from None
     return table

@@ -208,23 +208,6 @@ class _SpectralMemo:
         return self._shannon
 
 
-def _power_sums(holders, qs) -> np.ndarray:
-    """(len(holders), len(qs)) power sums at positive float q, bit for bit
-    each holder's ``power_sum``: spectra of one length are stacked into a
-    C-contiguous (n, d) array and raised to each distinct q as a Python
-    float.  Zero padding, an array of exponents or a strided sum would
-    change bits (numpy's pairwise blocking, the ``**`` fast paths).
-    """
-    distinct = list(dict.fromkeys(qs))
-    table = np.empty((len(holders), len(distinct)))
-    for idx in _groups(holder._values.size for holder in holders):
-        stack = _stack([holders[i]._values for i in idx])
-        for j, q in enumerate(distinct):
-            table[idx, j] = (stack**q).sum(axis=1)
-    col = {q: j for j, q in enumerate(distinct)}
-    return table[:, [col[q] for q in qs]]
-
-
 def _groups(keys) -> list[list[int]]:
     """The indices of equal keys, one list per key in first-seen order."""
     groups: dict = {}
@@ -342,25 +325,66 @@ def _checked_hermitian(mat: np.ndarray) -> HermitianOperator:
     return op
 
 
+def _items(what: str, items) -> list:
+    """``list(items)``, or a DomainError if ``items`` is not iterable."""
+    try:
+        return list(items)
+    except TypeError:
+        raise DomainError(f"{what} must be a sequence, got {_shown(items)}") from None
+
+
+def _stack_rows(arrays: list, build=lambda stack: (stack,)) -> list[tuple]:
+    """(stack, j) of each array, in input order: the arrays of each shape,
+    in first-seen order, are copied into one C-contiguous array by
+    ``np.array``, ``build`` of it gives the tuple ``stack``, and the array
+    is its row j.  By default ``stack`` is that array alone."""
+
+    def rows(group: list) -> list[tuple]:
+        stack = build(np.array(group))
+        return [(stack, j) for j in range(len(group))]
+
+    return _grouped(arrays, _shape, rows)
+
+
+def _density_stacks(mats) -> list[tuple]:
+    """The states of square matrices as rows (stack, j) of ``_stack_rows``,
+    in input order.  ``stack`` is (cleaned eigenvalues, matrices,
+    eigenvectors) of all matrices of one shape, validated with one ``eigh``
+    (``_density_spectra``), so a bad matrix raises what building it alone
+    raises.  ``_density_at`` makes a row's ``DensityOperator``; the
+    eigenvalue stacks are what ``entropies._entropy_table`` reads."""
+    mats = [_as_square_matrix(m, copy=False) for m in _items("matrices", mats)]
+    return _stack_rows(mats, _density_stack)
+
+
+def _density_stack(mats: np.ndarray) -> tuple:
+    vals, vecs = _density_spectra(_frozen(mats))
+    return vals, mats, vecs
+
+
+def _density_at(row: tuple) -> DensityOperator:
+    """The state of a ``_density_stacks`` row, bit for bit
+    ``DensityOperator.from_matrix`` of its matrix.  It holds read-only
+    views into its stack's buffers, which live as long as it does."""
+    (vals, mats, vecs), j = row
+    state = object.__new__(DensityOperator)
+    state._adopt(_checked_hermitian(mats[j]), vals[j], vecs[j])
+    return state
+
+
 def density_operators(mats) -> list[DensityOperator]:
-    """Validated states of square matrices, returned in input order.
-
-    Matrices of one shape are stacked and validated with one ``eigh``,
-    so each state is bit for bit ``DensityOperator.from_matrix`` of its
-    matrix, and a bad matrix raises what building it alone raises.  A
-    state holds read-only views into its stack's buffers, which live as
-    long as any state of that stack does.
-    """
-    return _grouped([_as_square_matrix(m, copy=False) for m in mats], _shape, _density_stack)
+    """Validated states of square matrices, returned in input order: the
+    ``DensityOperator`` of each ``_density_stacks`` row, so matrices of one
+    shape are validated with one ``eigh``."""
+    return list(map(_density_at, _density_stacks(mats)))
 
 
-def _density_stack(mats: list) -> list[DensityOperator]:
-    stack = _frozen(np.array(mats))
-    vals, vecs = _density_spectra(stack)
-    states = [object.__new__(DensityOperator) for _ in mats]
-    for j, state in enumerate(states):
-        state._adopt(_checked_hermitian(stack[j]), vals[j], vecs[j])
-    return states
+def _spectrum(values: np.ndarray) -> _SpectralMemo:
+    """An unchecked holder of a cleaned, frozen spectrum, such as a row of
+    a value stack."""
+    holder = _SpectralMemo()
+    holder._start_memo(values)
+    return holder
 
 
 @dataclass(frozen=True, eq=False)
@@ -432,7 +456,7 @@ class PureStateEnsemble:
             except ValueError:
                 raise DimMismatch("ensemble state vectors must share one dimension") from None
             raise
-        if len(v) != weights.size:
+        if v.ndim == 0 or len(v) != weights.size:
             raise DimMismatch("one state vector per weight required")
         if v.ndim != 2:
             raise DimMismatch("ensemble state vectors must share one dimension")
@@ -499,7 +523,7 @@ class OrthogonalResolution:
     def __post_init__(self):
         projs = tuple(
             p if isinstance(p, HermitianOperator) else HermitianOperator(p)
-            for p in self.projectors
+            for p in _items("projectors", self.projectors)
         )
         if not projs:
             raise DomainError("resolution needs at least one projector")
@@ -534,7 +558,7 @@ class GeneralizedMeasurement:
     operators: tuple
 
     def __post_init__(self):
-        ops = tuple(_as_square_matrix(m) for m in self.operators)
+        ops = tuple(_as_square_matrix(m) for m in _items("measurement operators", self.operators))
         if not ops:
             raise DomainError("measurement needs at least one operator")
         d = ops[0].shape[0]
@@ -567,6 +591,12 @@ def _check_array(mat) -> None:
         raise DomainError(f"expected a numpy array, got {type(mat).__name__}")
 
 
+def _expect(value, cls) -> None:
+    """Raise a DomainError unless ``value`` is a ``cls``."""
+    if not isinstance(value, cls):
+        raise DomainError(f"expected {cls.__name__}, got {type(value).__name__}")
+
+
 def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
     """Half the trace norm of (a - b)."""
     if not (isinstance(a, DensityOperator) and isinstance(b, DensityOperator)):
@@ -581,6 +611,8 @@ def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
 
 def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
     """Kronecker product state on the composite system (row-major labels)."""
+    _expect(a, DensityOperator)
+    _expect(b, DensityOperator)
     _matrix_dimension(a.dim * b.dim)
     return DensityOperator.from_matrix(np.kron(a.mat, b.mat))
 
@@ -613,6 +645,7 @@ def purify(rho: DensityOperator) -> np.ndarray:
 
     Tracing out the second (ancilla) factor reproduces rho.
     """
+    _expect(rho, DensityOperator)
     roots = np.sqrt(rho.eigenvalues)
     return (rho.eigenvectors * roots).reshape(-1)
 
@@ -620,6 +653,7 @@ def purify(rho: DensityOperator) -> np.ndarray:
 def pinch(mat: np.ndarray, resolution: OrthogonalResolution) -> np.ndarray:
     """Pinched matrix sum_j N_j mat N_j, unvalidated beyond shapes."""
     _check_array(mat)
+    _expect(resolution, OrthogonalResolution)
     d = resolution.dim
     if mat.shape != (d, d):
         raise DimMismatch(f"matrix of shape {mat.shape} does not match resolution dimension {d}")
@@ -631,6 +665,8 @@ def pinch(mat: np.ndarray, resolution: OrthogonalResolution) -> np.ndarray:
 
 def apply_generalized(rho: DensityOperator, meas: GeneralizedMeasurement) -> DensityOperator:
     """Non-selective update sum_j M_j rho M_j^dagger."""
+    _expect(rho, DensityOperator)
+    _expect(meas, GeneralizedMeasurement)
     if rho.dim != meas.dim:
         raise DimMismatch(
             f"state dimension {rho.dim} does not match measurement {meas.dim}"
@@ -766,6 +802,7 @@ def ensemble_from_state(rho: DensityOperator, m: int, seed) -> PureStateEnsemble
     ``random_unitary(m, seed)``, so p_i = sum_j |u_ij|^2 lambda_j.
     Members with weight below ``TOL.ensemble_weight`` are discarded.
     """
+    _expect(rho, DensityOperator)
     return _ensembles([rho], [_ensemble_draw(rho, m, seed)])[0]
 
 

@@ -13,12 +13,17 @@ discrete choices and every Gaussian factor from its own generator; then
 the chunk's draws become Ginibre states, Haar unitaries and resolution
 projectors with one stacked call per kind and shape, the suite's build
 makes each trial's matrices from them (mixtures, interpolations, partial
-traces, products, pinchings), and one stacked ``density_operators`` call
-makes their states.  The ensemble judge draws its ensembles per trial
-and builds them the same way.  The judge reads the states at every grid
-point as one table and judges the chunk's claims as arrays over (trial,
-point, case), each step bit-identical to working one matrix, state,
-point and comparison at a time.  One chunk's states are alive at a time.
+traces, products, pinchings), and one ``linops._density_stacks`` call
+validates them with one ``eigh`` per shape.  A trial's state is then a
+row of its shape's stacks (matrices, cleaned eigenvalues, eigenvectors),
+and a ``DensityOperator`` of views of that row is made only where a judge
+reads eigenvectors or a matrix (the ensemble's rho, triangle's rho_AB,
+fannes' pair).  The ensemble judge draws its ensembles per trial and
+builds them the same way.  The judge reads the eigenvalue stacks at every
+grid point as one ``entropies._entropy_table`` and judges the chunk's
+claims as arrays over (trial, point, case), each step bit-identical to
+working one matrix, state, point and comparison at a time.  One chunk's
+states are alive at a time.
 Closed-form and random parts alike record their comparisons as arrays
 through ``CheckReport.compare_many``: "lhs <= rhs" fails when the signed
 violation lhs - rhs exceeds TOL.check_rel * (1 + magnitude), a strict
@@ -43,29 +48,31 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .bounds import _unified_fannes_bound, fannes_range, max_unified
+from .bounds import _point_terms, fannes_range, max_unified
 from .entropies import (
-    UnifiedParams, _check_indices, _entropy_rows, _point_form, unified_from_power_sum, unified_quantum
+    UnifiedParams, _check_indices, _entropy_table, _point_form, unified_from_power_sum, unified_quantum
 )
 from .errors import DimMismatch, DomainError, NotDiagonal, OutOfValidity, PureState
 from .linops import (
     MAX_RANK_DRAW_DIM,
     DensityOperator,
     GeneralizedMeasurement,
+    _density_at,
     _density_matrices,
+    _density_stacks,
     _dimension,
     _ensemble_draw,
     _ensembles,
     _ginibre_draw,
+    _groups,
     _grouped,
     _integer,
-    _power_sums,
     _real,
     _resolution_draw,
     _resolutions,
     _shown,
+    _stack_rows,
     apply_generalized,
-    density_operators,
     diagonal_density,
     maximally_mixed,
     partial_trace,
@@ -76,7 +83,7 @@ from .linops import (
 )
 from .tolerances import TOL
 
-#: trials whose states one ``density_operators`` call builds while the
+#: trials whose states one ``_density_stacks`` call builds while the
 #: suite builds no matrix above ``_CHUNK_DIM``; larger matrices get fewer
 #: trials, so one matrix slot of a chunk holds at most
 #: STATE_CHUNK * _CHUNK_DIM**2 entries.  Only one chunk's states are alive
@@ -392,15 +399,12 @@ def _seeded_violations(trials: int, seed: int, params_grid) -> CheckReport:
 
 
 def _table(per_trial: list, points, q_only: bool = False) -> list:
-    """Each trial's (holders, points) array of entropies at ``points``, or
-    of power sums tr(rho^q) for ``q_only`` claims, from one table of the
-    whole chunk, bit for bit the per-point values."""
-    flat = [h for hs in per_trial for h in hs]
-    if q_only:
-        table = _power_sums(flat, [p.q for p in points])
-    else:
-        table = _entropy_rows(flat, points)
-    return np.split(table, np.cumsum([len(hs) for hs in per_trial[:-1]]))
+    """Each trial's (spectra, points) array of entropies at ``points``, or
+    of power sums tr(rho^q) for ``q_only`` claims, of its rows of value
+    stacks, from one ``_entropy_table`` of the whole chunk, bit for bit the
+    per-point values."""
+    table = _entropy_table([r for rs in per_trial for r in rs], points, q_only)
+    return np.split(table, np.cumsum([len(rs) for rs in per_trial[:-1]]))
 
 
 def _pair_case(trials, points):
@@ -421,15 +425,15 @@ def _ensemble_judge(trials, states, points):
     realizing the state; the Renyi line s = 0 is only claimed for q < 1.
     Each trial draws its ensemble from its own generator, and the chunk's
     ensembles are built with one stacked call per shape."""
-    rhos = [rho for (rho,) in states]
+    rhos = [_density_at(row) for (row,) in states]
     draws, ms = [], []
     for (_, (rng, _)), rho in zip(trials, rhos):
         # an ensemble of m pure states needs m >= rank >= 1
         rank = int(np.sum(rho.eigenvalues > TOL.rank))
         ms.append(int(rng.integers(rank, max(rank, 8) + 1)))
         draws.append(_ensemble_draw(rho, ms[-1], rng))
-    holders = [(rho, ens.weights) for rho, ens in zip(rhos, _ensembles(rhos, draws))]
-    rho, weights = np.stack(_table(holders, points), axis=1)
+    weights = _stack_rows([ens.weights.probs for ens in _ensembles(rhos, draws)])
+    rho, weights = np.stack(_table([[row, w] for (row,), w in zip(states, weights)], points), axis=1)
 
     def case(t, k, c):
         i, (_, d) = trials[t]
@@ -486,18 +490,24 @@ def _fannes_judge(trials, states, points):
     """Entropy differences of random state pairs stay below the unified
     continuity bound; low-region points whose 2*eps exceeds the
     monotonicity threshold are skipped."""
-    eps = [min(trace_distance(rho, omega), 1.0) for rho, omega in states]
+    eps = [min(trace_distance(*map(_density_at, pair)), 1.0) for pair in states]
     rho, omega = np.stack(_table(states, points), axis=1)
     bound = np.zeros((len(trials), len(points)))
     keep = np.ones(bound.shape, dtype=bool)
     # BoundSpec would accept every input here: q and s come from _as_grid,
-    # d from _checked_inputs, and eps = min(trace distance, 1) >= 0
-    for t, (_, (d, _)) in enumerate(trials):
+    # d from _checked_inputs, and eps = min(trace distance, 1) >= 0.  So
+    # each bound is _unified_fannes_bound's formula on the memo's terms
+    # (a claimed point lies in a region), read once per (d, point) with
+    # d in the order the trials first draw it
+    for idx in _groups(d for _, (d, _) in trials):
+        d = trials[idx[0]][1][0]
         for k, p in enumerate(points):
-            try:
-                bound[t, k] = _unified_fannes_bound(p.q, p.s, d, eps[t])
-            except OutOfValidity:
-                keep[t, k] = False
+            formula, factor, log_d = _point_terms(p.q, p.s, d)
+            for t in idx:
+                try:
+                    bound[t, k] = formula(p.q, eps[t], factor, log_d)
+                except OutOfValidity:
+                    keep[t, k] = False
 
     def case(t, k, c):
         i, (d, _) = trials[t]
@@ -570,8 +580,8 @@ def _triangle_judge(trials, states, points):
     s >= 1/q, via purification; also verifies that both reductions of the
     purified state carry the entropies they should."""
     more = _per_trial(
-        density_operators,
-        [_purified_reductions(*info, st[0]) for (_, info), st in zip(trials, states)],
+        _density_stacks,
+        [_purified_reductions(*info, _density_at(st[0])) for (_, info), st in zip(trials, states)],
     )
     rows = _table([first + second for first, second in zip(states, more)], points)
     e_ab, e_a, e_b, e_c, e_bc = np.stack(rows, axis=1)
@@ -637,10 +647,11 @@ class Suite:
     made)`` turns each trial's built draws into its matrices, and the
     chunk's matrices become states through one stacked call.
     ``judge(trials, states, points)`` then judges the whole chunk at once
-    from its (i, info) pairs and each trial's states, reading entropies at
-    the claimed points, or power sums tr(rho^q) for ``q_only`` claims
-    (which ignore s and compare each distinct q of the grid once), through
-    ``_table``.  It returns (pairs, keep, case): one (lhs, rhs) pair of
+    from its (i, info) pairs and each trial's states, rows of
+    ``_density_stacks`` (``_density_at`` makes one's ``DensityOperator``),
+    reading entropies at the claimed points, or power sums tr(rho^q) for
+    ``q_only`` claims (which ignore s and compare each distinct q of the
+    grid once), through ``_table``.  It returns (pairs, keep, case): one (lhs, rhs) pair of
     (trial, point) arrays per case of "lhs <= rhs", a (trial, point) mask
     of the points inside the claim's validity window (None for all), and
     ``case(t, k, c)``, the case dict of trial t, point k and case c.
@@ -735,7 +746,7 @@ def _run_chunk(rec, suite, claimed, chunk, draw) -> None:
     made = _per_trial(lambda flat: _grouped(flat, type, _sampled), draws)
     mats = [suite.build(info, m) for info, m in zip(infos, made)]
     del draws, made
-    states = _per_trial(density_operators, mats)
+    states = _per_trial(_density_stacks, mats)
     del mats
     pairs, keep, case = suite.judge(list(zip(chunk, infos)), states, claimed)
     lhs, rhs = (np.stack(side, axis=-1) for side in zip(*pairs))

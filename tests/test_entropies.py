@@ -14,8 +14,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from entropy_kit.entropies import (
     UnifiedParams,
-    _entropy_rows,
-    _from_power_sums,
+    _entropy_table,
+    _from_logs,
     _point_form,
     binary_tsallis,
     q_log,
@@ -30,7 +30,8 @@ from entropy_kit.errors import DomainError, EntropyKitError, InvalidIndex
 from entropy_kit.linops import (
     DensityOperator,
     ProbabilityDistribution,
-    _power_sums,
+    _density_stacks,
+    _stack_rows,
     density_operators,
     diagonal_density,
     maximally_mixed,
@@ -382,13 +383,20 @@ class TestFamilyStructure:
             with pytest.raises(DomainError, match="no normalized spectrum"):
                 unified_from_power_sum(t, q, s)
             return
+        s_form, den = _point_form(q, s)
         try:
-            expect = _from_power_sums((t,), _point_form(q, s))[0].hex()
+            # the scalar formula of _unified, on Python floats
+            if s_form is None:
+                expect = (math.log(t) / den + 0.0).hex()
+            else:
+                expect = (math.expm1(s_form * math.log(t)) / den + 0.0).hex()
         except OverflowError:
             # t^s beyond the float range: the public form names the range
             with pytest.raises(DomainError, match="float range"):
                 unified_from_power_sum(t, q, s)
             return
+        # the kernel does its * / + in numpy, which rounds as Python floats do
+        assert _from_logs(np.array([math.log(t)]), (s_form, den))[0].hex() == expect
         assert unified_from_power_sum(t, q, s).hex() == expect
 
     @pytest.mark.parametrize("t", [math.inf, 5.0])
@@ -473,7 +481,7 @@ class TestIndexValidation:
         with pytest.raises(DomainError, match="leaves the float range"):
             unified_quantum(rho, params)
         with pytest.raises(DomainError, match="leaves the float range"):
-            _entropy_rows([rho], [UnifiedParams(2.0, 1.0), params])
+            _entropy_table(_density_stacks([rho.mat]), [UnifiedParams(2.0, 1.0), params])
 
 
 class TestMemoizedEvaluation:
@@ -512,25 +520,42 @@ class TestMemoizedEvaluation:
 
 class TestEntropyTable:
     """A chunk of the harness reads every entropy from one table of its
-    spectrum holders at the grid points; each cell must be bit-equal to the
-    per-point ``unified_quantum`` / ``unified_classical`` / ``power_sum``."""
+    spectra, rows of value stacks, at the grid points; each cell must be
+    bit-equal to the per-point ``unified_quantum`` / ``unified_classical``
+    / ``power_sum`` of its own spectrum."""
 
     @staticmethod
-    def holders(rng, lengths):
-        out = []
+    def rows(rng, lengths):
+        """(stack rows, their per-spectrum holders) of a chunk mixing states
+        built in one stack and distributions, interleaved as a judge's
+        table rows are."""
+        mats, dists, quantum = [], [], []
         for d in lengths:
-            if rng.uniform() < 0.5:
-                # states built in one stack, as in the harness; a rank below
-                # d leaves eigenvalues snapped to exact zeros
-                out.append(random_density_matrix(d, int(rng.integers(1, d + 1)), rng))
+            quantum.append(rng.uniform() < 0.5)
+            if quantum[-1]:
+                # a rank below d leaves eigenvalues snapped to exact zeros
+                mats.append(random_density_matrix(d, int(rng.integers(1, d + 1)), rng))
                 continue
             p = rng.dirichlet(np.ones(d))
             p[rng.uniform(size=d) < 0.3] = 0.0
             p[0] += 1.0 - p.sum()
-            out.append(ProbabilityDistribution(p))
-        mats = [h for h in out if isinstance(h, np.ndarray)]
-        states = iter(density_operators(mats))
-        return [next(states) if isinstance(h, np.ndarray) else h for h in out]
+            dists.append(ProbabilityDistribution(p))
+        rows = iter(_density_stacks(mats)), iter(_stack_rows([p.probs for p in dists]))
+        holders = iter(density_operators(mats)), iter(dists)
+        return [next(rows[not q]) for q in quantum], [next(holders[not q]) for q in quantum]
+
+    @staticmethod
+    def assert_cells_bit_equal(rows, holders, grid):
+        table = _entropy_table(rows, grid)
+        sums = _entropy_table(rows, grid, q_only=True)
+        assert table.shape == sums.shape == (len(rows), len(grid))
+        assert table.dtype == sums.dtype == np.float64
+        for h, row, sum_row in zip(holders, table.tolist(), sums.tolist()):
+            quantum = isinstance(h, DensityOperator)
+            for k, params in enumerate(grid):
+                alone = (unified_quantum if quantum else unified_classical)(h, params)
+                assert row[k].hex() == alone.hex()
+                assert sum_row[k].hex() == h.power_sum(params.q).hex()
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -554,23 +579,26 @@ class TestEntropyTable:
         ),
     )
     def test_bit_equal_to_per_point_path(self, seed, lengths, points):
-        holders = self.holders(np.random.default_rng(seed), lengths)
-        grid = [UnifiedParams(q, s) for q, s in points]
-        rows = _entropy_rows(holders, grid)
-        sums = _power_sums(holders, [p.q for p in grid]).tolist()
-        assert rows.shape == (len(holders), len(grid)) and rows.dtype == np.float64
-        assert len(sums) == len(holders)
-        for h, row, sum_row in zip(holders, rows.tolist(), sums):
-            quantum = isinstance(h, DensityOperator)
-            for k, params in enumerate(grid):
-                alone = (unified_quantum if quantum else unified_classical)(h, params)
-                assert row[k].hex() == alone.hex()
-                assert sum_row[k].hex() == h.power_sum(params.q).hex()
+        rows, holders = self.rows(np.random.default_rng(seed), lengths)
+        self.assert_cells_bit_equal(rows, holders, [UnifiedParams(q, s) for q, s in points])
+
+    def test_stack_rows_of_mixed_dimensions(self):
+        # d in [2, 9], full-rank and rank-deficient states, distributions
+        # with zeros, several s per q (which share their logarithms), s = 0
+        # and a q -> 1 point
+        lengths = [d for d in range(2, 10) for _ in range(4)]
+        rows, holders = self.rows(np.random.default_rng(23), lengths)
+        assert {len(stack[0][j]) for stack, j in rows} == set(range(2, 10))
+        assert any(isinstance(h, DensityOperator) and h.eigenvalues[-1] == 0.0 for h in holders)
+        assert any(not isinstance(h, DensityOperator) and h.probs.min() == 0.0 for h in holders)
+        grid = [UnifiedParams(q, s) for q in (0.3, 2.0) for s in (-2.0, 0.0, 0.5, 1.0)]
+        self.assert_cells_bit_equal(rows, holders, grid + [UnifiedParams(1.0, 2.0)])
 
     def test_empty_chunk_and_empty_grid(self):
-        assert _entropy_rows([], [UnifiedParams(2.0, 1.0)]).shape == (0, 1)
-        assert _entropy_rows([FLAT4, SKEW], []).shape == (2, 0)
-        assert _power_sums([FLAT4], []).shape == (1, 0)
+        rows = _stack_rows([FLAT4.probs, SKEW.probs])
+        assert _entropy_table([], [UnifiedParams(2.0, 1.0)]).shape == (0, 1)
+        assert _entropy_table(rows, []).shape == (2, 0)
+        assert _entropy_table(rows[:1], [], q_only=True).shape == (1, 0)
 
 
 #: the benchmark's sweep grid: 15 q times 11 s, plus six type-q pairs (1/k, k)

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from entropy_kit import linops
 from entropy_kit.bounds import BoundSpec, kappa_s, max_unified
+from entropy_kit.entropies import unified_classical
 from entropy_kit.errors import (
     DimMismatch,
     DomainError,
@@ -1019,6 +1020,40 @@ class TestUnconvertibleEntries:
         # each read .shape or .dim of the list: a bare AttributeError
         with pytest.raises(DomainError, match="expected"):
             call()
+
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda: purify(np.eye(2) / 2), "expected DensityOperator, got ndarray"),
+            (lambda: tensor(np.eye(2) / 2, np.eye(2) / 2), "expected DensityOperator, got ndarray"),
+            (lambda: apply_generalized(np.eye(2) / 2, None), "expected DensityOperator, got ndarray"),
+            (
+                lambda: apply_generalized(maximally_mixed(2), None),
+                "expected GeneralizedMeasurement, got NoneType",
+            ),
+            (lambda: ensemble_from_state(np.eye(2) / 2, 2, 0), "expected DensityOperator, got ndarray"),
+            (lambda: pinch(np.eye(2) / 2, "x"), "expected OrthogonalResolution, got str"),
+            (lambda: density_operators(5), "matrices must be a sequence, got 5"),
+            (lambda: OrthogonalResolution(5.0), "projectors must be a sequence, got 5.0"),
+            (lambda: GeneralizedMeasurement(5.0), "measurement operators must be a sequence, got 5.0"),
+            (lambda: unified_classical([0.5, 0.5], (2.0, 1.0)), "expected UnifiedParams, got tuple"),
+        ],
+        ids=[
+            "purify", "tensor", "apply_generalized-state", "apply_generalized-measurement",
+            "ensemble_from_state", "pinch-resolution", "density_operators", "OrthogonalResolution",
+            "GeneralizedMeasurement", "unified_classical-params",
+        ],
+    )
+    def test_wrong_type_operand_is_a_domain_error(self, call, message):
+        # each raised a bare AttributeError or TypeError
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            call()
+
+    @pytest.mark.parametrize("states", [5.0, None])
+    def test_scalar_ensemble_members_are_a_dimension_mismatch(self, states):
+        # len() of the 0-d member array raised a bare TypeError
+        with pytest.raises(DimMismatch, match="one state vector per weight"):
+            PureStateEnsemble([1.0], states)
 
 
 class TestMatrixIO:

@@ -263,19 +263,21 @@ class TestReports:
         # a plain suite, one whose judge draws more, and one whose judge builds more states
         monkeypatch.setattr(verify, "STATE_CHUNK", 4)
         built, alive = [], []
-        build, trial_rngs = verify.density_operators, verify._trial_rngs
+        build, trial_rngs = verify._density_stacks, verify._trial_rngs
 
         def tracked_build(mats):
-            states = build(mats)
-            built.extend(weakref.ref(state) for state in states)
-            return states
+            rows = build(mats)
+            # a state made of a row holds views of its stack's buffers, so
+            # its eigenvalue stack lives as long as any such state does
+            built.extend(weakref.ref(stack[0]) for stack, _ in rows)
+            return rows
 
         def watched_rngs(seed, check, chunk):
             # a chunk's generators are built just before its first draw
             alive.append(sum(ref() is not None for ref in built))
             return trial_rngs(seed, check, chunk)
 
-        monkeypatch.setattr(verify, "density_operators", tracked_build)
+        monkeypatch.setattr(verify, "_density_stacks", tracked_build)
         monkeypatch.setattr(verify, "_trial_rngs", watched_rngs)
         run_check(name, trials=12, seed=0)
         assert built
@@ -304,13 +306,13 @@ class TestReports:
     )
     def test_chunk_sized_by_the_largest_matrix(self, monkeypatch, name, dims, trials, sizes):
         built = []
-        build = verify.density_operators
+        build = verify._density_stacks
 
         def counted_build(mats):
             built.append(len(mats))
             return build(mats)
 
-        monkeypatch.setattr(verify, "density_operators", counted_build)
+        monkeypatch.setattr(verify, "_density_stacks", counted_build)
         suite = verify.CHECKS[name].suite
         verify._run_suite(name, trials, 0, dims, verify._as_grid(None, suite.grid), CheckReport(name))
         assert built == sizes
