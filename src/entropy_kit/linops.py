@@ -597,16 +597,36 @@ def _expect(value, cls) -> None:
         raise DomainError(f"expected {cls.__name__}, got {type(value).__name__}")
 
 
+# Each composite operation has one stacked core over (n, ...) stacks of
+# matrices (``_trace_distances``, ``_tensors``, ``_partial_traces``,
+# ``_purifications``, ``_pinches``), bit for bit its per-matrix formula on
+# every item; each public function checks its arguments and is a one-item
+# call of its core.
+
+
+def _trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Half the trace norms of the (n, d, d) differences a - b, capped at 1,
+    which the rounded eigenvalues of two orthogonal states can exceed."""
+    vals = np.linalg.eigvalsh(a - b)
+    return np.minimum(0.5 * np.abs(vals).sum(axis=1), 1.0)
+
+
 def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
-    """Half the trace norm of (a - b)."""
+    """Half the trace norm of (a - b), at most 1."""
     if not (isinstance(a, DensityOperator) and isinstance(b, DensityOperator)):
         raise DomainError(
             f"expected two density operators, got {type(a).__name__} and {type(b).__name__}"
         )
     if a.dim != b.dim:
         raise DimMismatch(f"dimensions {a.dim} and {b.dim} differ")
-    diff = np.linalg.eigvalsh(a.mat - b.mat)
-    return float(0.5 * np.abs(diff).sum())
+    return float(_trace_distances(a.mat[None], b.mat[None])[0])
+
+
+def _tensors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Kronecker products of (n, d_a, d_a) and (n, d_b, d_b) stacks,
+    each formed as ``np.kron`` forms it."""
+    n, da, db = len(a), a.shape[1], b.shape[1]
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(n, da * db, da * db)
 
 
 def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
@@ -614,7 +634,17 @@ def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
     _expect(a, DensityOperator)
     _expect(b, DensityOperator)
     _matrix_dimension(a.dim * b.dim)
-    return DensityOperator.from_matrix(np.kron(a.mat, b.mat))
+    return DensityOperator.from_matrix(_tensors(a.mat[None], b.mat[None])[0])
+
+
+def _partial_traces(mats: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
+    """The reductions to factor ``keep`` of an (n, dim_a*dim_b, dim_a*dim_b) stack."""
+    blocks = mats.reshape(len(mats), dim_a, dim_b, dim_a, dim_b)
+    if keep == "A":
+        return np.einsum("nabcb->nac", blocks)
+    if keep == "B":
+        return np.einsum("nabac->nbc", blocks)
+    raise DomainError(f'keep must be "A" or "B", got {_shown(keep)}')
 
 
 def partial_trace(mat: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
@@ -632,12 +662,13 @@ def partial_trace(mat: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.ndar
             f"matrix of shape {mat.shape} does not match the bipartition"
             f" {_shown(dim_a)} x {_shown(dim_b)}"
         )
-    blocks = mat.reshape(dim_a, dim_b, dim_a, dim_b)
-    if keep == "A":
-        return np.einsum("abcb->ac", blocks)
-    if keep == "B":
-        return np.einsum("abac->bc", blocks)
-    raise DomainError(f'keep must be "A" or "B", got {_shown(keep)}')
+    return _partial_traces(mat[None], dim_a, dim_b, keep)[0]
+
+
+def _purifications(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """The (n, d*d) purifications of the states of (n, d) cleaned
+    eigenvalues and (n, d, d) eigenvectors."""
+    return (vecs * np.sqrt(vals)[:, None, :]).reshape(len(vals), -1)
 
 
 def purify(rho: DensityOperator) -> np.ndarray:
@@ -646,21 +677,27 @@ def purify(rho: DensityOperator) -> np.ndarray:
     Tracing out the second (ancilla) factor reproduces rho.
     """
     _expect(rho, DensityOperator)
-    roots = np.sqrt(rho.eigenvalues)
-    return (rho.eigenvectors * roots).reshape(-1)
+    return _purifications(rho.eigenvalues[None], rho.eigenvectors[None])[0]
+
+
+def _pinches(mats: np.ndarray, projectors) -> np.ndarray:
+    """sum_j P_j rho P_j of each complex (n, d, d) stack item, for an
+    iterable of (n, d, d) stacks P_j, which may make each stack on demand."""
+    out = np.zeros_like(mats)
+    for proj in projectors:
+        out += proj @ mats @ proj
+    return out
 
 
 def pinch(mat: np.ndarray, resolution: OrthogonalResolution) -> np.ndarray:
-    """Pinched matrix sum_j N_j mat N_j, unvalidated beyond shapes."""
+    """Pinched matrix sum_j N_j mat N_j, complex, unvalidated beyond shapes."""
     _check_array(mat)
     _expect(resolution, OrthogonalResolution)
     d = resolution.dim
     if mat.shape != (d, d):
         raise DimMismatch(f"matrix of shape {mat.shape} does not match resolution dimension {d}")
-    out = np.zeros_like(mat)
-    for proj in resolution.projectors:
-        out += proj.entries @ mat @ proj.entries
-    return out
+    projectors = [proj.entries[None] for proj in resolution.projectors]
+    return _pinches(_array(mat, copy=False)[None], projectors)[0]
 
 
 def apply_generalized(rho: DensityOperator, meas: GeneralizedMeasurement) -> DensityOperator:

@@ -12,14 +12,16 @@ matrices) through a draw step and a build step.  Each trial draws its
 discrete choices and every Gaussian factor from its own generator; then
 the chunk's draws become Ginibre states, Haar unitaries and resolution
 projectors with one stacked call per kind and shape, the suite's build
-makes each trial's matrices from them (mixtures, interpolations, partial
-traces, products, pinchings), and one ``linops._density_stacks`` call
+makes the chunk's matrices from them (mixtures and interpolations per
+trial; partial traces, products and pinchings with one call of a stacked
+``linops`` core per shape), and one ``linops._density_stacks`` call
 validates them with one ``eigh`` per shape.  A trial's state is then a
 row of its shape's stacks (matrices, cleaned eigenvalues, eigenvectors),
-and a ``DensityOperator`` of views of that row is made only where a judge
-reads eigenvectors or a matrix (the ensemble's rho, triangle's rho_AB,
-fannes' pair).  The ensemble judge draws its ensembles per trial and
-builds them the same way.  The judge reads the eigenvalue stacks at every
+and a ``DensityOperator`` of views of that row is made only for the
+ensemble judge's rho, which draws each trial's ensemble and builds the
+chunk's ensembles the same way.  The triangle judge purifies its rho_AB
+rows and fannes measures its pairs' trace distances from the stacks, one
+core call per shape.  The judge reads the eigenvalue stacks at every
 grid point as one ``entropies._entropy_table`` and judges the chunk's
 claims as arrays over (trial, point, case), each step bit-identical to
 working one matrix, state, point and comparison at a time.  One chunk's
@@ -67,28 +69,31 @@ from .linops import (
     _groups,
     _grouped,
     _integer,
+    _partial_traces,
+    _pinches,
+    _purifications,
     _real,
     _resolution_draw,
     _resolutions,
     _shown,
     _stack_rows,
+    _tensors,
+    _trace_distances,
     apply_generalized,
     diagonal_density,
     maximally_mixed,
-    partial_trace,
-    pinch,
-    purify,
     tensor,
-    trace_distance,
 )
 from .tolerances import TOL
 
 #: trials whose states one ``_density_stacks`` call builds while the
 #: suite builds no matrix above ``_CHUNK_DIM``; larger matrices get fewer
 #: trials, so one matrix slot of a chunk holds at most
-#: STATE_CHUNK * _CHUNK_DIM**2 entries.  Only one chunk's states are alive
-#: at a time, and each chunk pays a fixed cost (one stacked ``eigh`` per
-#: shape, the table columns, one judge), which 64 trials spread thinly
+#: STATE_CHUNK * _CHUNK_DIM**2 entries.  Triangle's purified states, of
+#: side (d_A d_B)^2, are made in sub-stacks of at most as many entries.
+#: Only one chunk's states are alive at a time, and each chunk pays a
+#: fixed cost (one stacked ``eigh`` per shape, the table columns, one
+#: judge), which 64 trials spread thinly
 STATE_CHUNK = 64
 _CHUNK_DIM = 32
 
@@ -316,22 +321,28 @@ def _ginibre(rng: np.random.Generator, d: int) -> np.ndarray:
     return _ginibre_draw(d, int(rng.integers(1, d + 1)), rng)
 
 
-def _reductions(da: int, db: int, rho_ab: np.ndarray) -> list:
-    """rho_AB on C^da (x) C^db and its reductions rho_A, rho_B."""
-    return [
-        rho_ab,
-        partial_trace(rho_ab, da, db, "A"),
-        partial_trace(rho_ab, da, db, "B"),
-    ]
-
-
 def _bipartite_draw(dims, i, rng):
     da, db = _pick(rng, dims)
     return (da, db), [_ginibre(rng, da * db)]
 
 
-def _bipartite_build(info, made):
-    return _reductions(*info, made[0])
+def _by_info(build):
+    """A suite's build that runs ``build(info, *columns)`` once for the
+    trials of each distinct info, column k listing their k-th built draws
+    (or rows).  ``build`` returns, for each matrix a trial gets, a stack
+    (or list) whose item j is the group's trial j's."""
+
+    def group(items: list) -> list:
+        return list(zip(*build(items[0][0], *zip(*(made for _, made in items)))))
+
+    return lambda infos, made: _grouped(list(zip(infos, made)), lambda it: it[0], group)
+
+
+def _bipartite_build(info, rhos):
+    """rho_AB on C^d_A (x) C^d_B and its reductions rho_A, rho_B."""
+    rho = np.array(rhos)
+    return rho, _partial_traces(rho, *info, "A"), _partial_traces(rho, *info, "B")
+
 
 
 def _per_trial(build, per_trial: list) -> list:
@@ -449,8 +460,11 @@ def _mixing_draw(dims, i, rng):
     return (d, k, weights), [_ginibre(rng, d) for _ in range(k)]
 
 
-def _mixing_build(info, omegas):
-    return omegas + [sum(w * om for w, om in zip(info[2], omegas))]
+def _mixing_build(infos, made):
+    return [
+        omegas + [sum(w * om for w, om in zip(info[2], omegas))]
+        for info, omegas in zip(infos, made)
+    ]
 
 
 def _mixing_judge(trials, states, points):
@@ -478,29 +492,31 @@ def _fannes_draw(dims, i, rng):
     return (d, lam), [rho, _ginibre_draw(d, d, rng)]
 
 
-def _fannes_build(info, made):
-    lam = info[1]
-    if lam is None:
-        return made
-    rho, other = made
-    return [rho, (1.0 - lam) * rho + lam * other]
+def _fannes_build(infos, made):
+    return [
+        pair if lam is None else [pair[0], (1.0 - lam) * pair[0] + lam * pair[1]]
+        for (_, lam), pair in zip(infos, made)
+    ]
 
 
 def _fannes_judge(trials, states, points):
     """Entropy differences of random state pairs stay below the unified
     continuity bound; low-region points whose 2*eps exceeds the
     monotonicity threshold are skipped."""
-    eps = [min(trace_distance(*map(_density_at, pair)), 1.0) for pair in states]
     rho, omega = np.stack(_table(states, points), axis=1)
+    eps = [0.0] * len(trials)
     bound = np.zeros((len(trials), len(points)))
     keep = np.ones(bound.shape, dtype=bool)
     # BoundSpec would accept every input here: q and s come from _as_grid,
-    # d from _checked_inputs, and eps = min(trace distance, 1) >= 0.  So
-    # each bound is _unified_fannes_bound's formula on the memo's terms
+    # d from _checked_inputs, and eps, a trace distance, lies in [0, 1].
+    # So each bound is _unified_fannes_bound's formula on the memo's terms
     # (a claimed point lies in a region), read once per (d, point) with
     # d in the order the trials first draw it
     for idx in _groups(d for _, (d, _) in trials):
         d = trials[idx[0]][1][0]
+        mats = [_row_stack([states[t][k] for t in idx], 1) for k in (0, 1)]
+        for t, dist in zip(idx, _trace_distances(*mats).tolist()):
+            eps[t] = dist
         for k, p in enumerate(points):
             formula, factor, log_d = _point_terms(p.q, p.s, d)
             for t in idx:
@@ -547,9 +563,9 @@ def _violation_draw(dims, i, rng):
     return (da, db), [_ginibre(rng, da), _ginibre(rng, db), _ginibre(rng, da * db)]
 
 
-def _violation_build(info, made):
-    fa, fb, rho_ab = made
-    return [fa, fb, np.kron(fa, fb)] + _reductions(*info, rho_ab)
+def _violation_build(info, fas, fbs, rhos):
+    fa, fb = np.array(fas), np.array(fbs)
+    return (fa, fb, _tensors(fa, fb)) + _bipartite_build(info, rhos)
 
 
 def _violation_judge(trials, states, points):
@@ -566,23 +582,39 @@ def _violation_judge(trials, states, points):
     return [(prod, fa + fb), (corr, ca + cb)], None, case
 
 
-def _purified_reductions(da, db, rho_ab) -> list:
-    # the rank-1 purified state needs no DensityOperator (and no
-    # eigensolve) of its own: only its two reductions are evaluated
+def _row_stack(rows: list, k: int) -> np.ndarray:
+    """The stack of item k (0 cleaned eigenvalues, 1 matrix, 2 eigenvectors)
+    of ``_density_stacks`` rows of one shape."""
+    return np.array([stack[k][j] for stack, j in rows])
+
+
+def _purified_build(info, rows):
+    """The reductions rho_C (the ancilla) and rho_BC of the purifications
+    of the rho_AB rows of one (d_A, d_B) pair."""
+    da, db = info
     n = da * db
-    psi = purify(rho_ab)
-    pure = np.outer(psi, psi.conj())
-    return [partial_trace(pure, n, n, "B"), partial_trace(pure, da, db * n, "B")]
+    psi = _purifications(_row_stack(rows, 0), _row_stack(rows, 2))
+    # the rank-1 purified states need no eigensolve: only their reductions
+    # are evaluated.  Each is n^2-square, so they are made in sub-stacks of
+    # at most one chunk's matrix slot, STATE_CHUNK * _CHUNK_DIM**2 entries
+    size = max(1, STATE_CHUNK * _CHUNK_DIM**2 // n**4)
+    rho_c, rho_bc = [], []
+    for start in range(0, len(psi), size):
+        part = psi[start : start + size]
+        # the outer product, then the trace: one einsum of both is not bit-equal
+        pure = part[:, :, None] * part.conj()[:, None, :]
+        rho_c += list(_partial_traces(pure, n, n, "B"))
+        rho_bc += list(_partial_traces(pure, da, db * n, "B"))
+        del pure  # before the next sub-stack is made, so one is alive at a time
+    return rho_c, rho_bc
 
 
 def _triangle_judge(trials, states, points):
     """Triangle inequality |E(rho_A) - E(rho_B)| <= E(rho_AB) for q > 1,
     s >= 1/q, via purification; also verifies that both reductions of the
     purified state carry the entropies they should."""
-    more = _per_trial(
-        _density_stacks,
-        [_purified_reductions(*info, _density_at(st[0])) for (_, info), st in zip(trials, states)],
-    )
+    purified = _by_info(_purified_build)([info for _, info in trials], [st[:1] for st in states])
+    more = _per_trial(_density_stacks, purified)
     rows = _table([first + second for first, second in zip(states, more)], points)
     e_ab, e_a, e_b, e_c, e_bc = np.stack(rows, axis=1)
     zero = np.zeros_like(e_ab)
@@ -606,9 +638,12 @@ def _pinching_draw(every, dims, i, rng):
     return (d, len(resolution[0])), [rho, resolution]
 
 
-def _pinching_build(info, made):
-    rho, resolution = made
-    return [rho, pinch(rho, resolution)]
+def _pinching_build(info, rhos, resolutions):
+    """Each state with its pinching, for trials of one (d, block count);
+    the stack of each block's projectors is made as it is applied."""
+    rho = np.array(rhos)
+    blocks = zip(*(resolution.projectors for resolution in resolutions))
+    return rho, _pinches(rho, (np.array([p.entries for p in ps]) for ps in blocks))
 
 
 def _pinching_judge(trials, states, points):
@@ -643,9 +678,10 @@ class Suite:
     ``draw(dims, i, rng)`` gives (info, draws) for trial i: its discrete
     choices and the ``linops`` draws (Ginibre draws, (ranks, Haar draw)
     pairs of resolutions) it takes from its generator.  The chunk's draws
-    are built with one stacked call per kind and shape, ``build(info,
-    made)`` turns each trial's built draws into its matrices, and the
-    chunk's matrices become states through one stacked call.
+    are built with one stacked call per kind and shape, ``build(infos,
+    made)`` turns the chunk's infos and each trial's built draws into each
+    trial's matrices (``_by_info`` for one stacked call per distinct
+    info), and the chunk's matrices become states through one stacked call.
     ``judge(trials, states, points)`` then judges the whole chunk at once
     from its (i, info) pairs and each trial's states, rows of
     ``_density_stacks`` (``_density_at`` makes one's ``DensityOperator``),
@@ -687,7 +723,7 @@ class Check:
 
 CHECKS = {
     "ensemble": Check(None, Suite(
-        _state_draw, lambda info, made: made, _ensemble_judge, (2, 3, 4, 5), ENSEMBLE_GRID,
+        _state_draw, lambda infos, made: made, _ensemble_judge, (2, 3, 4, 5), ENSEMBLE_GRID,
         claimed=lambda q, s: not (s == 0.0 and not q < 1.0),
     )),
     "mixing": Check(None, Suite(
@@ -701,29 +737,30 @@ CHECKS = {
         claimed=lambda q, s: fannes_range(q, s) is not None,
     ), (2, MAX_CHECK_DIM)),
     "audenaert": Check(None, Suite(
-        _bipartite_draw, _bipartite_build, _audenaert_judge, DEFAULT_PAIR_DIMS,
+        _bipartite_draw, _by_info(_bipartite_build), _audenaert_judge, DEFAULT_PAIR_DIMS,
         tuple((q, 0.0) for q in AUDENAERT_Q), claimed=lambda q, s: q >= 1.0, q_only=True,
     )),
     "subadd": Check(None, Suite(
-        _bipartite_draw, _bipartite_build, _subadd_judge, DEFAULT_PAIR_DIMS, SUBADD_GRID,
-        claimed=_subadditive,
+        _bipartite_draw, _by_info(_bipartite_build), _subadd_judge, DEFAULT_PAIR_DIMS,
+        SUBADD_GRID, claimed=_subadditive,
     )),
     "subadd-violation": Check(_seeded_violations, Suite(
-        _violation_draw, _violation_build, _violation_judge, SQUARE_PAIR_DIMS, VIOLATION_GRID
+        _violation_draw, _by_info(_violation_build), _violation_judge, SQUARE_PAIR_DIMS,
+        VIOLATION_GRID,
     ), breaks=True),
     "triangle": Check(None, Suite(
-        _bipartite_draw, _bipartite_build, _triangle_judge, SQUARE_PAIR_DIMS, SUBADD_GRID,
-        claimed=_subadditive,
+        _bipartite_draw, _by_info(_bipartite_build), _triangle_judge, SQUARE_PAIR_DIMS,
+        SUBADD_GRID, claimed=_subadditive,
     )),
     # a random resolution has two or more blocks, and its drawn block
     # ranks need d <= MAX_RANK_DRAW_DIM
     "pinching": Check(None, Suite(
-        functools.partial(_pinching_draw, 7), _pinching_build, _pinching_judge, PINCHING_DIMS,
-        tuple((q, 0.0) for q in PINCHING_Q), q_only=True,
+        functools.partial(_pinching_draw, 7), _by_info(_pinching_build), _pinching_judge,
+        PINCHING_DIMS, tuple((q, 0.0) for q in PINCHING_Q), q_only=True,
     ), (2, MAX_RANK_DRAW_DIM)),
     "projective": Check(None, Suite(
-        functools.partial(_pinching_draw, 5), _pinching_build, _projective_judge, DEFAULT_DIMS,
-        PROJECTIVE_GRID,
+        functools.partial(_pinching_draw, 5), _by_info(_pinching_build), _projective_judge,
+        DEFAULT_DIMS, PROJECTIVE_GRID,
     ), (2, MAX_RANK_DRAW_DIM)),
     "qubit-measure": Check(lambda trials, seed, params_grid: qubit_measurement_decrease(
         diagonal_density((0.8, 0.2)), params_grid
@@ -738,13 +775,13 @@ def _run_chunk(rec, suite, claimed, chunk, draw) -> None:
 
     ``draw(chunk)`` returns (info, draws) for each trial, each from that
     trial's own generator.  The chunk's draws are built with one stacked
-    call per kind and shape, each trial's matrices are made from them by
+    call per kind and shape, the trials' matrices are made from them by
     ``suite.build``, and those become states through one stacked call;
     they die when this call returns, before the next chunk is drawn.
     """
     infos, draws = zip(*draw(chunk))
     made = _per_trial(lambda flat: _grouped(flat, type, _sampled), draws)
-    mats = [suite.build(info, m) for info, m in zip(infos, made)]
+    mats = suite.build(list(infos), made)
     del draws, made
     states = _per_trial(_density_stacks, mats)
     del mats

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entropy_kit import linops
-from entropy_kit.bounds import BoundSpec, kappa_s, max_unified
+from entropy_kit.bounds import BoundSpec, kappa_s, max_unified, unified_fannes_bound
 from entropy_kit.entropies import unified_classical
 from entropy_kit.errors import (
     DimMismatch,
@@ -150,6 +150,27 @@ class TestTraceDistance:
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
             trace_distance(maximally_mixed(2), maximally_mixed(3))
+
+    @staticmethod
+    def orthogonal_pair(d: int, seed: int) -> tuple:
+        """The pure states of the first two columns of a Haar unitary."""
+        u = random_unitary(d, seed)
+        return tuple(DensityOperator.from_matrix(np.outer(u[:, j], u[:, j].conj())) for j in (0, 1))
+
+    @pytest.mark.parametrize("d,seed", [(2, 4), (3, 7), (5, 2), (8, 0)])
+    def test_orthogonal_states_sit_at_distance_one(self, d, seed):
+        # the rounded eigenvalues of their difference sum to 1 + 2**-52
+        # or more; the distance was read above 1, where BoundSpec refuses it
+        eps = trace_distance(*self.orthogonal_pair(d, seed))
+        assert eps == 1.0
+        assert unified_fannes_bound(BoundSpec(2.0, 1.0, d, eps)) >= 0.0
+
+    def test_never_above_one(self):
+        assert all(
+            0.0 <= trace_distance(*self.orthogonal_pair(d, seed)) <= 1.0
+            for d in range(2, 9)
+            for seed in range(40)
+        )
 
 
 class TestTracePower:
@@ -354,6 +375,97 @@ class TestPinch:
     def test_shape_errors(self, mat):
         with pytest.raises(DimMismatch):
             pinch(mat, basis_resolution(2))
+
+    @pytest.mark.parametrize(
+        "mat", [np.eye(2) / 2, np.diag([1, 0]), np.array([[0.5, 0.25], [0.25, 0.5]])]
+    )
+    def test_real_and_integer_matrices_are_pinched_as_complex(self, mat):
+        # numpy refused to add the complex products into a real output
+        res = random_resolution(2, 0)
+        pinched = pinch(mat, res)
+        assert pinched.dtype == np.complex128
+        assert bit_equal(pinched, pinch(mat.astype(np.complex128), res))
+
+
+class TestStackedComposite:
+    """Each stacked composite core gives, item by item, bit for bit the
+    one-item public call and the per-matrix formula, on stacks of one
+    item and of several, for every pair shape the suites draw and (2, 8)."""
+
+    PAIRS = ((1, 2), (2, 2), (2, 3), (3, 2), (3, 3), (2, 8), (8, 2))
+    SIZES = (1, 5)
+
+    @staticmethod
+    def matrices(d: int, n: int, seed: int) -> np.ndarray:
+        """n random density matrices of dimension d and random ranks."""
+        rng = np.random.default_rng(seed)
+        return np.array([
+            random_density_matrix(d, int(rng.integers(1, d + 1)), int(rng.integers(2**32)))
+            for _ in range(n)
+        ])
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("da,db", PAIRS)
+    def test_partial_traces(self, da, db, n):
+        mats = self.matrices(da * db, n, 10 * da + db)
+        for keep, formula in (("A", "abcb->ac"), ("B", "abac->bc")):
+            stacked = linops._partial_traces(mats, da, db, keep)
+            assert stacked.shape == (n,) + ((da, da) if keep == "A" else (db, db))
+            for mat, item in zip(mats, stacked):
+                assert bit_equal(item, partial_trace(mat, da, db, keep))
+                assert bit_equal(item, np.einsum(formula, mat.reshape(da, db, da, db)))
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("da,db", PAIRS)
+    def test_tensors(self, da, db, n):
+        a, b = self.matrices(da, n, da), self.matrices(db, n, 100 + db)
+        stacked = linops._tensors(a, b)
+        assert stacked.shape == (n, da * db, da * db)
+        for x, y, item in zip(a, b, stacked):
+            assert bit_equal(item, np.kron(x, y))
+            assert bit_equal(item, tensor(DensityOperator(x), DensityOperator(y)).mat)
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("d", [1, 2, 4, 9, 16])
+    def test_purifications(self, d, n):
+        rhos = density_operators(self.matrices(d, n, d))
+        vals = np.array([rho.eigenvalues for rho in rhos])
+        vecs = np.array([rho.eigenvectors for rho in rhos])
+        stacked = linops._purifications(vals, vecs)
+        assert stacked.shape == (n, d * d)
+        for rho, item in zip(rhos, stacked):
+            assert bit_equal(item, purify(rho))
+            assert bit_equal(item, (rho.eigenvectors * np.sqrt(rho.eigenvalues)).reshape(-1))
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("d,blocks", [(2, 2), (3, 2), (4, 3), (6, 6), (64, 64), (64, 5)])
+    def test_pinches(self, d, blocks, n):
+        rng = np.random.default_rng(d + blocks)
+        mats = self.matrices(d, n, d)
+        resolutions = []
+        for _ in range(n):
+            # a random composition of d into the given number of blocks
+            cuts = np.sort(rng.choice(np.arange(1, d), blocks - 1, replace=False))
+            ranks = np.diff(np.concatenate(([0], cuts, [d]))).tolist()
+            resolutions.append(random_resolution(d, int(rng.integers(2**32)), ranks))
+        projectors = [np.array([r.projectors[j].entries for r in resolutions]) for j in range(blocks)]
+        stacked = linops._pinches(mats, projectors)
+        for mat, res, item in zip(mats, resolutions, stacked):
+            assert bit_equal(item, pinch(mat, res))
+            loop = np.zeros_like(mat)
+            for proj in res.projectors:
+                loop += proj.entries @ mat @ proj.entries
+            assert bit_equal(item, loop)
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 16, 81])
+    def test_trace_distances(self, d, n):
+        a, b = self.matrices(d, n, d), self.matrices(d, n, 1000 + d)
+        stacked = linops._trace_distances(a, b)
+        assert stacked.shape == (n,)
+        for x, y, item in zip(a, b, stacked.tolist()):
+            assert item == trace_distance(DensityOperator(x), DensityOperator(y))
+            assert item == min(float(0.5 * np.abs(np.linalg.eigvalsh(x - y)).sum()), 1.0)
 
 
 class TestResolutionValidation:

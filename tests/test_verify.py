@@ -31,6 +31,8 @@ from entropy_kit.linops import (
     diagonal_density,
     maximally_mixed,
     partial_trace,
+    pinch,
+    purify,
     tensor,
     trace_distance,
 )
@@ -317,6 +319,27 @@ class TestReports:
         verify._run_suite(name, trials, 0, dims, verify._as_grid(None, suite.grid), CheckReport(name))
         assert built == sizes
 
+    @pytest.mark.parametrize("dims,trials", [(((3, 3),), 20), (((2, 8),), 3), (None, 70)])
+    def test_purified_stacks_are_capped(self, monkeypatch, dims, trials):
+        # triangle's purified states are (d_A d_B)^2-square: 81 x 81 at
+        # (3, 3), so 9 of them at most in one stack, and 256 x 256 at (2, 8)
+        shapes = []
+        partial_traces = verify._partial_traces
+
+        def counted(mats, *args):
+            shapes.append(mats.shape[:2])
+            return partial_traces(mats, *args)
+
+        monkeypatch.setattr(verify, "_partial_traces", counted)
+        suite = verify.CHECKS["triangle"].suite
+        rec = CheckReport("triangle")
+        verify._run_suite("triangle", trials, 0, dims, verify._as_grid(None, suite.grid), rec)
+        assert report_ok(rec)
+        assert max(n * d * d for n, d in shapes) <= verify.STATE_CHUNK * verify._CHUNK_DIM**2
+        if dims == ((3, 3),):
+            # rho_AB's two reductions, then two per sub-stack of purified states
+            assert shapes == [(20, 9)] * 2 + [(9, 81)] * 4 + [(2, 81)] * 2
+
     def test_triangle_chunk_memory_is_capped(self):
         # rho_BC is 256 x 256 at the pair (1, 16); 64 trials of it in one
         # chunk peaked near 100 MB
@@ -341,6 +364,84 @@ class TestReports:
         regular = CheckReport("fannes")
         _compare_one(regular, 2.0, 1.0, {})
         assert not report_ok(regular)
+
+
+def chunk_builds(name: str, dims, trials: int) -> tuple:
+    """(infos, built draws, the suite's chunk build) of the first chunk of
+    check ``name`` at seed 3, as ``verify._run_chunk`` makes them."""
+    suite = verify.CHECKS[name].suite
+    chunk = range(trials)
+    infos, draws = zip(*[
+        suite.draw(dims, i, rng) for i, rng in zip(chunk, verify._trial_rngs(3, name, chunk))
+    ])
+    made = verify._per_trial(lambda flat: verify._grouped(flat, type, verify._sampled), draws)
+    return infos, made, suite.build(list(infos), made)
+
+
+def bit_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestChunkBuilds:
+    """Each suite's chunk build, one stacked call per core and shape, gives
+    every trial's matrices bit for bit as the per-trial formulas do, with
+    mixed pair shapes, one-item groups and (2, 8) pairs."""
+
+    PAIRS = ((2, 2), (2, 3), (3, 3), (2, 8), (1, 2))
+
+    @staticmethod
+    def reductions(da: int, db: int, rho: np.ndarray) -> list:
+        return [rho, partial_trace(rho, da, db, "A"), partial_trace(rho, da, db, "B")]
+
+    def assert_built(self, built: list, expected: list) -> None:
+        assert len(built) == len(expected)
+        for mats, want in zip(built, expected):
+            assert len(mats) == len(want)
+            assert all(bit_equal(a, b) for a, b in zip(mats, want))
+
+    def test_bipartite(self):
+        infos, made, built = chunk_builds("subadd", self.PAIRS, 12)
+        self.assert_built(built, [self.reductions(*info, m[0]) for info, m in zip(infos, made)])
+
+    def test_violation(self):
+        infos, made, built = chunk_builds("subadd-violation", self.PAIRS, 12)
+        expected = [
+            [fa, fb, np.kron(fa, fb)] + self.reductions(*info, rho)
+            for info, (fa, fb, rho) in zip(infos, made)
+        ]
+        self.assert_built(built, expected)
+
+    @pytest.mark.parametrize("name,dims", [("pinching", (3, 4, 64)), ("projective", (2, 5))])
+    def test_pinching(self, name, dims):
+        infos, made, built = chunk_builds(name, dims, 12)
+        self.assert_built(built, [[rho, pinch(rho, res)] for rho, res in made])
+
+    def test_purified_reductions(self):
+        infos, _, built = chunk_builds("triangle", self.PAIRS, 12)
+        states = verify._per_trial(verify._density_stacks, built)
+        purified = verify._by_info(verify._purified_build)(list(infos), [st[:1] for st in states])
+        expected = []
+        for (da, db), st in zip(infos, states):
+            n = da * db
+            psi = purify(verify._density_at(st[0]))
+            pure = np.outer(psi, psi.conj())
+            expected.append([partial_trace(pure, n, n, "B"), partial_trace(pure, da, db * n, "B")])
+        self.assert_built(purified, expected)
+
+    def test_fannes_distances(self, monkeypatch):
+        distances = []
+        trace_distances = verify._trace_distances
+
+        def recorded(a, b):
+            out = trace_distances(a, b)
+            distances.extend(zip(a, b, out.tolist()))
+            return out
+
+        monkeypatch.setattr(verify, "_trace_distances", recorded)
+        run_check("fannes", trials=12, seed=3, dims=(2, 3, 5))
+        assert len(distances) == 12
+        for a, b, eps in distances:
+            assert eps == trace_distance(DensityOperator(a), DensityOperator(b))
 
 
 class TestCheckTable:
