@@ -18,11 +18,30 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from math import inf
 
 from .entropies import _binary_tsallis, _check_indices, _check_q, _point_form, q_log
 from .errors import DomainError, FloatRange, InvalidIndex, OutOfValidity
 from .linops import _EXACT_INT, _dimension, _real, _shown
 from .tolerances import TOL
+
+
+class _Message:
+    """A refusal message, ``template.format(*args)``, formatted when read."""
+
+    __slots__ = ("template", "args")
+
+    def __init__(self, template: str, *args):
+        self.template, self.args = template, args
+
+    def __str__(self) -> str:
+        return self.template.format(*self.args)
+
+    def __repr__(self) -> str:
+        return repr(str(self))
+
+    def __reduce__(self):
+        return str, (str(self),)
 
 
 @dataclass(frozen=True, init=False)
@@ -37,16 +56,15 @@ class BoundSpec:
     def __init__(self, q: float, s: float, d: int, eps: float):
         # every bound evaluation builds a spec: a float pair and an int d
         # that pass the rules' comparisons skip the calls
-        if not (
-            type(q) is float and type(s) is float and 0.0 < q < math.inf and -math.inf < s < math.inf
-        ):
+        if not (type(q) is float and type(s) is float and 0.0 < q < inf and -inf < s < inf):
             _check_indices(q, s)
         if not (type(d) is int and 2 <= d <= _EXACT_INT):
             _dimension(d, 2)
         if not (type(eps) is float and 0.0 <= eps <= 1.0):
             _check_eps(eps)
-        # the fields of a frozen record, set in one step
-        self.__dict__.update(q=q, s=s, d=d, eps=eps)
+        # the fields of a frozen record, stored without a kwargs dict
+        fields = self.__dict__
+        fields["q"], fields["s"], fields["d"], fields["eps"] = q, s, d, eps
 
 
 def _check_eps(eps: float) -> None:
@@ -94,7 +112,7 @@ def _low_q(q: float, eps: float, limit: float, log_d: float) -> float:
     2*eps and log_d = ln_q(d)."""
     x = 2.0 * eps
     if x > limit:
-        raise OutOfValidity(f"2*eps = {x!r} exceeds the monotonicity threshold {limit!r}")
+        raise OutOfValidity(_Message("2*eps = {!r} exceeds the monotonicity threshold {!r}", x, limit))
     if eps == 0.0:
         return 0.0
     return x**q * log_d + _eta_q(x, q)
@@ -123,8 +141,9 @@ def fannes_tsallis_high_q(spec: BoundSpec) -> float:
     q = spec.q
     if not q > 1:
         raise OutOfValidity(f"high-index bound needs q > 1, got {q!r}")
-    # kappa_s is 1.0 at s = 1, and 1.0 * x is x, bit for bit
-    return _unified_fannes_bound(q, 1.0, spec.d, spec.eps)
+    # the unified bound at s = 1: kappa_s is 1.0, and 1.0 * x is x, bit for bit
+    formula, factor, log_d = _point_terms(q, 1.0, spec.d)
+    return formula(q, spec.eps, factor, log_d)
 
 
 def kappa_s(q: float, s: float, d: int) -> float:
@@ -172,6 +191,8 @@ def fannes_range(q: float, s: float) -> str | None:
 #: working set never hits, and the benchmark's sweep cycles through 2565 keys
 BOUND_MEMO_CAP = 4096
 
+_NO_REGION = "no unified continuity bound proven at (q, s) = ({!r}, {!r})"
+
 
 @functools.lru_cache(maxsize=BOUND_MEMO_CAP, typed=True)
 def _point_terms(q: float, s: float, d: int):
@@ -185,21 +206,8 @@ def _point_terms(q: float, s: float, d: int):
     if region == "high":
         return _high_q, _kappa_s(q, s, d), q_log(d - 1, q)
     # the sign of a zero s is printed but is not in the key, so that
-    # message is formatted per call
-    return _no_region(q, s) if s != 0 else None
-
-
-def _no_region(q: float, s: float) -> str:
-    return f"no unified continuity bound proven at (q, s) = ({q!r}, {s!r})"
-
-
-def _unified_fannes_bound(q: float, s: float, d: int, eps: float) -> float:
-    """``unified_fannes_bound`` on inputs that ``BoundSpec`` accepts, unchecked."""
-    terms = _point_terms(q, s, d)
-    if type(terms) is not tuple:
-        raise OutOfValidity(terms or _no_region(q, s))
-    formula, factor, log_d = terms
-    return formula(q, eps, factor, log_d)
+    # message is made per call
+    return _Message(_NO_REGION, q, s) if s != 0 else None
 
 
 def unified_fannes_bound(spec: BoundSpec) -> float:
@@ -209,7 +217,12 @@ def unified_fannes_bound(spec: BoundSpec) -> float:
     2*eps threshold); in the high region it is kappa_s times the
     high-index Tsallis bound.  Elsewhere raises OutOfValidity.
     """
-    return _unified_fannes_bound(spec.q, spec.s, spec.d, spec.eps)
+    q = spec.q
+    terms = _point_terms(q, spec.s, spec.d)
+    if type(terms) is not tuple:
+        raise OutOfValidity(terms or _Message(_NO_REGION, q, spec.s))
+    formula, factor, log_d = terms
+    return formula(q, spec.eps, factor, log_d)
 
 
 def lipschitz_bound(eps: float, q: float, s: float) -> float:

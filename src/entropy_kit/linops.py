@@ -190,12 +190,16 @@ class _SpectralMemo:
     def power_sum(self, q: float) -> float:
         """sum_j x_j^q over the spectrum, q > 0 finite; 0^q = 0, so zeros never count."""
         sums = self._power_sums
-        t = sums.get(q)
+        try:
+            t = sums.get(q)
+        except TypeError:  # an unhashable q, which the index rule refuses
+            t = None
         if t is None:
             # the index rule of ``entropies._check_q``, with its own message
             if not 0.0 < _float_value(q) < math.inf:
                 raise InvalidIndex(f"power sum needs q positive and finite, got {_shown(q)}")
-            t = float(np.sum(self._values**q))
+            # the np.add.reduce that np.sum runs, without its dispatch wrapper
+            t = float((self._values**q).sum())
             if len(sums) < POWER_SUM_MEMO_CAP:
                 sums[q] = t
         return t

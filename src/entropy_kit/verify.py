@@ -509,7 +509,7 @@ def _fannes_judge(trials, states, points):
     keep = np.ones(bound.shape, dtype=bool)
     # BoundSpec would accept every input here: q and s come from _as_grid,
     # d from _checked_inputs, and eps, a trace distance, lies in [0, 1].
-    # So each bound is _unified_fannes_bound's formula on the memo's terms
+    # So each bound is unified_fannes_bound's formula on the memo's terms
     # (a claimed point lies in a region), read once per (d, point) with
     # d in the order the trials first draw it
     for idx in _groups(d for _, (d, _) in trials):

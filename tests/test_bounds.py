@@ -772,7 +772,7 @@ class TestBoundMemo:
 
     def test_memo_never_exceeds_its_caps(self):
         for k in range(bounds.BOUND_MEMO_CAP + 12):
-            bounds._unified_fannes_bound(2.0 + k / 1024, 1.0, 4, 0.1)
+            unified_fannes_bound(BoundSpec(2.0 + k / 1024, 1.0, 4, 0.1))
         info = bounds._point_terms.cache_info()
         assert info.maxsize == bounds.BOUND_MEMO_CAP and info.currsize == bounds.BOUND_MEMO_CAP
 
@@ -780,10 +780,10 @@ class TestBoundMemo:
         # the second pass over 100 dimensions at one point reads the memo only
         dims = range(2, 102)
         for d in dims:
-            bounds._unified_fannes_bound(3.5, -0.5, d, 0.1)
+            unified_fannes_bound(BoundSpec(3.5, -0.5, d, 0.1))
         hits = bounds._point_terms.cache_info().hits
         for d in dims:
-            got = bounds._unified_fannes_bound(3.5, -0.5, d, 0.1)
+            got = unified_fannes_bound(BoundSpec(3.5, -0.5, d, 0.1))
             assert got.hex() == _parent_bound(3.5, -0.5, d, 0.1).hex()
         assert bounds._point_terms.cache_info().hits == hits + 100
 
@@ -796,3 +796,46 @@ class TestBoundMemo:
         for s in (0.0, -0.0, 0.0):
             with pytest.raises(OutOfValidity, match=rf"\(1\.0, {s!r}\)"):
                 unified_fannes_bound(BoundSpec(1.0, s, 4, 0.1))
+
+
+def _refusal(fn, spec: BoundSpec) -> OutOfValidity:
+    with pytest.raises(OutOfValidity) as info:
+        fn(spec)
+    return info.value
+
+
+class TestRefusalIdentity:
+    """A refusal's message is formatted only when read, yet its type, str,
+    repr and pickled form are those of an OutOfValidity raised with the
+    message string itself."""
+
+    @staticmethod
+    def _assert_refusal(err, message: str) -> None:
+        # exactly OutOfValidity: tests/data/fannes-bounds.txt prints the type's name
+        assert type(err) is OutOfValidity
+        assert str(err) == message
+        assert repr(err) == f"OutOfValidity({message!r})"
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(err, protocol))
+            assert type(back) is OutOfValidity
+            assert str(back) == message and repr(back) == repr(err)
+            assert back.args == (message,)
+
+    @pytest.mark.parametrize("q", [1e-3, 0.3, 0.5, 0.9, 1.0 - 5e-8])
+    @pytest.mark.parametrize("fn", [fannes_tsallis_low_q, unified_fannes_bound, stability_ratio_bound])
+    def test_threshold_refusal(self, fn, q):
+        # the smallest eps past the threshold q^(1/(1-q)): 2*eps is the
+        # next float above it
+        limit = low_q_threshold(q)
+        x = 2.0 * math.nextafter(limit / 2.0, 1.0)
+        assert x == math.nextafter(limit, 1.0)
+        message = f"2*eps = {x!r} exceeds the monotonicity threshold {limit!r}"
+        for _ in range(2):  # the memo is cold, then warm
+            self._assert_refusal(_refusal(fn, BoundSpec(q, 0.5, 4, x / 2.0)), message)
+
+    @pytest.mark.parametrize("q,s", [(2.0, 0.5), (1.0, 0.0), (1.0, -0.0)])
+    @pytest.mark.parametrize("fn", [unified_fannes_bound, stability_ratio_bound])
+    def test_region_refusal(self, fn, q, s):
+        message = f"no unified continuity bound proven at (q, s) = ({q!r}, {s!r})"
+        for _ in range(2):
+            self._assert_refusal(_refusal(fn, BoundSpec(q, s, 4, 0.1)), message)

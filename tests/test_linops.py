@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import tracemalloc
 from unittest import mock
 
@@ -218,6 +219,19 @@ class TestTracePower:
             holder.power_sum(10**400)
         assert holder._power_sums == {}
 
+    @pytest.mark.parametrize(
+        "holder",
+        [maximally_mixed(2), ProbabilityDistribution([0.5, 0.5]), linops._spectrum(linops._frozen(np.array([0.5, 0.5])))],
+    )
+    @pytest.mark.parametrize(
+        "q,shown", [([1], "[1]"), (np.array([2.0]), "array([2.])"), (np.array(2.0), "array(2.)"), ({}, "{}")]
+    )
+    def test_rejects_an_unhashable_q(self, holder, q, shown):
+        # the memo's lookup raised a bare TypeError: unhashable type
+        with pytest.raises(InvalidIndex, match=rf"q positive and finite, got {re.escape(shown)}$"):
+            holder.power_sum(q)
+        assert holder._power_sums == {}
+
 
 def bits(x: float) -> str:
     return float(x).hex()
@@ -251,6 +265,29 @@ class TestPowerSumMemo:
         assert b._power_sums == {} and b._shannon is None
         assert r._power_sums == {}
         assert len({id(x._power_sums) for x in (a, b, p, r)}) == 4
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1.0)), min_size=1, max_size=64).filter(any),
+        st.lists(
+            st.one_of(st.floats(0.0, 10.0, exclude_min=True), st.sampled_from([0.5, 2.0, 3.0])),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_memoized_sum_is_the_direct_sum(self, weights, qs):
+        # past 8 entries np.add.reduce sums pairwise, and 0.5, 2.0 and 3.0
+        # take numpy's fast paths of **; the drawn q come first, then more
+        # distinct q than the memo keeps, then all of them again
+        values = np.array(weights) / sum(weights)
+        holders = [linops._spectrum(linops._frozen(values.copy()))]
+        if abs(values.sum() - 1.0) <= TOL.trace:
+            holders.append(ProbabilityDistribution(values))
+        many = np.linspace(0.05, 10.0, POWER_SUM_MEMO_CAP + 8).tolist()
+        for holder in holders:
+            for q in qs + many + qs + many:
+                assert bits(holder.power_sum(q)) == bits(float(np.sum(holder._values**q)))
+            assert len(holder._power_sums) == POWER_SUM_MEMO_CAP
 
     def test_bounded_under_many_distinct_q(self):
         rho = random_density(4, 3, seed=5)
