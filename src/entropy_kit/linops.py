@@ -738,7 +738,10 @@ def maximally_mixed(d: int) -> DensityOperator:
 # per shape, each bit for bit what the item gives alone.  Each public
 # sampler is one draw and a build of one item.  A complex Gaussian matrix
 # is drawn as its real and imaginary parts in one (2, rows, cols) call, the
-# stream of two ``standard_normal((rows, cols))`` calls.
+# stream of two ``standard_normal((rows, cols))`` calls.  ``_ensembles``
+# factors the first w columns of an m x m Gaussian, which with numpy 2.4.6
+# (OpenBLAS 0.3.31) gives the full QR's first w bit for bit for m <= 96 and
+# within rounding past it.  The ``ensemble`` suite's m > 8 all have w = m.
 
 
 def _complex(draws: list) -> np.ndarray:
@@ -790,7 +793,8 @@ def _haar_stack(draws: list) -> np.ndarray:
 
 def _unitaries(draws: list) -> list:
     """The Haar unitary of each ``_haar_draw``: its QR factor Q with each
-    column's phase fixed by R's diagonal (Mezzadri 2007)."""
+    column's phase fixed by R's diagonal (Mezzadri 2007); of a draw sliced
+    to w columns, the unitary's first w (bit for bit as said above)."""
     return _grouped(draws, _shape, _haar_stack)
 
 
@@ -828,8 +832,10 @@ def _member_stack(items: list) -> list:
 
 def _ensembles(rhos: list, draws: list) -> list[PureStateEnsemble]:
     """The ensemble of each state and ``_ensemble_draw``: members, their
-    validation and the check that they reproduce the state, stacked by shape."""
-    us = _unitaries([g for _, g in draws])
+    validation and the check that they reproduce the state, stacked by shape;
+    each m's one QR stack is factored on the widest rank w drawn at that m."""
+    widths = {g.shape[1]: r for r, g in sorted(draws, key=operator.itemgetter(0))}
+    us = _unitaries([g[:, :, : widths[g.shape[1]]] for _, g in draws])
     items = [(rho, r, u) for rho, (r, _), u in zip(rhos, draws, us)]
     members = _grouped(items, lambda it: (it[2].shape, it[1], it[0].dim), _member_stack)
     return _grouped(members, lambda it: it[1].shape, _ensemble_stack)
@@ -842,6 +848,8 @@ def ensemble_from_state(rho: DensityOperator, m: int, seed) -> PureStateEnsemble
     are built from the first r = rank(rho) columns u of the Haar unitary
     ``random_unitary(m, seed)``, so p_i = sum_j |u_ij|^2 lambda_j.
     Members with weight below ``TOL.ensemble_weight`` are discarded.
+    Only those r columns are factored: bit for bit the full unitary's for
+    m <= 96, within rounding (2.3e-16 seen) past it.
     """
     _expect(rho, DensityOperator)
     return _ensembles([rho], [_ensemble_draw(rho, m, seed)])[0]

@@ -27,9 +27,16 @@ from entropy_kit.bounds import (
     thermodynamic_ratio_limit,
     unified_fannes_bound,
 )
-from entropy_kit.entropies import UnifiedParams, q_log, tsallis, unified_from_power_sum, unified_quantum
+from entropy_kit.entropies import (
+    UnifiedParams,
+    q_log,
+    tsallis,
+    unified_classical,
+    unified_from_power_sum,
+    unified_quantum,
+)
 from entropy_kit.errors import DomainError, EntropyKitError, FloatRange, InvalidIndex, OutOfValidity
-from entropy_kit.linops import diagonal_density, random_density, trace_distance
+from entropy_kit.linops import diagonal_density, maximally_mixed, random_density, trace_distance
 from entropy_kit.tolerances import TOL
 from entropy_kit.verify import (
     FANNES_GRID,
@@ -526,6 +533,55 @@ class TestOneLimitRule:
                 ex = StabilityExample(variant, 0.1, d, q, s)
                 expect = _typed_outcome(_own_window_stability_ratio, ex)
                 assert _typed_outcome(stability_ratio, ex) == expect, (q, s)
+
+
+#: just outside the q -> 1 window a spectrum's trace defect is magnified by
+#: 1/|1 - q|: a rounding of 1.1e-16 reads as 1.1e-16/|1 - q| of entropy
+Q_EDGE_BAND = 1e-2
+
+
+def _off_edge_band(q: float) -> bool:
+    return not TOL.q_limit <= abs(q - 1.0) < Q_EDGE_BAND
+
+
+#: (q, s) anywhere in the bounds' range, inside either limit window or on
+#: the s window's edges, but not in the q window's edge band
+ANY_Q = st.one_of(st.floats(0.05, 4.0), st.sampled_from(WINDOW_Q)).filter(_off_edge_band)
+ANY_S = st.one_of(st.floats(-3.0, 3.0), st.sampled_from(WINDOW_S))
+
+
+def assert_at_most_max(e: float, q: float, s: float, d: int) -> None:
+    top = max_unified(q, s, d)
+    assert e <= top + 1e-12 * (1.0 + abs(top)), (e, top)
+
+
+class TestAtMostMax:
+    """E <= ``max_unified(q, s, d)``, the upper side of 0 <= E <= max, for
+    classical spectra, the diagonal states that carry them and Ginibre
+    states; zero and equal entries included."""
+
+    @pytest.mark.xfail(raises=AssertionError, strict=True, reason="trace defect magnified by 1/|1 - q|")
+    @pytest.mark.parametrize("rho", [maximally_mixed(14), random_density(1, 1, seed=1)])
+    def test_at_the_q_window_edge(self, rho):
+        # eigenvalues summing to 1 - 2^-53 (d = 1) or 1 - 2^-52 (d = 14)
+        # read up to 1.1e-9 above the maximum at q = 1 + 1e-7
+        for q in (1.0 - TOL.q_limit, 1.0 + TOL.q_limit):
+            for s in (-2.0, 0.0, 1.0):
+                assert_at_most_max(unified_quantum(rho, UnifiedParams(q, s)), q, s, rho.dim)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16).filter(any), ANY_Q, ANY_S)
+    def test_classical_and_diagonal(self, x, q, s):
+        p = np.array(x) / math.fsum(x)
+        params = UnifiedParams(q, s)
+        assert_at_most_max(unified_classical(p, params), q, s, p.size)
+        assert_at_most_max(unified_quantum(diagonal_density(p), params), q, s, p.size)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(1, 16), st.integers(0, 2**32 - 1), ANY_Q, ANY_S)
+    def test_ginibre(self, data, d, seed, q, s):
+        rho = random_density(d, data.draw(st.integers(1, d)), seed=seed)
+        assert_at_most_max(unified_quantum(rho, UnifiedParams(q, s)), q, s, d)
 
 
 class TestStabilityFunctional:

@@ -575,6 +575,18 @@ def bit_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def member_formulas(rho: DensityOperator, m: int, seed) -> tuple:
+    """(weights, members) of ``ensemble_from_state(rho, m, seed)`` from the
+    first r = rank(rho) columns u of the full unitary ``random_unitary(m,
+    seed)``: one einsum and one ``row / sqrt(w)`` per kept member."""
+    r = int(np.sum(rho.eigenvalues > TOL.rank))
+    u = random_unitary(m, seed)[:, :r]
+    raw = (u * np.sqrt(rho.eigenvalues[:r])) @ rho.eigenvectors[:, :r].T
+    weights = np.einsum("ij,ij->i", raw, raw.conj()).real
+    kept = weights >= TOL.ensemble_weight
+    return weights[kept], raw[kept] / np.sqrt(weights[kept])[:, None]
+
+
 class TestStackedConstruction:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -956,16 +968,19 @@ class TestEnsembleFromState:
         """Weights and members are bit for bit one einsum and one
         ``row / sqrt(w)`` per member, as seeded reports need."""
         rho = random_density(d, rank, seed=seed)
-        r = int(np.sum(rho.eigenvalues > TOL.rank))
-        u = random_unitary(m, seed=seed + 50)[:, :r]
-        raw = (u * np.sqrt(rho.eigenvalues[:r])) @ rho.eigenvectors[:, :r].T
-        weights = np.einsum("ij,ij->i", raw, raw.conj()).real
-        kept = weights >= TOL.ensemble_weight
+        weights, members = member_formulas(rho, m, seed + 50)
         ens = ensemble_from_state(rho, m, seed=seed + 50)
-        assert np.array_equal(ens.weights.probs, weights[kept])
-        assert len(ens.states) == int(kept.sum())
-        for psi, w, row in zip(ens.states, weights[kept], raw[kept]):
-            assert np.array_equal(psi, row / np.sqrt(w))
+        assert bit_equal(ens.weights.probs, weights)
+        assert bit_equal(np.array(ens.states), members)
+
+    def test_past_the_bit_for_bit_range(self):
+        """At m = 200 the thin QR of the first r = 50 columns sums in another
+        order than the full one: the members move by rounding only."""
+        rho = random_density(100, 50, seed=5)
+        weights, members = member_formulas(rho, 200, 6)
+        ens = ensemble_from_state(rho, 200, seed=6)
+        assert np.abs(ens.weights.probs - weights).max() <= 1e-14
+        assert np.abs(np.array(ens.states) - members).max() <= 1e-14
 
     def test_largest_ensemble_reproduces_state(self):
         rho = random_density(64, 64, seed=38)
@@ -1049,6 +1064,35 @@ class TestStackedSamplers:
             assert bit_equal(ens.weights.probs, alone.weights.probs)
             assert bit_equal(np.array(ens.states), np.array(alone.states))
             assert bit_equal(ens._average_matrix, alone._average_matrix)
+
+    #: several ranks under m = 64, whose QR is thinned to w = 40 columns
+    THIN = [(64, 1, 64, 1), (64, 13, 64, 2), (64, 40, 64, 3), (24, 9, 64, 5)]
+    #: with these the widest rank at m = 64 and at m = 128 is m: full QRs
+    FULL = [(64, 64, 64, 4), (128, 128, 128, 7)]
+
+    @pytest.mark.parametrize("seed,wide", [(0, THIN), (1, THIN + FULL)])
+    def test_ensembles_of_mixed_widths(self, seed, wide):
+        items = self.shapes(seed, n=10) + wide
+        rhos = [random_density(d, r, seed=s) for d, r, _, s in items]
+        draws = [linops._ensemble_draw(rho, m, s + 1) for rho, (_, _, m, s) in zip(rhos, items)]
+        for rho, (_, _, m, s), ens in zip(rhos, items, linops._ensembles(rhos, draws)):
+            alone = ensemble_from_state(rho, m, s + 1)
+            assert bit_equal(ens.weights.probs, alone.weights.probs)
+            assert bit_equal(np.array(ens.states), np.array(alone.states))
+            assert bit_equal(ens._average_matrix, alone._average_matrix)
+            weights, members = member_formulas(rho, m, s + 1)
+            assert bit_equal(ens.weights.probs, weights)
+            assert bit_equal(np.array(ens.states), members)
+
+    def test_one_qr_per_ensemble_size(self):
+        # thinning must not split the unitaries' groups by rank
+        items = self.shapes(0) + self.THIN + self.FULL
+        rhos = [random_density(d, r, seed=s) for d, r, _, s in items]
+        draws = [linops._ensemble_draw(rho, m, s + 1) for rho, (_, _, m, s) in zip(rhos, items)]
+        assert len({(m, r) for (r, _), (_, _, m, _) in zip(draws, items)}) > len({m for *_, m, _ in items})
+        with mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr:
+            linops._ensembles(rhos, draws)
+        assert qr.call_count == len({m for *_, m, _ in items})
 
     def test_empty_lists(self):
         assert linops._density_matrices([]) == []
