@@ -88,14 +88,14 @@ from .tolerances import TOL
 
 #: trials whose states one ``_density_stacks`` call builds while the
 #: suite builds no matrix above ``_CHUNK_DIM``; larger matrices get fewer
-#: trials, so one matrix slot of a chunk holds at most
-#: STATE_CHUNK * _CHUNK_DIM**2 entries.  Triangle's purified states, of
-#: side (d_A d_B)^2, are made in sub-stacks of at most as many entries.
-#: Only one chunk's states are alive at a time, and each chunk pays a
-#: fixed cost (one stacked ``eigh`` per shape, the table columns, one
-#: judge), which 64 trials spread thinly
-STATE_CHUNK = 64
-_CHUNK_DIM = 32
+#: trials, so one matrix slot of a chunk holds at most 2^16 entries,
+#: STATE_CHUNK * _CHUNK_DIM**2 (64 trials at d = 32, 16 at d = 64).
+#: Triangle's purified states, of side (d_A d_B)^2, are made in sub-stacks
+#: of at most as many entries.  Only one chunk's states are alive at a
+#: time, and each chunk pays a fixed cost (one stacked ``eigh`` per shape,
+#: the table columns, one judge), which 256 trials at d <= 16 spread thinly
+STATE_CHUNK = 256
+_CHUNK_DIM = 16
 
 DEFAULT_DIMS = (2, 3, 4, 5, 6)
 #: largest system dimension ``run_check`` draws states of: each state
@@ -596,7 +596,7 @@ def _purified_build(info, rows):
     psi = _purifications(_row_stack(rows, 0), _row_stack(rows, 2))
     # the rank-1 purified states need no eigensolve: only their reductions
     # are evaluated.  Each is n^2-square, so they are made in sub-stacks of
-    # at most one chunk's matrix slot, STATE_CHUNK * _CHUNK_DIM**2 entries
+    # at most one chunk's 2^16-entry matrix slot: 9 at n = 9, one at n = 16
     size = max(1, STATE_CHUNK * _CHUNK_DIM**2 // n**4)
     rho_c, rho_bc = [], []
     for start in range(0, len(psi), size):

@@ -584,6 +584,31 @@ class TestAtMostMax:
         assert_at_most_max(unified_quantum(rho, UnifiedParams(q, s)), q, s, d)
 
 
+class TestClassicalIsDiagonal:
+    """``unified_classical(p)`` equals ``unified_quantum(diagonal_density(p))``
+    for spectra of 1-16 entries, zero and equal entries included."""
+
+    @pytest.mark.xfail(raises=AssertionError, strict=True, reason="rank snap at TOL.rank")
+    def test_below_the_rank_threshold(self):
+        # the quantum side drops eigenvalues <= TOL.rank, the classical side
+        # keeps them: 1.80e-4 against -4.28e-14 here
+        p = np.array([1.0 - 1e-13, 1e-13])
+        params = UnifiedParams(0.3, 1.0)
+        assert unified_quantum(diagonal_density(p), params) == pytest.approx(unified_classical(p, params))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16).filter(any), ANY_Q, ANY_S)
+    def test_equal(self, x, q, s):
+        p = np.array(x) / math.fsum(x)
+        # entries in (0, TOL.rank] are the rank-snap defect pinned above;
+        # ANY_Q leaves out the q window's edge band, where the two sides'
+        # summation orders differ by rounding magnified by 1/|1 - q|
+        assume(not np.any((p > 0.0) & (p <= TOL.rank)))
+        params = UnifiedParams(q, s)
+        e = unified_classical(p, params)
+        assert abs(unified_quantum(diagonal_density(p), params) - e) <= 1e-12 * (1.0 + abs(e))
+
+
 class TestStabilityFunctional:
     def test_vanishes_at_zero(self):
         assert stability_ratio_bound(BoundSpec(0.5, 0.5, 4, 0.0)) == 0.0

@@ -255,13 +255,19 @@ class TestReports:
 
     @pytest.mark.parametrize("name", ALL_CHECKS)
     def test_report_across_a_full_chunk_boundary(self, monkeypatch, name):
-        # 70 trials are a full default chunk and part of a second one
-        default = run_check(name, trials=70, seed=5).to_json()
+        # a full default chunk and part of a second one
+        trials = verify.STATE_CHUNK + 6
+        default = run_check(name, trials=trials, seed=5).to_json()
         monkeypatch.setattr(verify, "STATE_CHUNK", 1)
-        assert run_check(name, trials=70, seed=5).to_json() == default
+        assert run_check(name, trials=trials, seed=5).to_json() == default
 
-    @pytest.mark.parametrize("name", ["mixing", "ensemble", "triangle"])
-    def test_one_chunk_of_states_alive_at_a_time(self, monkeypatch, name):
+    @pytest.mark.parametrize(
+        "name,chunks",
+        # 4 * 16**2 // 16**2 = 4 trials a chunk at d <= 16, and
+        # 4 * 16**2 // 27**2 = 0, so one, at the default pairs' d_max = 27
+        [("mixing", 3), ("ensemble", 3), ("triangle", 12)],
+    )
+    def test_one_chunk_of_states_alive_at_a_time(self, monkeypatch, name, chunks):
         # a plain suite, one whose judge draws more, and one whose judge builds more states
         monkeypatch.setattr(verify, "STATE_CHUNK", 4)
         built, alive = [], []
@@ -283,27 +289,31 @@ class TestReports:
         monkeypatch.setattr(verify, "_trial_rngs", watched_rngs)
         run_check(name, trials=12, seed=0)
         assert built
-        assert alive == [0, 0, 0]
+        assert alive == [0] * chunks
 
     @pytest.mark.parametrize(
         "name,dims,trials,sizes",
         [
-            ("ensemble", None, 70, [64, 6]),
+            # 256 * 16**2 // max(d_max, 16)**2 trials a chunk: 256 at d <= 16
+            ("ensemble", None, 300, [256, 44]),
+            ("ensemble", (16,), 257, [256, 1]),
+            ("ensemble", (17,), 227, [226, 1]),
+            ("ensemble", (32,), 65, [64, 1]),
             ("ensemble", (64,), 20, [16, 4]),
             ("ensemble", (128,), 5, [4, 1]),
             ("ensemble", (256,), 2, [1, 1]),
-            # dimensions just above 32: 64 * 32**2 // 33**2 = 60 trials
+            # dimensions just above 32: 256 * 16**2 // 33**2 = 60 trials
             ("ensemble", (2, 33), 61, [60, 1]),
             # pair suites size by d_A * d_B**2, the side of triangle's rho_BC:
-            # 27 at most for the default pairs
-            ("subadd", None, 65, [64 * 3, 3]),
+            # 27 at most for the default pairs, so 256 * 16**2 // 27**2 = 89
+            ("subadd", None, 100, [89 * 3, 11 * 3]),
             ("subadd", ((4, 4),), 17, [16 * 3, 3]),
             ("subadd", ((8, 8),), 3, [3, 3, 3]),
             # triangle builds its purified reductions in a second stacked call
-            ("triangle", None, 65, [64 * 3, 64 * 2, 3, 2]),
+            ("triangle", None, 100, [89 * 3, 89 * 2, 11 * 3, 11 * 2]),
             ("triangle", ((2, 8),), 5, [4 * 3, 4 * 2, 3, 2]),
             ("triangle", ((1, 16),), 2, [3, 2, 3, 2]),
-            ("triangle", ((16, 1),), 65, [64 * 3, 64 * 2, 3, 2]),
+            ("triangle", ((16, 1),), 257, [256 * 3, 256 * 2, 3, 2]),
         ],
     )
     def test_chunk_sized_by_the_largest_matrix(self, monkeypatch, name, dims, trials, sizes):
