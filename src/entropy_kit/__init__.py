@@ -22,7 +22,6 @@ from .linops import (
     ProbabilityDistribution,
     PureStateEnsemble,
     apply_generalized,
-    density_operators,
     diagonal_density,
     ensemble_from_state,
     maximally_mixed,

@@ -173,19 +173,31 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 POWER_SUM_MEMO_CAP = 64
 
 
+def _record(cls, **fields):
+    """A ``cls`` of ``fields`` that its caller has checked, such as a stack
+    row's state: the one way to skip ``__post_init__``, which checks and
+    stores a record's fields with one ``__dict__`` update.  A frozen
+    dataclass guards only ``__setattr__``."""
+    record = object.__new__(cls)
+    record.__dict__.update(fields)
+    return record
+
+
+def _memo(values: np.ndarray) -> dict:
+    """The ``_SpectralMemo`` fields of a cleaned, frozen spectrum."""
+    return {"_values": values, "_power_sums": {}}
+
+
 class _SpectralMemo:
     """Power sums and the Shannon value of a frozen spectrum, memoized.
 
     Both are evaluated with the same expressions on a miss as on a fresh
     instance, so a memoized value is bit-equal to a direct evaluation.
-    Each instance owns its memo; it holds at most ``POWER_SUM_MEMO_CAP``
-    power sums and simply stops storing new q once full.
+    Each instance owns its memo, ``_memo``'s fields; it holds at most
+    ``POWER_SUM_MEMO_CAP`` power sums and stops storing new q once full.
     """
 
-    def _start_memo(self, values: np.ndarray) -> None:
-        object.__setattr__(self, "_values", values)
-        object.__setattr__(self, "_power_sums", {})
-        object.__setattr__(self, "_shannon", None)
+    _shannon = None
 
     def power_sum(self, q: float) -> float:
         """sum_j x_j^q over the spectrum, q > 0 finite; 0^q = 0, so zeros never count."""
@@ -208,7 +220,7 @@ class _SpectralMemo:
         """-sum_j x_j ln x_j over the spectrum, with 0 ln 0 = 0."""
         if self._shannon is None:
             nz = self._values[self._values > 0]
-            object.__setattr__(self, "_shannon", float(-np.sum(nz * np.log(nz))) + 0.0)
+            self.__dict__["_shannon"] = float(-np.sum(nz * np.log(nz))) + 0.0
         return self._shannon
 
 
@@ -246,7 +258,10 @@ def _rng(seed) -> np.random.Generator:
     """Accept an int seed, a seed sequence, or an existing Generator."""
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.default_rng(seed)
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:  # a negative, fractional or non-numeric seed
+        raise DomainError(f"seed {_shown(seed)} is not usable: {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,7 +277,7 @@ class HermitianOperator:
     def __post_init__(self):
         mat = _as_square_matrix(self.entries)
         _check_hermitian(mat[None])
-        object.__setattr__(self, "entries", _frozen(mat))
+        self.__dict__.update(entries=_frozen(mat))
 
     @property
     def dim(self) -> int:
@@ -291,14 +306,9 @@ class DensityOperator(_SpectralMemo):
     def __post_init__(self):
         op = self.op
         if not isinstance(op, HermitianOperator):
-            op = _checked_hermitian(_frozen(_as_square_matrix(op)))
+            op = _record(HermitianOperator, entries=_frozen(_as_square_matrix(op)))
         vals, vecs = _density_spectra(op.entries[None])
-        self._adopt(op, vals[0], vecs[0])
-
-    def _adopt(self, op: HermitianOperator, vals: np.ndarray, vecs: np.ndarray) -> None:
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "_eigenvectors", vecs)
-        self._start_memo(vals)
+        self.__dict__.update(op=op, _eigenvectors=vecs[0], **_memo(vals[0]))
 
     @property
     def dim(self) -> int:
@@ -320,13 +330,6 @@ class DensityOperator(_SpectralMemo):
     @classmethod
     def from_matrix(cls, entries) -> "DensityOperator":
         return cls(entries)
-
-
-def _checked_hermitian(mat: np.ndarray) -> HermitianOperator:
-    """Wrap a frozen square matrix whose checks are run by the caller."""
-    op = object.__new__(HermitianOperator)
-    object.__setattr__(op, "entries", mat)
-    return op
 
 
 def _items(what: str, items) -> list:
@@ -371,24 +374,14 @@ def _density_at(row: tuple) -> DensityOperator:
     ``DensityOperator.from_matrix`` of its matrix.  It holds read-only
     views into its stack's buffers, which live as long as it does."""
     (vals, mats, vecs), j = row
-    state = object.__new__(DensityOperator)
-    state._adopt(_checked_hermitian(mats[j]), vals[j], vecs[j])
-    return state
-
-
-def density_operators(mats) -> list[DensityOperator]:
-    """Validated states of square matrices, returned in input order: the
-    ``DensityOperator`` of each ``_density_stacks`` row, so matrices of one
-    shape are validated with one ``eigh``."""
-    return list(map(_density_at, _density_stacks(mats)))
+    op = _record(HermitianOperator, entries=mats[j])
+    return _record(DensityOperator, op=op, _eigenvectors=vecs[j], **_memo(vals[j]))
 
 
 def _spectrum(values: np.ndarray) -> _SpectralMemo:
     """An unchecked holder of a cleaned, frozen spectrum, such as a row of
     a value stack."""
-    holder = _SpectralMemo()
-    holder._start_memo(values)
-    return holder
+    return _record(_SpectralMemo, **_memo(values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,11 +400,7 @@ class ProbabilityDistribution(_SpectralMemo):
         if p.ndim != 1:
             raise DomainError("expected a nonempty 1-d probability vector")
         _check_probabilities(p[None])
-        self._adopt(_frozen(p))
-
-    def _adopt(self, p: np.ndarray) -> None:
-        object.__setattr__(self, "probs", p)
-        self._start_memo(p)
+        self.__dict__.update(probs=_frozen(p), **_memo(p))
 
     @property
     def size(self) -> int:
@@ -447,6 +436,7 @@ class PureStateEnsemble:
 
     weights: ProbabilityDistribution
     states: tuple
+    _average = None  # the memo of ``average()``
 
     def __post_init__(self):
         weights = self.weights
@@ -464,13 +454,8 @@ class PureStateEnsemble:
             raise DimMismatch("one state vector per weight required")
         if v.ndim != 2:
             raise DimMismatch("ensemble state vectors must share one dimension")
-        self._adopt(weights, v, _member_averages(weights.probs[None], v[None])[0])
-
-    def _adopt(self, weights: ProbabilityDistribution, v: np.ndarray, avg: np.ndarray) -> None:
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "states", tuple(v))
-        object.__setattr__(self, "_average_matrix", avg)
-        object.__setattr__(self, "_average", None)
+        avg = _member_averages(weights.probs[None], v[None])[0]
+        self.__dict__.update(weights=weights, states=tuple(v), _average_matrix=avg)
 
     @property
     def size(self) -> int:
@@ -479,9 +464,7 @@ class PureStateEnsemble:
     def average(self) -> DensityOperator:
         """The average state, built on the first call and memoized."""
         if self._average is None:
-            object.__setattr__(
-                self, "_average", DensityOperator.from_matrix(self._average_matrix)
-            )
+            self.__dict__["_average"] = DensityOperator.from_matrix(self._average_matrix)
         return self._average
 
 
@@ -508,14 +491,11 @@ def _ensemble_stack(items: list) -> list[PureStateEnsemble]:
     target = _stack([mat for _, _, mat in items])
     if (np.abs(avg - target).max(axis=(1, 2)) > TOL.reconstruction).any():
         raise EntropyKitError("ensemble average failed to reproduce the state")
-    out = []
-    for j in range(len(items)):
-        weights = object.__new__(ProbabilityDistribution)
-        weights._adopt(p[j])
-        ens = object.__new__(PureStateEnsemble)
-        ens._adopt(weights, v[j], avg[j])
-        out.append(ens)
-    return out
+    weights = [_record(ProbabilityDistribution, probs=w, **_memo(w)) for w in p]
+    return [
+        _record(PureStateEnsemble, weights=w, states=tuple(m), _average_matrix=a)
+        for w, m, a in zip(weights, v, avg)
+    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -544,7 +524,7 @@ class OrthogonalResolution:
         total = sum(p.entries for p in projs)
         if np.abs(total - np.eye(d)).max() > TOL.orthonormal:
             raise IncompleteMeasurement("projectors do not sum to the identity")
-        object.__setattr__(self, "projectors", projs)
+        self.__dict__.update(projectors=projs)
 
     @property
     def dim(self) -> int:
@@ -575,7 +555,7 @@ class GeneralizedMeasurement:
             raise IncompleteMeasurement(
                 "operators do not satisfy the completeness relation within tolerance"
             )
-        object.__setattr__(self, "operators", tuple(_frozen(m) for m in ops))
+        self.__dict__.update(operators=tuple(_frozen(m) for m in ops))
 
     @property
     def dim(self) -> int:
@@ -888,7 +868,7 @@ def _projector_stack(blocks: list) -> list[HermitianOperator]:
     b = _stack(blocks)
     projs = _frozen(b @ b.conj().swapaxes(1, 2))
     _check_hermitian(projs)
-    return list(map(_checked_hermitian, projs))
+    return [_record(HermitianOperator, entries=p) for p in projs]
 
 
 def _resolutions(draws: list) -> list[OrthogonalResolution]:
@@ -908,12 +888,10 @@ def _resolutions(draws: list) -> list[OrthogonalResolution]:
         for r, end in zip(ranks, itertools.accumulate(ranks))
     ]
     projs = iter(_grouped(blocks, _shape, _projector_stack))
-    out = []
-    for ranks, _ in draws:
-        resolution = object.__new__(OrthogonalResolution)
-        object.__setattr__(resolution, "projectors", tuple(itertools.islice(projs, len(ranks))))
-        out.append(resolution)
-    return out
+    return [
+        _record(OrthogonalResolution, projectors=tuple(itertools.islice(projs, len(ranks))))
+        for ranks, _ in draws
+    ]
 
 
 def random_resolution(d: int, seed, ranks=None) -> OrthogonalResolution:
@@ -943,7 +921,7 @@ def read_matrix(path) -> HermitianOperator:
     """Read a JSON matrix file; shape and Hermiticity are validated on load."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, TypeError) as exc:  # TypeError: not a path
         raise DomainError(f"cannot read matrix file {str(path)!r}: {exc}") from None
     try:
         data = json.loads(text)

@@ -65,10 +65,12 @@ from .linops import (
     _dimension,
     _ensemble_draw,
     _ensembles,
+    _expect,
     _ginibre_draw,
     _groups,
     _grouped,
     _integer,
+    _items,
     _partial_traces,
     _pinches,
     _purifications,
@@ -409,13 +411,13 @@ def _seeded_violations(trials: int, seed: int, params_grid) -> CheckReport:
     return rec
 
 
-def _table(per_trial: list, points, q_only: bool = False) -> list:
-    """Each trial's (spectra, points) array of entropies at ``points``, or
-    of power sums tr(rho^q) for ``q_only`` claims, of its rows of value
-    stacks, from one ``_entropy_table`` of the whole chunk, bit for bit the
-    per-point values."""
+def _table(per_trial: list, points, q_only: bool = False) -> np.ndarray:
+    """The (slot, trial, point) array of entropies at ``points``, or of
+    power sums tr(rho^q) for ``q_only`` claims, of each trial's rows of
+    value stacks, one per slot, from one ``_entropy_table`` of the whole
+    chunk, bit for bit the per-point values."""
     table = _entropy_table([r for rs in per_trial for r in rs], points, q_only)
-    return np.split(table, np.cumsum([len(rs) for rs in per_trial[:-1]]))
+    return table.reshape(len(per_trial), -1, len(points)).swapaxes(0, 1)
 
 
 def _pair_case(trials, points):
@@ -444,7 +446,7 @@ def _ensemble_judge(trials, states, points):
         ms.append(int(rng.integers(rank, max(rank, 8) + 1)))
         draws.append(_ensemble_draw(rho, ms[-1], rng))
     weights = _stack_rows([ens.weights.probs for ens in _ensembles(rhos, draws)])
-    rho, weights = np.stack(_table([[row, w] for (row,), w in zip(states, weights)], points), axis=1)
+    rho, weights = _table([[row, w] for (row,), w in zip(states, weights)], points)
 
     def case(t, k, c):
         i, (_, d) = trials[t]
@@ -470,8 +472,9 @@ def _mixing_build(infos, made):
 def _mixing_judge(trials, states, points):
     """Mixing concavity: sum_i p_i E(omega_i) <= E(sum_i p_i omega_i)
     for 0 < q < 1 and s <= 1."""
-    rows = _table(states, points)
-    # zip stops at the omegas' rows; the mixture's row is last
+    # a trial's k omegas (where zip stops), then their mixture: k varies, so no _table
+    table = _entropy_table([r for rs in states for r in rs], points)
+    rows = np.split(table, np.cumsum([len(rs) for rs in states[:-1]]))
     lhs = [sum(w * row for w, row in zip(info[2], e)) for (_, info), e in zip(trials, rows)]
 
     def case(t, k, c):
@@ -503,7 +506,7 @@ def _fannes_judge(trials, states, points):
     """Entropy differences of random state pairs stay below the unified
     continuity bound; low-region points whose 2*eps exceeds the
     monotonicity threshold are skipped."""
-    rho, omega = np.stack(_table(states, points), axis=1)
+    rho, omega = _table(states, points)
     eps = [0.0] * len(trials)
     bound = np.zeros((len(trials), len(points)))
     keep = np.ones(bound.shape, dtype=bool)
@@ -536,10 +539,10 @@ def _audenaert_judge(trials, states, points):
     """Schatten-norm inequality ||rho_A||_q + ||rho_B||_q <= 1 + ||rho_AB||_q
     for q >= 1, from the power sums tr(rho^q)."""
     # (tr rho^q)^(1/q) with scalar pow, not numpy's array **
-    norm_ab, norm_a, norm_b = np.stack([
-        [[t ** (1.0 / p.q) for t, p in zip(row, points)] for row in e.tolist()]
-        for e in _table(states, points, q_only=True)
-    ], axis=1)
+    norm_ab, norm_a, norm_b = np.array([
+        [[t ** (1.0 / p.q) for t, p in zip(row, points)] for row in slot]
+        for slot in _table(states, points, q_only=True).tolist()
+    ])
 
     def case(t, k, c):
         i, (da, db) = trials[t]
@@ -554,7 +557,7 @@ def _subadditive(q: float, s: float) -> bool:
 
 def _subadd_judge(trials, states, points):
     """Subadditivity E(rho_AB) <= E(rho_A) + E(rho_B) for q > 1, s >= 1/q."""
-    e_ab, e_a, e_b = np.stack(_table(states, points), axis=1)
+    e_ab, e_a, e_b = _table(states, points)
     return [(e_ab, e_a + e_b)], None, _pair_case(trials, points)
 
 
@@ -571,7 +574,7 @@ def _violation_build(info, fas, fbs, rhos):
 def _violation_judge(trials, states, points):
     """E(rho_AB) against E(rho_A) + E(rho_B) on a product state and on a
     correlated one, where subadditivity is expected to fail."""
-    fa, fb, prod, corr, ca, cb = np.stack(_table(states, points), axis=1)
+    fa, fb, prod, corr, ca, cb = _table(states, points)
     kinds = ("product", "correlated")
 
     def case(t, k, c):
@@ -615,8 +618,7 @@ def _triangle_judge(trials, states, points):
     purified state carry the entropies they should."""
     purified = _by_info(_purified_build)([info for _, info in trials], [st[:1] for st in states])
     more = _per_trial(_density_stacks, purified)
-    rows = _table([first + second for first, second in zip(states, more)], points)
-    e_ab, e_a, e_b, e_c, e_bc = np.stack(rows, axis=1)
+    e_ab, e_a, e_b, e_c, e_bc = _table([first + second for first, second in zip(states, more)], points)
     zero = np.zeros_like(e_ab)
     kinds = ("purified-complement", "purified-rest", "triangle")
     pair_case = _pair_case(trials, points)
@@ -648,7 +650,7 @@ def _pinching_build(info, rhos, resolutions):
 
 def _pinching_judge(trials, states, points):
     """Pinching pushes tr(rho^q) up for q < 1 and down for q > 1."""
-    t_rho, t_pin = np.stack(_table(states, points, q_only=True), axis=1)
+    t_rho, t_pin = _table(states, points, q_only=True)
     low = np.array([p.q < 1.0 for p in points], dtype=bool)
 
     def case(t, k, c):
@@ -662,7 +664,7 @@ def _pinching_judge(trials, states, points):
 
 def _projective_judge(trials, states, points):
     """Pinching never lowers the unified entropy: E(rho) <= E(pinched)."""
-    rho, pinched = np.stack(_table(states, points), axis=1)
+    rho, pinched = _table(states, points)
 
     def case(t, k, c):
         i, (d, blocks) = trials[t]
@@ -830,6 +832,7 @@ def qubit_measurement_decrease(rho_diag: DensityOperator, params_grid=None) -> C
     state |0><0|, so every unified entropy must drop strictly when the
     input is impure.  Off-diagonal or pure inputs are rejected.
     """
+    _expect(rho_diag, DensityOperator)
     if rho_diag.dim != 2:
         raise DimMismatch(f"expected a qubit state, got dimension {rho_diag.dim}")
     off = max(abs(rho_diag.mat[0, 1]), abs(rho_diag.mat[1, 0]))
@@ -920,7 +923,7 @@ def _checked_inputs(name: str, trials, seed, dims) -> tuple:
         raise DomainError(f"seed must be nonnegative, got {_shown(seed)}")
     if dims is not None:
         least, most = CHECKS[name].dims
-        dims = tuple(_integer("dimension", d) for d in dims)
+        dims = tuple(_integer("dimension", d) for d in _items("dims", dims))
         for d in dims:
             if not 1 <= d <= MAX_CHECK_DIM:
                 raise DomainError(f"dimension must lie in [1, {MAX_CHECK_DIM}], got {_shown(d)}")

@@ -31,7 +31,6 @@ from entropy_kit.linops import (
     ProbabilityDistribution,
     PureStateEnsemble,
     apply_generalized,
-    density_operators,
     diagonal_density,
     ensemble_from_state,
     maximally_mixed,
@@ -50,6 +49,11 @@ from entropy_kit.linops import (
 )
 from entropy_kit.tolerances import TOL
 from entropy_kit.verify import StabilityExample
+
+
+def density_rows(mats):
+    """The states of the ``_density_stacks`` rows of ``mats``, made by ``_density_at``."""
+    return [linops._density_at(row) for row in linops._density_stacks(mats)]
 
 
 def basis_resolution(d):
@@ -465,7 +469,7 @@ class TestStackedComposite:
     @pytest.mark.parametrize("n", SIZES)
     @pytest.mark.parametrize("d", [1, 2, 4, 9, 16])
     def test_purifications(self, d, n):
-        rhos = density_operators(self.matrices(d, n, d))
+        rhos = density_rows(self.matrices(d, n, d))
         vals = np.array([rho.eigenvalues for rho in rhos])
         vecs = np.array([rho.eigenvectors for rho in rhos])
         stacked = linops._purifications(vals, vecs)
@@ -603,7 +607,7 @@ class TestStackedConstruction:
             random_density_matrix(d, 1 + int(frac * (d - 1)), seed)
             for seed, d, frac in specs
         ]
-        stacked = density_operators(mats)
+        stacked = density_rows(mats)
         assert len(stacked) == len(mats)
         for mat, state in zip(mats, stacked):
             alone = DensityOperator.from_matrix(mat)
@@ -615,22 +619,22 @@ class TestStackedConstruction:
             assert state.shannon() == alone.shannon()
 
     def test_input_order_kept(self):
-        states = density_operators(GOOD_MATRICES)
+        states = density_rows(GOOD_MATRICES)
         assert [s.dim for s in states] == [2, 3, 2, 4]
         for mat, state in zip(GOOD_MATRICES, states):
             assert bit_equal(state.mat, mat)
 
     def test_empty(self):
-        assert density_operators([]) == []
+        assert density_rows([]) == []
 
     def test_states_are_read_only(self):
-        state = density_operators(GOOD_MATRICES)[2]
+        state = density_rows(GOOD_MATRICES)[2]
         for arr in (state.mat, state.eigenvalues, state.eigenvectors):
             assert not arr.flags.writeable
 
     def test_caller_matrix_not_aliased(self):
         mat = random_density_matrix(3, 3, 5)
-        state = density_operators([mat])[0]
+        state = density_rows([mat])[0]
         mat[0, 0] = 7.0
         assert state.mat[0, 0] != 7.0
 
@@ -645,8 +649,43 @@ class TestStackedConstruction:
         mats = list(GOOD_MATRICES)
         mats.insert(pos, bad)
         with pytest.raises(expected) as stacked:
-            density_operators(mats)
+            density_rows(mats)
         assert type(stacked.value) is expected
+
+
+class TestRecords:
+    """A record made by ``_record`` from checked parts holds the fields its
+    public constructor stores: a missing one would fail only when first read."""
+
+    def test_stack_row_state(self):
+        mat = random_density_matrix(3, 2, 4)
+        (state,) = density_rows([mat])
+        alone = DensityOperator.from_matrix(mat)
+        assert vars(state).keys() == vars(alone).keys()
+        assert vars(state.op).keys() == vars(alone.op).keys()
+
+    def test_sampled_ensemble(self):
+        ens = ensemble_from_state(random_density(3, 2, 5), 4, 6)
+        alone = PureStateEnsemble(ens.weights.probs, ens.states)
+        assert vars(ens).keys() == vars(alone).keys()
+        assert vars(ens.weights).keys() == vars(alone.weights).keys()
+
+    def test_sampled_resolution(self):
+        res = random_resolution(5, 7)
+        alone = OrthogonalResolution(tuple(p.entries for p in res.projectors))
+        assert vars(res).keys() == vars(alone).keys()
+        for p, q in zip(res.projectors, alone.projectors):
+            assert vars(p).keys() == vars(q).keys()
+
+    def test_records_stay_frozen_and_memoize_on_the_instance(self):
+        (state,) = density_rows([random_density_matrix(3, 3, 8)])
+        with pytest.raises(AttributeError):
+            state.op = None
+        value = state.shannon()
+        assert vars(state)["_shannon"] == value and DensityOperator._shannon is None
+        ens = ensemble_from_state(state, 3, 9)
+        average = ens.average()
+        assert vars(ens)["_average"] is average and PureStateEnsemble._average is None
 
 
 class TestMatrixLevelHelpers:
@@ -744,9 +783,20 @@ class TestRandomSampling:
         # the products random_resolution skips
         OrthogonalResolution(res.projectors)
 
-    @pytest.mark.parametrize("kind", ["missing", "directory", "bytes"])
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: random_unitary(2, -1), lambda: random_density(2, 1, 1.5), lambda: random_unitary(2, "a")],
+        ids=["negative", "fractional", "string"],
+    )
+    def test_bad_seed_is_a_domain_error(self, call):
+        # numpy's bare ValueError (negative) or TypeError (the others) escaped
+        with pytest.raises(DomainError, match="^seed .* is not usable: "):
+            call()
+
+    # a path of None raised a bare TypeError from Path
+    @pytest.mark.parametrize("kind", ["missing", "directory", "bytes", "none"])
     def test_unreadable_matrix_file_is_a_domain_error(self, tmp_path, kind):
-        path = {"missing": tmp_path / "none.json", "directory": tmp_path}.get(kind, tmp_path / "b.json")
+        path = {"missing": tmp_path / "none.json", "directory": tmp_path, "none": None}.get(kind, tmp_path / "b.json")
         if kind == "bytes":
             path.write_bytes(b"\xff\xfe{")
         with pytest.raises(DomainError, match="cannot read matrix file"):
@@ -1146,13 +1196,13 @@ class TestUnconvertibleEntries:
         [
             lambda: HermitianOperator([[10**400]]),
             lambda: DensityOperator.from_matrix([[10**400]]),
-            lambda: density_operators([[[10**400]]]),
+            lambda: density_rows([[[10**400]]]),
             lambda: GeneralizedMeasurement([[[10**400]]]),
             lambda: OrthogonalResolution([[[10**400]]]),
             lambda: ProbabilityDistribution([10**400, 0]),
             lambda: PureStateEnsemble([1.0], [[10**400]]),
             lambda: HermitianOperator([[1, 0], [0]]),
-            lambda: density_operators([np.eye(2) / 2, [[1, 0], [0]]]),
+            lambda: density_rows([np.eye(2) / 2, [[1, 0], [0]]]),
             lambda: GeneralizedMeasurement([[[1, 0], [0]]]),
             lambda: ProbabilityDistribution([[0.5], [0.25, 0.25]]),
             lambda: ProbabilityDistribution(["a", "b"]),
@@ -1188,7 +1238,7 @@ class TestUnconvertibleEntries:
 
         monkeypatch.setattr(np, "array", numpy1_array)
         rho = np.diag([0.75, 0.25]).astype(complex)
-        (state,) = density_operators([rho])
+        (state,) = density_rows([rho])
         assert np.array_equal(state.mat, rho)
 
     def test_ragged_ensemble_members_stay_a_dimension_mismatch(self):
@@ -1226,14 +1276,13 @@ class TestUnconvertibleEntries:
             ),
             (lambda: ensemble_from_state(np.eye(2) / 2, 2, 0), "expected DensityOperator, got ndarray"),
             (lambda: pinch(np.eye(2) / 2, "x"), "expected OrthogonalResolution, got str"),
-            (lambda: density_operators(5), "matrices must be a sequence, got 5"),
             (lambda: OrthogonalResolution(5.0), "projectors must be a sequence, got 5.0"),
             (lambda: GeneralizedMeasurement(5.0), "measurement operators must be a sequence, got 5.0"),
             (lambda: unified_classical([0.5, 0.5], (2.0, 1.0)), "expected UnifiedParams, got tuple"),
         ],
         ids=[
             "purify", "tensor", "apply_generalized-state", "apply_generalized-measurement",
-            "ensemble_from_state", "pinch-resolution", "density_operators", "OrthogonalResolution",
+            "ensemble_from_state", "pinch-resolution", "OrthogonalResolution",
             "GeneralizedMeasurement", "unified_classical-params",
         ],
     )

@@ -666,6 +666,8 @@ class TestSuitesPass:
             ({"trials": True}, "trial count must be an integer, got True"),
             ({"seed": False}, "seed must be an integer, got False"),
             ({"dims": (True,)}, "dimension must be an integer, got True"),
+            # a bare TypeError: 'int' object is not iterable
+            ({"dims": 3}, "dims must be a sequence, got 3"),
         ],
     )
     def test_non_integer_input_is_a_domain_error(self, kwargs, message):
@@ -787,6 +789,11 @@ class TestQubitMeasurement:
     def test_rejects_pure_input(self):
         with pytest.raises(PureState):
             qubit_measurement_decrease(diagonal_density((1.0, 0.0)))
+
+    def test_rejects_a_non_state(self):
+        # reading .dim of the string was a bare AttributeError
+        with pytest.raises(DomainError, match="^expected DensityOperator, got str$"):
+            qubit_measurement_decrease("x")
 
 
 class TestStabilityExamples:
