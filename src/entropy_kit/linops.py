@@ -174,8 +174,8 @@ POWER_SUM_MEMO_CAP = 64
 
 
 def _record(cls, **fields):
-    """A ``cls`` of ``fields`` that its caller has checked, such as a stack
-    row's state: the one way to skip ``__post_init__``, which checks and
+    """A ``cls`` of ``fields`` that its caller has checked, such as a
+    sampled ensemble: the one way to skip ``__post_init__``, which checks and
     stores a record's fields with one ``__dict__`` update.  A frozen
     dataclass guards only ``__setattr__``."""
     record = object.__new__(cls)
@@ -358,7 +358,7 @@ def _density_stacks(mats) -> list[tuple]:
     in input order.  ``stack`` is (cleaned eigenvalues, matrices,
     eigenvectors) of all matrices of one shape, validated with one ``eigh``
     (``_density_spectra``), so a bad matrix raises what building it alone
-    raises.  ``_density_at`` makes a row's ``DensityOperator``; the
+    raises, and row j's items are bit for bit its ``DensityOperator``'s; the
     eigenvalue stacks are what ``entropies._entropy_table`` reads."""
     mats = [_as_square_matrix(m, copy=False) for m in _items("matrices", mats)]
     return _stack_rows(mats, _density_stack)
@@ -367,15 +367,6 @@ def _density_stacks(mats) -> list[tuple]:
 def _density_stack(mats: np.ndarray) -> tuple:
     vals, vecs = _density_spectra(_frozen(mats))
     return vals, mats, vecs
-
-
-def _density_at(row: tuple) -> DensityOperator:
-    """The state of a ``_density_stacks`` row, bit for bit
-    ``DensityOperator.from_matrix`` of its matrix.  It holds read-only
-    views into its stack's buffers, which live as long as it does."""
-    (vals, mats, vecs), j = row
-    op = _record(HermitianOperator, entries=mats[j])
-    return _record(DensityOperator, op=op, _eigenvectors=vecs[j], **_memo(vals[j]))
 
 
 def _spectrum(values: np.ndarray) -> _SpectralMemo:
@@ -480,10 +471,10 @@ def _member_averages(p: np.ndarray, v: np.ndarray) -> np.ndarray:
     return avg
 
 
-def _ensemble_stack(items: list) -> list[PureStateEnsemble]:
-    """The ensembles of (weights, members, state matrix) items with members
-    of one shape: bit for bit ``PureStateEnsemble(weights, members)``,
-    whose average must reproduce the state matrix."""
+def _ensemble_stack(items: list) -> list[tuple]:
+    """(weights, members, average) of (weights, members, state matrix) items
+    with members of one shape: bit for bit ``PureStateEnsemble(weights,
+    members)``'s fields, whose average must reproduce the state matrix."""
     p = _frozen(np.array([w for w, _, _ in items]))
     v = _frozen(np.array([m for _, m, _ in items]))
     _check_probabilities(p)
@@ -491,11 +482,7 @@ def _ensemble_stack(items: list) -> list[PureStateEnsemble]:
     target = _stack([mat for _, _, mat in items])
     if (np.abs(avg - target).max(axis=(1, 2)) > TOL.reconstruction).any():
         raise EntropyKitError("ensemble average failed to reproduce the state")
-    weights = [_record(ProbabilityDistribution, probs=w, **_memo(w)) for w in p]
-    return [
-        _record(PureStateEnsemble, weights=w, states=tuple(m), _average_matrix=a)
-        for w, m, a in zip(weights, v, avg)
-    ]
+    return list(zip(p, v, avg))
 
 
 @dataclass(frozen=True, eq=False)
@@ -714,11 +701,12 @@ def maximally_mixed(d: int) -> DensityOperator:
 # ``_resolution_draw``, ``_ensemble_draw``) checks its arguments and takes
 # every number from the generator, in the order the one-item sampler takes
 # them; a builder (``_density_matrices``, ``_unitaries``, ``_resolutions``,
-# ``_ensembles``) turns a list of draws into matrices with one stacked call
+# ``_ensembles``) turns a list of draws into arrays with one stacked call
 # per shape, each bit for bit what the item gives alone.  Each public
-# sampler is one draw and a build of one item.  A complex Gaussian matrix
-# is drawn as its real and imaginary parts in one (2, rows, cols) call, the
-# stream of two ``standard_normal((rows, cols))`` calls.  ``_ensembles``
+# sampler is one draw and a build of one item, and the only one of these
+# to make a record.  A complex Gaussian matrix is drawn as its real and
+# imaginary parts in one (2, rows, cols) call, the stream of two
+# ``standard_normal((rows, cols))`` calls.  ``_ensembles``
 # factors the first w columns of an m x m Gaussian, which with numpy 2.4.6
 # (OpenBLAS 0.3.31) gives the full QR's first w bit for bit for m <= 96 and
 # within rounding past it.  The ``ensemble`` suite's m > 8 all have w = m.
@@ -783,41 +771,40 @@ def random_unitary(d: int, seed) -> np.ndarray:
     return _unitaries([_haar_draw(d, seed)])[0]
 
 
-def _ensemble_draw(rho: DensityOperator, m: int, seed) -> tuple:
-    """(rank of rho, Haar draw) of ``ensemble_from_state(rho, m, seed)``."""
+def _ensemble_draw(rank: int, m: int, seed) -> tuple:
+    """(rank, Haar draw) of ``ensemble_from_state(rho, m, seed)``, rho of that rank."""
     m = _integer("ensemble size", m)
-    r = int(np.sum(rho.eigenvalues > TOL.rank))
-    if m < r:
-        raise InvalidIndex(f"ensemble size {m} below the state rank {r}")
-    return r, _haar_draw(m, seed)
+    if m < rank:
+        raise InvalidIndex(f"ensemble size {m} below the state rank {rank}")
+    return rank, _haar_draw(m, seed)
 
 
 def _member_stack(items: list) -> list:
-    """(weights, members, state matrix) of same-shaped (rho, rank, unitary)
-    items."""
+    """(weights, members, state matrix) of same-shaped ((vals, vecs, mat),
+    rank, unitary) items."""
     r = items[0][1]
     u = _stack([u[:, :r] for _, _, u in items])
-    roots = np.sqrt(_stack([rho.eigenvalues[:r] for rho, _, _ in items]))
-    vecs = _stack([rho.eigenvectors[:, :r] for rho, _, _ in items])
+    roots = np.sqrt(_stack([vals[:r] for (vals, _, _), _, _ in items]))
+    vecs = _stack([vecs[:, :r] for (_, vecs, _), _, _ in items])
     raw = (u * roots[:, None, :]) @ vecs.swapaxes(1, 2)
     weights = np.einsum("kij,kij->ki", raw, raw.conj()).real
     kept = weights >= TOL.ensemble_weight
     # the floor keeps a dropped zero-weight row from dividing by 0; kept rows are unchanged
     members = raw / np.sqrt(np.maximum(weights, TOL.ensemble_weight))[:, :, None]
     return [
-        (w, v, rho.mat) if k.all() else (w[k], v[k], rho.mat)
-        for w, v, k, (rho, _, _) in zip(weights, members, kept, items)
+        (w, v, mat) if k.all() else (w[k], v[k], mat)
+        for w, v, k, ((_, _, mat), _, _) in zip(weights, members, kept, items)
     ]
 
 
-def _ensembles(rhos: list, draws: list) -> list[PureStateEnsemble]:
-    """The ensemble of each state and ``_ensemble_draw``: members, their
-    validation and the check that they reproduce the state, stacked by shape;
-    each m's one QR stack is factored on the widest rank w drawn at that m."""
+def _ensembles(states: list, draws: list) -> list[tuple]:
+    """``_ensemble_stack``'s triple of each (eigenvalues, eigenvectors,
+    matrix) state and ``_ensemble_draw``, stacked by shape; each m's one
+    QR stack is factored on the widest rank w drawn at that m."""
     widths = {g.shape[1]: r for r, g in sorted(draws, key=operator.itemgetter(0))}
     us = _unitaries([g[:, :, : widths[g.shape[1]]] for _, g in draws])
-    items = [(rho, r, u) for rho, (r, _), u in zip(rhos, draws, us)]
-    members = _grouped(items, lambda it: (it[2].shape, it[1], it[0].dim), _member_stack)
+    items = [(state, r, u) for state, (r, _), u in zip(states, draws, us)]
+    members = _grouped(items, lambda it: (it[2].shape, it[1], len(it[0][0])), _member_stack)
     return _grouped(members, lambda it: it[1].shape, _ensemble_stack)
 
 
@@ -832,7 +819,11 @@ def ensemble_from_state(rho: DensityOperator, m: int, seed) -> PureStateEnsemble
     m <= 96, within rounding (2.3e-16 seen) past it.
     """
     _expect(rho, DensityOperator)
-    return _ensembles([rho], [_ensemble_draw(rho, m, seed)])[0]
+    rank = int(np.sum(rho.eigenvalues > TOL.rank))
+    state = (rho.eigenvalues, rho.eigenvectors, rho.mat)
+    ((p, v, avg),) = _ensembles([state], [_ensemble_draw(rank, m, seed)])
+    weights = _record(ProbabilityDistribution, probs=p, **_memo(p))
+    return _record(PureStateEnsemble, weights=weights, states=tuple(v), _average_matrix=avg)
 
 
 #: largest dimension whose block ranks ``random_resolution`` draws: the
@@ -864,15 +855,15 @@ def _resolution_draw(d: int, seed, ranks=None) -> tuple:
     return ranks, _haar_draw(d, rng)
 
 
-def _projector_stack(blocks: list) -> list[HermitianOperator]:
+def _projector_stack(blocks: list) -> np.ndarray:
     b = _stack(blocks)
     projs = _frozen(b @ b.conj().swapaxes(1, 2))
     _check_hermitian(projs)
-    return [_record(HermitianOperator, entries=p) for p in projs]
+    return projs
 
 
-def _resolutions(draws: list) -> list[OrthogonalResolution]:
-    """The resolution of each ``_resolution_draw``: one stacked unitarity
+def _resolutions(draws: list) -> list[tuple]:
+    """Each ``_resolution_draw``'s read-only projectors: one stacked unitarity
     check per dimension and one stacked product U_j U_j^H per block shape."""
     us = _unitaries([g for _, g in draws])
     for idx in _groups(len(u) for u in us):
@@ -888,10 +879,7 @@ def _resolutions(draws: list) -> list[OrthogonalResolution]:
         for r, end in zip(ranks, itertools.accumulate(ranks))
     ]
     projs = iter(_grouped(blocks, _shape, _projector_stack))
-    return [
-        _record(OrthogonalResolution, projectors=tuple(itertools.islice(projs, len(ranks))))
-        for ranks, _ in draws
-    ]
+    return [tuple(itertools.islice(projs, len(ranks))) for ranks, _ in draws]
 
 
 def random_resolution(d: int, seed, ranks=None) -> OrthogonalResolution:
@@ -907,7 +895,9 @@ def random_resolution(d: int, seed, ranks=None) -> OrthogonalResolution:
     near-unit rows of U with a block of U^H U - I, summed over at most d
     terms).  Their Hermiticity is checked on their stack.
     """
-    return _resolutions([_resolution_draw(d, seed, ranks)])[0]
+    (projs,) = _resolutions([_resolution_draw(d, seed, ranks)])
+    projectors = tuple(_record(HermitianOperator, entries=p) for p in projs)
+    return _record(OrthogonalResolution, projectors=projectors)
 
 
 def write_matrix(path, a) -> None:

@@ -17,9 +17,9 @@ trial; partial traces, products and pinchings with one call of a stacked
 ``linops`` core per shape), and one ``linops._density_stacks`` call
 validates them with one ``eigh`` per shape.  A trial's state is then a
 row of its shape's stacks (matrices, cleaned eigenvalues, eigenvectors),
-and a ``DensityOperator`` of views of that row is made only for the
-ensemble judge's rho, which draws each trial's ensemble and builds the
-chunk's ensembles the same way.  The triangle judge purifies its rho_AB
+and no record is made of it: the stacked builders take and give arrays.
+The ensemble judge draws each trial's ensemble from its row and builds the
+chunk's ensembles the same way, the triangle judge purifies its rho_AB
 rows and fannes measures its pairs' trace distances from the stacks, one
 core call per shape.  The judge reads the eigenvalue stacks at every
 grid point as one ``entropies._entropy_table`` and judges the chunk's
@@ -59,7 +59,6 @@ from .linops import (
     MAX_RANK_DRAW_DIM,
     DensityOperator,
     GeneralizedMeasurement,
-    _density_at,
     _density_matrices,
     _density_stacks,
     _dimension,
@@ -356,7 +355,7 @@ def _per_trial(build, per_trial: list) -> list:
 
 def _sampled(draws: list) -> list:
     """Draws of one kind built with one stacked call per shape: Ginibre
-    draws into density matrices, (ranks, Haar draw) pairs into resolutions."""
+    draws into density matrices, (ranks, Haar draw) pairs into projectors."""
     return (_resolutions if isinstance(draws[0], tuple) else _density_matrices)(draws)
 
 
@@ -438,14 +437,14 @@ def _ensemble_judge(trials, states, points):
     realizing the state; the Renyi line s = 0 is only claimed for q < 1.
     Each trial draws its ensemble from its own generator, and the chunk's
     ensembles are built with one stacked call per shape."""
-    rhos = [_density_at(row) for (row,) in states]
-    draws, ms = [], []
-    for (_, (rng, _)), rho in zip(trials, rhos):
+    rhos, draws, ms = [], [], []
+    for (_, (rng, _)), (((vals, mats, vecs), j),) in zip(trials, states):
+        rhos.append((vals[j], vecs[j], mats[j]))
         # an ensemble of m pure states needs m >= rank >= 1
-        rank = int(np.sum(rho.eigenvalues > TOL.rank))
+        rank = int(np.sum(vals[j] > TOL.rank))
         ms.append(int(rng.integers(rank, max(rank, 8) + 1)))
-        draws.append(_ensemble_draw(rho, ms[-1], rng))
-    weights = _stack_rows([ens.weights.probs for ens in _ensembles(rhos, draws)])
+        draws.append(_ensemble_draw(rank, ms[-1], rng))
+    weights = _stack_rows([w for w, _, _ in _ensembles(rhos, draws)])
     rho, weights = _table([[row, w] for (row,), w in zip(states, weights)], points)
 
     def case(t, k, c):
@@ -644,8 +643,7 @@ def _pinching_build(info, rhos, resolutions):
     """Each state with its pinching, for trials of one (d, block count);
     the stack of each block's projectors is made as it is applied."""
     rho = np.array(rhos)
-    blocks = zip(*(resolution.projectors for resolution in resolutions))
-    return rho, _pinches(rho, (np.array([p.entries for p in ps]) for ps in blocks))
+    return rho, _pinches(rho, (np.array(ps) for ps in zip(*resolutions)))
 
 
 def _pinching_judge(trials, states, points):
@@ -680,21 +678,21 @@ class Suite:
     ``draw(dims, i, rng)`` gives (info, draws) for trial i: its discrete
     choices and the ``linops`` draws (Ginibre draws, (ranks, Haar draw)
     pairs of resolutions) it takes from its generator.  The chunk's draws
-    are built with one stacked call per kind and shape, ``build(infos,
-    made)`` turns the chunk's infos and each trial's built draws into each
-    trial's matrices (``_by_info`` for one stacked call per distinct
-    info), and the chunk's matrices become states through one stacked call.
-    ``judge(trials, states, points)`` then judges the whole chunk at once
-    from its (i, info) pairs and each trial's states, rows of
-    ``_density_stacks`` (``_density_at`` makes one's ``DensityOperator``),
-    reading entropies at the claimed points, or power sums tr(rho^q) for
-    ``q_only`` claims (which ignore s and compare each distinct q of the
-    grid once), through ``_table``.  It returns (pairs, keep, case): one (lhs, rhs) pair of
-    (trial, point) arrays per case of "lhs <= rhs", a (trial, point) mask
-    of the points inside the claim's validity window (None for all), and
-    ``case(t, k, c)``, the case dict of trial t, point k and case c.
-    Points outside ``claimed`` are skipped without a judge; with none
-    inside, no trial is drawn.
+    are built into arrays (matrices, projector tuples) with one stacked
+    call per kind and shape, ``build(infos, made)`` turns the chunk's infos
+    and each trial's built draws into each trial's matrices (``_by_info``
+    for one stacked call per distinct info), and the chunk's matrices
+    become states through one stacked call.  ``judge(trials, states,
+    points)`` then judges the whole chunk at once from its (i, info) pairs
+    and each trial's states, rows ((vals, mats, vecs), j) of
+    ``_density_stacks``, reading entropies at the claimed points, or power
+    sums tr(rho^q) for ``q_only`` claims (which ignore s and compare each
+    distinct q of the grid once), through ``_table``.  It returns (pairs,
+    keep, case): one (lhs, rhs) pair of (trial, point) arrays per case of
+    "lhs <= rhs", a (trial, point) mask of the points inside the claim's
+    validity window (None for all), and ``case(t, k, c)``, the case dict of
+    trial t, point k and case c.  Points outside ``claimed`` are skipped
+    without a judge; with none inside, no trial is drawn.
     """
 
     draw: Callable

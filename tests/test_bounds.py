@@ -584,6 +584,33 @@ class TestAtMostMax:
         assert_at_most_max(unified_quantum(rho, UnifiedParams(q, s)), q, s, d)
 
 
+def assert_at_least_zero(e: float, q: float, s: float, d: int) -> None:
+    top = max_unified(q, s, d)
+    assert e >= -1e-12 * (1.0 + abs(top)), (e, top)
+
+
+class TestAtLeastZero:
+    """E >= 0, the lower side of 0 <= E <= ``max_unified(q, s, d)``, for
+    Ginibre states of any rank and diagonal states, with the slack and the
+    (q, s) strategies of ``TestAtMostMax``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(1, 16), st.integers(0, 2**32 - 1), ANY_Q, ANY_S)
+    def test_ginibre(self, data, d, seed, q, s):
+        rho = random_density(d, data.draw(st.integers(1, d)), seed=seed)
+        assert_at_least_zero(unified_quantum(rho, UnifiedParams(q, s)), q, s, d)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16).filter(any), ANY_Q, ANY_S)
+    def test_diagonal(self, x, q, s):
+        p = np.array(x) / math.fsum(x)
+        # entries in (0, TOL.rank] are dropped by the rank snap, which can
+        # read below 0: the strict xfail
+        # TestClassicalIsDiagonal::test_many_entries_below_the_rank_threshold
+        assume(not np.any((p > 0.0) & (p <= TOL.rank)))
+        assert_at_least_zero(unified_quantum(diagonal_density(p), UnifiedParams(q, s)), q, s, p.size)
+
+
 class TestClassicalIsDiagonal:
     """``unified_classical(p)`` equals ``unified_quantum(diagonal_density(p))``
     for spectra of 1-16 entries, zero and equal entries included."""
@@ -595,6 +622,18 @@ class TestClassicalIsDiagonal:
         p = np.array([1.0 - 1e-13, 1e-13])
         params = UnifiedParams(0.3, 1.0)
         assert unified_quantum(diagonal_density(p), params) == pytest.approx(unified_classical(p, params))
+
+    @pytest.mark.xfail(raises=AssertionError, strict=True, reason="rank snap at TOL.rank")
+    @pytest.mark.parametrize("q", [0.9, 0.5])
+    def test_many_entries_below_the_rank_threshold(self, q):
+        # fifteen entries of 1e-12 are dropped: at q = 0.9 the quantum side
+        # reads -1.35e-10 where the classical side reads +2.24e-9, 30 times
+        # past the 1e-12 (1 + |max|) slack below 0 (at q = 0.5: -1.5e-11
+        # against 3.0e-5), so a max(E, 0.0) clamp alone would give 0
+        p = np.array([1.0 - 15e-12] + [1e-12] * 15)
+        params = UnifiedParams(q, 1.0)
+        e = unified_classical(p, params)
+        assert abs(unified_quantum(diagonal_density(p), params) - e) <= 1e-12 * (1.0 + abs(e))
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16).filter(any), ANY_Q, ANY_S)

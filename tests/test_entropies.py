@@ -30,7 +30,6 @@ from entropy_kit.errors import DomainError, EntropyKitError, InvalidIndex
 from entropy_kit.linops import (
     DensityOperator,
     ProbabilityDistribution,
-    _density_at,
     _density_stacks,
     _stack_rows,
     diagonal_density,
@@ -541,7 +540,7 @@ class TestEntropyTable:
             p[0] += 1.0 - p.sum()
             dists.append(ProbabilityDistribution(p))
         rows = iter(_density_stacks(mats)), iter(_stack_rows([p.probs for p in dists]))
-        holders = iter(map(_density_at, _density_stacks(mats))), iter(dists)
+        holders = iter(map(DensityOperator.from_matrix, mats)), iter(dists)
         return [next(rows[not q]) for q in quantum], [next(holders[not q]) for q in quantum]
 
     @staticmethod

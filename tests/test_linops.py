@@ -52,8 +52,9 @@ from entropy_kit.verify import StabilityExample
 
 
 def density_rows(mats):
-    """The states of the ``_density_stacks`` rows of ``mats``, made by ``_density_at``."""
-    return [linops._density_at(row) for row in linops._density_stacks(mats)]
+    """(cleaned eigenvalues, matrix, eigenvectors) of each ``_density_stacks``
+    row of ``mats``: item j of each of its shape's stacks."""
+    return [(vals[j], mats[j], vecs[j]) for (vals, mats, vecs), j in linops._density_stacks(mats)]
 
 
 def basis_resolution(d):
@@ -469,14 +470,14 @@ class TestStackedComposite:
     @pytest.mark.parametrize("n", SIZES)
     @pytest.mark.parametrize("d", [1, 2, 4, 9, 16])
     def test_purifications(self, d, n):
-        rhos = density_rows(self.matrices(d, n, d))
-        vals = np.array([rho.eigenvalues for rho in rhos])
-        vecs = np.array([rho.eigenvectors for rho in rhos])
+        rows = density_rows(self.matrices(d, n, d))
+        vals = np.array([v for v, _, _ in rows])
+        vecs = np.array([e for _, _, e in rows])
         stacked = linops._purifications(vals, vecs)
         assert stacked.shape == (n, d * d)
-        for rho, item in zip(rhos, stacked):
-            assert bit_equal(item, purify(rho))
-            assert bit_equal(item, (rho.eigenvectors * np.sqrt(rho.eigenvalues)).reshape(-1))
+        for (v, mat, e), item in zip(rows, stacked):
+            assert bit_equal(item, purify(DensityOperator.from_matrix(mat)))
+            assert bit_equal(item, (e * np.sqrt(v)).reshape(-1))
 
     @pytest.mark.parametrize("n", SIZES)
     @pytest.mark.parametrize("d,blocks", [(2, 2), (3, 2), (4, 3), (6, 6), (64, 64), (64, 5)])
@@ -609,34 +610,34 @@ class TestStackedConstruction:
         ]
         stacked = density_rows(mats)
         assert len(stacked) == len(mats)
-        for mat, state in zip(mats, stacked):
+        for mat, (vals, row_mat, vecs) in zip(mats, stacked):
             alone = DensityOperator.from_matrix(mat)
-            assert bit_equal(state.mat, alone.mat)
-            assert bit_equal(state.eigenvalues, alone.eigenvalues)
-            assert bit_equal(state.eigenvectors, alone.eigenvectors)
+            assert bit_equal(row_mat, alone.mat)
+            assert bit_equal(vals, alone.eigenvalues)
+            assert bit_equal(vecs, alone.eigenvectors)
+            spectrum = linops._spectrum(vals)
             for q in (0.3, 0.5, 2.0, 3.0):
-                assert state.power_sum(q) == alone.power_sum(q)
-            assert state.shannon() == alone.shannon()
+                assert spectrum.power_sum(q) == alone.power_sum(q)
+            assert spectrum.shannon() == alone.shannon()
 
     def test_input_order_kept(self):
-        states = density_rows(GOOD_MATRICES)
-        assert [s.dim for s in states] == [2, 3, 2, 4]
-        for mat, state in zip(GOOD_MATRICES, states):
-            assert bit_equal(state.mat, mat)
+        rows = density_rows(GOOD_MATRICES)
+        assert [len(vals) for vals, _, _ in rows] == [2, 3, 2, 4]
+        for mat, (_, row_mat, _) in zip(GOOD_MATRICES, rows):
+            assert bit_equal(row_mat, mat)
 
     def test_empty(self):
         assert density_rows([]) == []
 
     def test_states_are_read_only(self):
-        state = density_rows(GOOD_MATRICES)[2]
-        for arr in (state.mat, state.eigenvalues, state.eigenvectors):
+        for arr in density_rows(GOOD_MATRICES)[2]:
             assert not arr.flags.writeable
 
     def test_caller_matrix_not_aliased(self):
         mat = random_density_matrix(3, 3, 5)
-        state = density_rows([mat])[0]
+        _, row_mat, _ = density_rows([mat])[0]
         mat[0, 0] = 7.0
-        assert state.mat[0, 0] != 7.0
+        assert row_mat[0, 0] != 7.0
 
     @pytest.mark.parametrize("kind", sorted(BAD_MATRICES))
     @pytest.mark.parametrize("pos", range(len(GOOD_MATRICES) + 1))
@@ -654,15 +655,14 @@ class TestStackedConstruction:
 
 
 class TestRecords:
-    """A record made by ``_record`` from checked parts holds the fields its
-    public constructor stores: a missing one would fail only when first read."""
+    """A record made by ``_record`` from checked parts (a state's operator,
+    and the records of ``ensemble_from_state`` and ``random_resolution``)
+    holds the fields its public constructor stores: a missing one would fail
+    only when first read."""
 
-    def test_stack_row_state(self):
+    def test_state_operator(self):
         mat = random_density_matrix(3, 2, 4)
-        (state,) = density_rows([mat])
-        alone = DensityOperator.from_matrix(mat)
-        assert vars(state).keys() == vars(alone).keys()
-        assert vars(state.op).keys() == vars(alone.op).keys()
+        assert vars(DensityOperator.from_matrix(mat).op).keys() == vars(HermitianOperator(mat)).keys()
 
     def test_sampled_ensemble(self):
         ens = ensemble_from_state(random_density(3, 2, 5), 4, 6)
@@ -678,12 +678,17 @@ class TestRecords:
             assert vars(p).keys() == vars(q).keys()
 
     def test_records_stay_frozen_and_memoize_on_the_instance(self):
-        (state,) = density_rows([random_density_matrix(3, 3, 8)])
-        with pytest.raises(AttributeError):
-            state.op = None
-        value = state.shannon()
-        assert vars(state)["_shannon"] == value and DensityOperator._shannon is None
-        ens = ensemble_from_state(state, 3, 9)
+        state = DensityOperator.from_matrix(random_density_matrix(3, 3, 8))
+        ens, res = ensemble_from_state(state, 3, 9), random_resolution(4, 9)
+        fields = (
+            (state.op, "entries"), (ens, "states"), (ens.weights, "probs"),
+            (res, "projectors"), (res.projectors[0], "entries"),
+        )
+        for record, field in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+        value = ens.weights.shannon()
+        assert vars(ens.weights)["_shannon"] == value and ProbabilityDistribution._shannon is None
         average = ens.average()
         assert vars(ens)["_average"] is average and PureStateEnsemble._average is None
 
@@ -1098,22 +1103,41 @@ class TestStackedSamplers:
         # drawn block ranks, and rank-1 blocks on every third item
         items = [(d, s, (1,) * d if k % 3 == 0 else None) for k, (d, _, _, s) in enumerate(self.shapes(seed))]
         stacked = linops._resolutions([linops._resolution_draw(*item) for item in items])
-        for item, res in zip(items, stacked):
+        for item, projs in zip(items, stacked):
             alone = random_resolution(*item)
-            assert res.size == alone.size
-            assert all(bit_equal(a.entries, b.entries) for a, b in zip(res.projectors, alone.projectors))
-            assert all(not p.entries.flags.writeable for p in res.projectors)
+            assert isinstance(projs, tuple) and len(projs) == alone.size
+            assert all(bit_equal(a, b.entries) for a, b in zip(projs, alone.projectors))
+            assert all(not p.flags.writeable for p in projs)
+
+    @staticmethod
+    def ensemble_inputs(items: list) -> tuple:
+        """(states, (eigenvalues, eigenvectors, matrix) triples, draws) of
+        (d, rank, m, seed) items: each draw seeded seed + 1 at the state's rank."""
+        rhos = [random_density(d, r, seed=s) for d, r, _, s in items]
+        triples = [(rho.eigenvalues, rho.eigenvectors, rho.mat) for rho in rhos]
+        draws = [
+            linops._ensemble_draw(int(np.sum(rho.eigenvalues > TOL.rank)), m, s + 1)
+            for rho, (_, _, m, s) in zip(rhos, items)
+        ]
+        return rhos, triples, draws
+
+    def assert_ensembles(self, items: list) -> tuple:
+        """Assert the stacked triples equal ``ensemble_from_state``'s fields
+        and are read-only; return the states and the triples."""
+        rhos, triples, draws = self.ensemble_inputs(items)
+        made = linops._ensembles(triples, draws)
+        assert len(made) == len(items)
+        for rho, (_, _, m, s), (w, v, avg) in zip(rhos, items, made):
+            alone = ensemble_from_state(rho, m, s + 1)
+            assert bit_equal(w, alone.weights.probs)
+            assert bit_equal(v, np.array(alone.states))
+            assert bit_equal(avg, alone._average_matrix)
+            assert not (w.flags.writeable or v.flags.writeable or avg.flags.writeable)
+        return rhos, made
 
     @pytest.mark.parametrize("seed", range(3))
     def test_ensembles(self, seed):
-        items = self.shapes(seed)
-        rhos = [random_density(d, r, seed=s) for d, r, _, s in items]
-        draws = [linops._ensemble_draw(rho, m, s + 1) for rho, (_, _, m, s) in zip(rhos, items)]
-        for rho, (_, _, m, s), ens in zip(rhos, items, linops._ensembles(rhos, draws)):
-            alone = ensemble_from_state(rho, m, s + 1)
-            assert bit_equal(ens.weights.probs, alone.weights.probs)
-            assert bit_equal(np.array(ens.states), np.array(alone.states))
-            assert bit_equal(ens._average_matrix, alone._average_matrix)
+        self.assert_ensembles(self.shapes(seed))
 
     #: several ranks under m = 64, whose QR is thinned to w = 40 columns
     THIN = [(64, 1, 64, 1), (64, 13, 64, 2), (64, 40, 64, 3), (24, 9, 64, 5)]
@@ -1123,25 +1147,19 @@ class TestStackedSamplers:
     @pytest.mark.parametrize("seed,wide", [(0, THIN), (1, THIN + FULL)])
     def test_ensembles_of_mixed_widths(self, seed, wide):
         items = self.shapes(seed, n=10) + wide
-        rhos = [random_density(d, r, seed=s) for d, r, _, s in items]
-        draws = [linops._ensemble_draw(rho, m, s + 1) for rho, (_, _, m, s) in zip(rhos, items)]
-        for rho, (_, _, m, s), ens in zip(rhos, items, linops._ensembles(rhos, draws)):
-            alone = ensemble_from_state(rho, m, s + 1)
-            assert bit_equal(ens.weights.probs, alone.weights.probs)
-            assert bit_equal(np.array(ens.states), np.array(alone.states))
-            assert bit_equal(ens._average_matrix, alone._average_matrix)
+        rhos, made = self.assert_ensembles(items)
+        for rho, (_, _, m, s), (w, v, _) in zip(rhos, items, made):
             weights, members = member_formulas(rho, m, s + 1)
-            assert bit_equal(ens.weights.probs, weights)
-            assert bit_equal(np.array(ens.states), members)
+            assert bit_equal(w, weights)
+            assert bit_equal(v, members)
 
     def test_one_qr_per_ensemble_size(self):
         # thinning must not split the unitaries' groups by rank
         items = self.shapes(0) + self.THIN + self.FULL
-        rhos = [random_density(d, r, seed=s) for d, r, _, s in items]
-        draws = [linops._ensemble_draw(rho, m, s + 1) for rho, (_, _, m, s) in zip(rhos, items)]
+        _, triples, draws = self.ensemble_inputs(items)
         assert len({(m, r) for (r, _), (_, _, m, _) in zip(draws, items)}) > len({m for *_, m, _ in items})
         with mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr:
-            linops._ensembles(rhos, draws)
+            linops._ensembles(triples, draws)
         assert qr.call_count == len({m for *_, m, _ in items})
 
     def test_empty_lists(self):
@@ -1238,8 +1256,8 @@ class TestUnconvertibleEntries:
 
         monkeypatch.setattr(np, "array", numpy1_array)
         rho = np.diag([0.75, 0.25]).astype(complex)
-        (state,) = density_rows([rho])
-        assert np.array_equal(state.mat, rho)
+        ((_, mat, _),) = density_rows([rho])
+        assert np.array_equal(mat, rho)
 
     def test_ragged_ensemble_members_stay_a_dimension_mismatch(self):
         with pytest.raises(DimMismatch, match="share one dimension"):

@@ -27,6 +27,7 @@ from entropy_kit.errors import DimMismatch, DomainError, InvalidIndex, NotDiagon
 from entropy_kit.linops import (
     DensityOperator,
     GeneralizedMeasurement,
+    OrthogonalResolution,
     apply_generalized,
     diagonal_density,
     maximally_mixed,
@@ -424,16 +425,16 @@ class TestChunkBuilds:
     @pytest.mark.parametrize("name,dims", [("pinching", (3, 4, 64)), ("projective", (2, 5))])
     def test_pinching(self, name, dims):
         infos, made, built = chunk_builds(name, dims, 12)
-        self.assert_built(built, [[rho, pinch(rho, res)] for rho, res in made])
+        self.assert_built(built, [[rho, pinch(rho, OrthogonalResolution(res))] for rho, res in made])
 
     def test_purified_reductions(self):
         infos, _, built = chunk_builds("triangle", self.PAIRS, 12)
         states = verify._per_trial(verify._density_stacks, built)
         purified = verify._by_info(verify._purified_build)(list(infos), [st[:1] for st in states])
         expected = []
-        for (da, db), st in zip(infos, states):
+        for (da, db), mats in zip(infos, built):
             n = da * db
-            psi = purify(verify._density_at(st[0]))
+            psi = purify(DensityOperator.from_matrix(mats[0]))
             pure = np.outer(psi, psi.conj())
             expected.append([partial_trace(pure, n, n, "B"), partial_trace(pure, da, db * n, "B")])
         self.assert_built(purified, expected)
@@ -794,6 +795,13 @@ class TestQubitMeasurement:
         # reading .dim of the string was a bare AttributeError
         with pytest.raises(DomainError, match="^expected DensityOperator, got str$"):
             qubit_measurement_decrease("x")
+
+    @pytest.mark.xfail(raises=AssertionError, strict=True, reason="qubit-measure reports seed 0")
+    def test_report_carries_the_seed(self):
+        # qubit_measurement_decrease builds CheckReport("qubit-measure",
+        # trials=1) without the seed; perfbench/golden and every tests/data
+        # report pin "seed": 0 on that line, so the fix is a re-baseline
+        assert run_check("qubit-measure", seed=42).seed == 42
 
 
 class TestStabilityExamples:
