@@ -180,6 +180,7 @@ def fannes_range(q: float, s: float) -> str | None:
     Low: 0 < q < 1 with s <= -1 or 0 <= s <= 1.
     High: q > 1 with -1 <= s <= 0 or s >= 1.
     """
+    _check_indices(q, s)
     if 0 < q < 1 and (s <= -1.0 or 0.0 <= s <= 1.0):
         return "low"
     if q > 1 and (-1.0 <= s <= 0.0 or s >= 1.0):

@@ -171,9 +171,10 @@ def _unified(spectrum, params: UnifiedParams) -> float:
 def _entropy_table(rows: list, grid, q_only: bool = False) -> np.ndarray:
     """The (rows, grid) array of entropies at the ``UnifiedParams`` of
     ``grid``, or of power sums tr(rho^q) for ``q_only``, of spectra given as
-    rows (stack, j) of value stacks (``linops._stack_rows``): row j of the
-    C-contiguous (n, d) array stack[0].  Cell [i, k] is bit for bit
-    ``_unified`` (for ``q_only``, ``power_sum``) of row i at grid[k].
+    rows (stack, j) of value stacks (``linops._stack_rows``,
+    ``_density_stacks``): row j of the C-contiguous (n, d) array stack[0].
+    Cell [i, k] is bit for bit ``_unified`` (for ``q_only``,
+    ``power_sum``) of row i at grid[k].
 
     Each stack is raised to each distinct q once, as a Python float, and
     summed over its own axis; zero padding, an array of exponents or a

@@ -145,12 +145,13 @@ def _check_hermitian_unit_trace(mats: np.ndarray) -> None:
             raise DomainError(f"trace is {tr!r}, expected 1 within {TOL.trace:g}")
 
 
-def _density_spectra(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _density_spectra(mats: np.ndarray, vectors: bool = True) -> tuple:
     """Validate an (n, d, d) stack of density matrices with one ``eigh``.
 
     Returns the cleaned eigenvalues (n, d) and eigenvectors (n, d, d),
-    both descending; see ``DensityOperator`` for the cleaning.  One call
-    on a stack gives bit for bit the values of n calls on its matrices.
+    both descending, or None for the eigenvectors unless ``vectors``; see
+    ``DensityOperator`` for the cleaning.  One call on a stack gives bit
+    for bit the values of n calls on its matrices.
     """
     _check_hermitian_unit_trace(mats)
     vals, vecs = np.linalg.eigh(mats)
@@ -161,7 +162,7 @@ def _density_spectra(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vals = np.maximum(vals[:, ::-1], 0.0)
     np.minimum(vals, 1.0, out=vals)
     vals[vals <= TOL.rank] = 0.0
-    return _frozen(vals), _frozen(vecs[:, :, ::-1].copy())
+    return _frozen(vals), _frozen(vecs[:, :, ::-1].copy()) if vectors else None
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -340,33 +341,39 @@ def _items(what: str, items) -> list:
         raise DomainError(f"{what} must be a sequence, got {_shown(items)}") from None
 
 
-def _stack_rows(arrays: list, build=lambda stack: (stack,)) -> list[tuple]:
+def _stack_rows(arrays: list) -> list[tuple]:
     """(stack, j) of each array, in input order: the arrays of each shape,
     in first-seen order, are copied into one C-contiguous array by
-    ``np.array``, ``build`` of it gives the tuple ``stack``, and the array
-    is its row j.  By default ``stack`` is that array alone."""
+    ``np.array``, the tuple ``stack`` holds it, and the array is its row j."""
 
     def rows(group: list) -> list[tuple]:
-        stack = build(np.array(group))
+        stack = (np.array(group),)
         return [(stack, j) for j in range(len(group))]
 
     return _grouped(arrays, _shape, rows)
 
 
-def _density_stacks(mats) -> list[tuple]:
-    """The states of square matrices as rows (stack, j) of ``_stack_rows``,
-    in input order.  ``stack`` is (cleaned eigenvalues, matrices,
-    eigenvectors) of all matrices of one shape, validated with one ``eigh``
-    (``_density_spectra``), so a bad matrix raises what building it alone
-    raises, and row j's items are bit for bit its ``DensityOperator``'s; the
-    eigenvalue stacks are what ``entropies._entropy_table`` reads."""
+def _density_stacks(mats, vectors=None) -> list[tuple]:
+    """The states of square matrices as rows (stack, j), in input order.
+    ``vectors`` marks, one bool per matrix, the states whose eigenvectors
+    are read (None: all).  ``stack`` is (cleaned eigenvalues, matrices,
+    eigenvectors) of all matrices of one shape and mark, in first-seen
+    order, copied into one C-contiguous stack by ``np.array`` and
+    validated with one ``eigh`` (``_density_spectra``), so a bad matrix
+    raises what building it alone raises.  Row j's items are bit for bit
+    its ``DensityOperator``'s, but an unmarked stack's eigenvectors are
+    None: no copy of them is kept.  The eigenvalue stacks are what
+    ``entropies._entropy_table`` reads."""
     mats = [_as_square_matrix(m, copy=False) for m in _items("matrices", mats)]
-    return _stack_rows(mats, _density_stack)
+    marks = [True] * len(mats) if vectors is None else vectors
 
+    def rows(group: list) -> list[tuple]:
+        stacked = _frozen(np.array([m for m, _ in group]))
+        vals, vecs = _density_spectra(stacked, group[0][1])
+        stack = (vals, stacked, vecs)
+        return [(stack, j) for j in range(len(group))]
 
-def _density_stack(mats: np.ndarray) -> tuple:
-    vals, vecs = _density_spectra(_frozen(mats))
-    return vals, mats, vecs
+    return _grouped(list(zip(mats, marks)), lambda it: (it[0].shape, it[1]), rows)
 
 
 def _spectrum(values: np.ndarray) -> _SpectralMemo:
@@ -572,7 +579,8 @@ def _expect(value, cls) -> None:
 # matrices (``_trace_distances``, ``_tensors``, ``_partial_traces``,
 # ``_purifications``, ``_pinches``), bit for bit its per-matrix formula on
 # every item; each public function checks its arguments and is a one-item
-# call of its core.
+# call of its core.  ``_pure_traces``, the partial traces of pure states
+# given as vectors, has no public function of its own.
 
 
 def _trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -640,6 +648,20 @@ def _purifications(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """The (n, d*d) purifications of the states of (n, d) cleaned
     eigenvalues and (n, d, d) eigenvectors."""
     return (vecs * np.sqrt(vals)[:, None, :]).reshape(len(vals), -1)
+
+
+def _pure_traces(psi: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
+    """The reductions to factor B of the pure states |psi><psi| of an
+    (n, dim_a*dim_b) stack of vectors, bit for bit ``_partial_traces`` of
+    their outer products: each traced index's dim_b-square outer-product
+    block is added, in index order, to zeros, as that trace sums them, and
+    no (dim_a*dim_b)-square matrix is made."""
+    parts = psi.reshape(len(psi), dim_a, dim_b)
+    out = np.zeros((len(psi), dim_b, dim_b), dtype=psi.dtype)
+    for a in range(dim_a):
+        part = parts[:, a]
+        out += part[:, :, None] * part.conj()[:, None, :]
+    return out
 
 
 def purify(rho: DensityOperator) -> np.ndarray:

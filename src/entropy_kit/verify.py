@@ -7,8 +7,9 @@ validates the inputs, takes the report from the closed-form part (or
 starts an empty one) and runs the suite into it.  Each trial draws from a
 SeedSequence built on (seed, check id, trial index), so reports are
 reproducible byte for byte regardless of execution order.  A suite's one
-loop takes a chunk of trials (``STATE_CHUNK`` of them, fewer for large
-matrices) through a draw step and a build step.  Each trial draws its
+loop takes a chunk of trials (``STATE_CHUNK`` of them, fewer where the
+largest matrix a trial builds, whose side each suite declares, is large)
+through a draw step and a build step.  Each trial draws its
 discrete choices and every Gaussian factor from its own generator; then
 the chunk's draws become Ginibre states, Haar unitaries and resolution
 projectors with one stacked call per kind and shape, the suite's build
@@ -16,16 +17,18 @@ makes the chunk's matrices from them (mixtures and interpolations per
 trial; partial traces, products and pinchings with one call of a stacked
 ``linops`` core per shape), and one ``linops._density_stacks`` call
 validates them with one ``eigh`` per shape.  A trial's state is then a
-row of its shape's stacks (matrices, cleaned eigenvalues, eigenvectors),
-and no record is made of it: the stacked builders take and give arrays.
-The ensemble judge draws each trial's ensemble from its row and builds the
-chunk's ensembles the same way, the triangle judge purifies its rho_AB
-rows and fannes measures its pairs' trace distances from the stacks, one
-core call per shape.  The judge reads the eigenvalue stacks at every
-grid point as one ``entropies._entropy_table`` and judges the chunk's
-claims as arrays over (trial, point, case), each step bit-identical to
-working one matrix, state, point and comparison at a time.  One chunk's
-states are alive at a time.
+row of its shape's stacks (cleaned eigenvalues, matrices, and eigenvectors
+where the judge reads them), and no record is made of it: the stacked
+builders take and give arrays.  The ensemble judge draws each trial's
+ensemble from its row and builds the chunk's ensembles the same way, the
+triangle judge purifies its rho_AB rows and traces the pure states'
+reductions straight from the purifications, keeping only their
+eigenvalues, and fannes measures its pairs' trace distances from the
+stacks, one core call per shape.  The judge reads the eigenvalue stacks
+at every grid point as one ``entropies._entropy_table`` and judges the
+chunk's claims as arrays over (trial, point, case), each step
+bit-identical to working one matrix, state, point and comparison at a
+time.  One chunk's states are alive at a time.
 Closed-form and random parts alike record their comparisons as arrays
 through ``CheckReport.compare_many``: "lhs <= rhs" fails when the signed
 violation lhs - rhs exceeds TOL.check_rel * (1 + magnitude), a strict
@@ -50,16 +53,17 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .bounds import _point_terms, fannes_range, max_unified
+from .bounds import _low_q, _point_terms, fannes_range, max_unified
 from .entropies import (
     UnifiedParams, _check_indices, _entropy_table, _point_form, unified_from_power_sum, unified_quantum
 )
-from .errors import DimMismatch, DomainError, NotDiagonal, OutOfValidity, PureState
+from .errors import DimMismatch, DomainError, NotDiagonal, PureState
 from .linops import (
     MAX_RANK_DRAW_DIM,
     DensityOperator,
     GeneralizedMeasurement,
     _density_matrices,
+    _density_spectra,
     _density_stacks,
     _dimension,
     _ensemble_draw,
@@ -72,6 +76,7 @@ from .linops import (
     _items,
     _partial_traces,
     _pinches,
+    _pure_traces,
     _purifications,
     _real,
     _resolution_draw,
@@ -87,20 +92,21 @@ from .linops import (
 )
 from .tolerances import TOL
 
-#: trials whose states one ``_density_stacks`` call builds while the
-#: suite builds no matrix above ``_CHUNK_DIM``; larger matrices get fewer
-#: trials, so one matrix slot of a chunk holds at most 2^16 entries,
-#: STATE_CHUNK * _CHUNK_DIM**2 (64 trials at d = 32, 16 at d = 64).
-#: Triangle's purified states, of side (d_A d_B)^2, are made in sub-stacks
-#: of at most as many entries.  Only one chunk's states are alive at a
-#: time, and each chunk pays a fixed cost (one stacked ``eigh`` per shape,
-#: the table columns, one judge), which 256 trials at d <= 16 spread thinly
-STATE_CHUNK = 256
+#: trials whose states one ``_density_stacks`` call builds while no trial
+#: of the suite builds a matrix of side above ``_CHUNK_DIM`` (each suite
+#: declares that side, ``Suite.largest``); larger matrices get fewer
+#: trials, so one matrix slot of a chunk holds at most 2^17 entries,
+#: STATE_CHUNK * _CHUNK_DIM**2: 512 trials at d = 9 and d = 16, 179 at
+#: d = 27, 128 at d = 32, 32 at d = 64 and 2 at d = 256.  Only one chunk's
+#: states are alive at a time, and each chunk pays a fixed cost (one
+#: stacked ``eigh`` per shape, the table columns, one judge), which 512
+#: trials at d <= 16 spread thinly
+STATE_CHUNK = 512
 _CHUNK_DIM = 16
 
 DEFAULT_DIMS = (2, 3, 4, 5, 6)
 #: largest system dimension ``run_check`` draws states of: each state
-#: costs an O(d^3) eigensolve, and a chunk then holds a single trial
+#: costs an O(d^3) eigensolve, and a chunk then holds 2 trials
 MAX_CHECK_DIM = 256
 DEFAULT_PAIR_DIMS = ((2, 2), (2, 3), (3, 2), (3, 3))
 SQUARE_PAIR_DIMS = ((2, 2), (2, 3), (3, 3))
@@ -513,19 +519,30 @@ def _fannes_judge(trials, states, points):
     # d from _checked_inputs, and eps, a trace distance, lies in [0, 1].
     # So each bound is unified_fannes_bound's formula on the memo's terms
     # (a claimed point lies in a region), read once per (d, point) with
-    # d in the order the trials first draw it
+    # d in the order the trials first draw it.  The points of one q lie in
+    # one region and share its formula and ln_q term, so its Tsallis kernel
+    # is evaluated once per trial and q: the low formula with its window
+    # open is the bound at every s, and the window 2 eps <= q^(1/(1-q)) is
+    # read as a mask; the high formula at factor 1.0, times each s's
+    # factor, is the bound at that s, bit for bit
     for idx in _groups(d for _, (d, _) in trials):
         d = trials[idx[0]][1][0]
         mats = [_row_stack([states[t][k] for t in idx], 1) for k in (0, 1)]
-        for t, dist in zip(idx, _trace_distances(*mats).tolist()):
-            eps[t] = dist
-        for k, p in enumerate(points):
-            formula, factor, log_d = _point_terms(p.q, p.s, d)
-            for t in idx:
-                try:
-                    bound[t, k] = formula(p.q, eps[t], factor, log_d)
-                except OutOfValidity:
-                    keep[t, k] = False
+        dist = _trace_distances(*mats)
+        for t, e in zip(idx, dist.tolist()):
+            eps[t] = e
+        for ks in _groups(p.q for p in points):
+            q = points[ks[0]].q
+            terms = [_point_terms(q, points[k].s, d) for k in ks]
+            formula, _, log_d = terms[0]
+            low = formula is _low_q
+            kernel = np.array([formula(q, eps[t], math.inf if low else 1.0, log_d) for t in idx])
+            for k, (_, factor, _) in zip(ks, terms):
+                if low:
+                    bound[idx, k] = kernel
+                    keep[idx, k] = 2.0 * dist <= factor
+                else:
+                    bound[idx, k] = factor * kernel
 
     def case(t, k, c):
         i, (d, _) = trials[t]
@@ -591,24 +608,15 @@ def _row_stack(rows: list, k: int) -> np.ndarray:
 
 
 def _purified_build(info, rows):
-    """The reductions rho_C (the ancilla) and rho_BC of the purifications
-    of the rho_AB rows of one (d_A, d_B) pair."""
+    """Eigenvalue rows of the reductions rho_C (the ancilla) and rho_BC of
+    the purifications of the rho_AB rows of one (d_A, d_B) pair."""
     da, db = info
     n = da * db
     psi = _purifications(_row_stack(rows, 0), _row_stack(rows, 2))
-    # the rank-1 purified states need no eigensolve: only their reductions
-    # are evaluated.  Each is n^2-square, so they are made in sub-stacks of
-    # at most one chunk's 2^16-entry matrix slot: 9 at n = 9, one at n = 16
-    size = max(1, STATE_CHUNK * _CHUNK_DIM**2 // n**4)
-    rho_c, rho_bc = [], []
-    for start in range(0, len(psi), size):
-        part = psi[start : start + size]
-        # the outer product, then the trace: one einsum of both is not bit-equal
-        pure = part[:, :, None] * part.conj()[:, None, :]
-        rho_c += list(_partial_traces(pure, n, n, "B"))
-        rho_bc += list(_partial_traces(pure, da, db * n, "B"))
-        del pure  # before the next sub-stack is made, so one is alive at a time
-    return rho_c, rho_bc
+    # the rank-1 purified states are never made, only their reductions,
+    # which are validated as built; no claim reads their eigenvectors
+    stacks = [_density_spectra(_pure_traces(psi, *dims), False)[:1] for dims in ((n, n), (da, db * n))]
+    return [[(stack, j) for j in range(len(psi))] for stack in stacks]
 
 
 def _triangle_judge(trials, states, points):
@@ -616,8 +624,7 @@ def _triangle_judge(trials, states, points):
     s >= 1/q, via purification; also verifies that both reductions of the
     purified state carry the entropies they should."""
     purified = _by_info(_purified_build)([info for _, info in trials], [st[:1] for st in states])
-    more = _per_trial(_density_stacks, purified)
-    e_ab, e_a, e_b, e_c, e_bc = _table([first + second for first, second in zip(states, more)], points)
+    e_ab, e_a, e_b, e_c, e_bc = _table([st + list(more) for st, more in zip(states, purified)], points)
     zero = np.zeros_like(e_ab)
     kinds = ("purified-complement", "purified-rest", "triangle")
     pair_case = _pair_case(trials, points)
@@ -693,6 +700,12 @@ class Suite:
     validity window (None for all), and ``case(t, k, c)``, the case dict of
     trial t, point k and case c.  Points outside ``claimed`` are skipped
     without a judge; with none inside, no trial is drawn.
+
+    ``largest(dim)`` is the side of the largest matrix, drawn, built or
+    made by the judge, of a trial at ``dim`` (an item of ``dims``), which
+    sizes the chunks: d, or d_A d_B (``math.prod``, rho_AB's side) for a
+    pair.  ``vectors`` says whether the judge reads the eigenvectors of
+    each trial's first state; the other states' stacks keep none.
     """
 
     draw: Callable
@@ -702,6 +715,8 @@ class Suite:
     grid: tuple
     claimed: Callable = lambda q, s: True
     q_only: bool = False
+    largest: Callable = lambda d: d
+    vectors: bool = False
 
     @property
     def pairs(self) -> bool:
@@ -724,7 +739,7 @@ class Check:
 CHECKS = {
     "ensemble": Check(None, Suite(
         _state_draw, lambda infos, made: made, _ensemble_judge, (2, 3, 4, 5), ENSEMBLE_GRID,
-        claimed=lambda q, s: not (s == 0.0 and not q < 1.0),
+        claimed=lambda q, s: not (s == 0.0 and not q < 1.0), vectors=True,
     )),
     "mixing": Check(None, Suite(
         _mixing_draw, _mixing_build, _mixing_judge, DEFAULT_DIMS, MIXING_GRID,
@@ -739,18 +754,20 @@ CHECKS = {
     "audenaert": Check(None, Suite(
         _bipartite_draw, _by_info(_bipartite_build), _audenaert_judge, DEFAULT_PAIR_DIMS,
         tuple((q, 0.0) for q in AUDENAERT_Q), claimed=lambda q, s: q >= 1.0, q_only=True,
+        largest=math.prod,
     )),
     "subadd": Check(None, Suite(
         _bipartite_draw, _by_info(_bipartite_build), _subadd_judge, DEFAULT_PAIR_DIMS,
-        SUBADD_GRID, claimed=_subadditive,
+        SUBADD_GRID, claimed=_subadditive, largest=math.prod,
     )),
     "subadd-violation": Check(_seeded_violations, Suite(
         _violation_draw, _by_info(_violation_build), _violation_judge, SQUARE_PAIR_DIMS,
-        VIOLATION_GRID,
+        VIOLATION_GRID, largest=math.prod,
     ), breaks=True),
+    # the judge purifies rho_AB and builds rho_BC, (d_B d_A d_B)-square
     "triangle": Check(None, Suite(
         _bipartite_draw, _by_info(_bipartite_build), _triangle_judge, SQUARE_PAIR_DIMS,
-        SUBADD_GRID, claimed=_subadditive,
+        SUBADD_GRID, claimed=_subadditive, largest=lambda ab: ab[1] * ab[0] * ab[1], vectors=True,
     )),
     # a random resolution has two or more blocks, and its drawn block
     # ranks need d <= MAX_RANK_DRAW_DIM
@@ -783,7 +800,8 @@ def _run_chunk(rec, suite, claimed, chunk, draw) -> None:
     made = _per_trial(lambda flat: _grouped(flat, type, _sampled), draws)
     mats = suite.build(list(infos), made)
     del draws, made
-    states = _per_trial(_density_stacks, mats)
+    marks = [suite.vectors and k == 0 for ms in mats for k in range(len(ms))]
+    states = _per_trial(lambda flat: _density_stacks(flat, marks), mats)
     del mats
     pairs, keep, case = suite.judge(list(zip(chunk, infos)), states, claimed)
     lhs, rhs = (np.stack(side, axis=-1) for side in zip(*pairs))
@@ -809,8 +827,7 @@ def _run_suite(name, trials, seed, dims, grid, rec) -> None:
     if not claimed:
         return
     dims = dims or suite.dims
-    # the largest matrix built: triangle's rho_BC is (d_B d_A d_B)-square
-    d_max = max(a * b * b for a, b in dims) if suite.pairs else max(dims)
+    d_max = max(map(suite.largest, dims))
     size = max(1, STATE_CHUNK * _CHUNK_DIM**2 // max(d_max, _CHUNK_DIM) ** 2)
 
     def draw(chunk):

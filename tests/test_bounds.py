@@ -6,6 +6,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import re
 from pathlib import Path
 
 import numpy as np
@@ -303,6 +304,24 @@ class TestRangeClassifier:
     def test_regions(self, q, s, expect):
         assert fannes_range(q, s) == expect
 
+    @pytest.mark.parametrize(
+        "q,s,message",
+        [
+            ("a", 0.0, "q must be positive and finite, got 'a'"),
+            (math.nan, 0.0, "q must be positive and finite, got nan"),
+            (None, 1.0, "q must be positive and finite, got None"),
+            (0.0, 0.5, "q must be positive and finite, got 0.0"),
+            (math.inf, 1.0, "q must be positive and finite, got inf"),
+            (0.5, math.nan, "s must be finite, got nan"),
+            (2.0, "b", "s must be finite, got 'b'"),
+        ],
+    )
+    def test_refuses_what_the_index_rule_refuses(self, q, s, message):
+        # fannes_range("a", 0.0) raised a bare TypeError, and
+        # fannes_range(nan, 0.0) returned None
+        with pytest.raises(InvalidIndex, match=re.escape(message)):
+            fannes_range(q, s)
+
 
 class TestUnifiedBound:
     def test_frozen(self):
@@ -430,6 +449,7 @@ class TestIndexRule:
             lambda: low_q_threshold(q),
             lambda: kappa_s(q, 1.0, 4),
             lambda: thermodynamic_ratio_limit(q, 1.0, 0.1),
+            lambda: fannes_range(q, 1.0),
         ):
             with pytest.raises(InvalidIndex, match="q must be positive and finite"):
                 call()
@@ -453,6 +473,7 @@ class TestIndexRule:
             lambda: lipschitz_bound(0.1, 2.0, s),
             lambda: kappa_s(2.0, s, 4),
             lambda: thermodynamic_ratio_limit(2.0, s, 0.1),
+            lambda: fannes_range(2.0, s),
         ):
             with pytest.raises(InvalidIndex, match="s must be finite"):
                 call()

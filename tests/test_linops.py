@@ -480,6 +480,25 @@ class TestStackedComposite:
             assert bit_equal(item, (e * np.sqrt(v)).reshape(-1))
 
     @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("da,db", [(2, 2), (3, 3), (2, 8), (1, 16), (16, 1)])
+    def test_pure_traces(self, da, db, n):
+        # of random unit vectors at (d_A, d_B), and of the purifications of
+        # random states on d_A d_B, traced as the triangle judge traces them
+        n_ab = da * db
+        rng = np.random.default_rng(10 * da + db)
+        g = rng.standard_normal((n, n_ab)) + 1j * rng.standard_normal((n, n_ab))
+        rows = density_rows(self.matrices(n_ab, n, da + 100 * db))
+        psi = linops._purifications(np.array([v for v, _, _ in rows]), np.array([e for _, _, e in rows]))
+        cases = [(g / np.linalg.norm(g, axis=1)[:, None], da, db), (psi, n_ab, n_ab), (psi, da, db * n_ab)]
+        for vectors, dim_a, dim_b in cases:
+            stacked = linops._pure_traces(vectors, dim_a, dim_b)
+            assert stacked.shape == (n, dim_b, dim_b)
+            pure = vectors[:, :, None] * vectors.conj()[:, None, :]
+            assert bit_equal(stacked, linops._partial_traces(pure, dim_a, dim_b, "B"))
+            for v, item in zip(vectors, stacked):
+                assert bit_equal(item, partial_trace(np.outer(v, v.conj()), dim_a, dim_b, "B"))
+
+    @pytest.mark.parametrize("n", SIZES)
     @pytest.mark.parametrize("d,blocks", [(2, 2), (3, 2), (4, 3), (6, 6), (64, 64), (64, 5)])
     def test_pinches(self, d, blocks, n):
         rng = np.random.default_rng(d + blocks)
@@ -632,6 +651,24 @@ class TestStackedConstruction:
     def test_states_are_read_only(self):
         for arr in density_rows(GOOD_MATRICES)[2]:
             assert not arr.flags.writeable
+
+    def test_eigenvectors_kept_only_where_marked(self):
+        # GOOD_MATRICES 0 and 2 share a shape; marked apart, they get a
+        # stack each, and an unmarked stack keeps no eigenvectors
+        rows = linops._density_stacks(GOOD_MATRICES, [True, False, False, True])
+        assert [stack[2] is None for stack, _ in rows] == [False, True, True, False]
+        assert [j for _, j in rows] == [0, 0, 0, 0]
+        for mat, ((vals, mats, vecs), j) in zip(GOOD_MATRICES, rows):
+            alone = DensityOperator.from_matrix(mat)
+            assert bit_equal(vals[j], alone.eigenvalues)
+            assert bit_equal(mats[j], alone.mat)
+            if vecs is not None:
+                assert bit_equal(vecs[j], alone.eigenvectors)
+        # one mark per shape: one stack per shape
+        rows = linops._density_stacks(GOOD_MATRICES, [False] * 4)
+        assert rows[0][0] is rows[2][0] and rows[0][0][2] is None
+        vals, vecs = linops._density_spectra(np.array([GOOD_MATRICES[1]]), False)
+        assert vecs is None and bit_equal(vals[0], DensityOperator(GOOD_MATRICES[1]).eigenvalues)
 
     def test_caller_matrix_not_aliased(self):
         mat = random_density_matrix(3, 3, 5)

@@ -22,8 +22,8 @@ from entropy_kit.entropies import (
     unified_from_power_sum,
     unified_quantum,
 )
-from entropy_kit.bounds import BoundSpec, eta_q, lipschitz_bound, max_unified
-from entropy_kit.errors import DimMismatch, DomainError, InvalidIndex, NotDiagonal, PureState
+from entropy_kit.bounds import BoundSpec, eta_q, lipschitz_bound, max_unified, unified_fannes_bound
+from entropy_kit.errors import DimMismatch, DomainError, InvalidIndex, NotDiagonal, OutOfValidity, PureState
 from entropy_kit.linops import (
     DensityOperator,
     GeneralizedMeasurement,
@@ -264,22 +264,30 @@ class TestReports:
 
     @pytest.mark.parametrize(
         "name,chunks",
-        # 4 * 16**2 // 16**2 = 4 trials a chunk at d <= 16, and
-        # 4 * 16**2 // 27**2 = 0, so one, at the default pairs' d_max = 27
-        [("mixing", 3), ("ensemble", 3), ("triangle", 12)],
+        # 4 * 16**2 // 16**2 = 4 trials a chunk at d <= 16 and at the
+        # default pairs' d_A d_B <= 9, and 4 * 16**2 // 27**2 = 0, so one,
+        # at triangle's d_B d_A d_B <= 27
+        [("mixing", 3), ("ensemble", 3), ("subadd", 3), ("triangle", 12)],
     )
     def test_one_chunk_of_states_alive_at_a_time(self, monkeypatch, name, chunks):
-        # a plain suite, one whose judge draws more, and one whose judge builds more states
+        # a plain suite, one whose judge draws more, a pair suite and one
+        # whose judge builds more states
         monkeypatch.setattr(verify, "STATE_CHUNK", 4)
         built, alive = [], []
-        build, trial_rngs = verify._density_stacks, verify._trial_rngs
+        build, spectra, trial_rngs = verify._density_stacks, verify._density_spectra, verify._trial_rngs
 
-        def tracked_build(mats):
-            rows = build(mats)
+        def tracked_build(mats, *args):
+            rows = build(mats, *args)
             # a state made of a row holds views of its stack's buffers, so
             # its eigenvalue stack lives as long as any such state does
             built.extend(weakref.ref(stack[0]) for stack, _ in rows)
             return rows
+
+        def tracked_spectra(mats, *args):
+            # the states the triangle judge builds from its own stacks
+            vals, vecs = spectra(mats, *args)
+            built.append(weakref.ref(vals))
+            return vals, vecs
 
         def watched_rngs(seed, check, chunk):
             # a chunk's generators are built just before its first draw
@@ -287,6 +295,7 @@ class TestReports:
             return trial_rngs(seed, check, chunk)
 
         monkeypatch.setattr(verify, "_density_stacks", tracked_build)
+        monkeypatch.setattr(verify, "_density_spectra", tracked_spectra)
         monkeypatch.setattr(verify, "_trial_rngs", watched_rngs)
         run_check(name, trials=12, seed=0)
         assert built
@@ -295,61 +304,73 @@ class TestReports:
     @pytest.mark.parametrize(
         "name,dims,trials,sizes",
         [
-            # 256 * 16**2 // max(d_max, 16)**2 trials a chunk: 256 at d <= 16
-            ("ensemble", None, 300, [256, 44]),
-            ("ensemble", (16,), 257, [256, 1]),
-            ("ensemble", (17,), 227, [226, 1]),
-            ("ensemble", (32,), 65, [64, 1]),
-            ("ensemble", (64,), 20, [16, 4]),
-            ("ensemble", (128,), 5, [4, 1]),
-            ("ensemble", (256,), 2, [1, 1]),
-            # dimensions just above 32: 256 * 16**2 // 33**2 = 60 trials
-            ("ensemble", (2, 33), 61, [60, 1]),
-            # pair suites size by d_A * d_B**2, the side of triangle's rho_BC:
-            # 27 at most for the default pairs, so 256 * 16**2 // 27**2 = 89
-            ("subadd", None, 100, [89 * 3, 11 * 3]),
-            ("subadd", ((4, 4),), 17, [16 * 3, 3]),
-            ("subadd", ((8, 8),), 3, [3, 3, 3]),
-            # triangle builds its purified reductions in a second stacked call
-            ("triangle", None, 100, [89 * 3, 89 * 2, 11 * 3, 11 * 2]),
-            ("triangle", ((2, 8),), 5, [4 * 3, 4 * 2, 3, 2]),
-            ("triangle", ((1, 16),), 2, [3, 2, 3, 2]),
-            ("triangle", ((16, 1),), 257, [256 * 3, 256 * 2, 3, 2]),
+            # 512 * 16**2 // max(d_max, 16)**2 trials a chunk: 512 at d <= 16
+            ("ensemble", None, 600, [512, 88]),
+            ("ensemble", (16,), 513, [512, 1]),
+            ("ensemble", (17,), 454, [453, 1]),
+            ("ensemble", (32,), 129, [128, 1]),
+            ("ensemble", (64,), 40, [32, 8]),
+            ("ensemble", (128,), 9, [8, 1]),
+            ("ensemble", (256,), 3, [2, 1]),
+            # dimensions just above 32: 512 * 16**2 // 33**2 = 120 trials
+            ("ensemble", (2, 33), 121, [120, 1]),
+            # audenaert, subadd and subadd-violation size by d_A d_B, the
+            # side of rho_AB: 9 at most for the default pairs, 16 at (2, 8)
+            ("audenaert", None, 600, [512 * 3, 88 * 3]),
+            ("subadd", None, 600, [512 * 3, 88 * 3]),
+            ("subadd-violation", None, 600, [512 * 6, 88 * 6]),
+            ("audenaert", ((2, 8),), 513, [512 * 3, 3]),
+            ("subadd", ((2, 8),), 513, [512 * 3, 3]),
+            ("subadd-violation", ((2, 8),), 513, [512 * 6, 6]),
+            ("subadd", ((8, 8),), 33, [32 * 3, 3]),
+            # triangle by d_B d_A d_B, the side of its judge's rho_BC: 27
+            # at most for the default pairs, so 512 * 16**2 // 27**2 = 179,
+            # 128 at (2, 8) but 32 at (8, 2); its judge validates its
+            # purified reductions without _density_stacks
+            ("triangle", None, 180, [179 * 3, 3]),
+            ("triangle", ((2, 8),), 9, [8 * 3, 3]),
+            ("triangle", ((8, 2),), 129, [128 * 3, 3]),
+            ("triangle", ((1, 16),), 3, [2 * 3, 3]),
+            ("triangle", ((16, 1),), 513, [512 * 3, 3]),
         ],
     )
     def test_chunk_sized_by_the_largest_matrix(self, monkeypatch, name, dims, trials, sizes):
         built = []
         build = verify._density_stacks
 
-        def counted_build(mats):
+        def counted_build(mats, *args):
             built.append(len(mats))
-            return build(mats)
+            return build(mats, *args)
 
         monkeypatch.setattr(verify, "_density_stacks", counted_build)
         suite = verify.CHECKS[name].suite
         verify._run_suite(name, trials, 0, dims, verify._as_grid(None, suite.grid), CheckReport(name))
         assert built == sizes
 
-    @pytest.mark.parametrize("dims,trials", [(((3, 3),), 20), (((2, 8),), 3), (None, 70)])
+    @pytest.mark.parametrize("dims,trials", [(((3, 3),), 20), (((2, 8),), 20), (None, 70)])
     def test_purified_stacks_are_capped(self, monkeypatch, dims, trials):
-        # triangle's purified states are (d_A d_B)^2-square: 81 x 81 at
-        # (3, 3), so 9 of them at most in one stack, and 256 x 256 at (2, 8)
+        # triangle's purified states, (d_A d_B)^2-square, are never made:
+        # the reductions rho_C (d_A d_B-square) and rho_BC (d_B d_A d_B)
+        # come straight from the purifications, whose side sizes the chunk,
+        # so the (2, 8) chunks of 8 trials fill one slot: 8 * 128**2 = 2**17
         shapes = []
-        partial_traces = verify._partial_traces
+        pure_traces = verify._pure_traces
 
-        def counted(mats, *args):
-            shapes.append(mats.shape[:2])
-            return partial_traces(mats, *args)
+        def counted(psi, *args):
+            out = pure_traces(psi, *args)
+            shapes.append(out.shape[:2])
+            return out
 
-        monkeypatch.setattr(verify, "_partial_traces", counted)
+        monkeypatch.setattr(verify, "_pure_traces", counted)
         suite = verify.CHECKS["triangle"].suite
         rec = CheckReport("triangle")
         verify._run_suite("triangle", trials, 0, dims, verify._as_grid(None, suite.grid), rec)
         assert report_ok(rec)
         assert max(n * d * d for n, d in shapes) <= verify.STATE_CHUNK * verify._CHUNK_DIM**2
         if dims == ((3, 3),):
-            # rho_AB's two reductions, then two per sub-stack of purified states
-            assert shapes == [(20, 9)] * 2 + [(9, 81)] * 4 + [(2, 81)] * 2
+            assert shapes == [(20, 9), (20, 27)]
+        if dims == ((2, 8),):
+            assert shapes == [(8, 16), (8, 128)] * 2 + [(4, 16), (4, 128)]
 
     def test_triangle_chunk_memory_is_capped(self):
         # rho_BC is 256 x 256 at the pair (1, 16); 64 trials of it in one
@@ -363,9 +384,38 @@ class TestReports:
         assert report_ok(rep)
         assert peak <= 10 * 2**20
 
+    @pytest.mark.parametrize("name", [n for n in ALL_CHECKS if verify.CHECKS[n].suite])
+    def test_eigenvectors_kept_only_where_read(self, monkeypatch, name):
+        # the ensemble judge draws from its states' eigenvectors and the
+        # triangle judge purifies its rho_AB rows; no other state keeps
+        # them, nor do the triangle judge's purified reductions
+        check = verify.CHECKS[name]
+        seen, spectra = [], verify._density_spectra
+
+        def judge(trials, states, points):
+            seen.extend([stack[2] is not None for stack, _ in st] for st in states)
+            return check.suite.judge(trials, states, points)
+
+        def judged_spectra(mats, *args):
+            vals, vecs = spectra(mats, *args)
+            seen.append(vecs is not None)
+            return vals, vecs
+
+        suite = dataclasses.replace(check.suite, judge=judge)
+        monkeypatch.setitem(verify.CHECKS, name, dataclasses.replace(check, suite=suite))
+        monkeypatch.setattr(verify, "_density_spectra", judged_spectra)
+        run_check(name, trials=6, seed=1)
+        states, built = seen[:6], seen[6:]
+        first = name in ("ensemble", "triangle")
+        assert all(marks == [first] + [False] * (len(marks) - 1) for marks in states)
+        assert len(built) == (2 * 3 if name == "triangle" else 0) and not any(built)
+
     def test_suite_is_a_draw_a_build_and_a_judge(self):
+        # largest sizes the chunks, and vectors keeps the eigenvectors its judge reads
         fields = [f.name for f in dataclasses.fields(verify.Suite)]
-        assert fields == ["draw", "build", "judge", "dims", "grid", "claimed", "q_only"]
+        assert fields == [
+            "draw", "build", "judge", "dims", "grid", "claimed", "q_only", "largest", "vectors"
+        ]
         pairs = {name for name, check in verify.CHECKS.items() if check.suite and check.suite.pairs}
         assert pairs == {"audenaert", "subadd", "subadd-violation", "triangle"}
 
@@ -436,8 +486,33 @@ class TestChunkBuilds:
             n = da * db
             psi = purify(DensityOperator.from_matrix(mats[0]))
             pure = np.outer(psi, psi.conj())
-            expected.append([partial_trace(pure, n, n, "B"), partial_trace(pure, da, db * n, "B")])
-        self.assert_built(purified, expected)
+            reductions = [partial_trace(pure, n, n, "B"), partial_trace(pure, da, db * n, "B")]
+            expected.append([DensityOperator.from_matrix(r).eigenvalues for r in reductions])
+        # eigenvalue rows, and no eigenvectors, of the reductions
+        assert all(len(stack) == 1 for rows in purified for stack, _ in rows)
+        self.assert_built([[stack[0][j] for stack, j in rows] for rows in purified], expected)
+
+    def test_fannes_bounds(self):
+        # every (trial, point) bound is unified_fannes_bound's at the pair's
+        # trace distance, and the kept points are those it does not refuse
+        grid = verify.FANNES_GRID + ((0.5, -1.5), (0.5, 0.0), (0.9, 1.0), (1.2, 3.0), (2.5, -0.25))
+        points = verify._as_grid(grid, None)
+        infos, _, built = chunk_builds("fannes", (2, 3, 5), 40)
+        states = verify._per_trial(verify._density_stacks, built)
+        ((lhs, bound),), keep, case = verify._fannes_judge(list(enumerate(infos)), states, points)
+        refused = 0
+        for t, ((d, _), (rho, omega)) in enumerate(zip(infos, built)):
+            eps = case(t, 0, 0)["eps"]
+            assert eps == trace_distance(DensityOperator(rho), DensityOperator(omega))
+            for k, p in enumerate(points):
+                try:
+                    want = unified_fannes_bound(BoundSpec(p.q, p.s, d, eps))
+                except OutOfValidity:
+                    refused += 1
+                    assert not keep[t, k]
+                    continue
+                assert keep[t, k] and float(bound[t, k]).hex() == want.hex()
+        assert 0 < refused < keep.size
 
     def test_fannes_distances(self, monkeypatch):
         distances = []
