@@ -176,23 +176,23 @@ def _entropy_table(rows: list, grid, q_only: bool = False) -> np.ndarray:
     Cell [i, k] is bit for bit ``_unified`` (for ``q_only``,
     ``power_sum``) of row i at grid[k].
 
-    Each stack is raised to each distinct q once, as a Python float, and
-    summed over its own axis; zero padding, an array of exponents or a
-    strided sum would change bits (numpy's pairwise blocking, the ``**``
-    fast paths).  The columns of one q share their logarithms; q -> 1
-    points go through ``_unified``."""
+    Each stack, found by its eigenvalue array, is raised to each distinct
+    q once, as a Python float, and summed over its own axis; zero padding,
+    an array of exponents or a strided sum would change bits (numpy's
+    pairwise blocking, the ``**`` fast paths).  The columns of one q share
+    their logarithms; q -> 1 points go through ``_unified``."""
     if not rows:
         return np.empty((0, len(grid)))
     qs = list(dict.fromkeys(p.q for p in grid))
     # the (q, row) power sums of every stack side by side; at: each stack's first column
     at, parts, size = {}, [], 0
     for stack, _ in rows:
-        if id(stack) not in at:
-            vals = stack[0]
-            at[id(stack)] = size
+        vals = stack[0]
+        if id(vals) not in at:
+            at[id(vals)] = size
             size += len(vals)
             parts.append(np.array([(vals**q).sum(axis=1) for q in qs]).reshape(len(qs), len(vals)))
-    sums = np.concatenate(parts, axis=1)[:, [at[id(stack)] + j for stack, j in rows]]
+    sums = np.concatenate(parts, axis=1)[:, [at[id(stack[0])] + j for stack, j in rows]]
     col = {q: j for j, q in enumerate(qs)}
     if q_only:
         return sums[[col[p.q] for p in grid]].T

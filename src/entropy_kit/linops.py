@@ -111,9 +111,9 @@ def _array(entries, dtype=np.complex128, copy=True) -> np.ndarray:
         raise DomainError(f"entries must form an array of numbers: {exc}") from None
 
 
-def _as_square_matrix(entries, copy=True) -> np.ndarray:
+def _as_square_matrix(entries, copy=True, ndim=2) -> np.ndarray:
     mat = _array(entries, copy=copy)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
+    if mat.ndim != ndim or mat.shape[-1] != mat.shape[-2] or mat.shape[-1] == 0:
         raise DomainError(f"expected a nonempty square matrix, got shape {mat.shape}")
     return mat
 
@@ -353,27 +353,27 @@ def _stack_rows(arrays: list) -> list[tuple]:
     return _grouped(arrays, _shape, rows)
 
 
-def _density_stacks(mats, vectors=None) -> list[tuple]:
-    """The states of square matrices as rows (stack, j), in input order.
-    ``vectors`` marks, one bool per matrix, the states whose eigenvectors
-    are read (None: all).  ``stack`` is (cleaned eigenvalues, matrices,
-    eigenvectors) of all matrices of one shape and mark, in first-seen
-    order, copied into one C-contiguous stack by ``np.array`` and
-    validated with one ``eigh`` (``_density_spectra``), so a bad matrix
-    raises what building it alone raises.  Row j's items are bit for bit
-    its ``DensityOperator``'s, but an unmarked stack's eigenvectors are
-    None: no copy of them is kept.  The eigenvalue stacks are what
-    ``entropies._entropy_table`` reads."""
-    mats = [_as_square_matrix(m, copy=False) for m in _items("matrices", mats)]
-    marks = [True] * len(mats) if vectors is None else vectors
+def _density_stacks(stacks, vectors=None) -> list[tuple]:
+    """The states of (n, d, d) stacks of square matrices: (stack, offset)
+    of each, in input order, its item j the row (stack, offset + j).
+    ``vectors`` marks, one bool per stack, those whose eigenvectors are
+    read (None: all).  ``stack`` is (cleaned eigenvalues, matrices,
+    eigenvectors) of all stacks of one side and mark, in first-seen order,
+    joined into one copy by ``np.concatenate`` and validated with one
+    ``eigh`` (``_density_spectra``), so a bad matrix raises what it raises
+    alone.  Row j's items are bit for bit its ``DensityOperator``'s, but an
+    unmarked stack keeps no eigenvectors (None).  The eigenvalue stacks
+    are what ``entropies._entropy_table`` reads."""
+    stacks = [_as_square_matrix(m, copy=False, ndim=3) for m in _items("stacks", stacks)]
+    marks = [True] * len(stacks) if vectors is None else vectors
 
-    def rows(group: list) -> list[tuple]:
-        stacked = _frozen(np.array([m for m, _ in group]))
-        vals, vecs = _density_spectra(stacked, group[0][1])
-        stack = (vals, stacked, vecs)
-        return [(stack, j) for j in range(len(group))]
+    def joined(group: list) -> list[tuple]:
+        mats = _frozen(np.concatenate([m for m, _ in group]))
+        vals, vecs = _density_spectra(mats, group[0][1])
+        stack = (vals, mats, vecs)
+        return [(stack, o) for o in itertools.accumulate((len(m) for m, _ in group[:-1]), initial=0)]
 
-    return _grouped(list(zip(mats, marks)), lambda it: (it[0].shape, it[1]), rows)
+    return _grouped(list(zip(stacks, marks)), lambda it: (it[0].shape[1], it[1]), joined)
 
 
 def _spectrum(values: np.ndarray) -> _SpectralMemo:

@@ -9,26 +9,25 @@ SeedSequence built on (seed, check id, trial index), so reports are
 reproducible byte for byte regardless of execution order.  A suite's one
 loop takes a chunk of trials (``STATE_CHUNK`` of them, fewer where the
 largest matrix a trial builds, whose side each suite declares, is large)
-through a draw step and a build step.  Each trial draws its
-discrete choices and every Gaussian factor from its own generator; then
-the chunk's draws become Ginibre states, Haar unitaries and resolution
-projectors with one stacked call per kind and shape, the suite's build
-makes the chunk's matrices from them (mixtures and interpolations per
-trial; partial traces, products and pinchings with one call of a stacked
-``linops`` core per shape), and one ``linops._density_stacks`` call
-validates them with one ``eigh`` per shape.  A trial's state is then a
-row of its shape's stacks (cleaned eigenvalues, matrices, and eigenvectors
-where the judge reads them), and no record is made of it: the stacked
-builders take and give arrays.  The ensemble judge draws each trial's
-ensemble from its row and builds the chunk's ensembles the same way, the
-triangle judge purifies its rho_AB rows and traces the pure states'
-reductions straight from the purifications, keeping only their
-eigenvalues, and fannes measures its pairs' trace distances from the
-stacks, one core call per shape.  The judge reads the eigenvalue stacks
-at every grid point as one ``entropies._entropy_table`` and judges the
-chunk's claims as arrays over (trial, point, case), each step
-bit-identical to working one matrix, state, point and comparison at a
-time.  One chunk's states are alive at a time.
+through a draw step and a build step.  Each trial draws its discrete
+choices and every Gaussian factor from its own generator; the chunk's
+draws become Ginibre states, Haar unitaries and resolution projectors
+with one stacked call per kind and shape; and the suite's build makes one
+stack per matrix slot and group of trials (mixtures and interpolations
+per trial; partial traces, products and pinchings with one call of a
+stacked ``linops`` core).  One ``linops._density_stacks`` call joins the
+stacks of each side and validates them with one ``eigh``; a trial's state
+is a row of the joined stacks (cleaned eigenvalues, matrices, and
+eigenvectors where the judge reads them), not a record.  The ensemble
+judge draws each trial's ensemble from its row and builds the chunk's
+ensembles the same way, the triangle judge purifies its rho_AB rows and
+traces the pure states' reductions straight from the purifications,
+keeping only their eigenvalues, and fannes measures its pairs' trace
+distances from the stacks, one core call per shape.  The judge reads the
+eigenvalue stacks at every grid point as one ``entropies._entropy_table``
+and judges the chunk's claims as arrays over (trial, point, case), each
+step bit-identical to working one matrix, state, point and comparison at
+a time.  One chunk's states are alive at a time.
 Closed-form and random parts alike record their comparisons as arrays
 through ``CheckReport.compare_many``: "lhs <= rhs" fails when the signed
 violation lhs - rhs exceeds TOL.check_rel * (1 + magnitude), a strict
@@ -92,15 +91,12 @@ from .linops import (
 )
 from .tolerances import TOL
 
-#: trials whose states one ``_density_stacks`` call builds while no trial
-#: of the suite builds a matrix of side above ``_CHUNK_DIM`` (each suite
-#: declares that side, ``Suite.largest``); larger matrices get fewer
-#: trials, so one matrix slot of a chunk holds at most 2^17 entries,
-#: STATE_CHUNK * _CHUNK_DIM**2: 512 trials at d = 9 and d = 16, 179 at
-#: d = 27, 128 at d = 32, 32 at d = 64 and 2 at d = 256.  Only one chunk's
-#: states are alive at a time, and each chunk pays a fixed cost (one
-#: stacked ``eigh`` per shape, the table columns, one judge), which 512
-#: trials at d <= 16 spread thinly
+#: trials of a chunk while no trial of the suite builds a matrix of side
+#: above ``_CHUNK_DIM`` (``Suite.largest``); larger matrices get fewer, so a
+#: matrix slot holds at most STATE_CHUNK * _CHUNK_DIM**2 = 2^17 entries:
+#: 512 trials at d <= 16, 179 at d = 27, 128 at 32, 32 at 64 and 2 at 256.
+#: One chunk's states are alive at a time, and its fixed cost (one stacked
+#: ``eigh`` per side, the table columns, one judge) is spread over them
 STATE_CHUNK = 512
 _CHUNK_DIM = 16
 
@@ -192,15 +188,7 @@ class CheckReport:
             self.worst_case = dict(case_at(worst), lhs=float(lhs[worst]), rhs=float(rhs[worst]))
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "trials": self.trials,
-            "skipped": self.skipped,
-            "failures": self.failures,
-            "max_violation": self.max_violation,
-            "worst_case": self.worst_case,
-            "seed": self.seed,
-        }
+        return {k: v for k, v in vars(self).items() if k != "comparisons"}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -333,38 +321,50 @@ def _bipartite_draw(dims, i, rng):
     return (da, db), [_ginibre(rng, da * db)]
 
 
-def _by_info(build):
-    """A suite's build that runs ``build(info, *columns)`` once for the
-    trials of each distinct info, column k listing their k-th built draws
-    (or rows).  ``build`` returns, for each matrix a trial gets, a stack
-    (or list) whose item j is the group's trial j's."""
+def _by_info(build, key=None):
+    """A suite's build: (indices, ``build(infos, *columns)``) of the trials
+    of each distinct ``key(info)`` (info if None), in first-seen order,
+    column k listing their k-th built draws (or rows).  ``build`` gives one
+    (n, d, d) stack per matrix slot, item j the group's trial j's (in a
+    judge, one (stack, offset) slot each, as ``_trial_rows`` reads)."""
+    return lambda infos, made: [
+        (idx, build([infos[i] for i in idx], *zip(*(made[i] for i in idx))))
+        for idx in _groups(infos if key is None else map(key, infos))
+    ]
 
-    def group(items: list) -> list:
-        return list(zip(*build(items[0][0], *zip(*(made for _, made in items)))))
 
-    return lambda infos, made: _grouped(list(zip(infos, made)), lambda it: it[0], group)
-
-
-def _bipartite_build(info, rhos):
+def _bipartite_build(infos, rhos):
     """rho_AB on C^d_A (x) C^d_B and its reductions rho_A, rho_B."""
     rho = np.array(rhos)
-    return rho, _partial_traces(rho, *info, "A"), _partial_traces(rho, *info, "B")
+    return [rho, _partial_traces(rho, *infos[0], "A"), _partial_traces(rho, *infos[0], "B")]
 
 
+def _trial_rows(groups: list, n: int) -> list:
+    """Each of n trials' rows from (trial indices, [(stack, offset) per
+    slot]) groups: trial idx[j]'s row of a slot is (stack, offset + j)."""
+    rows = [None] * n
+    for idx, slots in groups:
+        for j, t in enumerate(idx):
+            rows[t] = [(stack, o + j) for stack, o in slots]
+    return rows
 
-def _per_trial(build, per_trial: list) -> list:
-    """``build`` of every trial's items in one call, split back into one
-    list per trial."""
-    made = iter(build([x for xs in per_trial for x in xs]))
+
+def _chunk_states(groups: list, vectors: bool, n: int) -> list:
+    """Each of n trials' states, rows ((vals, mats, vecs), j), of a build's
+    groups from one ``_density_stacks`` call; slot 0 keeps eigenvectors if ``vectors``."""
+    slots = [(stack, vectors and k == 0) for _, stacks in groups for k, stack in enumerate(stacks)]
+    at = iter(_density_stacks(*zip(*slots)))
+    return _trial_rows([(idx, [next(at) for _ in stacks]) for idx, stacks in groups], n)
+
+
+def _sampled(per_trial: list) -> list:
+    """Each trial's draws built with one stacked call per kind and shape:
+    Ginibre draws into density matrices, (ranks, Haar draw) pairs into projectors."""
+    made = iter(_grouped([x for xs in per_trial for x in xs], type, lambda ds: _BUILDERS[type(ds[0])](ds)))
     return [[next(made) for _ in xs] for xs in per_trial]
 
 
-def _sampled(draws: list) -> list:
-    """Draws of one kind built with one stacked call per shape: Ginibre
-    draws into density matrices, (ranks, Haar draw) pairs into projectors."""
-    return (_resolutions if isinstance(draws[0], tuple) else _density_matrices)(draws)
-
-
+_BUILDERS = {np.ndarray: _density_matrices, tuple: _resolutions}
 _LEMMA_KINDS = ("unit-direct", "tail-direct", "unit-reversed", "tail-reversed", "tail-log")
 
 
@@ -467,11 +467,10 @@ def _mixing_draw(dims, i, rng):
     return (d, k, weights), [_ginibre(rng, d) for _ in range(k)]
 
 
-def _mixing_build(infos, made):
-    return [
-        omegas + [sum(w * om for w, om in zip(info[2], omegas))]
-        for info, omegas in zip(infos, made)
-    ]
+def _mixing_build(infos, *omegas):
+    """The k omegas of trials of one (d, k) and each trial's mixture."""
+    mixtures = [sum(w * om for w, om in zip(info[2], oms)) for info, oms in zip(infos, zip(*omegas))]
+    return [np.array(col) for col in omegas + (mixtures,)]
 
 
 def _mixing_judge(trials, states, points):
@@ -500,11 +499,12 @@ def _fannes_draw(dims, i, rng):
     return (d, lam), [rho, _ginibre_draw(d, d, rng)]
 
 
-def _fannes_build(infos, made):
-    return [
-        pair if lam is None else [pair[0], (1.0 - lam) * pair[0] + lam * pair[1]]
-        for (_, lam), pair in zip(infos, made)
+def _fannes_build(infos, rhos, others):
+    """The pairs of trials of one d, the second interpolated where drawn so."""
+    omegas = [
+        om if lam is None else (1.0 - lam) * rho + lam * om for (_, lam), rho, om in zip(infos, rhos, others)
     ]
+    return [np.array(rhos), np.array(omegas)]
 
 
 def _fannes_judge(trials, states, points):
@@ -582,9 +582,9 @@ def _violation_draw(dims, i, rng):
     return (da, db), [_ginibre(rng, da), _ginibre(rng, db), _ginibre(rng, da * db)]
 
 
-def _violation_build(info, fas, fbs, rhos):
+def _violation_build(infos, fas, fbs, rhos):
     fa, fb = np.array(fas), np.array(fbs)
-    return (fa, fb, _tensors(fa, fb)) + _bipartite_build(info, rhos)
+    return [fa, fb, _tensors(fa, fb)] + _bipartite_build(infos, rhos)
 
 
 def _violation_judge(trials, states, points):
@@ -602,29 +602,30 @@ def _violation_judge(trials, states, points):
 
 
 def _row_stack(rows: list, k: int) -> np.ndarray:
-    """The stack of item k (0 cleaned eigenvalues, 1 matrix, 2 eigenvectors)
-    of ``_density_stacks`` rows of one shape."""
-    return np.array([stack[k][j] for stack, j in rows])
+    """Item k (0 cleaned eigenvalues, 1 matrices, 2 eigenvectors) of the rows
+    (stack, o) .. (stack, o + n - 1) of a build group's slot, as a view."""
+    stack, o = rows[0]
+    return stack[k][o : o + len(rows)]
 
 
-def _purified_build(info, rows):
-    """Eigenvalue rows of the reductions rho_C (the ancilla) and rho_BC of
-    the purifications of the rho_AB rows of one (d_A, d_B) pair."""
-    da, db = info
+def _purified_build(infos, rows):
+    """(eigenvalue stack, 0) of the reductions rho_C (the ancilla) and
+    rho_BC of the purifications of the rho_AB rows of one (d_A, d_B) pair."""
+    da, db = infos[0]
     n = da * db
     psi = _purifications(_row_stack(rows, 0), _row_stack(rows, 2))
     # the rank-1 purified states are never made, only their reductions,
     # which are validated as built; no claim reads their eigenvectors
-    stacks = [_density_spectra(_pure_traces(psi, *dims), False)[:1] for dims in ((n, n), (da, db * n))]
-    return [[(stack, j) for j in range(len(psi))] for stack in stacks]
+    return [(_density_spectra(_pure_traces(psi, *dims), False)[:1], 0) for dims in ((n, n), (da, db * n))]
 
 
 def _triangle_judge(trials, states, points):
     """Triangle inequality |E(rho_A) - E(rho_B)| <= E(rho_AB) for q > 1,
     s >= 1/q, via purification; also verifies that both reductions of the
     purified state carry the entropies they should."""
-    purified = _by_info(_purified_build)([info for _, info in trials], [st[:1] for st in states])
-    e_ab, e_a, e_b, e_c, e_bc = _table([st + list(more) for st, more in zip(states, purified)], points)
+    groups = _by_info(_purified_build)([info for _, info in trials], [st[:1] for st in states])
+    purified = _trial_rows(groups, len(trials))
+    e_ab, e_a, e_b, e_c, e_bc = _table([st + more for st, more in zip(states, purified)], points)
     zero = np.zeros_like(e_ab)
     kinds = ("purified-complement", "purified-rest", "triangle")
     pair_case = _pair_case(trials, points)
@@ -646,11 +647,11 @@ def _pinching_draw(every, dims, i, rng):
     return (d, len(resolution[0])), [rho, resolution]
 
 
-def _pinching_build(info, rhos, resolutions):
+def _pinching_build(infos, rhos, resolutions):
     """Each state with its pinching, for trials of one (d, block count);
     the stack of each block's projectors is made as it is applied."""
     rho = np.array(rhos)
-    return rho, _pinches(rho, (np.array(ps) for ps in zip(*resolutions)))
+    return [rho, _pinches(rho, (np.array(ps) for ps in zip(*resolutions)))]
 
 
 def _pinching_judge(trials, states, points):
@@ -685,14 +686,13 @@ class Suite:
     ``draw(dims, i, rng)`` gives (info, draws) for trial i: its discrete
     choices and the ``linops`` draws (Ginibre draws, (ranks, Haar draw)
     pairs of resolutions) it takes from its generator.  The chunk's draws
-    are built into arrays (matrices, projector tuples) with one stacked
-    call per kind and shape, ``build(infos, made)`` turns the chunk's infos
-    and each trial's built draws into each trial's matrices (``_by_info``
-    for one stacked call per distinct info), and the chunk's matrices
-    become states through one stacked call.  ``judge(trials, states,
-    points)`` then judges the whole chunk at once from its (i, info) pairs
-    and each trial's states, rows ((vals, mats, vecs), j) of
-    ``_density_stacks``, reading entropies at the claimed points, or power
+    are built into arrays with one stacked call per kind and shape, and
+    ``build(infos, made)`` (``_by_info``) turns the infos and each trial's
+    built draws into whole stacks: (trial indices, one (n, d, d) stack per
+    matrix slot) for each group of trials.  ``judge(trials, states,
+    points)`` judges the chunk at once from its (i, info) pairs and each
+    trial's states, rows ((vals, mats, vecs), j) of the validated stacks
+    (``_chunk_states``), reading entropies at the claimed points, or power
     sums tr(rho^q) for ``q_only`` claims (which ignore s and compare each
     distinct q of the grid once), through ``_table``.  It returns (pairs,
     keep, case): one (lhs, rhs) pair of (trial, point) arrays per case of
@@ -738,17 +738,18 @@ class Check:
 
 CHECKS = {
     "ensemble": Check(None, Suite(
-        _state_draw, lambda infos, made: made, _ensemble_judge, (2, 3, 4, 5), ENSEMBLE_GRID,
+        _state_draw, _by_info(lambda infos, rhos: [np.array(rhos)], lambda info: info[1]), _ensemble_judge,
+        (2, 3, 4, 5), ENSEMBLE_GRID,
         claimed=lambda q, s: not (s == 0.0 and not q < 1.0), vectors=True,
     )),
     "mixing": Check(None, Suite(
-        _mixing_draw, _mixing_build, _mixing_judge, DEFAULT_DIMS, MIXING_GRID,
+        _mixing_draw, _by_info(_mixing_build, lambda info: info[:2]), _mixing_judge, DEFAULT_DIMS, MIXING_GRID,
         claimed=lambda q, s: q < 1.0 and s <= 1.0,
     )),
     "scalar-lemma": Check(_scalar_lemma, None),
     # the Fannes bound is stated for d >= 2
     "fannes": Check(None, Suite(
-        _fannes_draw, _fannes_build, _fannes_judge, DEFAULT_DIMS, FANNES_GRID,
+        _fannes_draw, _by_info(_fannes_build, lambda info: info[0]), _fannes_judge, DEFAULT_DIMS, FANNES_GRID,
         claimed=lambda q, s: fannes_range(q, s) is not None,
     ), (2, MAX_CHECK_DIM)),
     "audenaert": Check(None, Suite(
@@ -792,17 +793,16 @@ def _run_chunk(rec, suite, claimed, chunk, draw) -> None:
 
     ``draw(chunk)`` returns (info, draws) for each trial, each from that
     trial's own generator.  The chunk's draws are built with one stacked
-    call per kind and shape, the trials' matrices are made from them by
-    ``suite.build``, and those become states through one stacked call;
-    they die when this call returns, before the next chunk is drawn.
+    call per kind and shape, ``suite.build`` makes the groups' stacks from
+    them, and ``_chunk_states`` validates those whole, one ``eigh`` per
+    side and eigenvector mark, with no step per matrix; the states die
+    when this call returns, before the next chunk is drawn.
     """
     infos, draws = zip(*draw(chunk))
-    made = _per_trial(lambda flat: _grouped(flat, type, _sampled), draws)
-    mats = suite.build(list(infos), made)
-    del draws, made
-    marks = [suite.vectors and k == 0 for ms in mats for k in range(len(ms))]
-    states = _per_trial(lambda flat: _density_stacks(flat, marks), mats)
-    del mats
+    groups = suite.build(list(infos), _sampled(draws))
+    del draws
+    states = _chunk_states(groups, suite.vectors, len(chunk))
+    del groups
     pairs, keep, case = suite.judge(list(zip(chunk, infos)), states, claimed)
     lhs, rhs = (np.stack(side, axis=-1) for side in zip(*pairs))
     if keep is None:

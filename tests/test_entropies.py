@@ -480,7 +480,7 @@ class TestIndexValidation:
         with pytest.raises(DomainError, match="leaves the float range"):
             unified_quantum(rho, params)
         with pytest.raises(DomainError, match="leaves the float range"):
-            _entropy_table(_density_stacks([rho.mat]), [UnifiedParams(2.0, 1.0), params])
+            _entropy_table(_density_stacks([rho.mat[None]]), [UnifiedParams(2.0, 1.0), params])
 
 
 class TestMemoizedEvaluation:
@@ -539,7 +539,8 @@ class TestEntropyTable:
             p[rng.uniform(size=d) < 0.3] = 0.0
             p[0] += 1.0 - p.sum()
             dists.append(ProbabilityDistribution(p))
-        rows = iter(_density_stacks(mats)), iter(_stack_rows([p.probs for p in dists]))
+        # each state a one-item stack: its row is (stack, offset)
+        rows = iter(_density_stacks([[m] for m in mats])), iter(_stack_rows([p.probs for p in dists]))
         holders = iter(map(DensityOperator.from_matrix, mats)), iter(dists)
         return [next(rows[not q]) for q in quantum], [next(holders[not q]) for q in quantum]
 
@@ -592,6 +593,24 @@ class TestEntropyTable:
         assert any(not isinstance(h, DensityOperator) and h.probs.min() == 0.0 for h in holders)
         grid = [UnifiedParams(q, s) for q in (0.3, 2.0) for s in (-2.0, 0.0, 0.5, 1.0)]
         self.assert_cells_bit_equal(rows, holders, grid + [UnifiedParams(1.0, 2.0)])
+
+    def test_one_power_pass_per_stack_and_q(self):
+        # rows that carry equal but distinct tuples over one value stack
+        # share it: one ** pass per distinct q, not one per row and q
+        passes = []
+
+        class Counted(np.ndarray):
+            def __pow__(self, q):
+                passes.append(q)
+                return super().__pow__(q)
+
+        vals = np.array([[0.5, 0.5, 0.0], [0.7, 0.2, 0.1], [1.0, 0.0, 0.0]]).view(Counted)
+        rows = [((vals,), j) for j in (0, 1, 2, 1)]
+        grid = [UnifiedParams(q, s) for q in (0.5, 2.0, 3.0) for s in (-1.0, 0.0, 1.0)]
+        table = _entropy_table(rows, grid)
+        assert passes == [0.5, 2.0, 3.0]
+        spectra = [_stack_rows([np.asarray(v)])[0] for v in np.asarray(vals)[[0, 1, 2, 1]]]
+        assert table.tobytes() == _entropy_table(spectra, grid).tobytes()
 
     def test_empty_chunk_and_empty_grid(self):
         rows = _stack_rows([FLAT4.probs, SKEW.probs])

@@ -52,9 +52,11 @@ from entropy_kit.verify import StabilityExample
 
 
 def density_rows(mats):
-    """(cleaned eigenvalues, matrix, eigenvectors) of each ``_density_stacks``
-    row of ``mats``: item j of each of its shape's stacks."""
-    return [(vals[j], mats[j], vecs[j]) for (vals, mats, vecs), j in linops._density_stacks(mats)]
+    """(cleaned eigenvalues, matrix, eigenvectors) of each matrix of
+    ``mats``, given to ``_density_stacks`` as a one-item stack: item j of
+    each of the stacks its side's matrices are joined into."""
+    rows = linops._density_stacks([[m] for m in mats])
+    return [(vals[j], mats[j], vecs[j]) for (vals, mats, vecs), j in rows]
 
 
 def basis_resolution(d):
@@ -655,7 +657,7 @@ class TestStackedConstruction:
     def test_eigenvectors_kept_only_where_marked(self):
         # GOOD_MATRICES 0 and 2 share a shape; marked apart, they get a
         # stack each, and an unmarked stack keeps no eigenvectors
-        rows = linops._density_stacks(GOOD_MATRICES, [True, False, False, True])
+        rows = linops._density_stacks([[m] for m in GOOD_MATRICES], [True, False, False, True])
         assert [stack[2] is None for stack, _ in rows] == [False, True, True, False]
         assert [j for _, j in rows] == [0, 0, 0, 0]
         for mat, ((vals, mats, vecs), j) in zip(GOOD_MATRICES, rows):
@@ -665,16 +667,38 @@ class TestStackedConstruction:
             if vecs is not None:
                 assert bit_equal(vecs[j], alone.eigenvectors)
         # one mark per shape: one stack per shape
-        rows = linops._density_stacks(GOOD_MATRICES, [False] * 4)
+        rows = linops._density_stacks([[m] for m in GOOD_MATRICES], [False] * 4)
         assert rows[0][0] is rows[2][0] and rows[0][0][2] is None
         vals, vecs = linops._density_spectra(np.array([GOOD_MATRICES[1]]), False)
         assert vecs is None and bit_equal(vals[0], DensityOperator(GOOD_MATRICES[1]).eigenvalues)
 
     def test_caller_matrix_not_aliased(self):
+        # a caller's stack is joined into a copy, even when it is alone
         mat = random_density_matrix(3, 3, 5)
-        _, row_mat, _ = density_rows([mat])[0]
+        (((_, mats, _), j),) = linops._density_stacks([mat[None]])
         mat[0, 0] = 7.0
-        assert row_mat[0, 0] != 7.0
+        assert mats[j][0, 0] != 7.0 and not np.shares_memory(mats, mat)
+
+    def test_stacks_joined_by_side_and_mark(self, monkeypatch):
+        # stacks of one side and mark are joined in first-seen order, one
+        # eigh each; stack i's item j is the row (stack, offset_i + j)
+        def stack(d, n, seed):
+            return np.array([random_density_matrix(d, d, seed + j) for j in range(n)])
+
+        stacks = [stack(2, 3, 0), stack(3, 2, 10), stack(2, 1, 20), stack(2, 4, 30), stack(3, 5, 40)]
+        marks = [True, False, True, False, False]
+        eigh = mock.Mock(wraps=np.linalg.eigh)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        rows = linops._density_stacks(stacks, marks)
+        assert [len(call.args[0]) for call in eigh.call_args_list] == [4, 7, 4]
+        assert [o for _, o in rows] == [0, 0, 3, 0, 2]
+        assert rows[0][0] is rows[2][0] and rows[1][0] is rows[4][0]
+        for mats, mark, ((vals, joined, vecs), o) in zip(stacks, marks, rows):
+            assert (vecs is not None) == mark
+            for j, mat in enumerate(mats):
+                alone = DensityOperator.from_matrix(mat)
+                assert bit_equal(vals[o + j], alone.eigenvalues) and bit_equal(joined[o + j], mat)
+                assert not mark or bit_equal(vecs[o + j], alone.eigenvectors)
 
     @pytest.mark.parametrize("kind", sorted(BAD_MATRICES))
     @pytest.mark.parametrize("pos", range(len(GOOD_MATRICES) + 1))

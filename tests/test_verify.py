@@ -335,12 +335,13 @@ class TestReports:
         ],
     )
     def test_chunk_sized_by_the_largest_matrix(self, monkeypatch, name, dims, trials, sizes):
+        # matrices per _density_stacks call, summed over its stacks
         built = []
         build = verify._density_stacks
 
-        def counted_build(mats, *args):
-            built.append(len(mats))
-            return build(mats, *args)
+        def counted_build(stacks, *args):
+            built.append(sum(map(len, stacks)))
+            return build(stacks, *args)
 
         monkeypatch.setattr(verify, "_density_stacks", counted_build)
         suite = verify.CHECKS[name].suite
@@ -419,6 +420,57 @@ class TestReports:
         pairs = {name for name, check in verify.CHECKS.items() if check.suite and check.suite.pairs}
         assert pairs == {"audenaert", "subadd", "subadd-violation", "triangle"}
 
+    def test_states_are_rows_of_the_validated_stacks(self, monkeypatch):
+        # a seed-42 `check all --trials 1000` pass runs 22 chunks and 146
+        # stacked eigh calls (142 in the chunks, 4 for the closed-form
+        # parts' states).  Each build group's stack of a slot is a
+        # contiguous slice of a stack that one of its chunk's eigh calls
+        # validated, its trial j's row at offset + j: no per-matrix step
+        # lies between the build and the eigensolve
+        eigh, validated, chunks, groups, rows = np.linalg.eigh, [], [], [], []
+
+        def counted_eigh(mats):
+            validated.append(mats)
+            return eigh(mats)
+
+        def counted_chunk(*args):
+            chunks.append(len(validated))
+            run_chunk(*args)
+
+        def checked(suite):
+            def build(infos, made):
+                groups[:] = suite.build(infos, made)
+                return groups
+
+            def judge(trials, states, points):
+                chunk = validated[chunks[-1]:]
+                for idx, stacks in groups:
+                    for k, built in enumerate(stacks):
+                        slot = [states[t][k] for t in idx]
+                        (vals, mats, vecs), o = slot[0]
+                        assert slot == [((vals, mats, vecs), o + j) for j in range(len(idx))]
+                        assert [m is mats for m in chunk].count(True) == 1 and len(vals) == len(mats)
+                        # the judge reads the slot as a view of the validated stack
+                        view = verify._row_stack(slot, 1)
+                        assert np.shares_memory(view, mats) and not np.shares_memory(view, built)
+                        assert bit_equal(view, built)
+                        rows.append(len(idx))
+                return suite.judge(trials, states, points)
+
+            return dataclasses.replace(suite, build=build, judge=judge)
+
+        run_chunk = verify._run_chunk
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(verify, "_run_chunk", counted_chunk)
+        for name, check in verify.CHECKS.items():
+            if check.suite:
+                monkeypatch.setitem(verify.CHECKS, name, dataclasses.replace(check, suite=checked(check.suite)))
+        for name in ALL_CHECKS:
+            run_check(name, trials=1000, seed=42)
+        assert len(chunks) == 22 and len(validated) == 146
+        # the states of 1000 trials of each of the 9 suites
+        assert sum(rows) == 26020
+
     def test_report_ok_inverts_for_violation_search(self):
         empty = CheckReport("subadd-violation")
         assert not report_ok(empty)
@@ -429,14 +481,30 @@ class TestReports:
 
 def chunk_builds(name: str, dims, trials: int) -> tuple:
     """(infos, built draws, the suite's chunk build) of the first chunk of
-    check ``name`` at seed 3, as ``verify._run_chunk`` makes them."""
+    check ``name`` at seed 3, as ``verify._run_chunk`` makes them; the
+    build's (trial indices, stacks) groups are read back as each trial's
+    list of matrices, item j of each stack for the group's trial j."""
     suite = verify.CHECKS[name].suite
     chunk = range(trials)
     infos, draws = zip(*[
         suite.draw(dims, i, rng) for i, rng in zip(chunk, verify._trial_rngs(3, name, chunk))
     ])
-    made = verify._per_trial(lambda flat: verify._grouped(flat, type, verify._sampled), draws)
-    return infos, made, suite.build(list(infos), made)
+    made = verify._sampled(draws)
+    built = [None] * trials
+    for idx, stacks in suite.build(list(infos), made):
+        assert all(isinstance(stack, np.ndarray) and len(stack) == len(idx) for stack in stacks)
+        for j, t in enumerate(idx):
+            built[t] = [stack[j] for stack in stacks]
+    return infos, made, built
+
+
+def chunk_states(name: str, dims, trials: int) -> tuple:
+    """(infos, the built matrices of ``chunk_builds``, each trial's states)
+    of that chunk, as ``verify._run_chunk`` makes them."""
+    suite = verify.CHECKS[name].suite
+    infos, made, built = chunk_builds(name, dims, trials)
+    groups = suite.build(list(infos), made)
+    return infos, built, verify._chunk_states(groups, suite.vectors, trials)
 
 
 def bit_equal(a: np.ndarray, b: np.ndarray) -> bool:
@@ -472,15 +540,34 @@ class TestChunkBuilds:
         ]
         self.assert_built(built, expected)
 
+    def test_ensemble(self):
+        infos, made, built = chunk_builds("ensemble", (2, 3, 5), 12)
+        self.assert_built(built, made)
+
+    def test_mixing(self):
+        # each mixture is formed per trial, as sum(w * omega) forms it
+        infos, made, built = chunk_builds("mixing", (2, 3, 5), 20)
+        expected = [oms + [sum(w * om for w, om in zip(info[2], oms))] for info, oms in zip(infos, made)]
+        self.assert_built(built, expected)
+
+    def test_fannes(self):
+        infos, made, built = chunk_builds("fannes", (2, 3, 5), 20)
+        expected = [
+            [rho, om if lam is None else (1.0 - lam) * rho + lam * om]
+            for (_, lam), (rho, om) in zip(infos, made)
+        ]
+        assert {lam is None for _, lam in infos} == {True, False}
+        self.assert_built(built, expected)
+
     @pytest.mark.parametrize("name,dims", [("pinching", (3, 4, 64)), ("projective", (2, 5))])
     def test_pinching(self, name, dims):
         infos, made, built = chunk_builds(name, dims, 12)
         self.assert_built(built, [[rho, pinch(rho, OrthogonalResolution(res))] for rho, res in made])
 
     def test_purified_reductions(self):
-        infos, _, built = chunk_builds("triangle", self.PAIRS, 12)
-        states = verify._per_trial(verify._density_stacks, built)
-        purified = verify._by_info(verify._purified_build)(list(infos), [st[:1] for st in states])
+        infos, built, states = chunk_states("triangle", self.PAIRS, 12)
+        groups = verify._by_info(verify._purified_build)(list(infos), [st[:1] for st in states])
+        purified = verify._trial_rows(groups, len(infos))
         expected = []
         for (da, db), mats in zip(infos, built):
             n = da * db
@@ -497,8 +584,7 @@ class TestChunkBuilds:
         # trace distance, and the kept points are those it does not refuse
         grid = verify.FANNES_GRID + ((0.5, -1.5), (0.5, 0.0), (0.9, 1.0), (1.2, 3.0), (2.5, -0.25))
         points = verify._as_grid(grid, None)
-        infos, _, built = chunk_builds("fannes", (2, 3, 5), 40)
-        states = verify._per_trial(verify._density_stacks, built)
+        infos, built, states = chunk_states("fannes", (2, 3, 5), 40)
         ((lhs, bound),), keep, case = verify._fannes_judge(list(enumerate(infos)), states, points)
         refused = 0
         for t, ((d, _), (rho, omega)) in enumerate(zip(infos, built)):
