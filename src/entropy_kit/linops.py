@@ -509,8 +509,9 @@ class OrthogonalResolution:
         for p in projs:
             if p.dim != d:
                 raise DimMismatch("projectors must share one dimension")
-            if np.abs(p.entries @ p.entries - p.entries).max() > TOL.orthonormal:
-                raise DomainError("resolution element is not idempotent within tolerance")
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow (inf or nan) fails
+                if not np.abs(p.entries @ p.entries - p.entries).max() <= TOL.orthonormal:
+                    raise DomainError("resolution element is not idempotent within tolerance")
         for j, p in enumerate(projs):
             for k in range(j + 1, len(projs)):
                 if np.abs(p.entries @ projs[k].entries).max() > TOL.orthonormal:
@@ -543,8 +544,11 @@ class GeneralizedMeasurement:
         for m in ops:
             if m.shape[0] != d:
                 raise DimMismatch("measurement operators must share one dimension")
-        total = sum(m.conj().T @ m for m in ops)
-        # written so that a NaN entry (defect nan) fails too
+            if not np.isfinite(m).all():
+                raise DomainError("matrix entries must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = sum(m.conj().T @ m for m in ops)
+        # written so that an overflow (defect inf or nan) fails too
         if not np.abs(total - np.eye(d)).max() <= TOL.orthonormal:
             raise IncompleteMeasurement(
                 "operators do not satisfy the completeness relation within tolerance"
@@ -726,9 +730,11 @@ def maximally_mixed(d: int) -> DensityOperator:
 # ``_ensembles``) turns a list of draws into arrays with one stacked call
 # per shape, each bit for bit what the item gives alone.  Each public
 # sampler is one draw and a build of one item, and the only one of these
-# to make a record.  A complex Gaussian matrix is drawn as its real and
-# imaginary parts in one (2, rows, cols) call, the stream of two
-# ``standard_normal((rows, cols))`` calls.  ``_ensembles``
+# to make a record.  The checks live there: verify's suites, whose
+# arguments are valid by construction, make the same draws unchecked,
+# straight from the generator (and ``_block_ranks``).  A complex Gaussian
+# matrix is drawn as its real and imaginary parts in one (2, rows, cols)
+# call, the stream of two ``standard_normal((rows, cols))`` calls.  ``_ensembles``
 # factors the first w columns of an m x m Gaussian, which with numpy 2.4.6
 # (OpenBLAS 0.3.31) gives the full QR's first w bit for bit for m <= 96 and
 # within rounding past it.  The ``ensemble`` suite's m > 8 all have w = m.
@@ -841,7 +847,7 @@ def ensemble_from_state(rho: DensityOperator, m: int, seed) -> PureStateEnsemble
     m <= 96, within rounding (2.3e-16 seen) past it.
     """
     _expect(rho, DensityOperator)
-    rank = int(np.sum(rho.eigenvalues > TOL.rank))
+    rank = int(np.count_nonzero(rho.eigenvalues > TOL.rank))
     state = (rho.eigenvalues, rho.eigenvectors, rho.mat)
     ((p, v, avg),) = _ensembles([state], [_ensemble_draw(rank, m, seed)])
     weights = _record(ProbabilityDistribution, probs=p, **_memo(p))
@@ -853,6 +859,14 @@ def ensemble_from_state(rho: DensityOperator, m: int, seed) -> PureStateEnsemble
 MAX_RANK_DRAW_DIM = 64
 
 
+def _block_ranks(d: int, rng: np.random.Generator) -> list:
+    """A uniform composition of d into two or more block ranks, for 2 <= d <=
+    ``MAX_RANK_DRAW_DIM``: the bits of one int64 draw in [1, 2^(d-1)) mark the cuts."""
+    cuts = int(rng.integers(1, 2 ** (d - 1)))
+    ends = [pos + 1 for pos in range(d - 1) if cuts >> pos & 1] + [d]
+    return [end - start for start, end in zip([0] + ends, ends)]
+
+
 def _resolution_draw(d: int, seed, ranks=None) -> tuple:
     """(block ranks, Haar draw) of ``random_resolution(d, seed, ranks)``."""
     d = _dimension(d)
@@ -860,17 +874,7 @@ def _resolution_draw(d: int, seed, ranks=None) -> tuple:
     if ranks is None:
         if not 2 <= d <= MAX_RANK_DRAW_DIM:
             raise DomainError(f"random block ranks need a dimension in [2, {MAX_RANK_DRAW_DIM}], got {d!r}")
-        # bits of an integer in [1, 2^(d-1)) mark the cut positions
-        cuts = int(rng.integers(1, 2 ** (d - 1)))
-        ranks = []
-        size = 1
-        for pos in range(d - 1):
-            if cuts >> pos & 1:
-                ranks.append(size)
-                size = 1
-            else:
-                size += 1
-        ranks.append(size)
+        ranks = _block_ranks(d, rng)
     ranks = [_integer("block rank", r) for r in ranks]
     if sum(ranks) != d or any(r < 1 for r in ranks):
         raise DomainError(f"block ranks {_shown(ranks)} do not partition dimension {d}")

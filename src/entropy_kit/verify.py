@@ -61,14 +61,13 @@ from .linops import (
     MAX_RANK_DRAW_DIM,
     DensityOperator,
     GeneralizedMeasurement,
+    _block_ranks,
     _density_matrices,
     _density_spectra,
     _density_stacks,
     _dimension,
-    _ensemble_draw,
     _ensembles,
     _expect,
-    _ginibre_draw,
     _groups,
     _grouped,
     _integer,
@@ -78,7 +77,6 @@ from .linops import (
     _pure_traces,
     _purifications,
     _real,
-    _resolution_draw,
     _resolutions,
     _shown,
     _stack_rows,
@@ -308,12 +306,12 @@ def _as_grid(params_grid, default) -> list:
 
 
 def _pick(rng: np.random.Generator, items):
-    return items[int(rng.integers(len(items)))]
+    return items[int(rng.integers(len(items), dtype=np.int32))]
 
 
 def _ginibre(rng: np.random.Generator, d: int) -> np.ndarray:
     """Ginibre draw of dimension d and a uniformly drawn rank."""
-    return _ginibre_draw(d, int(rng.integers(1, d + 1)), rng)
+    return rng.standard_normal((2, d, int(rng.integers(1, d + 1, dtype=np.int32))))
 
 
 def _bipartite_draw(dims, i, rng):
@@ -366,6 +364,9 @@ def _sampled(per_trial: list) -> list:
 
 _BUILDERS = {np.ndarray: _density_matrices, tuple: _resolutions}
 _LEMMA_KINDS = ("unit-direct", "tail-direct", "unit-reversed", "tail-reversed", "tail-log")
+#: (low, high) of each uniform draw of a scalar-lemma trial (x0, y0, x1, y1,
+#: s_hi, s_lo), drawn as numpy's uniform does: low + (high - low) * random()
+_LEMMA_LOW, _LEMMA_HIGH = np.array(((0.0, 1.0), (0.0, 1.0), (1.0, 10.0), (1.0, 10.0), (1.0, 4.0), (0.01, 1.0))).T
 
 
 def _scalar_lemma(trials: int, seed: int, params_grid) -> CheckReport:
@@ -380,10 +381,8 @@ def _scalar_lemma(trials: int, seed: int, params_grid) -> CheckReport:
     for chunk in _chunks(trials, STATE_CHUNK):
         rows = []
         for rng in _trial_rngs(seed, "scalar-lemma", chunk):
-            x0, y0 = rng.uniform(0.0, 1.0, 2)
-            x1, y1 = rng.uniform(1.0, 10.0, 2)
-            s_hi = float(rng.uniform(1.0, 4.0))
-            s_lo = float(rng.uniform(0.01, 1.0))
+            x0, y0, x1, y1, s_hi, s_lo = _LEMMA_LOW + (_LEMMA_HIGH - _LEMMA_LOW) * rng.random(6)
+            s_hi, s_lo = float(s_hi), float(s_lo)
             # (lhs, rhs, s) of each kind
             rows.append((
                 (abs(x0**s_hi - y0**s_hi), s_hi * abs(x0 - y0), s_hi),
@@ -447,9 +446,9 @@ def _ensemble_judge(trials, states, points):
     for (_, (rng, _)), (((vals, mats, vecs), j),) in zip(trials, states):
         rhos.append((vals[j], vecs[j], mats[j]))
         # an ensemble of m pure states needs m >= rank >= 1
-        rank = int(np.sum(vals[j] > TOL.rank))
-        ms.append(int(rng.integers(rank, max(rank, 8) + 1)))
-        draws.append(_ensemble_draw(rank, ms[-1], rng))
+        rank = int(np.count_nonzero(vals[j] > TOL.rank))
+        ms.append(int(rng.integers(rank, max(rank, 8) + 1, dtype=np.int32)))
+        draws.append((rank, rng.standard_normal((2, ms[-1], ms[-1]))))
     weights = _stack_rows([w for w, _, _ in _ensembles(rhos, draws)])
     rho, weights = _table([[row, w] for (row,), w in zip(states, weights)], points)
 
@@ -462,8 +461,10 @@ def _ensemble_judge(trials, states, points):
 
 def _mixing_draw(dims, i, rng):
     d = int(_pick(rng, dims))
-    k = int(rng.integers(2, 5))
-    weights = rng.dirichlet(np.ones(k))
+    k = int(rng.integers(2, 5, dtype=np.int32))
+    # dirichlet(np.ones(k)): unit gammas, which are exponentials, times 1 / their sum
+    g = rng.standard_exponential(k)
+    weights = g * (1.0 / sum(g.tolist()))
     return (d, k, weights), [_ginibre(rng, d) for _ in range(k)]
 
 
@@ -491,12 +492,12 @@ def _mixing_judge(trials, states, points):
 def _fannes_draw(dims, i, rng):
     d = int(_pick(rng, dims))
     rho = _ginibre(rng, d)
-    if rng.uniform() < 0.5:
+    if rng.random() < 0.5:
         return (d, None), [rho, _ginibre(rng, d)]
-    # interpolate toward a second state so small trace distances (the
-    # low-region validity window) are exercised
-    lam = float(rng.uniform(0.0, 0.3))
-    return (d, lam), [rho, _ginibre_draw(d, d, rng)]
+    # interpolate toward a second state, lambda uniform in [0, 0.3), so small
+    # trace distances (the low-region validity window) are exercised
+    lam = 0.3 * rng.random()
+    return (d, lam), [rho, rng.standard_normal((2, d, d))]
 
 
 def _fannes_build(infos, rhos, others):
@@ -642,9 +643,8 @@ def _pinching_draw(every, dims, i, rng):
     case is always exercised."""
     d = int(_pick(rng, dims))
     rho = _ginibre(rng, d)
-    ranks = (1,) * d if i % every == 0 else None
-    resolution = _resolution_draw(d, rng, ranks)
-    return (d, len(resolution[0])), [rho, resolution]
+    ranks = (1,) * d if i % every == 0 else _block_ranks(d, rng)
+    return (d, len(ranks)), [rho, (ranks, rng.standard_normal((2, d, d)))]
 
 
 def _pinching_build(infos, rhos, resolutions):
@@ -684,8 +684,8 @@ class Suite:
     """A claim checked on random states: the random part of a ``CHECKS`` row.
 
     ``draw(dims, i, rng)`` gives (info, draws) for trial i: its discrete
-    choices and the ``linops`` draws (Ginibre draws, (ranks, Haar draw)
-    pairs of resolutions) it takes from its generator.  The chunk's draws
+    choices and its draws in the ``linops`` shapes (Ginibre draws, (ranks,
+    Haar draw) pairs of resolutions), unchecked, from its generator.  The chunk's draws
     are built into arrays with one stacked call per kind and shape, and
     ``build(infos, made)`` (``_by_info``) turns the infos and each trial's
     built draws into whole stacks: (trial indices, one (n, d, d) stack per
@@ -976,6 +976,7 @@ def run_check(
 def report_ok(report: CheckReport) -> bool:
     """Pass criterion: at least one comparison, and no failures, or at
     least one for a check expected to break."""
+    _expect(report, CheckReport)
     if report.comparisons == 0:
         return False
     breaks = report.check in CHECKS and CHECKS[report.check].breaks

@@ -23,6 +23,7 @@ from entropy_kit.verify import ALL_CHECKS
 
 FLAT4 = "0.25,0.25,0.25,0.25"
 DATA = Path(__file__).parent / "data"
+GOLDEN = Path(__file__).parent.parent / "perfbench" / "golden" / "check-all-trials1000-seed42.jsonl"
 
 
 def run_cli(capsys, argv):
@@ -339,6 +340,14 @@ class TestCheckCommand:
         code, out, _ = run_cli(capsys, argv)
         assert code == 0
         assert out == (DATA / "check-all-trials130-seed11-dims2-3-6.jsonl").read_text()
+
+    def test_benchmark_golden_report(self, capsys):
+        """The seed-42, 1000-trial report that the benchmark checks every
+        harness op against, read (never written) from perfbench/golden."""
+        argv = ["check", "all", "--trials", "1000", "--seed", "42", "--json"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert out == GOLDEN.read_text()
 
     @pytest.mark.parametrize("suite", ["fannes", "pinching", "projective", "all"])
     def test_one_level_system_is_an_error_for_two_level_suites(self, capsys, suite):

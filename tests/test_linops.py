@@ -548,6 +548,10 @@ class TestResolutionValidation:
             OrthogonalResolution((p, np.eye(2) - p, p))
 
 
+#: finite and symmetric, but its square's off-diagonal entry is inf - inf
+OVERFLOW_NAN = [[1e308, 1e308], [1e308, -1e308]]
+
+
 class TestGeneralizedMeasurement:
     def test_completeness_enforced(self):
         with pytest.raises(IncompleteMeasurement):
@@ -577,8 +581,26 @@ class TestGeneralizedMeasurement:
             apply_generalized(maximally_mixed(3), GeneralizedMeasurement((np.eye(2),)))
 
     def test_nan_entry_rejected(self):
-        with pytest.raises(IncompleteMeasurement):
+        # a non-finite Kraus entry is refused as HermitianOperator refuses one
+        with pytest.raises(DomainError, match="matrix entries must be finite"):
             GeneralizedMeasurement(([[np.nan, 0], [0, 1]],))
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: GeneralizedMeasurement([[[np.inf]]]), DomainError, "matrix entries must be finite"),
+            (lambda: GeneralizedMeasurement([[[1e308]]]), IncompleteMeasurement, "completeness"),
+            (lambda: OrthogonalResolution([[[1e308]]]), DomainError, "not idempotent"),
+            # the products overflow to inf - inf = nan, which fails the checks too
+            (lambda: GeneralizedMeasurement([OVERFLOW_NAN]), IncompleteMeasurement, "completeness"),
+            (lambda: OrthogonalResolution([OVERFLOW_NAN]), DomainError, "not idempotent"),
+        ],
+        ids=["measurement-inf", "measurement-overflow", "resolution-overflow", "measurement-nan", "resolution-nan"],
+    )
+    def test_overflowing_entries_raise_without_a_warning(self, build, error, message):
+        # tier-1 turns a RuntimeWarning into an error, so a warning before the refusal fails here
+        with pytest.raises(error, match=message):
+            build()
 
 
 GOOD_MATRICES = (

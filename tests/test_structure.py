@@ -47,13 +47,18 @@ def references(name: str) -> list:
     ]
 
 
+def assert_one_linalg_call(name: str, scope: str) -> None:
+    """The package's one reference to ``name`` is a call of ``np.linalg.<name>`` in ``linops.<scope>``."""
+    uses = references(name)
+    assert [(module, s) for module, s, _ in uses] == [("linops", scope)]
+    ((_, _, node),) = uses
+    assert ast.unparse(node) == f"np.linalg.{name}" and id(node) in CALLED
+
+
 def test_one_eigensolve():
     # every state, one DensityOperator or a chunk's joined stacks, is
     # validated by the one stacked eigh, in linops._density_spectra
-    uses = references("eigh")
-    assert [(module, scope) for module, scope, _ in uses] == [("linops", "_density_spectra")]
-    ((_, _, node),) = uses
-    assert ast.unparse(node) == "np.linalg.eigh" and id(node) in CALLED
+    assert_one_linalg_call("eigh", "_density_spectra")
 
 
 def test_records_at_the_public_edge():
@@ -74,3 +79,30 @@ def test_records_at_the_public_edge():
     ]
     assert defs == [("linops", "", "_record")]
     assert references("_density_at") == []
+
+
+def test_one_qr():
+    # every Haar factor, the full unitary or an ensemble's thin first
+    # columns, comes from the one stacked QR in linops._haar_stack
+    assert_one_linalg_call("qr", "_haar_stack")
+
+
+def test_one_trace_distance_solve():
+    # every trace distance comes from the one stacked eigenvalue solve in
+    # linops._trace_distances, which caps it at 1
+    assert_one_linalg_call("eigvalsh", "_trace_distances")
+
+
+def test_suites_draw_through_the_cheapest_calls():
+    # the suites take numpy's bits through random, standard_exponential and
+    # int32 integers, and their arguments are valid by construction, so
+    # verify uses no uniform or dirichlet and none of the checked linops draws
+    banned = ("uniform", "dirichlet", "_ginibre_draw", "_ensemble_draw", "_resolution_draw", "_haar_draw")
+    assert [(name, scope) for name in banned for module, scope, _ in references(name) if module == "verify"] == []
+    # every bounded integers call of verify takes the 32-bit draw
+    calls = [
+        node
+        for module, _, node in NODES
+        if module == "verify" and isinstance(node, ast.Call) and ast.unparse(node.func).endswith(".integers")
+    ]
+    assert calls and all([ast.unparse(k) for k in call.keywords] == ["dtype=np.int32"] for call in calls)

@@ -37,7 +37,7 @@ from entropy_kit.linops import (
     tensor,
     trace_distance,
 )
-from entropy_kit import verify
+from entropy_kit import linops, verify
 from entropy_kit.verify import (
     ALL_CHECKS,
     QUBIT_MEASUREMENT,
@@ -478,6 +478,11 @@ class TestReports:
         _compare_one(regular, 2.0, 1.0, {})
         assert not report_ok(regular)
 
+    @pytest.mark.parametrize("value", [None, "fannes", {"check": "fannes", "comparisons": 1, "failures": 0}])
+    def test_report_ok_refuses_a_non_report(self, value):
+        with pytest.raises(DomainError, match="expected CheckReport, got"):
+            report_ok(value)
+
 
 def chunk_builds(name: str, dims, trials: int) -> tuple:
     """(infos, built draws, the suite's chunk build) of the first chunk of
@@ -687,6 +692,170 @@ class TestTrialGenerators:
 
         monkeypatch.setattr(verify, "_trial_rngs", one_by_one)
         assert run_check(name, trials=70, seed=seed).to_json() == batched
+
+
+def bits(value) -> bytes:
+    """The float64 bytes of a float draw, whatever holds it (float, array, list)."""
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+def same_draw(old, new) -> bool:
+    """Whether two suite draws hold the same items: None and ints equal,
+    floats and arrays equal bit for bit, lists and tuples item by item."""
+    if isinstance(old, (list, tuple)):
+        return isinstance(new, (list, tuple)) and len(old) == len(new) and all(map(same_draw, old, new))
+    if old is None or isinstance(old, int):
+        return type(new) is type(old) and new == old
+    return np.shape(old) == np.shape(new) and bits(old) == bits(new)
+
+
+def rng_pair(seed: int) -> tuple:
+    return np.random.default_rng(seed), np.random.default_rng(seed)
+
+
+# Each suite draw as written with numpy's public calls (integers with its
+# default int64, uniform, dirichlet) and the argument-checking linops draws.
+
+
+def public_pick(rng, items):
+    return items[int(rng.integers(len(items)))]
+
+
+def public_ginibre(rng, d):
+    return linops._ginibre_draw(d, int(rng.integers(1, d + 1)), rng)
+
+
+def public_block_ranks(d, rng):
+    cuts = int(rng.integers(1, 2 ** (d - 1)))
+    ranks, size = [], 1
+    for pos in range(d - 1):
+        if cuts >> pos & 1:
+            ranks.append(size)
+            size = 1
+        else:
+            size += 1
+    return ranks + [size]
+
+
+def public_state(dims, i, rng):
+    d = int(public_pick(rng, dims))
+    return (rng, d), [public_ginibre(rng, d)]
+
+
+def public_mixing(dims, i, rng):
+    d = int(public_pick(rng, dims))
+    k = int(rng.integers(2, 5))
+    weights = rng.dirichlet(np.ones(k))
+    return (d, k, weights), [public_ginibre(rng, d) for _ in range(k)]
+
+
+def public_fannes(dims, i, rng):
+    d = int(public_pick(rng, dims))
+    rho = public_ginibre(rng, d)
+    if rng.uniform() < 0.5:
+        return (d, None), [rho, public_ginibre(rng, d)]
+    lam = float(rng.uniform(0.0, 0.3))
+    return (d, lam), [rho, linops._ginibre_draw(d, d, rng)]
+
+
+def public_bipartite(dims, i, rng):
+    da, db = public_pick(rng, dims)
+    return (da, db), [public_ginibre(rng, da * db)]
+
+
+def public_violation(dims, i, rng):
+    da, db = public_pick(rng, dims)
+    return (da, db), [public_ginibre(rng, da), public_ginibre(rng, db), public_ginibre(rng, da * db)]
+
+
+def public_pinching(every, dims, i, rng):
+    d = int(public_pick(rng, dims))
+    rho = public_ginibre(rng, d)
+    resolution = linops._resolution_draw(d, rng, (1,) * d if i % every == 0 else public_block_ranks(d, rng))
+    return (d, len(resolution[0])), [rho, resolution]
+
+
+PUBLIC_DRAWS = {
+    "ensemble": public_state,
+    "mixing": public_mixing,
+    "fannes": public_fannes,
+    "audenaert": public_bipartite,
+    "subadd": public_bipartite,
+    "subadd-violation": public_violation,
+    "triangle": public_bipartite,
+    "pinching": lambda dims, i, rng: public_pinching(7, dims, i, rng),
+    "projective": lambda dims, i, rng: public_pinching(5, dims, i, rng),
+}
+ENTRY_SEEDS = range(2000)
+#: the bounds of the suites' bounded integers calls: the _pick lengths, a
+#: Ginibre rank's (1, d + 1) and an ensemble size's (rank, max(rank, 8) + 1)
+#: up to MAX_CHECK_DIM, and mixing's k in 2..4
+INT_BOUNDS = (
+    [(0, n) for n in range(1, verify.MAX_CHECK_DIM + 1)]
+    + [(1, d + 1) for d in range(1, verify.MAX_CHECK_DIM + 1)]
+    + [(r, max(r, 8) + 1) for r in range(1, verify.MAX_CHECK_DIM + 1)]
+    + [(2, 5)]
+)
+
+
+class TestGeneratorEntryPoints:
+    """The suites take their numbers through numpy's cheapest calls that
+    return the bits of the public calls they were written with and leave
+    the generator in the same state: ``random`` for ``uniform``, unit
+    ``standard_exponential`` draws times the reciprocal of their sum for
+    ``dirichlet(np.ones(k))``, and ``dtype=np.int32`` for an int64
+    ``integers`` below 2^31 (the same 32-bit Lemire draw).  This pins
+    numpy's algorithms (2.4.6), as ``TestTrialGenerators`` pins its seeding."""
+
+    def test_bounded_integers_take_the_int32_draw(self):
+        for seed in ENTRY_SEEDS:
+            old, new = rng_pair(seed)
+            # every 13th bound from the seed's offset: each bound meets about 150 seeds
+            for lo, hi in INT_BOUNDS[seed % 13 :: 13]:
+                if lo == 0:
+                    assert old.integers(hi) == verify._pick(new, range(hi))
+                else:
+                    assert old.integers(lo, hi) == new.integers(lo, hi, dtype=np.int32)
+            assert old.bit_generator.state == new.bit_generator.state
+
+    def test_uniform_is_its_formula_on_random(self):
+        low, high = verify._LEMMA_LOW, verify._LEMMA_HIGH
+        for seed in ENTRY_SEEDS:
+            old, new = rng_pair(seed)
+            # scalar-lemma's draws from one random(6), then fannes's coin and lambda
+            lemma = [*old.uniform(0.0, 1.0, 2), *old.uniform(1.0, 10.0, 2)]
+            lemma += [old.uniform(1.0, 4.0), old.uniform(0.01, 1.0)]
+            assert bits(lemma) == bits(low + (high - low) * new.random(6))
+            assert bits(old.uniform()) == bits(0.0 + (1.0 - 0.0) * new.random())
+            assert bits(old.uniform(0.0, 0.3)) == bits(0.0 + (0.3 - 0.0) * new.random())
+            assert old.bit_generator.state == new.bit_generator.state
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_unit_dirichlet_is_scaled_exponentials(self, k):
+        for seed in ENTRY_SEEDS:
+            old, new = rng_pair(seed)
+            g = new.standard_exponential(k)
+            assert bits(old.dirichlet(np.ones(k))) == bits(g * (1.0 / sum(g.tolist())))
+            assert old.bit_generator.state == new.bit_generator.state
+
+    def test_block_ranks_equal_the_cut_loop(self):
+        for seed in ENTRY_SEEDS:
+            d = 2 + seed % (linops.MAX_RANK_DRAW_DIM - 1)
+            old, new = rng_pair(seed)
+            assert linops._block_ranks(d, new) == public_block_ranks(d, old)
+            assert old.bit_generator.state == new.bit_generator.state
+
+    @pytest.mark.parametrize("name", PUBLIC_DRAWS)
+    def test_suite_draw_equals_the_public_calls(self, name):
+        suite = verify.CHECKS[name].suite
+        for seed in ENTRY_SEEDS:
+            old, new = rng_pair(seed)
+            info, draws = suite.draw(suite.dims, seed, new)
+            want_info, want_draws = PUBLIC_DRAWS[name](suite.dims, seed, old)
+            if name == "ensemble":  # the info holds the trial's generator, then d
+                info, want_info = info[1:], want_info[1:]
+            assert same_draw(want_info, info) and same_draw(want_draws, draws)
+            assert old.bit_generator.state == new.bit_generator.state
 
 
 class TestGrid:
